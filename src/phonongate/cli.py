@@ -16,6 +16,7 @@ import numpy as np
 
 from . import runner
 from .duffing import duffing_spectrum
+from .files import atomic_write
 from .gates import cnot_sequence, exchange_unitary, ideal_cnot, phase_aligned_distance
 from .hamiltonians import PhysicalParams
 from .runner import PAPER_VA_XG_SQ, PRESETS, ScenarioConfig
@@ -68,7 +69,7 @@ def spectrum(omega_g_hz, lambda_hz, dim, dim_trust, out):
         os.makedirs(outdir, exist_ok=True)
         spec = duffing_spectrum(2 * np.pi * omega_g_hz, 2 * np.pi * lambda_hz, dim, dim_trust)
         path = os.path.join(outdir, "spectrum.csv")
-        with open(path + ".tmp", "w", newline="\n") as fh:
+        with atomic_write(path) as fh:
             header = ["n", "E_rad_s", "delta_n0_rad_s"] + [f"X_n{m}" for m in range(dim_trust)]
             fh.write(",".join(header) + "\n")
             for n in range(dim):
@@ -76,7 +77,6 @@ def spectrum(omega_g_hz, lambda_hz, dim, dim_trust, out):
                        format(spec.energies[n] - spec.energies[0], ".17g")]
                 row += [format(spec.X[n, m].real, ".17g") for m in range(dim_trust)]
                 fh.write(",".join(row) + "\n")
-        os.replace(path + ".tmp", path)
         click.echo(f"wrote {path}")
     except (ValueError, OSError) as exc:
         _fail(str(exc))

@@ -1,26 +1,29 @@
 """Open-system (Lindblad) and closed-system propagation on a time grid.
 
-The generator here is always time-independent, which the integrators
-exploit:
+The generator here is always time-independent. `propagate` is the one
+stepping core: it advances a batch of vec(rho) columns over a uniform grid
+through a `Propagator`, whose one-interval step matrix is either
 
-* ``expm`` (default): exact propagator stepping, rho_{k+1} = e^{L dt} rho_k.
-  Deterministic and unconditionally stable.
+* ``expm`` (default): the exact propagator e^{L dt}; deterministic and
+  unconditionally stable, or
 * ``rk4``: fixed-step classic Runge-Kutta. For a linear autonomous system a
   fixed-step RK4 sweep is exactly multiplication by the stability polynomial
-  I + hL + ... + (hL)^4/24, so the substeps between output points are applied
-  as a matrix power; identical to sequential stepping up to rounding and
-  byte-deterministic across runs.
-* ``rk45``: adaptive embedded Dormand-Prince 4(5) on the vectorized density
-  matrix with per-step max-norm error control.
+  I + hL + ... + (hL)^4/24, so the substeps of one output interval are
+  applied as a matrix power; identical to sequential stepping up to rounding
+  and byte-deterministic across runs.
 
-Every path symmetrizes the density matrix at accepted steps and records the
-pre-symmetrization Hermiticity drift, the trace drift and the minimum output
-eigenvalue in ``Trajectory.stats``.
+Both need a uniform grid. `propagate` gates the trace drift at every output
+(rk4 doubles its substeps and restarts; after the retry budget every method
+raises IntegrationError) and reports the Hermiticity drift and minimum
+eigenvalue of the final output. States are not symmetrized or diagonalized
+per step.
+
+``rk45``, adaptive embedded Dormand-Prince 4(5) with per-step max-norm error
+control, is reachable only through `evolve_master`, as the adaptive
+cross-check of the other two.
 """
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -28,6 +31,7 @@ import numpy as np
 from scipy.constants import hbar as HBAR_SI, k as KB_SI
 from scipy.linalg import eigh, expm
 
+from .files import atomic_write
 from .fockspace import Operator, QuantumState, SpaceDescriptor, annihilation_op, embed
 
 
@@ -130,28 +134,44 @@ def liouvillian(H: Operator, collapse: CollapseSet) -> np.ndarray:
     return L
 
 
-class Propagator:
-    """Reusable e^{L dt} stepper for one generator and one step size."""
-
-    def __init__(self, H: Operator, collapse: CollapseSet, dt: float):
-        self.dim = H.dim
-        self.dt = dt
-        self.matrix = expm(liouvillian(H, collapse) * dt)
-
-    def advance(self, vec: np.ndarray) -> np.ndarray:
-        """One step for a vec(rho) column, or a (d*d, k) batch of them."""
-        return self.matrix @ vec
-
-
 @dataclass(frozen=True)
 class EvolveOptions:
-    method: str = "expm"  # expm | rk4 | rk45
+    method: str = "expm"  # expm | rk4 | rk45 (rk45: evolve_master only)
     rtol: float = 1e-9
     atol: float = 1e-12
     trace_tol: float = 1e-6
     max_retries: int = 8
     substep_phase: float = 3e-3  # rk4: fastest phase advanced per substep
-    store_states: bool = True
+
+
+class Propagator:
+    """One-interval step matrix for one generator and one step size: e^{L dt}
+    (expm), or the RK4 stability polynomial of L dt/m raised to the m-th
+    power (rk4), with m set by options.substep_phase and doubled once per
+    refinement."""
+
+    def __init__(self, H: Operator, collapse: CollapseSet, dt: float,
+                 options: EvolveOptions | None = None, refinements: int = 0):
+        opts = options or EvolveOptions()
+        self.dim = H.dim
+        self.dt = dt
+        # the Liouvillian is as large as the step matrix, so it is kept only
+        # as a temporary that is freed before expm / matrix_power run
+        if opts.method == "expm":
+            self.substeps = 1
+            self.matrix = expm(liouvillian(H, collapse) * dt)
+        elif opts.method == "rk4":
+            m = max(1, int(np.ceil(dt * _spectral_scale(H, collapse) / opts.substep_phase)))
+            self.substeps = m * 2**refinements
+            step = _rk4_polynomial(liouvillian(H, collapse) * (dt / self.substeps))
+            self.matrix = np.linalg.matrix_power(step, self.substeps)
+        else:
+            raise ValueError(f"no one-interval step matrix for method {opts.method!r}; "
+                             "use expm or rk4")
+
+    def advance(self, vec: np.ndarray) -> np.ndarray:
+        """One step for a vec(rho) column, or a (d*d, k) batch of them."""
+        return self.matrix @ vec
 
 
 @dataclass
@@ -167,19 +187,12 @@ class Trajectory:
         """t_s column followed by one column per observable; 17 significant
         digits, comma separator, LF line endings; written atomically."""
         names = list(self.observables)
-        tmp_fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
-        try:
-            with os.fdopen(tmp_fd, "w", newline="\n") as fh:
-                fh.write(",".join(["t_s"] + names) + "\n")
-                cols = [self.observables[n] for n in names]
-                for i, t in enumerate(self.times):
-                    row = [format(t, ".17g")] + [format(c[i], ".17g") for c in cols]
-                    fh.write(",".join(row) + "\n")
-            os.replace(tmp_path, path)
-        except BaseException:
-            if os.path.exists(tmp_path):
-                os.unlink(tmp_path)
-            raise
+        cols = [self.observables[n] for n in names]
+        with atomic_write(path) as fh:
+            fh.write(",".join(["t_s"] + names) + "\n")
+            for i, t in enumerate(self.times):
+                row = [format(t, ".17g")] + [format(c[i], ".17g") for c in cols]
+                fh.write(",".join(row) + "\n")
 
 
 def _check_grid(t_grid: np.ndarray) -> np.ndarray:
@@ -207,6 +220,72 @@ def _rk4_polynomial(A: np.ndarray) -> np.ndarray:
     return eye + A + A2 / 2.0 + (A2 @ A) / 6.0 + (A2 @ A2) / 24.0
 
 
+def _trace_drift(vecs: np.ndarray, d: int) -> float:
+    """max |tr rho - 1| over the vec(rho) columns of a (d*d, k) array."""
+    return float(np.max(np.abs(vecs[::d + 1].sum(axis=0).real - 1.0)))
+
+
+def _health(rho: np.ndarray) -> tuple[float, float]:
+    """(max |rho - rho^dagger|, min eigenvalue of the Hermitian part) over a
+    (k, d, d) stack, through one batched eigvalsh."""
+    adj = rho.conj().swapaxes(-1, -2)
+    herm_drift = float(np.max(np.abs(rho - adj)))
+    return herm_drift, float(np.min(np.linalg.eigvalsh(0.5 * (rho + adj))))
+
+
+def propagate(
+    H: Operator,
+    collapse: CollapseSet,
+    columns: np.ndarray,
+    t_grid: np.ndarray,
+    options: EvolveOptions | None = None,
+    observe: Callable[[int, np.ndarray], None] | None = None,
+) -> dict:
+    """Step a (d*d, k) batch of vec(rho) columns over a uniform time grid.
+
+    Output i (i = 0 is the columns themselves) is handed to observe(i, rho)
+    as a (k, d, d) view and is not stored. The trace drift is gated at every
+    output: beyond options.trace_tol, rk4 doubles its substeps and restarts
+    (observe then sees the outputs again from i = 0), up to
+    options.max_retries; after that, and at once for expm, IntegrationError
+    carries the stats. Returns the stats: method, sizes, retries,
+    max_trace_drift, and the Hermiticity drift and minimum eigenvalue of the
+    final output.
+    """
+    opts = options or EvolveOptions()
+    t = _check_grid(t_grid)
+    dts = np.diff(t)
+    if not np.allclose(dts, dts[0], rtol=1e-9, atol=0.0):
+        raise ValueError(f"{opts.method} stepping needs a uniform time grid")
+    d = H.dim
+    if columns.ndim != 2 or columns.shape[0] != d * d:
+        raise ValueError(f"columns must be a ({d * d}, k) batch of vec(rho)")
+    k = columns.shape[1]
+    stats: dict = {"method": opts.method, "n_steps": len(t) - 1, "n_columns": k}
+    attempts = opts.max_retries + 1 if opts.method == "rk4" else 1
+    for retry in range(attempts):
+        prop = Propagator(H, collapse, float(dts[0]), opts, refinements=retry)
+        if opts.method == "rk4":
+            stats["n_substeps_per_interval"] = prop.substeps
+        v, worst = columns, 0.0
+        for i in range(len(t)):
+            if i:
+                v = prop.advance(v)
+            drift = _trace_drift(v, d)
+            if not drift <= opts.trace_tol:  # a NaN trace fails too
+                worst = drift
+                break
+            worst = max(worst, drift)
+            if observe is not None:
+                observe(i, np.moveaxis(v.reshape(d, d, k), 2, 0))
+        stats.update(retries=retry, max_trace_drift=worst)
+        if drift <= opts.trace_tol:
+            herm, min_eig = _health(np.moveaxis(v.reshape(d, d, k), 2, 0))
+            stats.update(final_herm_drift=herm, final_min_eigenvalue=min_eig)
+            return stats
+    raise IntegrationError("trace drift above tolerance after all retries", stats)
+
+
 # Dormand-Prince 5(4) tableau
 _DP_A = [
     (),
@@ -222,20 +301,12 @@ _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 
 _DP_ERR = _DP_B5 - _DP_B4
 
 
-def _symmetrize(v: np.ndarray, d: int) -> tuple[np.ndarray, float]:
-    rho = v.reshape(d, d)
-    drift = float(np.max(np.abs(rho - rho.conj().T)))
-    rho = 0.5 * (rho + rho.conj().T)
-    return rho.reshape(-1), drift
-
-
-def _rk45_sweep(L, v0, t_grid, rtol, atol, d):
-    """One adaptive pass over the grid; returns (outputs, herm_drift, n_steps, n_rejected)."""
+def _rk45_sweep(L, v0, t_grid, rtol, atol):
+    """One adaptive pass over the grid; returns (outputs, n_steps, n_rejected)."""
     h = (t_grid[1] - t_grid[0]) / 10.0
     t = 0.0
-    v = v0.copy()
-    outputs = [v0.copy()]
-    herm_drift = 0.0
+    v = v0
+    outputs = [v0]
     n_steps = n_rejected = 0
     k = [None] * 7
     k[0] = L @ v
@@ -251,15 +322,31 @@ def _rk45_sweep(L, v0, t_grid, rtol, atol, d):
             err = np.max(np.abs(err_vec)) / tol
             if err <= 1.0:
                 t += h
-                v, drift = _symmetrize(v5, d)
-                herm_drift = max(herm_drift, drift)
-                k[0] = L @ v  # symmetrization invalidates FSAL reuse of k[6]
+                v = v5
+                k[0] = k[6]  # first same as last: the seventh stage is evaluated at v5
                 n_steps += 1
             else:
                 n_rejected += 1
             h *= float(np.clip(0.9 * (max(err, 1e-10)) ** (-0.2), 0.2, 5.0))
-        outputs.append(v.copy())
-    return outputs, herm_drift, n_steps, n_rejected
+        outputs.append(v)
+    return outputs, n_steps, n_rejected
+
+
+def _rk45_sweep_retrying(H, collapse, v0, t, opts, stats):
+    """Adaptive sweeps, tightening rtol and atol tenfold until the trace
+    drift is within options.trace_tol."""
+    L = liouvillian(H, collapse)
+    rtol, atol = opts.rtol, opts.atol
+    for retry in range(opts.max_retries + 1):
+        outputs, n_steps, n_rejected = _rk45_sweep(L, v0, t, rtol, atol)
+        drift = _trace_drift(np.stack(outputs, axis=1), H.dim)
+        stats.update(n_steps=n_steps, n_rejected=n_rejected, retries=retry,
+                     rtol_used=rtol, atol_used=atol, max_trace_drift=drift)
+        if drift <= opts.trace_tol:
+            return outputs
+        rtol /= 10.0
+        atol /= 10.0
+    raise IntegrationError("tolerance tightening exhausted", stats)
 
 
 def evolve_master(
@@ -270,11 +357,13 @@ def evolve_master(
     options: EvolveOptions | None = None,
     observables: Mapping[str, Callable[[np.ndarray], float]] | None = None,
 ) -> Trajectory:
-    """Integrate the master equation over the grid and record observables.
+    """Integrate the master equation over the grid and record every state
+    and observable.
 
-    The trace drift over the full run must stay below options.trace_tol;
-    otherwise the step size (rk4) or tolerance (rk45) is reduced and the
-    sweep restarts, up to options.max_retries, then IntegrationError.
+    expm and rk4 run through `propagate`; rk45 is the adaptive cross-check,
+    retried with tenfold tighter tolerances while the trace drift exceeds
+    options.trace_tol, then IntegrationError. Stats also carry the
+    Hermiticity drift and minimum eigenvalue over all outputs.
     """
     opts = options or EvolveOptions()
     t = _check_grid(t_grid)
@@ -282,108 +371,21 @@ def evolve_master(
         raise ValueError("initial state and Hamiltonian live on different spaces")
     d = H.dim
     v0 = rho0.to_density().data.reshape(-1)
-    stats: dict = {"method": opts.method, "retries": 0}
-
-    if opts.method == "expm":
-        outputs, herm = _expm_sweep(H, collapse, v0, t, d)
-        stats["n_steps"] = len(t) - 1
-    elif opts.method == "rk4":
-        outputs, herm = _rk4_sweep_retrying(H, collapse, v0, t, d, opts, stats)
-    elif opts.method == "rk45":
-        outputs, herm = _rk45_sweep_retrying(H, collapse, v0, t, d, opts, stats)
+    if opts.method == "rk45":
+        stats: dict = {"method": opts.method}
+        outputs = _rk45_sweep_retrying(H, collapse, v0, t, opts, stats)
+        states = [v.reshape(d, d) for v in outputs]
     else:
-        raise ValueError(f"unknown integrator method {opts.method!r}")
+        states = [None] * len(t)
 
-    traces = np.array([v.reshape(d, d).trace().real for v in outputs])
-    trace_drift = float(np.max(np.abs(traces - 1.0)))
-    if trace_drift > opts.trace_tol:
-        stats["max_trace_drift"] = trace_drift
-        raise IntegrationError("trace drift above tolerance after all retries", stats)
-    stats["max_trace_drift"] = trace_drift
-    stats["max_herm_drift"] = herm
+        def keep(i, rho):
+            states[i] = rho[0]
 
-    min_eig = np.inf
-    states = [] if opts.store_states else None
-    obs_series = {name: np.empty(len(t)) for name in (observables or {})}
-    for i, v in enumerate(outputs):
-        rho = v.reshape(d, d)
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(rho)[0]))
-        for name, fn in (observables or {}).items():
-            obs_series[name][i] = fn(rho)
-        if states is not None:
-            states.append(rho)
-    stats["min_eigenvalue"] = min_eig
+        stats = propagate(H, collapse, v0[:, None], t, opts, keep)
+    stats["max_herm_drift"], stats["min_eigenvalue"] = _health(np.stack(states))
+    obs_series = {name: np.array([fn(rho) for rho in states], dtype=float)
+                  for name, fn in (observables or {}).items()}
     return Trajectory(t, states, obs_series, stats)
-
-
-def _expm_sweep(H, collapse, v0, t, d):
-    dts = np.diff(t)
-    herm = 0.0
-    outputs = [v0.copy()]
-    v = v0.copy()
-    if np.allclose(dts, dts[0], rtol=1e-9, atol=0.0):
-        prop = Propagator(H, collapse, float(dts[0]))
-        for _ in range(len(t) - 1):
-            v, drift = _symmetrize(prop.advance(v), d)
-            herm = max(herm, drift)
-            outputs.append(v.copy())
-    else:
-        L = liouvillian(H, collapse)
-        cache: dict[float, np.ndarray] = {}
-        for dt in dts:
-            key = float(dt)
-            if key not in cache:
-                cache[key] = expm(L * key)
-            v, drift = _symmetrize(cache[key] @ v, d)
-            herm = max(herm, drift)
-            outputs.append(v.copy())
-    return outputs, herm
-
-
-def _rk4_sweep_retrying(H, collapse, v0, t, d, opts, stats):
-    dts = np.diff(t)
-    if not np.allclose(dts, dts[0], rtol=1e-9, atol=0.0):
-        raise ValueError("rk4 fixed-step mode needs a uniform output grid")
-    dt_out = float(dts[0])
-    L = liouvillian(H, collapse)
-    scale = _spectral_scale(H, collapse)
-    m = max(1, int(np.ceil(dt_out * scale / opts.substep_phase)))
-    for retry in range(opts.max_retries + 1):
-        step = _rk4_polynomial(L * (dt_out / m))
-        step_out = np.linalg.matrix_power(step, m)
-        v = v0.copy()
-        outputs = [v0.copy()]
-        herm = 0.0
-        ok = True
-        for _ in range(len(t) - 1):
-            v, drift = _symmetrize(step_out @ v, d)
-            herm = max(herm, drift)
-            if abs(v.reshape(d, d).trace().real - 1.0) > opts.trace_tol:
-                ok = False
-                break
-            outputs.append(v.copy())
-        stats.update(n_substeps_per_interval=m, retries=retry)
-        if ok:
-            return outputs, herm
-        m *= 2
-    stats["max_trace_drift"] = abs(v.reshape(d, d).trace().real - 1.0)
-    raise IntegrationError("fixed-step halving exhausted", stats)
-
-
-def _rk45_sweep_retrying(H, collapse, v0, t, d, opts, stats):
-    L = liouvillian(H, collapse)
-    rtol, atol = opts.rtol, opts.atol
-    for retry in range(opts.max_retries + 1):
-        outputs, herm, n_steps, n_rejected = _rk45_sweep(L, v0, t, rtol, atol, d)
-        stats.update(n_steps=n_steps, n_rejected=n_rejected, retries=retry,
-                     rtol_used=rtol, atol_used=atol)
-        traces = np.array([v.reshape(d, d).trace().real for v in outputs])
-        if np.max(np.abs(traces - 1.0)) <= opts.trace_tol:
-            return outputs, herm
-        rtol /= 10.0
-        atol /= 10.0
-    stats["max_trace_drift"] = float(np.max(np.abs(traces - 1.0)))
-    raise IntegrationError("tolerance tightening exhausted", stats)
 
 
 def evolve_unitary(

@@ -8,7 +8,7 @@ for a pure target and the one the reproduced figure data follows.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -206,25 +206,26 @@ class InitialStateFamily:
         return cls(kind, tuple((lbl, named_state(lbl)) for lbl in labels))
 
 
-def average_over_list(trajectories: Sequence[Trajectory], name: str = "fidelity") -> Trajectory:
-    """Pointwise arithmetic mean of one observable across equal time grids."""
-    if not trajectories:
-        raise ValueError("need at least one trajectory")
-    times = trajectories[0].times
-    for tr in trajectories[1:]:
-        if tr.times.shape != times.shape or not np.array_equal(tr.times, times):
-            raise ValueError("trajectories have mismatched time grids")
-    stack = np.stack([tr.observables[name] for tr in trajectories])
-    return Trajectory(times, None, {name: stack.mean(axis=0)}, {"n_members": len(trajectories)})
-
-
-def _sphere_grid(n_theta: int, n_phi: int):
-    """sin(theta)-weighted trapezoid points and weights on one Bloch sphere."""
+def bloch_grid(family: InitialStateFamily) -> tuple[list[np.ndarray], np.ndarray]:
+    """Kets and sin(theta)-weighted trapezoid weights of the family's Bloch
+    grid: (theta, phi) points with theta outermost, or for separable-product
+    every pair of points on two spheres. Points of zero weight (the theta = 0
+    pole) are dropped."""
+    n_theta, n_phi = family.grid
     thetas = np.linspace(0.0, np.pi, n_theta)
     phis = np.linspace(0.0, 2 * np.pi, n_phi)
     w_t = np.ones(n_theta); w_t[0] = w_t[-1] = 0.5
     w_p = np.ones(n_phi); w_p[0] = w_p[-1] = 0.5
-    return thetas, phis, np.outer(w_t * np.sin(thetas), w_p)
+    weights = np.outer(w_t * np.sin(thetas), w_p).reshape(-1)
+    points = [(th, ph) for th in thetas for ph in phis]
+    if family.kind == "separable-product":
+        points = [p1 + p2 for p1 in points for p2 in points]
+        weights = np.outer(weights, weights).reshape(-1)
+        make = separable_state
+    else:
+        make = bloch_family(family.family or "schmidt")
+    keep = np.flatnonzero(weights > 0.0)
+    return [make(*points[i]) for i in keep], weights[keep]
 
 
 def bloch_average(
@@ -235,33 +236,16 @@ def bloch_average(
     name: str = "fidelity",
 ) -> Trajectory:
     """sin(theta)-weighted trapezoidal average of evaluator(state) over the
-    family's Bloch grid. The evaluator maps a 4-component ket to a series on
-    `times` and may be called concurrently by callers; it must be reentrant.
+    family's Bloch grid (or `grid`, if given). The evaluator maps a
+    4-component ket to a series on `times` and may be called concurrently by
+    callers; it must be reentrant.
     """
-    n_theta, n_phi = grid or family.grid
-    if n_theta < 8 or n_phi < 8:
-        raise ValueError("Bloch grids need at least 8 points per angle")
+    if grid is not None:
+        family = replace(family, grid=tuple(grid))
     times = np.asarray(times, dtype=float)
     acc = np.zeros(len(times))
     total = 0.0
-    if family.kind == "separable-product":
-        thetas, phis, w = _sphere_grid(n_theta, n_phi)
-        for i1, t1 in enumerate(thetas):
-            for j1, p1 in enumerate(phis):
-                for i2, t2 in enumerate(thetas):
-                    for j2, p2 in enumerate(phis):
-                        wt = w[i1, j1] * w[i2, j2]
-                        if wt == 0.0:
-                            continue
-                        acc += wt * evaluator(separable_state(t1, p1, t2, p2))
-                        total += wt
-    else:
-        state_fn = bloch_family(family.family or "schmidt")
-        thetas, phis, w = _sphere_grid(n_theta, n_phi)
-        for i, th in enumerate(thetas):
-            for j, ph in enumerate(phis):
-                if w[i, j] == 0.0:
-                    continue
-                acc += w[i, j] * evaluator(state_fn(th, ph))
-                total += w[i, j]
-    return Trajectory(times, None, {name: acc / total}, {"grid": (n_theta, n_phi)})
+    for v, w in zip(*bloch_grid(family)):
+        acc += w * evaluator(v)
+        total += w
+    return Trajectory(times, None, {name: acc / total}, {"grid": family.grid})

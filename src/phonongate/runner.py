@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -24,8 +23,9 @@ import numpy as np
 from scipy.linalg import eigh
 
 from . import dynamics, fidelity
-from .dynamics import CollapseSet, EvolveOptions, Propagator, Trajectory
+from .dynamics import CollapseSet, EvolveOptions, Trajectory
 from .duffing import duffing_hamiltonian
+from .files import atomic_write
 from .fockspace import SpaceDescriptor
 from .gates import ideal_cnot
 from .hamiltonians import PhysicalParams, system_hamiltonian
@@ -91,8 +91,8 @@ class ScenarioConfig:
             raise ValueError("quadrature_convention must be 'symmetric' or 'bare'")
         if self.fidelity_convention not in ("squared", "amplitude"):
             raise ValueError("fidelity_convention must be 'squared' or 'amplitude'")
-        if self.integrator not in ("expm", "rk4", "rk45"):
-            raise ValueError("integrator must be expm, rk4 or rk45")
+        if self.integrator not in ("expm", "rk4"):
+            raise ValueError("integrator must be expm or rk4")
 
     @classmethod
     def from_mapping(cls, doc: dict) -> "ScenarioConfig":
@@ -252,22 +252,16 @@ def _qubit_isometry(n_b: int, omega_G: float, lam: float) -> np.ndarray:
     return vecs[:, :2].astype(complex)
 
 
-def _lift_two_qubit(v4: np.ndarray, n_b: int, isometry: np.ndarray) -> np.ndarray:
-    """Embed a two-qubit ket into the n_b x n_b beam space through the
-    per-beam isometry (Fock states for n_b = 2)."""
-    kk = np.kron(isometry, isometry)
-    return kk @ np.asarray(v4, dtype=complex)
-
-
 def master_fidelity_series(
     cfg: ScenarioConfig, states: list[tuple[str, np.ndarray]]
-) -> tuple[np.ndarray, dict[str, np.ndarray], dict]:
+) -> tuple[np.ndarray, dict[str, np.ndarray], dict[str, np.ndarray], dict]:
     """Evolve every initial two-qubit ket under the full system Lindbladian and
     return per-state squared-overlap fidelity series against the CNOT targets.
 
-    All states share one propagator, so they are advanced as one batch.
-    Returns (times, {label: F_sq series}, stats) where stats also carries the
-    per-state max leakage out of the qubit subspace.
+    All states share one propagator and are advanced as one batch through
+    `dynamics.propagate`, which gates the trace drift. Returns (times,
+    {label: F_sq series}, {label: leakage series}, stats); stats carries the
+    integrator's health figures and the max leakage out of the qubit subspace.
     """
     p = resolved_params(cfg)
     space = SpaceDescriptor((cfg.n_cav, cfg.n_b, cfg.n_b))
@@ -275,61 +269,40 @@ def master_fidelity_series(
     collapse = CollapseSet.standard_channels(space, p.kappa, p.gamma_m, p.n_th)
     t_max = cfg.t_max_us * 1e-6
     times = np.linspace(0.0, t_max, cfg.n_steps)
-    d = space.total
     nbb = cfg.n_b * cfg.n_b
 
+    # per-beam isometry onto the qubit levels (Fock states for n_b = 2)
     iso = _qubit_isometry(cfg.n_b, p.omega_G, p.lam)
     kk = np.kron(iso, iso)  # (n_b^2) x 4
+    kk_conj = kk.conj()
 
     cav = np.zeros(cfg.n_cav, dtype=complex)
     cav[cfg.cavity_fock] = 1.0
     vecs = []
     targets = []
     for _, v4 in states:
-        psi = np.kron(cav, _lift_two_qubit(v4, cfg.n_b, iso))
+        psi = np.kron(cav, kk @ v4)
         vecs.append(np.outer(psi, psi.conj()).reshape(-1))
         targets.append(_CNOT @ v4)
     batch = np.stack(vecs, axis=1)  # (d*d, n_states)
     targets = np.stack(targets, axis=0)  # (n_states, 4)
-
-    if cfg.integrator == "expm":
-        prop = Propagator(H, collapse, times[1] - times[0])
-        step = prop.advance
-    elif cfg.integrator == "rk4":
-        from .dynamics import _rk4_polynomial, _spectral_scale, liouvillian
-
-        dt_out = times[1] - times[0]
-        scale = _spectral_scale(H, collapse)
-        m = max(1, int(np.ceil(dt_out * scale / EvolveOptions().substep_phase)))
-        mat = np.linalg.matrix_power(_rk4_polynomial(liouvillian(H, collapse) * (dt_out / m)), m)
-        step = lambda v: mat @ v
-    else:
-        raise ValueError("master_fidelity_series supports the expm and rk4 integrators")
+    targets_conj = targets.conj()
 
     n_s = len(states)
-    n_t = len(times)
-    f_sq = np.empty((n_s, n_t))
-    leak = np.zeros((n_s, n_t))
-    trace_drift = 0.0
-    v = batch
-    for k in range(n_t):
-        rho = np.moveaxis(v.reshape(d, d, n_s), 2, 0)
+    f_sq = np.empty((n_s, len(times)))
+    leak = np.empty((n_s, len(times)))
+
+    def observe(i, rho):
         rho_beams = np.einsum("niaib->nab", rho.reshape(n_s, cfg.n_cav, nbb, cfg.n_cav, nbb))
-        trace_drift = max(trace_drift, float(np.max(np.abs(
-            np.einsum("naa->n", rho_beams).real - 1.0))))
-        rho_q = np.einsum("ia,nij,jb->nab", kk.conj(), rho_beams, kk)
+        rho_q = np.einsum("ia,nij,jb->nab", kk_conj, rho_beams, kk)
         weight = np.einsum("naa->n", rho_q).real
-        leak[:, k] = 1.0 - weight
+        leak[:, i] = 1.0 - weight
         rho_q = rho_q / weight[:, None, None]
-        f_sq[:, k] = np.clip(np.einsum("na,nab,nb->n", targets.conj(), rho_q, targets).real, 0.0, None)
-        if k < n_t - 1:
-            v = step(v)
-    stats = {
-        "integrator": cfg.integrator,
-        "n_steps": n_t - 1,
-        "max_trace_drift": trace_drift,
-        "max_leakage": float(np.max(leak)),
-    }
+        f_sq[:, i] = np.clip(np.einsum("na,nab,nb->n", targets_conj, rho_q, targets).real, 0.0, None)
+
+    stats = dynamics.propagate(H, collapse, batch, times, EvolveOptions(method=cfg.integrator),
+                               observe)
+    stats.update(integrator=cfg.integrator, max_leakage=float(np.max(leak)))
     labels = [lbl for lbl, _ in states]
     return times, {lbl: f_sq[i] for i, lbl in enumerate(labels)}, \
         {lbl: leak[i] for i, lbl in enumerate(labels)}, stats
@@ -391,16 +364,22 @@ def run_scenario(cfg: ScenarioConfig, outdir) -> dict:
     return summary
 
 
+def _fidelity_columns(cfg: ScenarioConfig, series: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """F_<label> per member, then F_avg over cfg.average_over, or over every
+    member when there are several."""
+    columns = {f"F_{lbl}": s for lbl, s in series.items()}
+    avg_members = cfg.average_over or (list(series) if len(series) > 1 else None)
+    if avg_members:
+        columns["F_avg"] = np.mean([columns[f"F_{lbl}"] for lbl in avg_members], axis=0)
+    return columns
+
+
 def _run_analytic(cfg: ScenarioConfig):
     omega = _analytic_omega(cfg)
     times = np.linspace(0.0, cfg.t_max_us * 1e-6, cfg.n_steps)
-    columns: dict[str, np.ndarray] = {}
     members = list(cfg.initial.members) or [("00", fidelity.named_state("00"))]
-    for lbl, v4 in members:
-        columns[f"F_{lbl}"] = np.asarray(fidelity.gate_fidelity_closed(*v4, omega * times))
-    avg_members = cfg.average_over or ([lbl for lbl, _ in members] if len(members) > 1 else None)
-    if avg_members:
-        columns["F_avg"] = np.mean([columns[f"F_{lbl}"] for lbl in avg_members], axis=0)
+    columns = _fidelity_columns(cfg, {
+        lbl: np.asarray(fidelity.gate_fidelity_closed(*v4, omega * times)) for lbl, v4 in members})
     if "avg_entangled" in cfg.outputs:
         columns["F_avg_entangled"] = np.asarray(fidelity.avg_fidelity_entangled(omega * times))
     if "avg_separable" in cfg.outputs:
@@ -411,41 +390,22 @@ def _run_analytic(cfg: ScenarioConfig):
 
 def _run_master(cfg: ScenarioConfig):
     emit_leakage = "leakage" in cfg.outputs or cfg.n_b > 2
+    amplitude = cfg.fidelity_convention == "amplitude"
     if cfg.initial.kind in ("fixed-list", "named-superposition"):
-        states = [(lbl, v) for lbl, v in cfg.initial.members]
-        times, series, leaks, stats = master_fidelity_series(cfg, states)
-        columns: dict[str, np.ndarray] = {}
-        convert = (lambda s: np.sqrt(s)) if cfg.fidelity_convention == "amplitude" else (lambda s: s)
-        for lbl, s in series.items():
-            columns[f"F_{lbl}"] = convert(s)
-        avg_members = cfg.average_over or ([lbl for lbl, _ in states] if len(states) > 1 else None)
-        if avg_members:
-            columns["F_avg"] = np.mean([columns[f"F_{lbl}"] for lbl in avg_members], axis=0)
+        times, series, leaks, stats = master_fidelity_series(cfg, list(cfg.initial.members))
+        columns = _fidelity_columns(
+            cfg, {lbl: np.sqrt(s) if amplitude else s for lbl, s in series.items()})
         if emit_leakage:
             for lbl in series:
                 columns[f"leakage_{lbl}"] = leaks[lbl]
         return times, columns, stats, cfg.fidelity_convention
     # Bloch-sphere families: weighted average over the sampled sphere
     family = cfg.initial
-    n_t, n_p = family.grid
-    thetas = np.linspace(0.0, np.pi, n_t)
-    phis = np.linspace(0.0, 2 * np.pi, n_p)
-    w_t = np.ones(n_t); w_t[0] = w_t[-1] = 0.5
-    w_p = np.ones(n_p); w_p[0] = w_p[-1] = 0.5
-    weights = np.outer(w_t * np.sin(thetas), w_p).reshape(-1)
-    if family.kind == "separable-product":
-        grid_states = [fidelity.separable_state(t1, p1, t2, p2)
-                       for t1 in thetas for p1 in phis for t2 in thetas for p2 in phis]
-        weights = np.outer(weights, weights).reshape(-1)
-    else:
-        fn = fidelity.bloch_family(family.family or "schmidt")
-        grid_states = [fn(th, ph) for th in thetas for ph in phis]
-    keep = weights > 0.0
-    states = [(f"s{i}", v) for i, (v, k) in enumerate(zip(grid_states, keep)) if k]
-    weights = weights[keep]
+    kets, weights = fidelity.bloch_grid(family)
+    states = [(f"s{i}", v) for i, v in enumerate(kets)]
     times, series, leaks, stats = master_fidelity_series(cfg, states)
     stacked = np.stack([series[lbl] for lbl, _ in states])
-    if cfg.fidelity_convention == "amplitude":
+    if amplitude:
         stacked = np.sqrt(stacked)
     avg = (weights[:, None] * stacked).sum(axis=0) / weights.sum()
     name = family.family or "schmidt"
@@ -567,13 +527,10 @@ def _run_fig2(outdir) -> dict:
     for lbl in ("00", "01", "10", "11"):
         v = fidelity.named_state(lbl)
         rows.append((lbl, fidelity.gate_fidelity_closed(*v, np.pi / 2)))
-    path = os.path.join(outdir, "trajectory.csv")
-    fd, tmp = tempfile.mkstemp(dir=outdir, suffix=".tmp")
-    with os.fdopen(fd, "w", newline="\n") as fh:
+    with atomic_write(os.path.join(outdir, "trajectory.csv")) as fh:
         fh.write("state,fidelity\n")
         for lbl, val in rows:
             fh.write(f"{lbl},{format(val, '.17g')}\n")
-    os.replace(tmp, path)
     summary = {"label": "fig2", "mode": "analytic",
                "fidelities": {lbl: val for lbl, val in rows},
                "peak_fidelity": max(v for _, v in rows)}
@@ -627,13 +584,6 @@ def run_sweep(cfg: ScenarioConfig, param: str, values, outdir, jobs: int = 1) ->
 
 
 def write_json(path, obj) -> None:
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=False)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_write(path) as fh:
+        json.dump(obj, fh, indent=2, sort_keys=False)
+        fh.write("\n")

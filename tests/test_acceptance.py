@@ -351,8 +351,8 @@ def test_criterion_8_published_peaks_and_convention_report():
         "literal_config_nb4": literal_nb4,
         "published_matching_config_nb2": match_nb2,
         "convention_sweep_nb2": sweep,
-        "runtime_s": time.perf_counter() - started,
     }
+    runtime_s = time.perf_counter() - started
     runner.write_json(REPORT_DIR / "convention_sensitivity.json", report_doc)
 
     all_match = all(v["within_tolerance"] for v in match_nb2.values())
@@ -363,7 +363,7 @@ def test_criterion_8_published_peaks_and_convention_report():
            + "; ".join(lines)
            + f"; literal-config within tolerance: {literal_ok}"
            + f"; report: reports/convention_sensitivity.json "
-           + f"({report_doc['runtime_s']:.0f}s): "
+           + f"({runtime_s:.0f}s): "
            + ("PASS" if all_match else "FAIL"))
     assert all_match, f"reproducing configuration out of tolerance: {match_nb2}"
     assert (REPORT_DIR / "convention_sensitivity.json").exists()

@@ -13,6 +13,7 @@ from phonongate.dynamics import (
     lindblad_rhs,
     liouvillian,
     mech_damping,
+    propagate,
     thermal_occupation,
 )
 from phonongate.fockspace import (
@@ -187,6 +188,34 @@ def test_evolve_master_retry_exhaustion():
         evolve_master(H, collapse, rho0, t,
                       EvolveOptions(method="rk45", trace_tol=1e-17, max_retries=1))
     assert "retries" in err.value.stats
+
+
+def test_propagate_rk4_trace_gate_exhaustion():
+    space, H, _, collapse = cavity_decay_setup(dim=3, kappa=0.5)
+    cols = np.stack([QuantumState.fock(space, [n]).to_density().data.reshape(-1)
+                     for n in (1, 2)], axis=1)
+    seen = []
+    with pytest.raises(IntegrationError) as err:
+        propagate(H, collapse, cols, np.linspace(0.0, 1.0, 11),
+                  EvolveOptions(method="rk4", trace_tol=1e-17, max_retries=1),
+                  lambda i, rho: seen.append((i, rho.shape)))
+    assert err.value.stats["retries"] == 1
+    assert err.value.stats["max_trace_drift"] > 1e-17
+    assert all(shape == (2, 3, 3) for _, shape in seen)
+
+
+def test_propagate_needs_uniform_grid():
+    space, H, _, collapse = cavity_decay_setup()
+    cols = QuantumState.fock(space, [1]).to_density().data.reshape(-1, 1)
+    with pytest.raises(ValueError):
+        propagate(H, collapse, cols, np.array([0.0, 0.1, 0.3]))
+
+
+def test_propagate_rejects_nan_trace():
+    space, H, _, collapse = cavity_decay_setup()
+    cols = np.full((4, 1), np.nan, dtype=complex)
+    with pytest.raises(IntegrationError):
+        propagate(H, collapse, cols, np.linspace(0.0, 1.0, 3))
 
 
 def test_evolve_master_hermiticity_and_positivity_stats():

@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from phonongate.dynamics import Trajectory
 from phonongate.fidelity import (
     InitialStateFamily,
     amplitude_fidelity,
-    average_over_list,
     avg_fidelity_entangled,
     avg_fidelity_separable,
     bloch_average,
@@ -107,19 +105,6 @@ def test_fidelities_bounded_on_random_sample():
         v /= np.linalg.norm(v)
         f = gate_fidelity_matrix(v, rng.uniform(0, 2 * np.pi))
         assert -1e-9 <= f <= 1.0 + 1e-9
-
-
-def test_average_over_list():
-    t = np.linspace(0, 1, 5)
-    tr0 = Trajectory(t, None, {"fidelity": np.zeros(5)})
-    tr1 = Trajectory(t, None, {"fidelity": np.ones(5)})
-    assert np.allclose(average_over_list([tr1]).observables["fidelity"], 1.0)
-    avg = average_over_list([tr0, tr1])
-    assert np.allclose(avg.observables["fidelity"], 0.5)
-    with pytest.raises(ValueError):
-        average_over_list([tr0, Trajectory(t + 1.0, None, {"fidelity": np.ones(5)})])
-    with pytest.raises(ValueError):
-        average_over_list([])
 
 
 def test_named_states_normalized():

@@ -53,6 +53,8 @@ def test_config_validation():
         ScenarioConfig.from_mapping(small_master_mapping(unknown_key=1))
     with pytest.raises(ValueError):
         ScenarioConfig.from_mapping(small_master_mapping(initial={"kind": "bell"}))
+    with pytest.raises(ValueError):
+        ScenarioConfig.from_mapping(small_master_mapping(integrator="rk45"))
 
 
 def test_refine_peak_parabola():
@@ -116,7 +118,11 @@ def test_master_run_writes_outputs(tmp_path):
     assert reloaded["peak_fidelity"] == pytest.approx(summary["peak_fidelity"])
     assert reloaded["main_column"] == "F_avg"
     assert 0.0 <= reloaded["peak_fidelity"] <= 1.0 + 1e-9
-    assert reloaded["integrator"]["max_trace_drift"] <= 1e-6
+    health = reloaded["integrator"]
+    assert health["max_trace_drift"] <= 1e-6
+    assert health["retries"] == 0
+    assert health["final_herm_drift"] <= 1e-10
+    assert health["final_min_eigenvalue"] >= -1e-10
 
 
 def test_master_run_fidelity_convention_sqrt(tmp_path):
@@ -240,6 +246,13 @@ def test_cli_spectrum(tmp_path):
     rows = (tmp_path / "spectrum.csv").read_text().splitlines()
     assert rows[0].startswith("n,E_rad_s,delta_n0_rad_s,X_n0")
     assert len(rows) == 17
+
+
+def test_cli_spectrum_rerun_leaves_only_the_csv(tmp_path):
+    for _ in range(2):
+        res = CliRunner().invoke(cli.main, ["spectrum", "--out", str(tmp_path)])
+        assert res.exit_code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spectrum.csv"]
 
 
 def test_cli_outdir_env(tmp_path, monkeypatch):
