@@ -26,11 +26,6 @@ def _default_out() -> str:
     return os.environ.get("PHONONGATE_OUTDIR", "phonongate_out")
 
 
-def _fail(message: str) -> None:
-    click.echo(json.dumps({"error": message}), err=True)
-    sys.exit(1)
-
-
 def _scenario_from_sources(config_path, preset) -> ScenarioConfig:
     """Build a scenario from a JSON config, a named preset, or both
     (config keys override the preset's parameters)."""
@@ -41,15 +36,29 @@ def _scenario_from_sources(config_path, preset) -> ScenarioConfig:
         with open(config_path) as fh:
             doc = json.load(fh)
     if preset:
+        if not isinstance(doc, dict) or not isinstance(doc.get("params", {}), dict):
+            raise ValueError("a config and its params must be JSON objects")
         doc["params"] = {**PRESETS[preset], **doc.get("params", {})}
         doc.setdefault("label", preset)
-        doc.setdefault("initial", {"kind": "fixed-list",
-                                   "labels": ["00", "01", "10", "11"]})
-        doc.setdefault("average_over", ["00", "01", "11"])
+        if "initial" not in doc:
+            doc["initial"] = {"kind": "fixed-list", "labels": ["00", "01", "10", "11"]}
+            doc.setdefault("average_over", ["00", "01", "11"])
     return ScenarioConfig.from_mapping(doc)
 
 
-@click.group()
+class _Main(click.Group):
+    """Reports a rejected config or input, from any command, as one JSON
+    error line on stderr and exit status 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ValueError, OSError) as exc:
+            click.echo(json.dumps({"error": str(exc)}), err=True)
+            sys.exit(1)
+
+
+@click.group(cls=_Main)
 def main():
     """Phononic CNOT gate simulator."""
 
@@ -64,22 +73,19 @@ def main():
 @click.option("--out", type=click.Path(), default=None, help="Output directory.")
 def spectrum(omega_g_hz, lambda_hz, dim, dim_trust, out):
     """Dump beam eigenenergies, transition frequencies and X matrix elements."""
-    try:
-        outdir = out or os.path.join(_default_out(), "spectrum")
-        os.makedirs(outdir, exist_ok=True)
-        spec = duffing_spectrum(2 * np.pi * omega_g_hz, 2 * np.pi * lambda_hz, dim, dim_trust)
-        path = os.path.join(outdir, "spectrum.csv")
-        with atomic_write(path) as fh:
-            header = ["n", "E_rad_s", "delta_n0_rad_s"] + [f"X_n{m}" for m in range(dim_trust)]
-            fh.write(",".join(header) + "\n")
-            for n in range(dim):
-                row = [str(n), format(spec.energies[n], ".17g"),
-                       format(spec.energies[n] - spec.energies[0], ".17g")]
-                row += [format(spec.X[n, m].real, ".17g") for m in range(dim_trust)]
-                fh.write(",".join(row) + "\n")
-        click.echo(f"wrote {path}")
-    except (ValueError, OSError) as exc:
-        _fail(str(exc))
+    outdir = out or os.path.join(_default_out(), "spectrum")
+    os.makedirs(outdir, exist_ok=True)
+    spec = duffing_spectrum(2 * np.pi * omega_g_hz, 2 * np.pi * lambda_hz, dim, dim_trust)
+    path = os.path.join(outdir, "spectrum.csv")
+    with atomic_write(path) as fh:
+        header = ["n", "E_rad_s", "delta_n0_rad_s"] + [f"X_n{m}" for m in range(dim_trust)]
+        fh.write(",".join(header) + "\n")
+        for n in range(dim):
+            row = [str(n), format(spec.energies[n], ".17g"),
+                   format(spec.energies[n] - spec.energies[0], ".17g")]
+            row += [format(spec.X[n, m].real, ".17g") for m in range(dim_trust)]
+            fh.write(",".join(row) + "\n")
+    click.echo(f"wrote {path}")
 
 
 @main.command()
@@ -90,19 +96,16 @@ def spectrum(omega_g_hz, lambda_hz, dim, dim_trust, out):
               help="Squared qubit deflection element X_G^2.")
 def gatecheck(g_hz, omega_hz, delta_hz, xg2):
     """Print the exchange rate, the ISWAP check, and the CNOT-sequence distance."""
-    try:
-        delta, omega_g, g = (2 * np.pi * v for v in (delta_hz, omega_hz, g_hz))
-        rate = delta * xg2 * g**2 / (delta**2 - omega_g**2)
-        t_gate = np.pi / (2 * rate)
-        iswap = np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]])
-        d_iswap = phase_aligned_distance(exchange_unitary(rate, t_gate), iswap)
-        d_cnot = phase_aligned_distance(cnot_sequence(rate, t_gate), ideal_cnot())
-        click.echo(f"Omega = {rate:.6g} rad/s")
-        click.echo(f"t_gate = pi/(2 Omega) = {t_gate:.6g} s")
-        click.echo(f"d(U_G(t_gate), ISWAP) = {d_iswap:.3e}")
-        click.echo(f"d(U_Gate(t_gate), CNOT) = {d_cnot:.3e}")
-    except ValueError as exc:
-        _fail(str(exc))
+    delta, omega_g, g = (2 * np.pi * v for v in (delta_hz, omega_hz, g_hz))
+    rate = delta * xg2 * g**2 / (delta**2 - omega_g**2)
+    t_gate = np.pi / (2 * rate)
+    iswap = np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]])
+    d_iswap = phase_aligned_distance(exchange_unitary(rate, t_gate), iswap)
+    d_cnot = phase_aligned_distance(cnot_sequence(rate, t_gate), ideal_cnot())
+    click.echo(f"Omega = {rate:.6g} rad/s")
+    click.echo(f"t_gate = pi/(2 Omega) = {t_gate:.6g} s")
+    click.echo(f"d(U_G(t_gate), ISWAP) = {d_iswap:.3e}")
+    click.echo(f"d(U_Gate(t_gate), CNOT) = {d_cnot:.3e}")
 
 
 @main.command()
@@ -113,29 +116,26 @@ def gatecheck(g_hz, omega_hz, delta_hz, xg2):
 @click.option("--t-max-us", type=float, default=None)
 def analytic(config_path, preset, out, t_max_us):
     """Closed-form gate-fidelity curves for the analytic parameter set."""
-    try:
-        outdir = out or os.path.join(_default_out(), "analytic")
-        if config_path:
-            cfg = _scenario_from_sources(config_path, None)
-        else:
-            cfg = ScenarioConfig(
-                params=PhysicalParams.from_config(PRESETS[preset]),
-                initial=runner.fidelity.InitialStateFamily.from_labels(["00", "01", "10", "11"]),
-                mode="analytic",
-                t_max_us=120e3,
-                n_steps=4001,
-                X_G_sq=PAPER_VA_XG_SQ,
-                outputs=("fidelity", "avg_entangled", "avg_separable"),
-                label="analytic",
-            )
-        if t_max_us:
-            cfg = replace(cfg, t_max_us=t_max_us)
-        summary = runner.run_scenario(cfg, outdir)
-        click.echo(json.dumps({"peak_fidelity": summary["peak_fidelity"],
-                               "peak_time_s": summary["peak_time_s"],
-                               "outdir": str(outdir)}))
-    except (ValueError, OSError) as exc:
-        _fail(str(exc))
+    outdir = out or os.path.join(_default_out(), "analytic")
+    if config_path:
+        cfg = _scenario_from_sources(config_path, None)
+    else:
+        cfg = ScenarioConfig(
+            params=PhysicalParams.from_config(PRESETS[preset]),
+            initial=runner.fidelity.InitialStateFamily.from_labels(["00", "01", "10", "11"]),
+            mode="analytic",
+            t_max_us=120e3,
+            n_steps=4001,
+            X_G_sq=PAPER_VA_XG_SQ,
+            outputs=("fidelity", "avg_entangled", "avg_separable"),
+            label="analytic",
+        )
+    if t_max_us:
+        cfg = replace(cfg, t_max_us=t_max_us)
+    summary = runner.run_scenario(cfg, outdir)
+    click.echo(json.dumps({"peak_fidelity": summary["peak_fidelity"],
+                           "peak_time_s": summary["peak_time_s"],
+                           "outdir": str(outdir)}))
 
 
 @main.command()
@@ -148,24 +148,20 @@ def analytic(config_path, preset, out, t_max_us):
               help="Beam truncation override.")
 def evolve(config_path, preset, out, fixed_step, nb):
     """Run one master-equation scenario from a JSON config and/or preset."""
-    try:
-        cfg = _scenario_from_sources(config_path, preset)
-        if fixed_step:
-            cfg = replace(cfg, integrator="rk4")
-        if nb:
-            cfg = replace(cfg, n_b=int(nb))
-        outdir = out or os.path.join(_default_out(), cfg.label)
-        summary = runner.run_scenario(cfg, outdir)
-        click.echo(json.dumps({"peak_fidelity": summary["peak_fidelity"],
-                               "peak_time_us": summary["peak_time_us"],
-                               "outdir": str(outdir)}))
-    except (ValueError, OSError) as exc:
-        _fail(str(exc))
+    cfg = _scenario_from_sources(config_path, preset)
+    if fixed_step:
+        cfg = replace(cfg, integrator="rk4")
+    if nb:
+        cfg = replace(cfg, n_b=int(nb))
+    outdir = out or os.path.join(_default_out(), cfg.label)
+    summary = runner.run_scenario(cfg, outdir)
+    click.echo(json.dumps({"peak_fidelity": summary["peak_fidelity"],
+                           "peak_time_us": summary["peak_time_us"],
+                           "outdir": str(outdir)}))
 
 
 @main.command()
-@click.argument("fig_id", type=click.Choice(
-    ["fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10"]))
+@click.argument("fig_id", type=click.Choice(["fig2", *runner.FIGURES]))
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--jobs", type=int, default=None, help="Worker pool size (default: logical CPUs).")
 @click.option("--fixed-step", is_flag=True)
@@ -174,16 +170,12 @@ def evolve(config_path, preset, out, fixed_step, nb):
               help="Angular points per axis for fig9/fig10.")
 def figure(fig_id, out, jobs, fixed_step, nb, bloch_grid):
     """Emit the CSV data behind one published figure."""
-    try:
-        outdir = out or os.path.join(_default_out(), fig_id)
-        jobs = jobs or os.cpu_count() or 1
-        summary = runner.run_figure(fig_id, outdir, n_b=int(nb), jobs=jobs,
-                                    fixed_step=fixed_step,
-                                    bloch_grid=(bloch_grid, bloch_grid))
-        click.echo(json.dumps({"figure": fig_id, "outdir": str(outdir),
-                               "peak_fidelity": summary.get("peak_fidelity")}))
-    except (ValueError, OSError) as exc:
-        _fail(str(exc))
+    outdir = out or os.path.join(_default_out(), fig_id)
+    summary = runner.run_figure(fig_id, outdir, n_b=int(nb), jobs=jobs,
+                                fixed_step=fixed_step,
+                                bloch_grid=(bloch_grid, bloch_grid))
+    click.echo(json.dumps({"figure": fig_id, "outdir": str(outdir),
+                           "peak_fidelity": summary.get("peak_fidelity")}))
 
 
 @main.command()
@@ -195,17 +187,13 @@ def figure(fig_id, out, jobs, fixed_step, nb, bloch_grid):
 @click.option("--jobs", type=int, default=None, help="Worker pool size (default: logical CPUs).")
 def sweep(config_path, preset, param, values, out, jobs):
     """Re-run one scenario while varying a single named parameter."""
-    try:
-        jobs = jobs or os.cpu_count() or 1
-        cfg = _scenario_from_sources(config_path, preset)
-        vals = [float(v) for v in values.split(",") if v.strip()]
-        if not vals:
-            raise ValueError("no sweep values given")
-        outdir = out or os.path.join(_default_out(), f"sweep_{param.replace('.', '_')}")
-        manifest = runner.run_sweep(cfg, param, vals, outdir, jobs=jobs)
-        click.echo(json.dumps({"param": param, "n_runs": len(vals), "outdir": str(outdir)}))
-    except (ValueError, OSError) as exc:
-        _fail(str(exc))
+    cfg = _scenario_from_sources(config_path, preset)
+    vals = [float(v) for v in values.split(",") if v.strip()]
+    if not vals:
+        raise ValueError("no sweep values given")
+    outdir = out or os.path.join(_default_out(), f"sweep_{param.replace('.', '_')}")
+    runner.run_sweep(cfg, param, vals, outdir, jobs=jobs)
+    click.echo(json.dumps({"param": param, "n_runs": len(vals), "outdir": str(outdir)}))
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ import numpy as np
 from .dynamics import Trajectory
 from .fockspace import QuantumState
 from .gates import cnot_sequence, ideal_cnot
+from .schema import check_fields
 
 FIDELITY_SLACK = 1e-9
 
@@ -169,61 +170,88 @@ def bloch_family(name: str) -> Callable[[float, float], np.ndarray]:
     return families[name]
 
 
+LABEL_KINDS = ("fixed-list", "named-superposition")
+# initial-state kind -> the keys of the config's `initial` sub-document it takes
+_KIND_KEYS = {"fixed-list": ("labels",), "named-superposition": ("labels",),
+              "schmidt-entangled": ("family", "grid"), "separable-product": ("grid",)}
+
+
 @dataclass(frozen=True)
 class InitialStateFamily:
-    """Initial-state set for a scenario.
+    """Initial-state set for a scenario; owns the config's `initial`
+    sub-document except `cavity_fock`, a scenario field.
 
-    kind "fixed-list" / "named-superposition": `members` holds (label, ket)
-    pairs. kind "schmidt-entangled" or a named (theta, phi) family: `family`
-    names the parametrization and `grid` the (n_theta, n_phi) sampling.
-    kind "separable-product": two-sphere sampling with `grid` per sphere.
+    kind "fixed-list" / "named-superposition": `labels` names the kets of
+    `members`. kind "schmidt-entangled": `family` names the (theta, phi)
+    parametrization and `grid` the (n_theta, n_phi) sampling. kind
+    "separable-product": two-sphere sampling with `grid` per sphere.
     """
 
     kind: str
-    members: tuple = ()
+    labels: tuple[str, ...] = ()
     family: str | None = None
     grid: tuple[int, int] = (16, 16)
 
     def __post_init__(self):
-        if self.kind in ("fixed-list", "named-superposition"):
-            if not self.members:
-                raise ValueError(f"{self.kind} family needs members")
-            checked = tuple((lbl, _check_normalized(v)) for lbl, v in self.members)
-            object.__setattr__(self, "members", checked)
-        elif self.kind == "schmidt-entangled":
+        check_fields(self)
+        if self.kind not in _KIND_KEYS:
+            raise ValueError(f"unknown family kind {self.kind!r}; known: {sorted(_KIND_KEYS)}")
+        if self.kind in LABEL_KINDS:
+            if not self.labels or len(set(self.labels)) < len(self.labels):
+                raise ValueError(f"{self.kind} needs distinct labels, got {list(self.labels)}")
+            for lbl in self.labels:
+                named_state(lbl)
+        elif self.labels:
+            raise ValueError(f"{self.kind} takes a grid, not labels")
+        elif min(self.grid) < 8:
+            raise ValueError("Bloch grids need at least 8 points per angle")
+        if self.kind == "schmidt-entangled":
             object.__setattr__(self, "family", self.family or "schmidt")
-        elif self.kind == "separable-product":
-            pass
-        else:
-            raise ValueError(f"unknown family kind {self.kind!r}")
-        if self.kind in ("schmidt-entangled", "separable-product") or self.family:
-            n_t, n_p = self.grid
-            if n_t < 8 or n_p < 8:
-                raise ValueError("Bloch grids need at least 8 points per angle")
+            bloch_family(self.family)
+        elif self.family is not None:
+            raise ValueError(f"{self.kind} takes no family")
+
+    @property
+    def members(self) -> tuple[tuple[str, np.ndarray], ...]:
+        """(label, ket) pairs of a label list."""
+        return tuple((lbl, named_state(lbl)) for lbl in self.labels)
 
     @classmethod
     def from_labels(cls, labels: Sequence[str], kind: str = "fixed-list") -> "InitialStateFamily":
-        return cls(kind, tuple((lbl, named_state(lbl)) for lbl in labels))
+        return cls(kind, tuple(labels))
+
+    @classmethod
+    def from_mapping(cls, doc: dict) -> "InitialStateFamily":
+        """Parse the `initial` sub-document (`kind` defaults to fixed-list)."""
+        doc = {"kind": "fixed-list", **doc}
+        unknown = set(doc) - {"kind", *_KIND_KEYS.get(str(doc["kind"]), ())}
+        if unknown:
+            raise ValueError(f"unknown keys {sorted(unknown)} for initial kind {doc['kind']!r}")
+        return cls(**doc)
+
+    def to_mapping(self) -> dict:
+        return {"kind": self.kind, **{key: getattr(self, key) for key in _KIND_KEYS[self.kind]}}
 
 
 def bloch_grid(family: InitialStateFamily) -> tuple[list[np.ndarray], np.ndarray]:
     """Kets and sin(theta)-weighted trapezoid weights of the family's Bloch
     grid: (theta, phi) points with theta outermost, or for separable-product
-    every pair of points on two spheres. Points of zero weight (the theta = 0
-    pole) are dropped."""
+    every pair of points on two spheres. The theta = 0 and theta = pi pole
+    rows carry zero weight and are dropped."""
     n_theta, n_phi = family.grid
     thetas = np.linspace(0.0, np.pi, n_theta)
     phis = np.linspace(0.0, 2 * np.pi, n_phi)
-    w_t = np.ones(n_theta); w_t[0] = w_t[-1] = 0.5
+    w_t = np.sin(thetas)
+    w_t[0] = w_t[-1] = 0.0  # sin(pi) rounds to 1.2e-16, not 0
     w_p = np.ones(n_phi); w_p[0] = w_p[-1] = 0.5
-    weights = np.outer(w_t * np.sin(thetas), w_p).reshape(-1)
+    weights = np.outer(w_t, w_p).reshape(-1)
     points = [(th, ph) for th in thetas for ph in phis]
     if family.kind == "separable-product":
         points = [p1 + p2 for p1 in points for p2 in points]
         weights = np.outer(weights, weights).reshape(-1)
         make = separable_state
     else:
-        make = bloch_family(family.family or "schmidt")
+        make = bloch_family(family.family)
     keep = np.flatnonzero(weights > 0.0)
     return [make(*points[i]) for i in keep], weights[keep]
 
@@ -241,7 +269,7 @@ def bloch_average(
     callers; it must be reentrant.
     """
     if grid is not None:
-        family = replace(family, grid=tuple(grid))
+        family = replace(family, grid=grid)
     times = np.asarray(times, dtype=float)
     acc = np.zeros(len(times))
     total = 0.0

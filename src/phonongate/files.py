@@ -15,6 +15,9 @@ def atomic_write(path):
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
+            # mkstemp creates the file 0600; give it the mode open() would
+            os.umask(umask := os.umask(0))
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             yield fh
         os.replace(tmp, path)
     except BaseException:

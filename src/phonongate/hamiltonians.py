@@ -8,13 +8,14 @@ on ingestion.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.constants import hbar as HBAR_SI
 
 from .duffing import DuffingSpectrum
 from .fockspace import Operator, SpaceDescriptor, annihilation_op, embed, quadrature_op
+from .schema import check, check_fields
 
 
 class ResonanceProximityError(ValueError):
@@ -35,6 +36,7 @@ _HZ_KEYS = {
     "g0": "g0_hz",
 }
 _PLAIN_KEYS = {"n_th": "n_th", "P_in": "P_in", "T": "T", "Q": "Q"}
+_KEYS = {**_HZ_KEYS, **_PLAIN_KEYS}
 
 
 @dataclass(frozen=True)
@@ -62,6 +64,7 @@ class PhysicalParams:
     Q: float | None = None
 
     def __post_init__(self):
+        check_fields(self, _KEYS)
         for name in ("g_G", "G_tilde", "omega_G", "kappa", "gamma_m", "n_th", "Q", "T"):
             v = getattr(self, name)
             if v is not None and v < 0:
@@ -76,21 +79,18 @@ class PhysicalParams:
     @classmethod
     def from_config(cls, mapping: dict) -> "PhysicalParams":
         """Build from a JSON-style mapping; frequencies must use `*_hz` keys."""
-        known = set(_HZ_KEYS.values()) | set(_PLAIN_KEYS.values())
+        known = set(_KEYS.values())
         unknown = set(mapping) - known
         if unknown:
             raise ValueError(f"unknown parameter keys {sorted(unknown)}; expected {sorted(known)}")
-        kw = {}
-        for field_name, key in _HZ_KEYS.items():
-            if key in mapping:
-                kw[field_name] = 2.0 * np.pi * float(mapping[key])
-        for field_name, key in _PLAIN_KEYS.items():
-            if key in mapping:
-                kw[field_name] = float(mapping[key])
+        kw = {f: check("float", key, mapping[key]) for f, key in _KEYS.items() if key in mapping}
+        kw.update((f, 2.0 * np.pi * kw[f]) for f in _HZ_KEYS if f in kw)
         return cls(**kw)
 
-    def with_values(self, **kw) -> "PhysicalParams":
-        return replace(self, **kw)
+    def to_config(self) -> dict:
+        """Inverse of `from_config`: the set fields under their JSON keys, frequencies in Hz."""
+        return {key: v / (2.0 * np.pi) if f in _HZ_KEYS else v
+                for f, key in _KEYS.items() if (v := getattr(self, f)) is not None}
 
 
 @dataclass(frozen=True)

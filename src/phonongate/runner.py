@@ -3,8 +3,9 @@
 A scenario is a single JSON document: physical parameters (Hz values under
 `*_hz` keys), truncations, an initial-state family, a time grid, and the
 run mode ("analytic" closed-form curves or "master" open-system evolution).
-Every run validates its configuration first, computes, then writes
-`trajectory.csv` and `summary.json` atomically into the output directory.
+`ScenarioConfig` checks the whole document when it is constructed; a run
+computes, then writes `trajectory.csv` and `summary.json` atomically into
+the output directory.
 
 The `figure` presets reproduce the published curves; they override three
 defaults to the conventions that were found to match the published peak
@@ -14,10 +15,11 @@ fidelity). See the README for the sensitivity discussion.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.linalg import eigh
@@ -29,6 +31,7 @@ from .files import atomic_write
 from .fockspace import SpaceDescriptor
 from .gates import ideal_cnot
 from .hamiltonians import PhysicalParams, system_hamiltonian
+from .schema import check_fields
 
 # published parameter set for the open-system runs (Hz; x 2*pi on ingestion)
 PAPER_V1 = {
@@ -56,8 +59,23 @@ PRESETS = {"paper_v1": PAPER_V1, "paper_va": PAPER_VA}
 _CNOT = ideal_cnot().data
 
 
+# JSON key of each scalar field below the top level; `params` and the rest of
+# `initial` belong to PhysicalParams and InitialStateFamily
+_KEYS = {"n_cav": "dims.n_cav", "n_b": "dims.n_b", "cavity_fock": "initial.cavity_fock"}
+_SECTIONS = ("params", "dims", "initial")
+# accepted values of the enumerated fields; the outputs depend on the mode
+_CHOICES = {"mode": ("master", "analytic"), "quadrature_convention": ("symmetric", "bare"),
+            "fidelity_convention": ("squared", "amplitude"), "integrator": ("expm", "rk4")}
+_OUTPUTS = {"master": ("fidelity", "leakage"),
+            "analytic": ("fidelity", "avg_entangled", "avg_separable")}
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """One scenario; owns the scenario JSON format. Every type, value and
+    cross-field rule is checked at construction, so configs built in code
+    obey the same rules as parsed ones, and a config that constructs runs."""
+
     params: PhysicalParams
     initial: fidelity.InitialStateFamily
     t_max_us: float = 10.0
@@ -77,123 +95,85 @@ class ScenarioConfig:
     label: str = "scenario"
 
     def __post_init__(self):
+        check_fields(self, _KEYS)
+        for name, choices in _CHOICES.items():
+            if getattr(self, name) not in choices:
+                raise ValueError(f"{name} must be one of {list(choices)}, "
+                                 f"got {getattr(self, name)!r}")
+        if not set(self.outputs) <= set(_OUTPUTS[self.mode]):
+            raise ValueError(f"{self.mode} outputs are {list(_OUTPUTS[self.mode])}, "
+                             f"got {list(self.outputs)}")
         if self.t_max_us <= 0:
             raise ValueError("t_max_us must be positive")
         if self.n_steps < 2:
             raise ValueError("n_steps must be at least 2")
-        if self.n_cav < 2 or self.n_b < 2:
-            raise ValueError("truncations must be at least 2")
+        if self.n_cav < 2 or self.n_b < 2 or self.n_b == 3:
+            raise ValueError("dims.n_cav must be >= 2, and dims.n_b 2 or >= 4 "
+                             "(the quartic term needs 4 levels)")
         if not 0 <= self.cavity_fock < self.n_cav:
             raise ValueError("cavity Fock index outside the cavity truncation")
-        if self.mode not in ("analytic", "master"):
-            raise ValueError(f"mode must be 'analytic' or 'master', got {self.mode!r}")
-        if self.quadrature_convention not in ("symmetric", "bare"):
-            raise ValueError("quadrature_convention must be 'symmetric' or 'bare'")
-        if self.fidelity_convention not in ("squared", "amplitude"):
-            raise ValueError("fidelity_convention must be 'squared' or 'amplitude'")
-        if self.integrator not in ("expm", "rk4"):
-            raise ValueError("integrator must be expm or rk4")
+        labelled = self.initial.kind in fidelity.LABEL_KINDS
+        if self.average_over is not None and not (
+                labelled and self.average_over and set(self.average_over) <= set(self.initial.labels)):
+            raise ValueError(f"average_over {list(self.average_over)} must name members of a "
+                             f"label list, not of {self.initial.to_mapping()}")
+        if self.mode == "analytic":
+            if not labelled:
+                raise ValueError(f"analytic mode takes a label list, not {self.initial.kind!r}")
+            if self.fidelity_convention != "squared":
+                raise ValueError("analytic mode reports the squared fidelity convention only")
+            _analytic_omega(self)
+        else:
+            if self.X_G_sq is not None or self.Omega is not None:
+                raise ValueError("X_G_sq and Omega apply to analytic mode only")
+            if self.n_b > 2 and not self.params.omega_G > 0:
+                raise ValueError("dims.n_b > 2 needs omega_G_hz > 0 for the beam spectrum")
 
     @classmethod
     def from_mapping(cls, doc: dict) -> "ScenarioConfig":
+        """Parse a scenario document: unknown keys fail here, values in the constructor."""
+        if not isinstance(doc, dict) or any(not isinstance(doc.get(k, {}), dict) for k in _SECTIONS):
+            raise ValueError(f"a scenario and its {', '.join(_SECTIONS)} must be JSON objects")
         doc = dict(doc)
-        params = PhysicalParams.from_config(doc.pop("params", {}))
-        dims = doc.pop("dims", {})
-        init_doc = dict(doc.pop("initial", {"kind": "fixed-list", "labels": ["00"]}))
-        kind = init_doc.pop("kind", "fixed-list")
-        cavity_fock = init_doc.pop("cavity_fock", doc.pop("cavity_fock", 1))
-        if kind in ("fixed-list", "named-superposition"):
-            initial = fidelity.InitialStateFamily.from_labels(init_doc.pop("labels"), kind)
-        elif kind in ("schmidt-entangled", "separable-product"):
-            initial = fidelity.InitialStateFamily(
-                kind,
-                family=init_doc.pop("family", None),
-                grid=tuple(init_doc.pop("grid", (16, 16))),
-            )
-        else:
-            raise ValueError(f"unknown initial-state kind {kind!r}")
-        if init_doc:
-            raise ValueError(f"unknown initial-state keys {sorted(init_doc)}")
+        sections = {key: dict(doc.pop(key, {})) for key in _SECTIONS}
         kw = {}
-        for name in ("t_max_us", "n_steps", "mode", "average_over", "outputs", "seed",
-                     "quadrature_convention", "fidelity_convention", "integrator",
-                     "X_G_sq", "Omega", "label"):
-            if name in doc:
-                value = doc.pop(name)
-                if name in ("average_over", "outputs"):
-                    value = tuple(value)
-                kw[name] = value
-        if doc:
-            raise ValueError(f"unknown scenario keys {sorted(doc)}")
+        for name, (where, key) in _SCALARS.items():
+            source = sections[where] if where else doc
+            if key in source:
+                kw[name] = source.pop(key)
+        for where, rest in (("scenario", doc), ("dims", sections["dims"])):
+            if rest:
+                raise ValueError(f"unknown {where} keys {sorted(rest)}")
         return cls(
-            params=params,
-            initial=initial,
-            n_cav=int(dims.get("n_cav", 3)),
-            n_b=int(dims.get("n_b", 2)),
-            cavity_fock=int(cavity_fock),
+            params=PhysicalParams.from_config(sections["params"]),
+            initial=fidelity.InitialStateFamily.from_mapping(
+                sections["initial"] or {"kind": "fixed-list", "labels": ["00"]}),
             **kw,
         )
 
-    @classmethod
-    def from_json(cls, path) -> "ScenarioConfig":
-        with open(path) as fh:
-            return cls.from_mapping(json.load(fh))
-
     def to_mapping(self) -> dict:
-        """JSON-safe echo of the configuration (angular frequencies back to Hz)."""
-        from .hamiltonians import _HZ_KEYS, _PLAIN_KEYS
-
-        params = {}
-        for field_name, key in _HZ_KEYS.items():
-            v = getattr(self.params, field_name)
-            if v is not None:
-                params[key] = v / (2 * np.pi)
-        for field_name, key in _PLAIN_KEYS.items():
-            v = getattr(self.params, field_name)
-            if v is not None:
-                params[key] = v
-        init: dict = {"kind": self.initial.kind, "cavity_fock": self.cavity_fock}
-        if self.initial.members:
-            init["labels"] = [lbl for lbl, _ in self.initial.members]
-        if self.initial.family:
-            init["family"] = self.initial.family
-            init["grid"] = list(self.initial.grid)
-        doc = {
-            "params": params,
-            "dims": {"n_cav": self.n_cav, "n_b": self.n_b},
-            "initial": init,
-            "t_max_us": self.t_max_us,
-            "n_steps": self.n_steps,
-            "mode": self.mode,
-            "outputs": list(self.outputs),
-            "seed": self.seed,
-            "quadrature_convention": self.quadrature_convention,
-            "fidelity_convention": self.fidelity_convention,
-            "integrator": self.integrator,
-            "label": self.label,
-        }
-        if self.average_over is not None:
-            doc["average_over"] = list(self.average_over)
-        if self.X_G_sq is not None:
-            doc["X_G_sq"] = self.X_G_sq
-        if self.Omega is not None:
-            doc["Omega"] = self.Omega
+        """JSON echo of the configuration, the inverse of `from_mapping`."""
+        doc = {"params": self.params.to_config(), "dims": {}, "initial": self.initial.to_mapping()}
+        for name, (where, key) in _SCALARS.items():
+            if (value := getattr(self, name)) is not None:
+                (doc[where] if where else doc)[key] = value
         return doc
+
+
+# scalar field -> (section or "", JSON key): the table behind both directions
+_SCALARS = {f.name: _KEYS.get(f.name, f.name).rpartition(".")[::2]
+            for f in fields(ScenarioConfig) if f.name not in ("params", "initial")}
 
 
 def resolved_params(cfg: ScenarioConfig) -> PhysicalParams:
     """Fill gamma_m from Q and n_th from T where absent."""
     p = cfg.params
     if p.gamma_m is None:
-        if p.Q and p.omega_G:
-            p = p.with_values(gamma_m=dynamics.mech_damping(p.omega_G, p.Q))
-        else:
-            p = p.with_values(gamma_m=0.0)
+        gamma_m = dynamics.mech_damping(p.omega_G, p.Q) if p.Q and p.omega_G else 0.0
+        p = replace(p, gamma_m=gamma_m)
     if p.n_th is None:
-        if p.T is not None and p.omega_G:
-            p = p.with_values(n_th=dynamics.thermal_occupation(p.omega_G, p.T))
-        else:
-            p = p.with_values(n_th=0.0)
+        n_th = dynamics.thermal_occupation(p.omega_G, p.T) if p.T is not None and p.omega_G else 0.0
+        p = replace(p, n_th=n_th)
     return p
 
 
@@ -317,8 +297,8 @@ def _analytic_omega(cfg: ScenarioConfig) -> float:
         return float(cfg.Omega)
     p = cfg.params
     xg_sq = PAPER_VA_XG_SQ if cfg.X_G_sq is None else cfg.X_G_sq
-    if not (p.Delta and p.g_G and p.omega_G):
-        raise ValueError("analytic mode needs Delta, g_G and omega_G (or an explicit Omega)")
+    if not (p.Delta and p.g_G and p.omega_G) or p.Delta**2 == p.omega_G**2:
+        raise ValueError("analytic mode needs Omega, or Delta, g_G, omega_G with |Delta| != omega_G")
     return float(p.Delta * xg_sq * p.g_G**2 / (p.Delta**2 - p.omega_G**2))
 
 
@@ -328,9 +308,9 @@ def run_scenario(cfg: ScenarioConfig, outdir) -> dict:
     os.makedirs(outdir, exist_ok=True)
     started = time.perf_counter()
     if cfg.mode == "analytic":
-        times, columns, stats, convention = _run_analytic(cfg)
+        times, columns, stats = _run_analytic(cfg)
     else:
-        times, columns, stats, convention = _run_master(cfg)
+        times, columns, stats = _run_master(cfg)
 
     main = next(iter(columns))
     for name in columns:
@@ -347,7 +327,7 @@ def run_scenario(cfg: ScenarioConfig, outdir) -> dict:
         "label": cfg.label,
         "mode": cfg.mode,
         "main_column": main,
-        "fidelity_convention": convention,
+        "fidelity_convention": cfg.fidelity_convention,
         "peak_fidelity": peak_value,
         "peak_time_s": peak_time,
         "peak_time_us": peak_time * 1e6,
@@ -377,140 +357,102 @@ def _fidelity_columns(cfg: ScenarioConfig, series: dict[str, np.ndarray]) -> dic
 def _run_analytic(cfg: ScenarioConfig):
     omega = _analytic_omega(cfg)
     times = np.linspace(0.0, cfg.t_max_us * 1e-6, cfg.n_steps)
-    members = list(cfg.initial.members) or [("00", fidelity.named_state("00"))]
     columns = _fidelity_columns(cfg, {
-        lbl: np.asarray(fidelity.gate_fidelity_closed(*v4, omega * times)) for lbl, v4 in members})
+        lbl: np.asarray(fidelity.gate_fidelity_closed(*v4, omega * times))
+        for lbl, v4 in cfg.initial.members})
     if "avg_entangled" in cfg.outputs:
         columns["F_avg_entangled"] = np.asarray(fidelity.avg_fidelity_entangled(omega * times))
     if "avg_separable" in cfg.outputs:
         columns["F_avg_separable"] = np.asarray(fidelity.avg_fidelity_separable(omega * times))
     stats = {"Omega_rad_s": omega, "integrator": "closed-form"}
-    return times, columns, stats, "squared"
+    return times, columns, stats
 
 
 def _run_master(cfg: ScenarioConfig):
     emit_leakage = "leakage" in cfg.outputs or cfg.n_b > 2
     amplitude = cfg.fidelity_convention == "amplitude"
-    if cfg.initial.kind in ("fixed-list", "named-superposition"):
+    if cfg.initial.kind in fidelity.LABEL_KINDS:
         times, series, leaks, stats = master_fidelity_series(cfg, list(cfg.initial.members))
         columns = _fidelity_columns(
             cfg, {lbl: np.sqrt(s) if amplitude else s for lbl, s in series.items()})
         if emit_leakage:
             for lbl in series:
                 columns[f"leakage_{lbl}"] = leaks[lbl]
-        return times, columns, stats, cfg.fidelity_convention
+        return times, columns, stats
     # Bloch-sphere families: weighted average over the sampled sphere
-    family = cfg.initial
-    kets, weights = fidelity.bloch_grid(family)
-    states = [(f"s{i}", v) for i, v in enumerate(kets)]
-    times, series, leaks, stats = master_fidelity_series(cfg, states)
-    stacked = np.stack([series[lbl] for lbl, _ in states])
-    if amplitude:
-        stacked = np.sqrt(stacked)
-    avg = (weights[:, None] * stacked).sum(axis=0) / weights.sum()
-    name = family.family or "schmidt"
-    columns = {f"F_avg_{name}": avg}
+    kets, weights = fidelity.bloch_grid(cfg.initial)
+    times, series, leaks, stats = master_fidelity_series(cfg, list(enumerate(kets)))
+    name = cfg.initial.family or "separable"
+    fid = np.stack(list(series.values()))
+    stacks = {f"F_avg_{name}": np.sqrt(fid, out=fid) if amplitude else fid}
     if emit_leakage:
-        leak_stack = np.stack([leaks[lbl] for lbl, _ in states])
-        columns[f"leakage_avg_{name}"] = (weights[:, None] * leak_stack).sum(axis=0) / weights.sum()
-    return times, columns, stats, cfg.fidelity_convention
+        stacks[f"leakage_avg_{name}"] = np.stack(list(leaks.values()))
+    return times, {col: (weights[:, None] * s).sum(axis=0) / weights.sum()
+                   for col, s in stacks.items()}, stats
 
 
 # ---------------------------------------------------------------------------
 # figure presets
 
 
-def _published_figure_config(**kw) -> ScenarioConfig:
-    """Published-figure defaults: paper_v1 parameters with the conventions
-    that reproduce the published peaks (bare X_c, n_cav = 2, amplitude
-    fidelity)."""
-    base = dict(
-        params=PhysicalParams.from_config(PAPER_V1),
-        t_max_us=10.0,
-        n_steps=20001,
-        mode="master",
-        n_cav=2,
-        n_b=2,
-        cavity_fock=1,
-        quadrature_convention="bare",
-        fidelity_convention="amplitude",
-        integrator="expm",
-    )
-    base.update(kw)
-    return ScenarioConfig(**base)
+_PSI = ("psi1", "psi2", "psi3", "psi4")
+_VARPHI = ("varphi1", "varphi2", "varphi3", "varphi4")
+
+# figure id -> (initial-state kind, labels or Bloch families, average_over);
+# a Bloch figure runs one scenario per family
+FIGURES = {
+    "fig3": ("fixed-list", ("00", "01", "10", "11"), ("00", "01", "11")),
+    "fig4": ("named-superposition", _PSI, None),
+    "fig5": ("named-superposition", _PSI, _PSI),
+    "fig6": ("named-superposition", _VARPHI, None),
+    "fig7": ("named-superposition", _VARPHI, _VARPHI),
+    "fig8": ("named-superposition", ("four_equal",), None),
+    "fig9": ("schmidt-entangled", ("Phi1", "Phi2", "Phi3", "Phi4"), None),
+    "fig10": ("schmidt-entangled", ("Psi",), None),
+}
 
 
-def figure_config(fig_id: str, n_b: int = 2, bloch_grid: tuple[int, int] = (16, 16)) -> ScenarioConfig | list[ScenarioConfig]:
-    """Scenario(s) behind one published figure."""
-    F = fidelity.InitialStateFamily
-    if fig_id == "fig3":
-        return _published_figure_config(
-            initial=F.from_labels(["00", "01", "10", "11"]),
-            average_over=("00", "01", "11"),
-            n_b=n_b, label="fig3",
-        )
-    if fig_id == "fig4":
-        return _published_figure_config(
-            initial=F.from_labels(["psi1", "psi2", "psi3", "psi4"], "named-superposition"),
-            average_over=None, n_b=n_b, label="fig4",
-        )
-    if fig_id == "fig5":
-        return _published_figure_config(
-            initial=F.from_labels(["psi1", "psi2", "psi3", "psi4"], "named-superposition"),
-            average_over=("psi1", "psi2", "psi3", "psi4"), n_b=n_b, label="fig5",
-        )
-    if fig_id == "fig6":
-        return _published_figure_config(
-            initial=F.from_labels(["varphi1", "varphi2", "varphi3", "varphi4"], "named-superposition"),
-            average_over=None, n_b=n_b, label="fig6",
-        )
-    if fig_id == "fig7":
-        return _published_figure_config(
-            initial=F.from_labels(["varphi1", "varphi2", "varphi3", "varphi4"], "named-superposition"),
-            average_over=("varphi1", "varphi2", "varphi3", "varphi4"), n_b=n_b, label="fig7",
-        )
-    if fig_id == "fig8":
-        return _published_figure_config(
-            initial=F.from_labels(["four_equal"], "named-superposition"),
-            n_b=n_b, label="fig8",
-        )
-    if fig_id == "fig9":
-        return [
-            _published_figure_config(
-                initial=F("schmidt-entangled", family=f"Phi{k}", grid=bloch_grid),
-                n_b=n_b, label=f"fig9_Phi{k}",
-            )
-            for k in (1, 2, 3, 4)
-        ]
-    if fig_id == "fig10":
-        return _published_figure_config(
-            initial=F("schmidt-entangled", family="Psi", grid=bloch_grid),
-            n_b=n_b, label="fig10",
-        )
-    raise ValueError(f"unknown figure id {fig_id!r}")
+def figure_config(fig_id: str, n_b: int = 2, bloch_grid: tuple[int, int] = (16, 16),
+                  integrator: str = "expm") -> ScenarioConfig | list[ScenarioConfig]:
+    """Scenario(s) behind one published figure: paper_v1 parameters with the
+    conventions that reproduce the published peaks (bare X_c, n_cav = 2,
+    amplitude fidelity)."""
+    if fig_id not in FIGURES:
+        raise ValueError(f"unknown figure id {fig_id!r}")
+    kind, members, average_over = FIGURES[fig_id]
+    base = dict(params=PhysicalParams.from_config(PAPER_V1), n_cav=2, n_b=n_b,
+                quadrature_convention="bare", fidelity_convention="amplitude",
+                integrator=integrator)
+    if kind in fidelity.LABEL_KINDS:
+        return ScenarioConfig(initial=fidelity.InitialStateFamily(kind, members),
+                              average_over=average_over, label=fig_id, **base)
+    cfgs = [ScenarioConfig(initial=fidelity.InitialStateFamily(kind, family=name, grid=bloch_grid),
+                           label=f"{fig_id}_{name}" if len(members) > 1 else fig_id, **base)
+            for name in members]
+    return cfgs if len(cfgs) > 1 else cfgs[0]
 
 
-def run_figure(fig_id: str, outdir, n_b: int = 2, jobs: int = 1,
+def _run_all(tasks: list[tuple[ScenarioConfig, str]], jobs: int | None) -> list[dict]:
+    """`run_scenario` over (config, outdir) pairs on `jobs` spawned workers (None: one per CPU)."""
+    jobs = jobs or os.cpu_count() or 1
+    if jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            return list(pool.map(run_scenario, *zip(*tasks)))
+    return [run_scenario(cfg, outdir) for cfg, outdir in tasks]
+
+
+def run_figure(fig_id: str, outdir, n_b: int = 2, jobs: int | None = 1,
                fixed_step: bool = False, bloch_grid: tuple[int, int] = (16, 16)) -> dict:
     """Emit the CSV data behind one published figure."""
     os.makedirs(outdir, exist_ok=True)
     if fig_id == "fig2":
         return _run_fig2(outdir)
-    cfgs = figure_config(fig_id, n_b=n_b, bloch_grid=bloch_grid)
-    if fixed_step:
-        if isinstance(cfgs, list):
-            cfgs = [replace(c, integrator="rk4") for c in cfgs]
-        else:
-            cfgs = replace(cfgs, integrator="rk4")
+    cfgs = figure_config(fig_id, n_b=n_b, bloch_grid=bloch_grid,
+                         integrator="rk4" if fixed_step else "expm")
     if isinstance(cfgs, ScenarioConfig):
         return run_scenario(cfgs, outdir)
-    if jobs > 1 and len(cfgs) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_job, c.to_mapping(), os.path.join(outdir, c.label))
-                       for c in cfgs]
-            summaries = [f.result() for f in futures]
-    else:
-        summaries = [run_scenario(c, os.path.join(outdir, c.label)) for c in cfgs]
+    summaries = _run_all([(c, os.path.join(outdir, c.label)) for c in cfgs], jobs)
     combined = {
         "figure": fig_id,
         "runs": {s["label"]: {"peak_fidelity": s["peak_fidelity"],
@@ -542,42 +484,28 @@ def _run_fig2(outdir) -> dict:
 # sweeps
 
 
-def _run_job(cfg_mapping: dict, outdir: str) -> dict:
-    return run_scenario(ScenarioConfig.from_mapping(cfg_mapping), outdir)
-
-
-def _set_swept(doc: dict, param: str, value: float) -> dict:
-    doc = json.loads(json.dumps(doc))
-    node = doc
-    parts = param.split(".")
-    for part in parts[:-1]:
-        node = node.setdefault(part, {})
-    node[parts[-1]] = value
-    return doc
-
-
-def run_sweep(cfg: ScenarioConfig, param: str, values, outdir, jobs: int = 1) -> dict:
-    """One scenario per value of a dotted config key (e.g. params.g_G_hz)."""
-    os.makedirs(outdir, exist_ok=True)
-    base = cfg.to_mapping()
+def run_sweep(cfg: ScenarioConfig, param: str, values, outdir, jobs: int | None = 1) -> dict:
+    """One scenario per value of a dotted config key (e.g. params.g_G_hz).
+    Every value is validated before any run starts."""
+    where, _, key = param.rpartition(".")
     tasks = []
     for v in values:
-        doc = _set_swept(base, param, v)
+        doc = cfg.to_mapping()
+        node = doc.setdefault(where, {}) if where else doc
+        if not isinstance(node, dict):
+            raise ValueError(f"{param!r} is not a config key")
+        node[key] = v
         doc["label"] = f"{cfg.label}_{param}={v:g}"
-        ScenarioConfig.from_mapping(doc)  # validate before launching anything
-        tasks.append((doc, os.path.join(outdir, f"{param.replace('.', '_')}={v:g}")))
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_job, doc, sub) for doc, sub in tasks]
-            summaries = [f.result() for f in futures]
-    else:
-        summaries = [_run_job(doc, sub) for doc, sub in tasks]
+        tasks.append((ScenarioConfig.from_mapping(doc),
+                      os.path.join(outdir, f"{param.replace('.', '_')}={v:g}")))
+    os.makedirs(outdir, exist_ok=True)
+    summaries = _run_all(tasks, jobs)
     manifest = {
         "param": param,
         "values": [float(v) for v in values],
         "runs": [{"value": float(v), "outdir": os.path.relpath(sub, outdir),
                   "peak_fidelity": s["peak_fidelity"], "peak_time_us": s["peak_time_us"]}
-                 for (doc, sub), s, v in zip(tasks, summaries, values)],
+                 for (_, sub), s, v in zip(tasks, summaries, values)],
     }
     write_json(os.path.join(outdir, "manifest.json"), manifest)
     return manifest

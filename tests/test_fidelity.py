@@ -8,6 +8,7 @@ from phonongate.fidelity import (
     avg_fidelity_separable,
     bloch_average,
     bloch_family,
+    bloch_grid,
     gate_fidelity_closed,
     gate_fidelity_matrix,
     named_state,
@@ -16,6 +17,7 @@ from phonongate.fidelity import (
     state_fidelity,
 )
 from phonongate.fockspace import QuantumState, SpaceDescriptor
+from phonongate.runner import figure_config
 
 SPACE4 = SpaceDescriptor((2, 2))
 
@@ -202,3 +204,21 @@ def test_family_validation():
         InitialStateFamily("mystery")
     fam = InitialStateFamily.from_labels(["00", "psi1"])
     assert [lbl for lbl, _ in fam.members] == ["00", "psi1"]
+    with pytest.raises(ValueError):
+        InitialStateFamily("fixed-list", ("00", "00"))
+    with pytest.raises(ValueError):
+        InitialStateFamily("fixed-list", ("00",), family="Psi")
+    with pytest.raises(ValueError):
+        InitialStateFamily("schmidt-entangled", ("00",))
+    with pytest.raises(ValueError):
+        InitialStateFamily.from_mapping({"kind": "fixed-list", "labels": ["00"], "grid": [8, 8]})
+    # labels are stored, kets derived, so families compare by value
+    assert fam == InitialStateFamily("fixed-list", ["00", "psi1"])
+    assert InitialStateFamily.from_mapping(fam.to_mapping()) == fam
+
+
+def test_bloch_grid_drops_both_pole_rows():
+    kets, weights = bloch_grid(figure_config("fig10").initial)
+    # 16 x 16 points less the theta = 0 and theta = pi rows
+    assert len(kets) == len(weights) == 14 * 16 == 224
+    assert weights.min() > 0.05

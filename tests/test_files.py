@@ -1,3 +1,6 @@
+import os
+import stat
+
 import pytest
 
 from phonongate.files import atomic_write
@@ -34,3 +37,15 @@ def test_atomic_write_failure_leaves_target_absent(tmp_path):
             fh.write("partial")
             raise Boom
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_atomic_write_gives_the_umask_mode(tmp_path, umask, mode):
+    path = tmp_path / "out.csv"
+    old = os.umask(umask)
+    try:
+        with atomic_write(path) as fh:
+            fh.write("a,b\n")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == mode

@@ -1,8 +1,13 @@
 import json
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from phonongate import cli, runner
 from phonongate.fidelity import InitialStateFamily
@@ -16,6 +21,10 @@ from phonongate.runner import (
     run_scenario,
     run_sweep,
 )
+
+# hypothesis caches the constants of local modules while pytest collects, so
+# point its home directory out of the working tree before that happens
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "phonongate-hypothesis")
 
 
 def small_master_mapping(**overrides):
@@ -40,6 +49,8 @@ def test_config_roundtrip():
     assert again.params.Delta == pytest.approx(cfg.params.Delta)
     assert again.n_steps == cfg.n_steps
     assert [l for l, _ in again.initial.members] == ["00", "01", "11"]
+    # members holds kets, yet configs compare by value
+    assert again == cfg
 
 
 def test_config_validation():
@@ -55,6 +66,105 @@ def test_config_validation():
         ScenarioConfig.from_mapping(small_master_mapping(initial={"kind": "bell"}))
     with pytest.raises(ValueError):
         ScenarioConfig.from_mapping(small_master_mapping(integrator="rk45"))
+
+    # configs that used to validate and then crash at run time or be misread:
+    # each fails both as a document and when built in code
+    base = ScenarioConfig.from_mapping(small_master_mapping())
+    F = InitialStateFamily
+    two = {"kind": "fixed-list", "labels": ["00", "01"]}
+    bloch = {"kind": "schmidt-entangled", "family": "Psi"}
+    analytic = {"mode": "analytic", "fidelity_convention": "squared"}
+    rows = [
+        ({"dims": {"n_cav": 2, "n_b": 3}}, lambda: replace(base, n_b=3)),
+        ({"initial": {"kind": "schmidt-entangled", "family": "Phi9"}},
+         lambda: F("schmidt-entangled", family="Phi9")),
+        ({"initial": two, "average_over": ["00", "11"]},
+         lambda: replace(base, initial=F("fixed-list", ("00", "01")), average_over=("00", "11"))),
+        ({"n_steps": 11.5}, lambda: replace(base, n_steps=11.5)),
+        ({"outputs": ["leakge"]}, lambda: replace(base, outputs=("leakge",))),
+        ({**analytic, "initial": bloch},
+         lambda: replace(base, mode="analytic", fidelity_convention="squared",
+                         initial=F("schmidt-entangled", family="Psi"))),
+        ({"mode": "analytic", "fidelity_convention": "amplitude"},
+         lambda: replace(base, mode="analytic")),
+        ({"initial": {"kind": "separable-product", "family": "Psi"}},
+         lambda: F("separable-product", family="Psi")),
+        ({"initial": bloch, "average_over": ["00"]},
+         lambda: replace(base, initial=F("schmidt-entangled", family="Psi"),
+                         average_over=("00",))),
+        ({"cavity_fock": 0}, None),
+    ]
+    for overrides, build in rows:
+        with pytest.raises(ValueError):
+            ScenarioConfig.from_mapping(small_master_mapping(**overrides))
+        if build is not None:
+            with pytest.raises(ValueError):
+                build()
+    # JSON numbers and sweep values arrive as floats: integral ones are ints
+    assert replace(base, n_steps=11.0).n_steps == 11
+    assert type(ScenarioConfig.from_mapping(small_master_mapping(n_steps=11.0)).n_steps) is int
+
+
+_NAMES = ["00", "01", "10", "11", "psi1", "psi2", "varphi3", "four_equal"]
+_RATE = st.floats(min_value=0.0, max_value=1e9, allow_nan=False)
+
+
+@st.composite
+def scenario_mappings(draw):
+    """Valid scenario documents of every initial-state kind and both modes."""
+    mode = draw(st.sampled_from(["master", "analytic"]))
+    n_cav = draw(st.integers(2, 5))
+    params = draw(st.fixed_dictionaries(
+        {"omega_G_hz": st.floats(min_value=1.0, max_value=1e9)},
+        optional={"Delta_hz": st.floats(min_value=-1e9, max_value=1e9), "g_G_hz": _RATE,
+                  "G_tilde_hz": _RATE, "lambda_hz": _RATE, "kappa_hz": _RATE,
+                  "eps_L_hz": st.floats(-1e9, 1e9), "Q": _RATE, "T": _RATE,
+                  "P_in": st.floats(0.0, 10.0)}))
+    kinds = ["fixed-list", "named-superposition"]
+    kind = draw(st.sampled_from(kinds if mode == "analytic" else
+                                kinds + ["schmidt-entangled", "separable-product"]))
+    doc = {
+        "params": params,
+        "dims": {"n_cav": n_cav, "n_b": draw(st.sampled_from([2, 4, 5]))},
+        "t_max_us": draw(st.floats(min_value=1e-6, max_value=1e6)),
+        "n_steps": draw(st.integers(2, 10**6).flatmap(lambda n: st.sampled_from([n, float(n)]))),
+        "mode": mode,
+        "outputs": draw(st.lists(st.sampled_from(
+            ["fidelity", "leakage"] if mode == "master" else
+            ["fidelity", "avg_entangled", "avg_separable"]), unique=True)),
+        "seed": draw(st.integers(0, 2**31)),
+        "quadrature_convention": draw(st.sampled_from(["symmetric", "bare"])),
+        "fidelity_convention": "squared" if mode == "analytic" else
+        draw(st.sampled_from(["squared", "amplitude"])),
+        "integrator": draw(st.sampled_from(["expm", "rk4"])),
+        "label": draw(st.text(max_size=8)),
+    }
+    if kind in kinds:
+        labels = draw(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=4, unique=True))
+        doc["initial"] = {"kind": kind, "labels": labels}
+        if draw(st.booleans()):
+            doc["average_over"] = draw(st.lists(st.sampled_from(labels), min_size=1, unique=True))
+    else:
+        doc["initial"] = {"kind": kind, "grid": draw(st.lists(st.integers(8, 64), min_size=2,
+                                                              max_size=2))}
+        if kind == "schmidt-entangled":
+            doc["initial"]["family"] = draw(st.sampled_from(
+                ["schmidt", "Phi1", "Phi2", "Phi3", "Phi4", "Psi"]))
+    doc["initial"]["cavity_fock"] = draw(st.integers(0, n_cav - 1))
+    if mode == "analytic":
+        doc["Omega"] = draw(st.floats(min_value=-1e6, max_value=1e6))
+        if draw(st.booleans()):
+            doc["X_G_sq"] = draw(st.floats(min_value=0.0, max_value=1.0))
+    return doc
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(scenario_mappings())
+def test_config_roundtrip_property(doc):
+    cfg = ScenarioConfig.from_mapping(doc)
+    assert ScenarioConfig.from_mapping(cfg.to_mapping()) == cfg
+    # the echo in summary.json reads back as the same config
+    assert ScenarioConfig.from_mapping(json.loads(json.dumps(cfg.to_mapping()))) == cfg
 
 
 def test_refine_peak_parabola():
@@ -177,6 +287,8 @@ def test_bloch_master_run(tmp_path):
         initial={"kind": "schmidt-entangled", "family": "Psi", "grid": [8, 8]},
         n_steps=201, t_max_us=0.2))
     summary = run_scenario(cfg, tmp_path)
+    # 8 x 8 grid without its two zero-weight pole rows
+    assert summary["integrator"]["n_columns"] == 6 * 8
     head = (tmp_path / "trajectory.csv").read_text().splitlines()
     assert head[0].startswith("t_s,F_avg_Psi")
     first = float(head[1].split(",")[1])
@@ -204,6 +316,8 @@ def test_figure_config_presets():
     assert isinstance(fig9, list) and len(fig9) == 4
     with pytest.raises(ValueError):
         figure_config("fig11")
+    assert fig9[0] == figure_config("fig9")[0]
+    assert [c.label for c in fig9] == ["fig9_Phi1", "fig9_Phi2", "fig9_Phi3", "fig9_Phi4"]
 
 
 def test_cli_gatecheck():
@@ -260,3 +374,50 @@ def test_cli_outdir_env(tmp_path, monkeypatch):
     res = CliRunner().invoke(cli.main, ["figure", "fig2"])
     assert res.exit_code == 0
     assert (tmp_path / "root" / "fig2" / "trajectory.csv").exists()
+
+
+def test_cli_evolve_bad_average_over_fails_cleanly(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(small_master_mapping(
+        initial={"kind": "fixed-list", "labels": ["00", "01"]}, average_over=["00", "11"])))
+    res = CliRunner().invoke(cli.main, ["evolve", "--config", str(bad),
+                                        "--out", str(tmp_path / "run")])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "average_over" in json.loads(res.stderr)["error"]
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_preset_with_a_non_object_config_fails_cleanly(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[1, 2]")
+    res = CliRunner().invoke(cli.main, ["evolve", "--preset", "paper_v1", "--config", str(bad),
+                                        "--out", str(tmp_path / "run")])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "error" in json.loads(res.stderr)
+
+
+def _sweep(tmp_path, param, values):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(small_master_mapping(n_steps=101, t_max_us=0.1)))
+    return CliRunner().invoke(cli.main, ["sweep", "--config", str(cfg_path), "--param", param,
+                                         "--values", values, "--out", str(tmp_path / "sweep"),
+                                         "--jobs", "1"])
+
+
+def test_cli_sweep_validates_every_value_first(tmp_path):
+    res = _sweep(tmp_path, "dims.n_b", "2,3")
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "n_b" in json.loads(res.stderr)["error"]
+    assert not (tmp_path / "sweep").exists()
+
+
+def test_cli_sweep_integer_key(tmp_path):
+    res = _sweep(tmp_path, "n_steps", "11,21")
+    assert res.exit_code == 0, res.output
+    manifest = json.loads((tmp_path / "sweep" / "manifest.json").read_text())
+    steps = [json.loads((tmp_path / "sweep" / run["outdir"] / "summary.json").read_text())
+             ["config"]["n_steps"] for run in manifest["runs"]]
+    assert steps == [11, 21]
