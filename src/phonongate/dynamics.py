@@ -12,11 +12,16 @@ through a `Propagator`, whose one-interval step matrix is either
   applied as a matrix power; identical to sequential stepping up to rounding
   and byte-deterministic across runs.
 
-Both need a uniform grid. `propagate` gates the trace drift at every output
-(rk4 doubles its substeps and restarts; after the retry budget every method
-raises IntegrationError) and reports the Hermiticity drift and minimum
-eigenvalue of the final output. States are not symmetrized or diagonalized
-per step.
+Both need a uniform grid. When H keeps the total occupation parity and
+every collapse operator keeps or flips it, the Liouvillian never changes the
+relative parity of an entry (i, j) of rho, so it splits exactly into two
+blocks (`parity_blocks`); the step matrix is built block by block, and only
+over the blocks the initial columns occupy (the support).
+
+`propagate` gates the trace drift at every output (rk4 doubles its substeps
+and restarts; after the retry budget every method raises IntegrationError)
+and reports the Hermiticity drift and minimum eigenvalue of the final
+output. States are not symmetrized or diagonalized per step.
 
 ``rk45``, adaptive embedded Dormand-Prince 4(5) with per-step max-norm error
 control, is reachable only through `evolve_master`, as the adaptive
@@ -105,13 +110,17 @@ class CollapseSet:
         return cls(tuple(ops))
 
 
+def _check_spaces(H: Operator, collapse: CollapseSet) -> None:
+    if collapse.ops and collapse.space != H.space:
+        raise ValueError("collapse operators and Hamiltonian live on different spaces")
+
+
 def lindblad_rhs(H: Operator, collapse: CollapseSet, rho: QuantumState | np.ndarray) -> np.ndarray:
     """rho_dot = -i[H, rho] + sum_k (C rho C† - (C†C rho + rho C†C)/2)."""
     mat = rho.to_density().data if isinstance(rho, QuantumState) else np.asarray(rho, dtype=complex)
     if mat.shape != H.data.shape:
         raise ValueError("state and Hamiltonian live on different spaces")
-    if collapse.ops and collapse.space != H.space:
-        raise ValueError("collapse operators and Hamiltonian live on different spaces")
+    _check_spaces(H, collapse)
     out = -1j * (H.data @ mat - mat @ H.data)
     for op in collapse.ops:
         c = op.data
@@ -120,18 +129,44 @@ def lindblad_rhs(H: Operator, collapse: CollapseSet, rho: QuantumState | np.ndar
     return out
 
 
-def liouvillian(H: Operator, collapse: CollapseSet) -> np.ndarray:
-    """Dense superoperator acting on row-major vec(rho)."""
-    if collapse.ops and collapse.space != H.space:
-        raise ValueError("collapse operators and Hamiltonian live on different spaces")
+def liouvillian(H: Operator, collapse: CollapseSet, block: np.ndarray | None = None) -> np.ndarray:
+    """Dense superoperator acting on row-major vec(rho), or only its rows and
+    columns `block` (vec indices i*d + j) when given: the Kronecker formula
+    evaluated entry by entry on the block, so the full d^2 x d^2 matrix is
+    never formed."""
+    _check_spaces(H, collapse)
     d = H.dim
+    left, right = np.divmod(np.arange(d * d) if block is None else np.asarray(block), d)
+    rows, cols = np.ix_(left, left), np.ix_(right, right)
     eye = np.eye(d, dtype=complex)
-    L = -1j * (np.kron(H.data, eye) - np.kron(eye, H.data.T))
+
+    def kron(a, b):  # np.kron(a, b)[block][:, block]
+        return a[rows] * b[cols]
+
+    L = -1j * (kron(H.data, eye) - kron(eye, H.data.T))
     for op in collapse.ops:
         c = op.data
         cdc = c.conj().T @ c
-        L += np.kron(c, c.conj()) - 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
+        L += kron(c, c.conj()) - 0.5 * (kron(cdc, eye) + kron(eye, cdc.T))
     return L
+
+
+def parity_blocks(H: Operator, collapse: CollapseSet) -> list[np.ndarray]:
+    """Sets of vec(rho) indices that the Liouvillian never couples.
+
+    If H has no entry between basis states of opposite occupation parity and
+    each collapse operator either keeps or flips the parity, L keeps the
+    relative parity p_i xor p_j of every entry (i, j): two blocks, the
+    parity-diagonal and the parity-off-diagonal entries. Otherwise one block
+    of every entry. Entries are tested for exact zeros.
+    """
+    _check_spaces(H, collapse)
+    p = H.space.parity
+    cross = p[:, None] != p[None, :]
+    if np.any(H.data[cross]) or any(np.any(op.data[cross]) and np.any(op.data[~cross])
+                                    for op in collapse.ops):
+        return [np.arange(H.dim * H.dim)]
+    return [np.flatnonzero(~cross), np.flatnonzero(cross)]
 
 
 @dataclass(frozen=True)
@@ -148,29 +183,44 @@ class Propagator:
     """One-interval step matrix for one generator and one step size: e^{L dt}
     (expm), or the RK4 stability polynomial of L dt/m raised to the m-th
     power (rk4), with m set by options.substep_phase and doubled once per
-    refinement."""
+    refinement.
+
+    The matrix acts on the support: the ascending vec(rho) indices of the
+    parity blocks in which `columns` has a nonzero entry (every block when
+    columns is None). Each block is built, exponentiated and placed on the
+    diagonal on its own; `advance` takes and returns vec(rho)[support].
+    """
 
     def __init__(self, H: Operator, collapse: CollapseSet, dt: float,
-                 options: EvolveOptions | None = None, refinements: int = 0):
+                 options: EvolveOptions | None = None, refinements: int = 0,
+                 columns: np.ndarray | None = None):
         opts = options or EvolveOptions()
-        self.dim = H.dim
-        self.dt = dt
-        # the Liouvillian is as large as the step matrix, so it is kept only
-        # as a temporary that is freed before expm / matrix_power run
-        if opts.method == "expm":
-            self.substeps = 1
-            self.matrix = expm(liouvillian(H, collapse) * dt)
-        elif opts.method == "rk4":
-            m = max(1, int(np.ceil(dt * _spectral_scale(H, collapse) / opts.substep_phase)))
-            self.substeps = m * 2**refinements
-            step = _rk4_polynomial(liouvillian(H, collapse) * (dt / self.substeps))
-            self.matrix = np.linalg.matrix_power(step, self.substeps)
-        else:
+        if opts.method not in ("expm", "rk4"):
             raise ValueError(f"no one-interval step matrix for method {opts.method!r}; "
                              "use expm or rk4")
+        self.dim = H.dim
+        self.dt = dt
+        self.substeps = 1
+        if opts.method == "rk4":
+            m = max(1, int(np.ceil(dt * _spectral_scale(H, collapse) / opts.substep_phase)))
+            self.substeps = m * 2**refinements
+        blocks = [b for b in parity_blocks(H, collapse) if columns is None or np.any(columns[b])]
+        self.n_blocks = len(blocks)
+        self.support = np.sort(np.concatenate(blocks)) if blocks else np.arange(0)
+        self.matrix = np.zeros((self.support.size, self.support.size), dtype=complex)
+        for block in blocks:
+            # each block's Liouvillian is a temporary freed before the next is built
+            at = np.searchsorted(self.support, block)
+            self.matrix[np.ix_(at, at)] = self._step(liouvillian(H, collapse, block), opts)
+
+    def _step(self, L: np.ndarray, opts: EvolveOptions) -> np.ndarray:
+        if opts.method == "expm":
+            return expm(L * self.dt)
+        step = _rk4_polynomial(L * (self.dt / self.substeps))
+        return np.linalg.matrix_power(step, self.substeps)
 
     def advance(self, vec: np.ndarray) -> np.ndarray:
-        """One step for a vec(rho) column, or a (d*d, k) batch of them."""
+        """One step for a vec(rho)[support] column, or a (support, k) batch of them."""
         return self.matrix @ vec
 
 
@@ -243,14 +293,18 @@ def propagate(
 ) -> dict:
     """Step a (d*d, k) batch of vec(rho) columns over a uniform time grid.
 
-    Output i (i = 0 is the columns themselves) is handed to observe(i, rho)
-    as a (k, d, d) view and is not stored. The trace drift is gated at every
-    output: beyond options.trace_tol, rk4 doubles its substeps and restarts
-    (observe then sees the outputs again from i = 0), up to
+    The state is stepped on the support of the columns (see `Propagator`)
+    and scattered into one reused (d*d, k) buffer at each output (no scatter
+    when the support is every entry). Output i (i = 0 is the columns
+    themselves) is handed to observe(i, rho) as a (k, d, d) view that the
+    next output may overwrite; it is not stored. The trace drift is gated at
+    every output: beyond options.trace_tol, rk4 doubles its substeps and
+    restarts (observe then sees the outputs again from i = 0), up to
     options.max_retries; after that, and at once for expm, IntegrationError
     carries the stats. Returns the stats: method, sizes, retries,
-    max_trace_drift, and the Hermiticity drift and minimum eigenvalue of the
-    final output.
+    max_trace_drift, the parity blocks stepped (n_blocks) and the vec(rho)
+    entries propagated (support), and the Hermiticity drift and minimum
+    eigenvalue of the final output.
     """
     opts = options or EvolveOptions()
     t = _check_grid(t_grid)
@@ -262,25 +316,32 @@ def propagate(
         raise ValueError(f"columns must be a ({d * d}, k) batch of vec(rho)")
     k = columns.shape[1]
     stats: dict = {"method": opts.method, "n_steps": len(t) - 1, "n_columns": k}
+    out = np.zeros((d * d, k), dtype=complex)  # each output, scattered from the support
     attempts = opts.max_retries + 1 if opts.method == "rk4" else 1
     for retry in range(attempts):
-        prop = Propagator(H, collapse, float(dts[0]), opts, refinements=retry)
+        prop = Propagator(H, collapse, float(dts[0]), opts, refinements=retry, columns=columns)
+        stats.update(n_blocks=prop.n_blocks, support=prop.support.size)
         if opts.method == "rk4":
             stats["n_substeps_per_interval"] = prop.substeps
-        v, worst = columns, 0.0
+        full = prop.support.size == d * d
+        v, worst = columns[prop.support], 0.0
         for i in range(len(t)):
             if i:
                 v = prop.advance(v)
-            drift = _trace_drift(v, d)
+            if not full:
+                out[prop.support] = v
+            vec = v if full else out
+            rho = np.moveaxis(vec.reshape(d, d, k), 2, 0)
+            drift = _trace_drift(vec, d)
             if not drift <= opts.trace_tol:  # a NaN trace fails too
                 worst = drift
                 break
             worst = max(worst, drift)
             if observe is not None:
-                observe(i, np.moveaxis(v.reshape(d, d, k), 2, 0))
+                observe(i, rho)
         stats.update(retries=retry, max_trace_drift=worst)
         if drift <= opts.trace_tol:
-            herm, min_eig = _health(np.moveaxis(v.reshape(d, d, k), 2, 0))
+            herm, min_eig = _health(rho)
             stats.update(final_herm_drift=herm, final_min_eigenvalue=min_eig)
             return stats
     raise IntegrationError("trace drift above tolerance after all retries", stats)
@@ -379,7 +440,7 @@ def evolve_master(
         states = [None] * len(t)
 
         def keep(i, rho):
-            states[i] = rho[0]
+            states[i] = rho[0].copy()  # rho is a buffer that propagate reuses
 
         stats = propagate(H, collapse, v0[:, None], t, opts, keep)
     stats["max_herm_drift"], stats["min_eigenvalue"] = _health(np.stack(states))

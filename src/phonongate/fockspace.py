@@ -44,6 +44,11 @@ class SpaceDescriptor:
     def total(self) -> int:
         return prod(self.dims)
 
+    @property
+    def parity(self) -> np.ndarray:
+        """Total occupation parity (n0 + n1 + ...) mod 2 of each basis index."""
+        return np.indices(self.dims).sum(axis=0).reshape(-1) % 2
+
     def __len__(self) -> int:
         return len(self.dims)
 

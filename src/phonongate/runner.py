@@ -86,7 +86,6 @@ class ScenarioConfig:
     cavity_fock: int = 1
     average_over: tuple[str, ...] | None = None
     outputs: tuple[str, ...] = ("fidelity",)
-    seed: int = 0
     quadrature_convention: str = "symmetric"
     fidelity_convention: str = "squared"
     integrator: str = "expm"
@@ -221,15 +220,26 @@ def envelope_maxima(times: np.ndarray, series: np.ndarray, window_us: float = 0.
 
 def _qubit_isometry(n_b: int, omega_G: float, lam: float) -> np.ndarray:
     """n_b x 2 isometry onto the two lowest beam eigenstates (identity block
-    for n_b = 2, where the quartic term is inert)."""
+    for n_b = 2, where the quartic term is inert). The Duffing Hamiltonian
+    keeps the Fock parity, so it is diagonalized on its even and its odd
+    levels apart: each eigenstate is exactly zero off its parity, and the
+    initial states stay in one parity block of the Liouvillian."""
     if n_b == 2:
         return np.eye(2, dtype=complex)
-    h = duffing_hamiltonian(omega_G, lam, n_b).data
-    _, vecs = eigh(h)
-    for n in range(n_b):
-        if vecs[n, n].real < 0:
-            vecs[:, n] = -vecs[:, n]
-    return vecs[:, :2].astype(complex)
+    h = duffing_hamiltonian(omega_G, lam, n_b)
+    energies, vecs = [], []
+    for parity in (0, 1):
+        levels = np.flatnonzero(h.space.parity == parity)
+        e, v = eigh(h.data[np.ix_(levels, levels)])
+        full = np.zeros((n_b, levels.size), dtype=complex)
+        full[levels] = v
+        energies.append(e)
+        vecs.append(full)
+    iso = np.concatenate(vecs, axis=1)[:, np.argsort(np.concatenate(energies))[:2]]
+    for n in range(2):
+        if iso[n, n].real < 0:
+            iso[:, n] = -iso[:, n]
+    return iso
 
 
 def master_fidelity_series(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.constants import hbar, k as kB
+from scipy.linalg import expm
 
 from phonongate.dynamics import (
     CollapseSet,
@@ -13,6 +14,7 @@ from phonongate.dynamics import (
     lindblad_rhs,
     liouvillian,
     mech_damping,
+    parity_blocks,
     propagate,
     thermal_occupation,
 )
@@ -21,6 +23,7 @@ from phonongate.fockspace import (
     QuantumState,
     SpaceDescriptor,
     annihilation_op,
+    embed,
     number_op,
 )
 
@@ -308,3 +311,101 @@ def test_trajectory_csv_format(tmp_path):
     assert lines[0] == "t_s,F"
     assert lines[2] == "0.5,0.33333333333333331"
     assert "\r" not in content
+
+
+def kron_liouvillian(H, collapse):
+    """The dense Kronecker-product Liouvillian on row-major vec(rho)."""
+    d = H.dim
+    eye = np.eye(d, dtype=complex)
+    L = -1j * (np.kron(H.data, eye) - np.kron(eye, H.data.T))
+    for op in collapse.ops:
+        c = op.data
+        cdc = c.conj().T @ c
+        L += np.kron(c, c.conj()) - 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
+    return L
+
+
+def parity_model(mix=None):
+    """Cavity (2 levels) x beam (3 levels): a random parity-keeping H, cavity
+    decay and thermal beam channels; mix="H" adds a parity-mixing term to H,
+    mix="collapse" the parity-mixing channel a + a†a (a + a† would only flip
+    the parity, which keeps the blocks)."""
+    rng = np.random.default_rng(7)
+    space = SpaceDescriptor((2, 3))
+    p = space.parity
+    m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    h = np.where(p[:, None] == p[None, :], m + m.conj().T, 0.0)
+    if mix == "H":
+        h[0, 1] = h[1, 0] = 0.3
+    a = embed(annihilation_op(2), space, 0)
+    b = embed(annihilation_op(3), space, 1)
+    ops = [0.4 * a, 0.3 * b, 0.2 * b.dag()]
+    if mix == "collapse":
+        ops.append(0.5 * (a + a.dag() @ a))
+    return space, Operator(space, h), CollapseSet(tuple(ops))
+
+
+def test_block_liouvillian_is_the_kron_formula_on_the_block():
+    space, H, collapse = parity_model()
+    L = kron_liouvillian(H, collapse)
+    assert np.array_equal(liouvillian(H, collapse), L)
+    blocks = parity_blocks(H, collapse)
+    assert [b.size for b in blocks] == [18, 18]
+    rng = np.random.default_rng(3)
+    for block in blocks + [np.sort(rng.choice(36, size=11, replace=False))]:
+        assert np.array_equal(liouvillian(H, collapse, block), L[np.ix_(block, block)])
+    # and L couples no entry of a parity block to one outside it
+    even = np.isin(np.arange(36), blocks[0])
+    assert not np.any(L[np.ix_(even, ~even)]) and not np.any(L[np.ix_(~even, even)])
+
+
+def _dense_outputs(H, collapse, columns, t):
+    P = expm(kron_liouvillian(H, collapse) * (t[1] - t[0]))
+    out = [columns]
+    for _ in t[1:]:
+        out.append(P @ out[-1])
+    return out
+
+
+# (n_blocks, support) for a single-parity and a mixed-parity initial state
+@pytest.mark.parametrize("mix, sizes", [(None, [(1, 18), (2, 36)]),
+                                        ("H", [(1, 36), (1, 36)]),
+                                        ("collapse", [(1, 36), (1, 36)])])
+def test_propagate_on_parity_blocks_matches_dense_expm(mix, sizes):
+    space, H, collapse = parity_model(mix)
+    t = np.linspace(0.0, 2.0, 41)
+    one = QuantumState.ket(space, [1, 0, 0.5j, 0, 0.3, 0])  # even kets only
+    both = QuantumState.ket(space, [1, 0.7, 0, 0, 0, 0.2j])  # both parities
+    for ket, size in zip((one, both), sizes):
+        columns = np.stack([ket.to_density().data.reshape(-1),
+                            QuantumState.fock(space, [1, 1]).to_density().data.reshape(-1)],
+                           axis=1)
+        seen = []
+        stats = propagate(H, collapse, columns, t, observe=lambda i, rho: seen.append(rho.copy()))
+        assert (stats["n_blocks"], stats["support"]) == size
+        for rho, ref in zip(seen, _dense_outputs(H, collapse, columns, t), strict=True):
+            assert np.max(np.abs(np.moveaxis(rho, 0, 2).reshape(36, 2) - ref)) <= 1e-12
+
+
+def test_parity_blocks_fall_back_to_one_block():
+    for mix in ("H", "collapse"):
+        _, H, collapse = parity_model(mix)
+        assert [b.size for b in parity_blocks(H, collapse)] == [36]
+    # a quadrature channel flips the parity: still two blocks
+    space, H, collapse = parity_model()
+    a = embed(annihilation_op(2), space, 0)
+    flipping = CollapseSet(collapse.ops + (a + a.dag(),))
+    assert [b.size for b in parity_blocks(H, flipping)] == [18, 18]
+
+
+def test_evolve_master_returns_distinct_states():
+    # a Fock state occupies one parity block, so propagate reuses its output buffer
+    space, H, a, collapse = cavity_decay_setup(dim=3, kappa=0.5)
+    rho0 = QuantumState.fock(space, [2]).to_density()
+    t = np.linspace(0.0, 2.0, 5)
+    traj = evolve_master(H, collapse, rho0, t)
+    assert traj.stats["support"] == 5
+    assert np.array_equal(traj.states[0], rho0.data)
+    top = [rho[2, 2].real for rho in traj.states]
+    assert np.all(np.diff(top) < 0)
+    assert top[-1] == pytest.approx(np.exp(-2 * 0.5 * 2.0), abs=1e-12)

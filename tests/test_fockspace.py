@@ -221,3 +221,11 @@ def test_state_validation():
         QuantumState(space, "density", np.array([[1.5, 0], [0, -0.5]]))  # negative eigenvalue
     with pytest.raises(ValueError):
         QuantumState(space, "wavefunction", np.array([1.0, 0.0]))
+
+
+def test_space_parity_follows_the_basis_ordering():
+    space = SpaceDescriptor((3, 2, 4))
+    for occ in [(0, 0, 0), (1, 0, 0), (2, 1, 3), (0, 1, 2), (1, 1, 1)]:
+        index = int(np.flatnonzero(QuantumState.fock(space, occ).data)[0])
+        assert space.parity[index] == sum(occ) % 2
+    assert space.parity.shape == (24,)

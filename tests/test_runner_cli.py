@@ -8,8 +8,10 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
+from scipy.linalg import eigh
 
 from phonongate import cli, runner
+from phonongate.duffing import duffing_hamiltonian
 from phonongate.fidelity import InitialStateFamily
 from phonongate.hamiltonians import PhysicalParams
 from phonongate.runner import (
@@ -132,7 +134,6 @@ def scenario_mappings(draw):
         "outputs": draw(st.lists(st.sampled_from(
             ["fidelity", "leakage"] if mode == "master" else
             ["fidelity", "avg_entangled", "avg_separable"]), unique=True)),
-        "seed": draw(st.integers(0, 2**31)),
         "quadrature_convention": draw(st.sampled_from(["symmetric", "bare"])),
         "fidelity_convention": "squared" if mode == "analytic" else
         draw(st.sampled_from(["squared", "amplitude"])),
@@ -219,6 +220,17 @@ def test_analytic_omega_from_params(tmp_path):
     assert summary["integrator"]["Omega_rad_s"] == pytest.approx(30.0463, rel=1e-3)
 
 
+def test_qubit_isometry_is_exactly_parity_pure():
+    omega, lam = 2 * np.pi * 28.6e6, 2 * np.pi * 209e3
+    for n_b in (4, 5, 6):
+        iso = runner._qubit_isometry(n_b, omega, lam)
+        assert not np.any(iso[1::2, 0]) and not np.any(iso[0::2, 1])
+        _, vecs = eigh(duffing_hamiltonian(omega, lam, n_b).data)
+        for n in range(2):
+            sign = np.sign(vecs[n, n].real)
+            assert np.max(np.abs(iso[:, n] - sign * vecs[:, n])) <= 1e-12
+
+
 def test_master_run_writes_outputs(tmp_path):
     cfg = ScenarioConfig.from_mapping(small_master_mapping())
     summary = run_scenario(cfg, tmp_path)
@@ -233,6 +245,8 @@ def test_master_run_writes_outputs(tmp_path):
     assert health["retries"] == 0
     assert health["final_herm_drift"] <= 1e-10
     assert health["final_min_eigenvalue"] >= -1e-10
+    # basis kets keep rho in the parity-diagonal block: 32 of the 64 entries
+    assert (health["n_blocks"], health["support"]) == (1, 32)
 
 
 def test_master_run_fidelity_convention_sqrt(tmp_path):
@@ -289,6 +303,8 @@ def test_bloch_master_run(tmp_path):
     summary = run_scenario(cfg, tmp_path)
     # 8 x 8 grid without its two zero-weight pole rows
     assert summary["integrator"]["n_columns"] == 6 * 8
+    # Psi superposes kets of both parities, so both blocks are stepped
+    assert (summary["integrator"]["n_blocks"], summary["integrator"]["support"]) == (2, 64)
     head = (tmp_path / "trajectory.csv").read_text().splitlines()
     assert head[0].startswith("t_s,F_avg_Psi")
     first = float(head[1].split(",")[1])
@@ -325,6 +341,20 @@ def test_cli_gatecheck():
     assert res.exit_code == 0
     assert "d(U_Gate(t_gate), CNOT)" in res.output
     assert "Omega = 30.04" in res.output
+
+
+@pytest.mark.parametrize("args", [["--delta-hz", "36.6e6"], ["--delta-hz", "-36.6e6"],
+                                  ["--g-hz", "0"]])
+def test_cli_gatecheck_without_a_finite_nonzero_rate_fails_cleanly(args):
+    res = CliRunner().invoke(cli.main, ["gatecheck", *args])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "gatecheck needs" in json.loads(res.stderr)["error"]
+
+
+def test_config_rejects_the_removed_seed_key():
+    with pytest.raises(ValueError, match="seed"):
+        ScenarioConfig.from_mapping(small_master_mapping(seed=0))
 
 
 def test_cli_figure_fig2(tmp_path):
