@@ -18,7 +18,7 @@ from . import runner
 from .duffing import duffing_spectrum
 from .files import atomic_write
 from .gates import cnot_sequence, exchange_unitary, ideal_cnot, phase_aligned_distance
-from .hamiltonians import PhysicalParams
+from .hamiltonians import PhysicalParams, exchange_rate
 from .runner import PAPER_VA_XG_SQ, PRESETS, ScenarioConfig
 
 
@@ -97,9 +97,7 @@ def spectrum(omega_g_hz, lambda_hz, dim, dim_trust, out):
 def gatecheck(g_hz, omega_hz, delta_hz, xg2):
     """Print the exchange rate, the ISWAP check, and the CNOT-sequence distance."""
     delta, omega_g, g = (2 * np.pi * v for v in (delta_hz, omega_hz, g_hz))
-    if delta**2 == omega_g**2:
-        raise ValueError("gatecheck needs |Delta| != omega_G; the exchange rate diverges there")
-    rate = delta * xg2 * g**2 / (delta**2 - omega_g**2)
+    rate = exchange_rate(delta, omega_g, g, xg2)
     if rate == 0:
         raise ValueError("gatecheck needs a nonzero exchange rate: Delta, g and X_G^2 nonzero")
     t_gate = np.pi / (2 * rate)

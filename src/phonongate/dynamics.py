@@ -15,8 +15,8 @@ through a `Propagator`, whose one-interval step matrix is either
 Both need a uniform grid. When H keeps the total occupation parity and
 every collapse operator keeps or flips it, the Liouvillian never changes the
 relative parity of an entry (i, j) of rho, so it splits exactly into two
-blocks (`parity_blocks`); the step matrix is built block by block, and only
-over the blocks the initial columns occupy (the support).
+blocks (`parity_blocks`); the step matrix is built only over the blocks the
+initial columns occupy (the support).
 
 `propagate` gates the trace drift at every output (rk4 doubles its substeps
 and restarts; after the retry budget every method raises IntegrationError)
@@ -187,8 +187,9 @@ class Propagator:
 
     The matrix acts on the support: the ascending vec(rho) indices of the
     parity blocks in which `columns` has a nonzero entry (every block when
-    columns is None). Each block is built, exponentiated and placed on the
-    diagonal on its own; `advance` takes and returns vec(rho)[support].
+    columns is None). It is built and exponentiated over the support at
+    once, so off-support entries of L are never formed; `advance` takes and
+    returns vec(rho)[support].
     """
 
     def __init__(self, H: Operator, collapse: CollapseSet, dt: float,
@@ -207,11 +208,7 @@ class Propagator:
         blocks = [b for b in parity_blocks(H, collapse) if columns is None or np.any(columns[b])]
         self.n_blocks = len(blocks)
         self.support = np.sort(np.concatenate(blocks)) if blocks else np.arange(0)
-        self.matrix = np.zeros((self.support.size, self.support.size), dtype=complex)
-        for block in blocks:
-            # each block's Liouvillian is a temporary freed before the next is built
-            at = np.searchsorted(self.support, block)
-            self.matrix[np.ix_(at, at)] = self._step(liouvillian(H, collapse, block), opts)
+        self.matrix = self._step(liouvillian(H, collapse, self.support), opts)
 
     def _step(self, L: np.ndarray, opts: EvolveOptions) -> np.ndarray:
         if opts.method == "expm":

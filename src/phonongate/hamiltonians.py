@@ -167,6 +167,14 @@ def system_hamiltonian(
     return Operator(space, h.data, hermitian=True)
 
 
+def exchange_rate(Delta: float, omega_G: float, g_G: float, X_G_sq: float) -> float:
+    """Second-order exchange rate Omega = Delta X_G^2 g_G^2 / (Delta^2 - omega_G^2);
+    ValueError at |Delta| = omega_G, where it diverges."""
+    if Delta**2 == omega_G**2:
+        raise ValueError("the exchange rate needs |Delta| != omega_G; it diverges there")
+    return float(Delta * X_G_sq * g_G**2 / (Delta**2 - omega_G**2))
+
+
 def effective_gate_hamiltonian(spec: DuffingSpectrum, g_G: float, Delta: float) -> EffectiveGateParams:
     """Second-order exchange rate Omega = Delta X_G^2 g_G^2 / (Delta^2 - omega_G^2)
     and the per-level Stark sums, from a beam spectrum.
@@ -186,7 +194,7 @@ def effective_gate_hamiltonian(spec: DuffingSpectrum, g_G: float, Delta: float) 
                 )
     x10 = abs(spec.X[0, 1])
     omega_g = spec.delta[1, 0]
-    omega = Delta * x10**2 * g_G**2 / (Delta**2 - omega_g**2)
+    omega = exchange_rate(Delta, omega_g, g_G, x10**2)
     shifts = []
     for level in (0, 1):
         s = 0.0
@@ -224,4 +232,4 @@ def rabi_angle_from_profile(
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
     integral = float(np.trapezoid(g_profile**2, times))
-    return Delta * X_G**2 / (Delta**2 - omega_G**2) * integral
+    return exchange_rate(Delta, omega_G, 1.0, X_G**2) * integral

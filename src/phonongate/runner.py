@@ -30,7 +30,7 @@ from .duffing import duffing_hamiltonian
 from .files import atomic_write
 from .fockspace import SpaceDescriptor
 from .gates import ideal_cnot
-from .hamiltonians import PhysicalParams, system_hamiltonian
+from .hamiltonians import PhysicalParams, exchange_rate, system_hamiltonian
 from .schema import check_fields
 
 # published parameter set for the open-system runs (Hz; x 2*pi on ingestion)
@@ -307,9 +307,9 @@ def _analytic_omega(cfg: ScenarioConfig) -> float:
         return float(cfg.Omega)
     p = cfg.params
     xg_sq = PAPER_VA_XG_SQ if cfg.X_G_sq is None else cfg.X_G_sq
-    if not (p.Delta and p.g_G and p.omega_G) or p.Delta**2 == p.omega_G**2:
+    if not (p.Delta and p.g_G and p.omega_G):
         raise ValueError("analytic mode needs Omega, or Delta, g_G, omega_G with |Delta| != omega_G")
-    return float(p.Delta * xg_sq * p.g_G**2 / (p.Delta**2 - p.omega_G**2))
+    return exchange_rate(p.Delta, p.omega_G, p.g_G, xg_sq)
 
 
 def run_scenario(cfg: ScenarioConfig, outdir) -> dict:

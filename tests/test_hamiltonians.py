@@ -11,6 +11,7 @@ from phonongate.hamiltonians import (
     drive_amplitude,
     effective_gate_hamiltonian,
     enhanced_coupling,
+    exchange_rate,
     exchange_rate_paths,
     rabi_angle,
     rabi_angle_from_profile,
@@ -162,6 +163,16 @@ def test_exchange_rate_two_paths_agree():
     g, delta = TWOPI * 21e3, TWOPI * 49.9e6
     eff = effective_gate_hamiltonian(spec, g, delta)
     assert exchange_rate_paths(spec, g, delta) == pytest.approx(eff.Omega, rel=1e-12)
+
+
+def test_exchange_rate_guards_the_resonance():
+    assert exchange_rate(5.0, 2.0, 0.3, 0.36) == 5.0 * 0.36 * 0.3**2 / (5.0**2 - 2.0**2)
+    ts = np.linspace(0.0, 1.0, 5)
+    for delta in (2.0, -2.0):
+        with pytest.raises(ValueError, match="diverges"):
+            exchange_rate(delta, 2.0, 0.3, 0.36)
+        with pytest.raises(ValueError, match="diverges"):
+            rabi_angle_from_profile(ts, ts, 0.6, 2.0, delta)
 
 
 def test_stark_shifts_harmonic_oracle():

@@ -343,13 +343,16 @@ def test_cli_gatecheck():
     assert "Omega = 30.04" in res.output
 
 
-@pytest.mark.parametrize("args", [["--delta-hz", "36.6e6"], ["--delta-hz", "-36.6e6"],
-                                  ["--g-hz", "0"]])
-def test_cli_gatecheck_without_a_finite_nonzero_rate_fails_cleanly(args):
+@pytest.mark.parametrize("args, cause", [
+    (["--delta-hz", "36.6e6"], "|Delta| != omega_G"),
+    (["--delta-hz", "-36.6e6"], "|Delta| != omega_G"),
+    (["--g-hz", "0"], "nonzero exchange rate"),
+])
+def test_cli_gatecheck_without_a_finite_nonzero_rate_fails_cleanly(args, cause):
     res = CliRunner().invoke(cli.main, ["gatecheck", *args])
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
-    assert "gatecheck needs" in json.loads(res.stderr)["error"]
+    assert cause in json.loads(res.stderr)["error"]
 
 
 def test_config_rejects_the_removed_seed_key():
