@@ -1,27 +1,25 @@
 """Open-system (Lindblad) and closed-system propagation on a time grid.
 
 The generator here is always time-independent. `propagate` is the one
-stepping core: it advances a batch of vec(rho) columns over a uniform grid
-through a `Propagator`, whose one-interval step matrix is either
+propagation core, and it does not step. Every output is a linear functional
+f of vec(rho) (a row); with L = V diag(lambda) V^-1 on a parity block, the
+series from a column v0 is f(t) = sum_k A_k exp(nu_k t), A = (f V) * (V^-1 v0),
+evaluated as chunks of exp(t nu^T) @ A. The rates nu set the integrator:
 
-* ``expm`` (default): the exact propagator e^{L dt}; deterministic and
-  unconditionally stable, or
-* ``rk4``: fixed-step classic Runge-Kutta. For a linear autonomous system a
-  fixed-step RK4 sweep is exactly multiplication by the stability polynomial
-  I + hL + ... + (hL)^4/24, so the substeps of one output interval are
-  applied as a matrix power; identical to sequential stepping up to rounding
-  and byte-deterministic across runs.
+* ``expm`` (default): nu = lambda, the exact propagator, or
+* ``rk4``: fixed-step classic Runge-Kutta. m substeps per output interval h
+  multiply each mode by R(lambda h/m)^m, R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24
+  the stability polynomial, so nu = m log R(lambda h/m) / h.
 
 Both need a uniform grid. When H keeps the total occupation parity and
-every collapse operator keeps or flips it, the Liouvillian never changes the
-relative parity of an entry (i, j) of rho, so it splits exactly into two
-blocks (`parity_blocks`); the step matrix is built only over the blocks the
-initial columns occupy (the support).
-
-`propagate` gates the trace drift at every output (rk4 doubles its substeps
-and restarts; after the retry budget every method raises IntegrationError)
-and reports the Hermiticity drift and minimum eigenvalue of the final
-output. States are not symmetrized or diagonalized per step.
+every collapse operator keeps or flips it, L splits exactly into two blocks
+(`parity_blocks`); each block the initial columns occupy is eigendecomposed
+once. The decomposition is gated (Moler & Van Loan, SIAM Rev. 45, 3 (2003),
+method 14, and its caveat on an ill-conditioned V): ||LV - V Lambda|| / ||L||
+and the cancellation bound eps max_j sum_k |A_jk| must both be at most
+EIG_TOL; a defective L passes the first and fails the second. The trace is
+one more row, gated at every output (rk4 doubles m and retries), and the
+final output's Hermiticity and positivity come from V (exp(nu t_N) * V^-1 v0).
 
 ``rk45``, adaptive embedded Dormand-Prince 4(5) with per-step max-norm error
 control, is reachable only through `evolve_master`, as the adaptive
@@ -34,7 +32,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.constants import hbar as HBAR_SI, k as KB_SI
-from scipy.linalg import eigh, expm
+from scipy.linalg import eig, eigh, solve
 
 from .files import atomic_write
 from .fockspace import Operator, QuantumState, SpaceDescriptor, annihilation_op, embed
@@ -179,46 +177,8 @@ class EvolveOptions:
     substep_phase: float = 3e-3  # rk4: fastest phase advanced per substep
 
 
-class Propagator:
-    """One-interval step matrix for one generator and one step size: e^{L dt}
-    (expm), or the RK4 stability polynomial of L dt/m raised to the m-th
-    power (rk4), with m set by options.substep_phase and doubled once per
-    refinement.
-
-    The matrix acts on the support: the ascending vec(rho) indices of the
-    parity blocks in which `columns` has a nonzero entry (every block when
-    columns is None). It is built and exponentiated over the support at
-    once, so off-support entries of L are never formed; `advance` takes and
-    returns vec(rho)[support].
-    """
-
-    def __init__(self, H: Operator, collapse: CollapseSet, dt: float,
-                 options: EvolveOptions | None = None, refinements: int = 0,
-                 columns: np.ndarray | None = None):
-        opts = options or EvolveOptions()
-        if opts.method not in ("expm", "rk4"):
-            raise ValueError(f"no one-interval step matrix for method {opts.method!r}; "
-                             "use expm or rk4")
-        self.dim = H.dim
-        self.dt = dt
-        self.substeps = 1
-        if opts.method == "rk4":
-            m = max(1, int(np.ceil(dt * _spectral_scale(H, collapse) / opts.substep_phase)))
-            self.substeps = m * 2**refinements
-        blocks = [b for b in parity_blocks(H, collapse) if columns is None or np.any(columns[b])]
-        self.n_blocks = len(blocks)
-        self.support = np.sort(np.concatenate(blocks)) if blocks else np.arange(0)
-        self.matrix = self._step(liouvillian(H, collapse, self.support), opts)
-
-    def _step(self, L: np.ndarray, opts: EvolveOptions) -> np.ndarray:
-        if opts.method == "expm":
-            return expm(L * self.dt)
-        step = _rk4_polynomial(L * (self.dt / self.substeps))
-        return np.linalg.matrix_power(step, self.substeps)
-
-    def advance(self, vec: np.ndarray) -> np.ndarray:
-        """One step for a vec(rho)[support] column, or a (support, k) batch of them."""
-        return self.matrix @ vec
+EIG_TOL = 1e-10  # bound on the eigendecomposition's residual and cancellation
+_CHUNK = 256  # output times per matrix product: small next to the series
 
 
 @dataclass
@@ -261,10 +221,17 @@ def _spectral_scale(H: Operator, collapse: CollapseSet) -> float:
     return max(scale, 1e-300)
 
 
-def _rk4_polynomial(A: np.ndarray) -> np.ndarray:
-    eye = np.eye(A.shape[0], dtype=complex)
-    A2 = A @ A
-    return eye + A + A2 / 2.0 + (A2 @ A) / 6.0 + (A2 @ A2) / 24.0
+def _log1p(w: np.ndarray) -> np.ndarray:
+    """log(1 + w) for complex w, keeping the digits of a small w (NumPy's
+    complex log1p evaluates log(1 + w) and loses them)."""
+    return (0.5 * np.log1p(2.0 * w.real + w.real**2 + w.imag**2)
+            + 1j * np.arctan2(w.imag, 1.0 + w.real))
+
+
+def _rk4_rates(lam: np.ndarray, h: float, substeps: int) -> np.ndarray:
+    """Rates nu with exp(nu h) = R(lam h/m)^m: m RK4 substeps per interval h."""
+    z = lam * (h / substeps)
+    return substeps * _log1p(z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))) / h
 
 
 def _trace_drift(vecs: np.ndarray, d: int) -> float:
@@ -284,64 +251,95 @@ def propagate(
     H: Operator,
     collapse: CollapseSet,
     columns: np.ndarray,
+    rows: np.ndarray,
     t_grid: np.ndarray,
     options: EvolveOptions | None = None,
-    observe: Callable[[int, np.ndarray], None] | None = None,
-) -> dict:
-    """Step a (d*d, k) batch of vec(rho) columns over a uniform time grid.
+) -> tuple[np.ndarray, dict]:
+    """Series of linear functionals `rows` of vec(rho) from a (d*d, k) batch
+    of vec(rho) columns over a uniform time grid.
 
-    The state is stepped on the support of the columns (see `Propagator`)
-    and scattered into one reused (d*d, k) buffer at each output (no scatter
-    when the support is every entry). Output i (i = 0 is the columns
-    themselves) is handed to observe(i, rho) as a (k, d, d) view that the
-    next output may overwrite; it is not stored. The trace drift is gated at
-    every output: beyond options.trace_tol, rk4 doubles its substeps and
-    restarts (observe then sees the outputs again from i = 0), up to
-    options.max_retries; after that, and at once for expm, IntegrationError
-    carries the stats. Returns the stats: method, sizes, retries,
-    max_trace_drift, the parity blocks stepped (n_blocks) and the vec(rho)
-    entries propagated (support), and the Hermiticity drift and minimum
-    eigenvalue of the final output.
+    `rows` is one (r, d*d) set for every column or a (k, r, d*d) stack, one
+    set per column. Returns the real (k, r, n_t) series, whose output 0 is
+    exactly rows @ columns, and the stats: sizes, the parity blocks
+    eigendecomposed (n_blocks) and their vec(rho) entries (support), the gate
+    (eig_residual, cancellation_bound), the largest |Im nu| dt over the modes
+    the rows see (max_phase_per_output), retries, max_trace_drift, and the
+    Hermiticity drift and minimum eigenvalue of the final output. Raises
+    IntegrationError when the gate fails or the trace drifts beyond
+    options.trace_tol (rk4 first doubles its substeps up to max_retries).
     """
     opts = options or EvolveOptions()
+    if opts.method not in ("expm", "rk4"):
+        raise ValueError(f"propagate runs expm or rk4, not {opts.method!r}")
     t = _check_grid(t_grid)
     dts = np.diff(t)
     if not np.allclose(dts, dts[0], rtol=1e-9, atol=0.0):
-        raise ValueError(f"{opts.method} stepping needs a uniform time grid")
+        raise ValueError(f"{opts.method} needs a uniform time grid")
     d = H.dim
     if columns.ndim != 2 or columns.shape[0] != d * d:
         raise ValueError(f"columns must be a ({d * d}, k) batch of vec(rho)")
     k = columns.shape[1]
-    stats: dict = {"method": opts.method, "n_steps": len(t) - 1, "n_columns": k}
-    out = np.zeros((d * d, k), dtype=complex)  # each output, scattered from the support
-    attempts = opts.max_retries + 1 if opts.method == "rk4" else 1
-    for retry in range(attempts):
-        prop = Propagator(H, collapse, float(dts[0]), opts, refinements=retry, columns=columns)
-        stats.update(n_blocks=prop.n_blocks, support=prop.support.size)
-        if opts.method == "rk4":
-            stats["n_substeps_per_interval"] = prop.substeps
-        full = prop.support.size == d * d
-        v, worst = columns[prop.support], 0.0
-        for i in range(len(t)):
-            if i:
-                v = prop.advance(v)
-            if not full:
-                out[prop.support] = v
-            vec = v if full else out
-            rho = np.moveaxis(vec.reshape(d, d, k), 2, 0)
-            drift = _trace_drift(vec, d)
-            if not drift <= opts.trace_tol:  # a NaN trace fails too
-                worst = drift
-                break
-            worst = max(worst, drift)
-            if observe is not None:
-                observe(i, rho)
-        stats.update(retries=retry, max_trace_drift=worst)
-        if drift <= opts.trace_tol:
-            herm, min_eig = _health(rho)
-            stats.update(final_herm_drift=herm, final_min_eigenvalue=min_eig)
-            return stats
-    raise IntegrationError("trace drift above tolerance after all retries", stats)
+    if rows.ndim not in (2, 3) or rows.shape[-1] != d * d or rows.shape[:-2] not in ((), (k,)):
+        raise ValueError(f"rows must be an (r, {d * d}) set or a ({k}, r, {d * d}) stack")
+    trace = np.zeros(d * d)
+    trace[::d + 1] = 1.0
+    rows = np.concatenate([rows, np.broadcast_to(trace, rows.shape[:-2] + (1, d * d))], axis=-2)
+    r = rows.shape[-2]
+
+    blocks = [b for b in parity_blocks(H, collapse) if np.any(columns[b])]
+    stats: dict = {"method": opts.method, "n_steps": len(t) - 1, "n_columns": k,
+                   "n_blocks": len(blocks), "support": sum(b.size for b in blocks)}
+    lam, amps, modes, residual = [], [], [], 0.0
+    for b in blocks:
+        L = liouvillian(H, collapse, b)
+        w, V = eig(L)
+        res = L @ V
+        res -= V * w
+        residual = max(residual, float(np.linalg.norm(res) / (np.linalg.norm(L) or 1.0)))
+        c = solve(V, columns[b], check_finite=False)  # (m, k)
+        lam.append(w)
+        amps.append((rows[..., b] @ V) * c.T[:, None, :])  # (k, r, m)
+        modes.append((b, V, c))
+    lam, amps = np.concatenate(lam), np.concatenate(amps, axis=-1)
+    magnitude = np.abs(amps)
+    stats.update(eig_residual=residual, cancellation_bound=float(
+        np.finfo(float).eps * np.max(magnitude.sum(axis=-1))))
+    if not (residual <= EIG_TOL and stats["cancellation_bound"] <= EIG_TOL):
+        raise IntegrationError(f"eigendecomposition of L beyond {EIG_TOL:g} "
+                               "(defective or ill-conditioned)", stats)
+    seen = np.max(magnitude, axis=(0, 1)) > 1e-12 * np.max(magnitude)
+    coeffs = np.ascontiguousarray(amps.reshape(k * r, -1).T)  # (m, k r)
+    first = (rows @ columns.T[:, :, None])[..., 0].real  # (k, r)
+
+    rk4 = opts.method == "rk4"
+    if rk4:  # substeps per output interval
+        m = max(1, int(np.ceil(dts[0] * _spectral_scale(H, collapse) / opts.substep_phase)))
+    out = np.empty((k, r - 1, len(t)))
+    for retry in range(opts.max_retries + 1 if rk4 else 1):
+        nu = _rk4_rates(lam, float(dts[0]), m << retry) if rk4 else lam
+        drifts = []
+        with np.errstate(over="ignore", invalid="ignore"):  # an unstable rk4 mode
+            for s in range(0, len(t), _CHUNK):
+                f = (np.exp(np.outer(t[s:s + _CHUNK], nu)) @ coeffs).real.reshape(-1, k, r)
+                if s == 0:
+                    f[0] = first
+                drifts.append(np.max(np.abs(f[..., -1] - 1.0)))
+                out[..., s:s + _CHUNK] = f[..., :-1].transpose(1, 2, 0)
+        stats.update(retries=retry, max_trace_drift=float(np.max(drifts)))
+        if rk4:
+            stats["n_substeps_per_interval"] = m << retry
+        if stats["max_trace_drift"] <= opts.trace_tol:  # a NaN trace fails too
+            break
+    else:
+        raise IntegrationError("trace drift above tolerance after all retries", stats)
+
+    stats["max_phase_per_output"] = float(np.max(np.abs(nu[seen].imag)) * dts[0])
+    final = np.zeros((d * d, k), dtype=complex)
+    grow = np.split(np.exp(nu * t[-1]), np.cumsum([b.size for b, _, _ in modes])[:-1])
+    for (b, V, c), e in zip(modes, grow):
+        final[b] = V @ (e[:, None] * c)
+    stats["final_herm_drift"], stats["final_min_eigenvalue"] = _health(final.T.reshape(k, d, d))
+    return out, stats
 
 
 # Dormand-Prince 5(4) tableau
@@ -433,13 +431,12 @@ def evolve_master(
         stats: dict = {"method": opts.method}
         outputs = _rk45_sweep_retrying(H, collapse, v0, t, opts, stats)
         states = [v.reshape(d, d) for v in outputs]
-    else:
-        states = [None] * len(t)
-
-        def keep(i, rho):
-            states[i] = rho[0].copy()  # rho is a buffer that propagate reuses
-
-        stats = propagate(H, collapse, v0[:, None], t, opts, keep)
+    else:  # the real parts of the rows [I; -iI] are Re and Im of vec(rho)
+        eye = np.eye(d * d)
+        series, stats = propagate(H, collapse, v0[:, None], np.concatenate([eye, -1j * eye]),
+                                  t, opts)
+        vecs = series[0, :d * d] + 1j * series[0, d * d:]
+        states = [vecs[:, i].reshape(d, d) for i in range(len(t))]
     stats["max_herm_drift"], stats["min_eigenvalue"] = _health(np.stack(states))
     obs_series = {name: np.array([fn(rho) for rho in states], dtype=float)
                   for name, fn in (observables or {}).items()}

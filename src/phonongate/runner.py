@@ -248,10 +248,13 @@ def master_fidelity_series(
     """Evolve every initial two-qubit ket under the full system Lindbladian and
     return per-state squared-overlap fidelity series against the CNOT targets.
 
-    All states share one propagator and are advanced as one batch through
-    `dynamics.propagate`, which gates the trace drift. Returns (times,
-    {label: F_sq series}, {label: leakage series}, stats); stats carries the
-    integrator's health figures and the max leakage out of the qubit subspace.
+    Both outputs are ratios of linear functionals of rho, handed to
+    `dynamics.propagate` as rows, with every state in one batch: the
+    numerator <u|Tr_cav rho|u> with u = kk CNOT v, and the qubit weight
+    tr(P Tr_cav rho) with P = kk kk†. Returns (times, {label: F_sq series},
+    {label: leakage series}, stats); stats carries the integrator's health
+    figures, the max leakage out of the qubit subspace and the smallest
+    qubit weight the fidelity was divided by.
     """
     p = resolved_params(cfg)
     space = SpaceDescriptor((cfg.n_cav, cfg.n_b, cfg.n_b))
@@ -259,39 +262,29 @@ def master_fidelity_series(
     collapse = CollapseSet.standard_channels(space, p.kappa, p.gamma_m, p.n_th)
     t_max = cfg.t_max_us * 1e-6
     times = np.linspace(0.0, t_max, cfg.n_steps)
-    nbb = cfg.n_b * cfg.n_b
 
     # per-beam isometry onto the qubit levels (Fock states for n_b = 2)
     iso = _qubit_isometry(cfg.n_b, p.omega_G, p.lam)
     kk = np.kron(iso, iso)  # (n_b^2) x 4
-    kk_conj = kk.conj()
 
+    # the row of tr(M rho) on row-major vec(rho) is vec(M^T)
+    cav_eye = np.eye(cfg.n_cav)
+    weight_row = np.kron(cav_eye, kk.conj() @ kk.T).reshape(-1)
     cav = np.zeros(cfg.n_cav, dtype=complex)
     cav[cfg.cavity_fock] = 1.0
-    vecs = []
-    targets = []
+    vecs, rows = [], []
     for _, v4 in states:
         psi = np.kron(cav, kk @ v4)
         vecs.append(np.outer(psi, psi.conj()).reshape(-1))
-        targets.append(_CNOT @ v4)
-    batch = np.stack(vecs, axis=1)  # (d*d, n_states)
-    targets = np.stack(targets, axis=0)  # (n_states, 4)
-    targets_conj = targets.conj()
+        u = kk @ (_CNOT @ v4)
+        rows.append((np.kron(cav_eye, np.outer(u.conj(), u)).reshape(-1), weight_row))
 
-    n_s = len(states)
-    f_sq = np.empty((n_s, len(times)))
-    leak = np.empty((n_s, len(times)))
-
-    def observe(i, rho):
-        rho_beams = np.einsum("niaib->nab", rho.reshape(n_s, cfg.n_cav, nbb, cfg.n_cav, nbb))
-        rho_q = np.einsum("ia,nij,jb->nab", kk_conj, rho_beams, kk)
-        weight = np.einsum("naa->n", rho_q).real
-        leak[:, i] = 1.0 - weight
-        rho_q = rho_q / weight[:, None, None]
-        f_sq[:, i] = np.clip(np.einsum("na,nab,nb->n", targets_conj, rho_q, targets).real, 0.0, None)
-
-    stats = dynamics.propagate(H, collapse, batch, times, EvolveOptions(method=cfg.integrator),
-                               observe)
+    series, stats = dynamics.propagate(H, collapse, np.stack(vecs, axis=1), np.array(rows),
+                                       times, EvolveOptions(method=cfg.integrator))
+    f_sq, weight = series[:, 0], series[:, 1]
+    stats["min_qubit_weight"] = float(np.min(weight))
+    np.clip(np.divide(f_sq, weight, out=f_sq), 0.0, None, out=f_sq)
+    leak = np.subtract(1.0, weight, out=weight)
     stats.update(integrator=cfg.integrator, max_leakage=float(np.max(leak)))
     labels = [lbl for lbl, _ in states]
     return times, {lbl: f_sq[i] for i, lbl in enumerate(labels)}, \
@@ -496,7 +489,8 @@ def _run_fig2(outdir) -> dict:
 
 def run_sweep(cfg: ScenarioConfig, param: str, values, outdir, jobs: int | None = 1) -> dict:
     """One scenario per value of a dotted config key (e.g. params.g_G_hz).
-    Every value is validated before any run starts."""
+    Every value is validated, and the run directories (named by the value in
+    %g format) checked to be distinct, before any run starts."""
     where, _, key = param.rpartition(".")
     tasks = []
     for v in values:
@@ -508,6 +502,10 @@ def run_sweep(cfg: ScenarioConfig, param: str, values, outdir, jobs: int | None 
         doc["label"] = f"{cfg.label}_{param}={v:g}"
         tasks.append((ScenarioConfig.from_mapping(doc),
                       os.path.join(outdir, f"{param.replace('.', '_')}={v:g}")))
+    names = [sub for _, sub in tasks]
+    if len(set(names)) < len(names):
+        raise ValueError(f"sweep values {list(values)} give run directories that collide: "
+                         f"{sorted({os.path.basename(n) for n in names if names.count(n) > 1})}")
     os.makedirs(outdir, exist_ok=True)
     summaries = _run_all(tasks, jobs)
     manifest = {

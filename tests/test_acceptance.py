@@ -4,6 +4,7 @@ documented genuine failure: second-order perturbation theory fixes the
 energy-gap error at 72 (lam/w)^2, above the stated 10 (lam/w)^2 bound for
 every faithful diagonalization of the full quartic Hamiltonian (see
 tests below and the README)."""
+import json
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -308,7 +309,24 @@ def _run_figure_set(n_b: int, n_cav: int, convention: str, amplitude: bool,
     return results
 
 
-def test_criterion_8_published_peaks_and_convention_report():
+def _agrees(doc, tracked, path="report") -> list[str]:
+    """Where `doc` differs from the tracked report: numbers by more than
+    1e-9, anything else (booleans, strings, structure) at all."""
+    if isinstance(doc, dict) and isinstance(tracked, dict):
+        if doc.keys() != tracked.keys():
+            return [f"{path}: keys {sorted(doc)} != {sorted(tracked)}"]
+        return [d for key in doc for d in _agrees(doc[key], tracked[key], f"{path}.{key}")]
+    if isinstance(doc, list) and isinstance(tracked, list) and len(doc) == len(tracked):
+        return [d for i, (a, b) in enumerate(zip(doc, tracked))
+                for d in _agrees(a, b, f"{path}[{i}]")]
+    if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (doc, tracked)):
+        same = abs(doc - tracked) <= 1e-9
+    else:
+        same = type(doc) is type(tracked) and doc == tracked
+    return [] if same else [f"{path}: {doc!r} != {tracked!r}"]
+
+
+def test_criterion_8_published_peaks_and_convention_report(tmp_path):
     started = time.perf_counter()
     # the configuration as literally stated in the criterion (n_cav = 3,
     # symmetric X_c), in both beam truncations
@@ -330,7 +348,6 @@ def test_criterion_8_published_peaks_and_convention_report():
             sweep[f"{convention}_ncav{n_cav}"] = {
                 "amplitude_fidelity": amp, "squared_fidelity": sq}
 
-    REPORT_DIR.mkdir(exist_ok=True)
     report_doc = {
         "criterion": "8",
         "notes": [
@@ -353,7 +370,12 @@ def test_criterion_8_published_peaks_and_convention_report():
         "convention_sweep_nb2": sweep,
     }
     runtime_s = time.perf_counter() - started
-    runner.write_json(REPORT_DIR / "convention_sensitivity.json", report_doc)
+    # written beside the test and compared with the tracked report, so a run
+    # leaves the working tree as it found it
+    runner.write_json(tmp_path / "convention_sensitivity.json", report_doc)
+    written = json.loads((tmp_path / "convention_sensitivity.json").read_text())
+    tracked = json.loads((REPORT_DIR / "convention_sensitivity.json").read_text())
+    differences = _agrees(written, tracked)
 
     all_match = all(v["within_tolerance"] for v in match_nb2.values())
     lines = [f"{fig}: {v['peak']:.4f} @ {v['t_us']:.2f}us "
@@ -362,11 +384,12 @@ def test_criterion_8_published_peaks_and_convention_report():
     report("8 (published-figure peaks, reproducing conventions): "
            + "; ".join(lines)
            + f"; literal-config within tolerance: {literal_ok}"
-           + f"; report: reports/convention_sensitivity.json "
+           + f"; report agrees with reports/convention_sensitivity.json: {not differences} "
            + f"({runtime_s:.0f}s): "
            + ("PASS" if all_match else "FAIL"))
     assert all_match, f"reproducing configuration out of tolerance: {match_nb2}"
     assert (REPORT_DIR / "convention_sensitivity.json").exists()
+    assert not differences, f"report differs from reports/convention_sensitivity.json: {differences}"
 
 
 def test_criterion_9_fixed_step_determinism(tmp_path):

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.constants import hbar, k as kB
 from scipy.linalg import expm
 
 from phonongate.dynamics import (
+    EIG_TOL,
     CollapseSet,
     EvolveOptions,
     IntegrationError,
-    Propagator,
     Trajectory,
+    _rk4_rates,
     evolve_master,
     evolve_unitary,
     lindblad_rhs,
@@ -197,28 +199,63 @@ def test_propagate_rk4_trace_gate_exhaustion():
     space, H, _, collapse = cavity_decay_setup(dim=3, kappa=0.5)
     cols = np.stack([QuantumState.fock(space, [n]).to_density().data.reshape(-1)
                      for n in (1, 2)], axis=1)
-    seen = []
+    t = np.linspace(0.0, 1.0, 11)
     with pytest.raises(IntegrationError) as err:
-        propagate(H, collapse, cols, np.linspace(0.0, 1.0, 11),
-                  EvolveOptions(method="rk4", trace_tol=1e-17, max_retries=1),
-                  lambda i, rho: seen.append((i, rho.shape)))
+        propagate(H, collapse, cols, np.eye(9), t,
+                  EvolveOptions(method="rk4", trace_tol=1e-17, max_retries=1))
     assert err.value.stats["retries"] == 1
     assert err.value.stats["max_trace_drift"] > 1e-17
-    assert all(shape == (2, 3, 3) for _, shape in seen)
+    series, stats = propagate(H, collapse, cols, np.eye(9), t, EvolveOptions(method="rk4"))
+    assert series.shape == (2, 9, 11)
+    assert err.value.stats["n_substeps_per_interval"] == 2 * stats["n_substeps_per_interval"]
+
+
+def test_rk4_rates_keep_the_digits_of_small_steps():
+    # log R(z) = z - z^5/120 + O(z^6) for the RK4 polynomial R, so at
+    # |z| <= 1e-4 the rate is lam to rounding; log(1 + w) would lose eps/|z|
+    lam = np.array([-3.0, 2.0e2j, -10.0 + 5.0e2j, -7.0e2 - 1.0j])
+    h = 1e-6
+    nu = _rk4_rates(lam, h, 10)
+    assert np.max(np.abs(nu - lam) / np.abs(lam)) <= 1e-14
 
 
 def test_propagate_needs_uniform_grid():
     space, H, _, collapse = cavity_decay_setup()
     cols = QuantumState.fock(space, [1]).to_density().data.reshape(-1, 1)
     with pytest.raises(ValueError):
-        propagate(H, collapse, cols, np.array([0.0, 0.1, 0.3]))
+        propagate(H, collapse, cols, np.eye(4), np.array([0.0, 0.1, 0.3]))
+
+
+def test_propagate_rejects_bad_rows():
+    space, H, _, collapse = cavity_decay_setup()
+    cols = QuantumState.fock(space, [1]).to_density().data.reshape(-1, 1)
+    for rows in (np.eye(3), np.ones((2, 1, 4)), np.ones(4)):
+        with pytest.raises(ValueError):
+            propagate(H, collapse, cols, rows, np.linspace(0.0, 1.0, 3))
 
 
 def test_propagate_rejects_nan_trace():
     space, H, _, collapse = cavity_decay_setup()
     cols = np.full((4, 1), np.nan, dtype=complex)
     with pytest.raises(IntegrationError):
-        propagate(H, collapse, cols, np.linspace(0.0, 1.0, 3))
+        propagate(H, collapse, cols, np.eye(4), np.linspace(0.0, 1.0, 3))
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_propagate_refuses_a_defective_liouvillian():
+    # |2> -> |1> -> |0> at equal rates: L has a Jordan block, so V is
+    # singular. The residual and the reconstruction of rho0 both look clean;
+    # only the cancellation bound sees the huge cancelling amplitudes.
+    space = SpaceDescriptor((3,))
+    H = Operator(space, np.zeros((3, 3)), hermitian=True)
+    lower = np.zeros((2, 3, 3), dtype=complex)
+    lower[0, 1, 2] = lower[1, 0, 1] = 1.0
+    collapse = CollapseSet(tuple(Operator(space, op) for op in lower))
+    rho0 = QuantumState.fock(space, [2]).to_density().data.reshape(-1, 1)
+    with pytest.raises(IntegrationError, match="eigendecomposition") as err:
+        propagate(H, collapse, rho0, np.eye(9), np.linspace(0.0, 5.0, 51))
+    assert err.value.stats["eig_residual"] <= EIG_TOL
+    assert err.value.stats["cancellation_bound"] > EIG_TOL
 
 
 def test_evolve_master_hermiticity_and_positivity_stats():
@@ -230,20 +267,32 @@ def test_evolve_master_hermiticity_and_positivity_stats():
     assert traj.stats["min_eigenvalue"] >= -1e-6
 
 
-def test_propagator_batch_matches_single():
+def random_densities(rng, d, k):
+    """(d*d, k) batch of vec(rho) for k random full-rank density matrices."""
+    m = rng.normal(size=(k, d, d)) + 1j * rng.normal(size=(k, d, d))
+    rho = m @ m.conj().swapaxes(1, 2)
+    rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+    return rho.reshape(k, d * d).T
+
+
+def test_propagate_batch_matches_per_column():
     space, H, _, collapse = cavity_decay_setup(dim=3, kappa=0.3)
-    prop = Propagator(H, collapse, 0.1)
     rng = np.random.default_rng(4)
-    cols = []
-    for _ in range(3):
-        m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        rho = m @ m.conj().T
-        rho /= np.trace(rho).real
-        cols.append(rho.reshape(-1))
-    batch = np.stack(cols, axis=1)
-    stepped = prop.advance(batch)
-    for i, col in enumerate(cols):
-        assert np.allclose(stepped[:, i], prop.advance(col), atol=1e-15)
+    batch = random_densities(rng, 3, 3)
+    stack = rng.normal(size=(3, 2, 9)) + 1j * rng.normal(size=(3, 2, 9))
+    t = np.linspace(0.0, 2.0, 21)
+    for method in ("expm", "rk4"):
+        opts = EvolveOptions(method=method)
+        shared, _ = propagate(H, collapse, batch, stack[0], t, opts)
+        own, _ = propagate(H, collapse, batch, stack, t, opts)
+        # output 0 is the rows applied to the columns, not the mode sum at t = 0
+        assert np.array_equal(own[..., 0], (stack @ batch.T[:, :, None])[..., 0].real)
+        for i in range(3):
+            column = batch[:, i:i + 1]
+            assert np.allclose(shared[i], propagate(H, collapse, column, stack[0], t, opts)[0][0],
+                               rtol=0.0, atol=1e-14)
+            assert np.allclose(own[i], propagate(H, collapse, column, stack[i], t, opts)[0][0],
+                               rtol=0.0, atol=1e-14)
 
 
 def test_evolve_unitary_phase_only():
@@ -325,12 +374,12 @@ def kron_liouvillian(H, collapse):
     return L
 
 
-def parity_model(mix=None):
+def parity_model(mix=None, seed=7):
     """Cavity (2 levels) x beam (3 levels): a random parity-keeping H, cavity
     decay and thermal beam channels; mix="H" adds a parity-mixing term to H,
     mix="collapse" the parity-mixing channel a + a†a (a + a† would only flip
     the parity, which keeps the blocks)."""
-    rng = np.random.default_rng(7)
+    rng = np.random.default_rng(seed)
     space = SpaceDescriptor((2, 3))
     p = space.parity
     m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
@@ -367,6 +416,15 @@ def _dense_outputs(H, collapse, columns, t):
     return out
 
 
+def _states(H, collapse, columns, t, options=None):
+    """(n_t, d*d, k) vec(rho) outputs of propagate, read back through the
+    rows [I; -iI], whose real parts are Re and Im of vec(rho); and the stats."""
+    n = columns.shape[0]
+    eye = np.eye(n)
+    series, stats = propagate(H, collapse, columns, np.concatenate([eye, -1j * eye]), t, options)
+    return (series[:, :n] + 1j * series[:, n:]).transpose(2, 1, 0), stats
+
+
 # (n_blocks, support) for a single-parity and a mixed-parity initial state
 @pytest.mark.parametrize("mix, sizes", [(None, [(1, 18), (2, 36)]),
                                         ("H", [(1, 36), (1, 36)]),
@@ -380,11 +438,33 @@ def test_propagate_on_parity_blocks_matches_dense_expm(mix, sizes):
         columns = np.stack([ket.to_density().data.reshape(-1),
                             QuantumState.fock(space, [1, 1]).to_density().data.reshape(-1)],
                            axis=1)
-        seen = []
-        stats = propagate(H, collapse, columns, t, observe=lambda i, rho: seen.append(rho.copy()))
+        seen, stats = _states(H, collapse, columns, t)
         assert (stats["n_blocks"], stats["support"]) == size
-        for rho, ref in zip(seen, _dense_outputs(H, collapse, columns, t), strict=True):
-            assert np.max(np.abs(np.moveaxis(rho, 0, 2).reshape(36, 2) - ref)) <= 1e-12
+        for vec, ref in zip(seen, _dense_outputs(H, collapse, columns, t), strict=True):
+            assert np.max(np.abs(vec - ref)) <= 1e-12
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), mix=st.sampled_from([None, "collapse"]),
+       k=st.integers(1, 3), t_max=st.floats(0.1, 4.0), method=st.sampled_from(["expm", "rk4"]))
+def test_propagate_matches_dense_expm_property(seed, mix, k, t_max, method):
+    # a parity-keeping and a parity-mixing random model, random rho0 batches:
+    # every output equals expm(L t_i) v0 and is a density matrix
+    _, H, collapse = parity_model(mix, seed)
+    columns = random_densities(np.random.default_rng([seed, 1]), 6, k)
+    t = np.linspace(0.0, t_max, 9)
+    seen, stats = _states(H, collapse, columns, t, EvolveOptions(method=method))
+    assert stats["n_blocks"] == (2 if mix is None else 1)
+    L = kron_liouvillian(H, collapse)
+    # rk4 adds its discretization error, ~1e-12 here at the default substep phase
+    tol = 1e-10 if method == "expm" else 1e-9
+    for ti, vec in zip(t, seen, strict=True):
+        assert np.max(np.abs(vec - expm(L * ti) @ columns)) <= tol
+        rho = vec.T.reshape(k, 6, 6)
+        adj = rho.conj().swapaxes(1, 2)
+        assert np.max(np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0)) <= 1e-10
+        assert np.max(np.abs(rho - adj)) <= 1e-10
+        assert np.min(np.linalg.eigvalsh(0.5 * (rho + adj))) >= -1e-10
 
 
 def test_parity_blocks_fall_back_to_one_block():
@@ -399,7 +479,7 @@ def test_parity_blocks_fall_back_to_one_block():
 
 
 def test_evolve_master_returns_distinct_states():
-    # a Fock state occupies one parity block, so propagate reuses its output buffer
+    # a Fock state occupies one parity block; each state is read back on its own
     space, H, a, collapse = cavity_decay_setup(dim=3, kappa=0.5)
     rho0 = QuantumState.fock(space, [2]).to_density()
     t = np.linspace(0.0, 2.0, 5)

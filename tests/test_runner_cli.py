@@ -1,13 +1,10 @@
 import json
-import tempfile
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
-from hypothesis.configuration import set_hypothesis_home_dir
 from scipy.linalg import eigh
 
 from phonongate import cli, runner
@@ -23,11 +20,6 @@ from phonongate.runner import (
     run_scenario,
     run_sweep,
 )
-
-# hypothesis caches the constants of local modules while pytest collects, so
-# point its home directory out of the working tree before that happens
-set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "phonongate-hypothesis")
-
 
 def small_master_mapping(**overrides):
     doc = {
@@ -247,6 +239,9 @@ def test_master_run_writes_outputs(tmp_path):
     assert health["final_min_eigenvalue"] >= -1e-10
     # basis kets keep rho in the parity-diagonal block: 32 of the 64 entries
     assert (health["n_blocks"], health["support"]) == (1, 32)
+    assert health["eig_residual"] <= 1e-10 and health["cancellation_bound"] <= 1e-10
+    assert 0.0 < health["max_phase_per_output"] < np.pi
+    assert health["min_qubit_weight"] == pytest.approx(1.0 - reloaded["leakage_max"], abs=1e-15)
 
 
 def test_master_run_fidelity_convention_sqrt(tmp_path):
@@ -303,7 +298,7 @@ def test_bloch_master_run(tmp_path):
     summary = run_scenario(cfg, tmp_path)
     # 8 x 8 grid without its two zero-weight pole rows
     assert summary["integrator"]["n_columns"] == 6 * 8
-    # Psi superposes kets of both parities, so both blocks are stepped
+    # Psi superposes kets of both parities, so both blocks are eigendecomposed
     assert (summary["integrator"]["n_blocks"], summary["integrator"]["support"]) == (2, 64)
     head = (tmp_path / "trajectory.csv").read_text().splitlines()
     assert head[0].startswith("t_s,F_avg_Psi")
@@ -444,6 +439,16 @@ def test_cli_sweep_validates_every_value_first(tmp_path):
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
     assert "n_b" in json.loads(res.stderr)["error"]
+    assert not (tmp_path / "sweep").exists()
+
+
+@pytest.mark.parametrize("values", ["1.0000001,1.0000002", "1,1"])
+def test_cli_sweep_refuses_colliding_run_directories(tmp_path, values):
+    # both values format as "1", the run directory name
+    res = _sweep(tmp_path, "params.Q", values)
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "collide" in json.loads(res.stderr)["error"]
     assert not (tmp_path / "sweep").exists()
 
 
