@@ -22,6 +22,10 @@ from .hamiltonians import PhysicalParams, exchange_rate
 from .runner import PAPER_VA_XG_SQ, PRESETS, ScenarioConfig
 
 
+_JOBS = click.option("--jobs", type=click.IntRange(min=1), default=None,
+                     help="Worker pool size (default: logical CPUs).")
+
+
 def _default_out() -> str:
     return os.environ.get("PHONONGATE_OUTDIR", "phonongate_out")
 
@@ -165,7 +169,7 @@ def evolve(config_path, preset, out, fixed_step, nb):
 @main.command()
 @click.argument("fig_id", type=click.Choice(["fig2", *runner.FIGURES]))
 @click.option("--out", type=click.Path(), default=None)
-@click.option("--jobs", type=int, default=None, help="Worker pool size (default: logical CPUs).")
+@_JOBS
 @click.option("--fixed-step", is_flag=True)
 @click.option("--nb", type=click.Choice(["2", "4"]), default="2")
 @click.option("--bloch-grid", type=int, default=16, show_default=True,
@@ -186,7 +190,7 @@ def figure(fig_id, out, jobs, fixed_step, nb, bloch_grid):
 @click.option("--param", required=True, help="Dotted config key, e.g. params.g_G_hz.")
 @click.option("--values", required=True, help="Comma-separated numeric values.")
 @click.option("--out", type=click.Path(), default=None)
-@click.option("--jobs", type=int, default=None, help="Worker pool size (default: logical CPUs).")
+@_JOBS
 def sweep(config_path, preset, param, values, out, jobs):
     """Re-run one scenario while varying a single named parameter."""
     cfg = _scenario_from_sources(config_path, preset)

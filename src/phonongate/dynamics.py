@@ -20,10 +20,7 @@ and the cancellation bound eps max_j sum_k |A_jk| must both be at most
 EIG_TOL; a defective L passes the first and fails the second. The trace is
 one more row, gated at every output (rk4 doubles m and retries), and the
 final output's Hermiticity and positivity come from V (exp(nu t_N) * V^-1 v0).
-
-``rk45``, adaptive embedded Dormand-Prince 4(5) with per-step max-norm error
-control, is reachable only through `evolve_master`, as the adaptive
-cross-check of the other two.
+`evolve_master` is `propagate` with the states read back.
 """
 from __future__ import annotations
 
@@ -113,25 +110,12 @@ def _check_spaces(H: Operator, collapse: CollapseSet) -> None:
         raise ValueError("collapse operators and Hamiltonian live on different spaces")
 
 
-def lindblad_rhs(H: Operator, collapse: CollapseSet, rho: QuantumState | np.ndarray) -> np.ndarray:
-    """rho_dot = -i[H, rho] + sum_k (C rho C† - (C†C rho + rho C†C)/2)."""
-    mat = rho.to_density().data if isinstance(rho, QuantumState) else np.asarray(rho, dtype=complex)
-    if mat.shape != H.data.shape:
-        raise ValueError("state and Hamiltonian live on different spaces")
-    _check_spaces(H, collapse)
-    out = -1j * (H.data @ mat - mat @ H.data)
-    for op in collapse.ops:
-        c = op.data
-        cdc = c.conj().T @ c
-        out += c @ mat @ c.conj().T - 0.5 * (cdc @ mat + mat @ cdc)
-    return out
-
-
 def liouvillian(H: Operator, collapse: CollapseSet, block: np.ndarray | None = None) -> np.ndarray:
-    """Dense superoperator acting on row-major vec(rho), or only its rows and
-    columns `block` (vec indices i*d + j) when given: the Kronecker formula
-    evaluated entry by entry on the block, so the full d^2 x d^2 matrix is
-    never formed."""
+    """Dense superoperator L of the master equation
+    rho_dot = -i[H, rho] + sum_k (C rho C† - (C†C rho + rho C†C)/2), acting on
+    row-major vec(rho), or only its rows and columns `block` (vec indices
+    i*d + j) when given: the Kronecker formula evaluated entry by entry on the
+    block, so the full d^2 x d^2 matrix is never formed."""
     _check_spaces(H, collapse)
     d = H.dim
     left, right = np.divmod(np.arange(d * d) if block is None else np.asarray(block), d)
@@ -169,16 +153,14 @@ def parity_blocks(H: Operator, collapse: CollapseSet) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class EvolveOptions:
-    method: str = "expm"  # expm | rk4 | rk45 (rk45: evolve_master only)
-    rtol: float = 1e-9
-    atol: float = 1e-12
+    method: str = "expm"  # expm | rk4
     trace_tol: float = 1e-6
     max_retries: int = 8
     substep_phase: float = 3e-3  # rk4: fastest phase advanced per substep
 
 
 EIG_TOL = 1e-10  # bound on the eigendecomposition's residual and cancellation
-_CHUNK = 256  # output times per matrix product: small next to the series
+_CHUNK = 256  # output times per matrix product or CSV write: small next to the series
 
 
 @dataclass
@@ -194,12 +176,13 @@ class Trajectory:
         """t_s column followed by one column per observable; 17 significant
         digits, comma separator, LF line endings; written atomically."""
         names = list(self.observables)
-        cols = [self.observables[n] for n in names]
+        cols = [self.times] + [self.observables[n] for n in names]
+        template = ",".join(["%.17g"] * len(cols)) + "\n"
         with atomic_write(path) as fh:
             fh.write(",".join(["t_s"] + names) + "\n")
-            for i, t in enumerate(self.times):
-                row = [format(t, ".17g")] + [format(c[i], ".17g") for c in cols]
-                fh.write(",".join(row) + "\n")
+            for s in range(0, len(self.times), _CHUNK):  # whole, Python floats take 32 B a value
+                rows = zip(*(c[s:s + _CHUNK].tolist() for c in cols))
+                fh.writelines(template % row for row in rows)
 
 
 def _check_grid(t_grid: np.ndarray) -> np.ndarray:
@@ -232,11 +215,6 @@ def _rk4_rates(lam: np.ndarray, h: float, substeps: int) -> np.ndarray:
     """Rates nu with exp(nu h) = R(lam h/m)^m: m RK4 substeps per interval h."""
     z = lam * (h / substeps)
     return substeps * _log1p(z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))) / h
-
-
-def _trace_drift(vecs: np.ndarray, d: int) -> float:
-    """max |tr rho - 1| over the vec(rho) columns of a (d*d, k) array."""
-    return float(np.max(np.abs(vecs[::d + 1].sum(axis=0).real - 1.0)))
 
 
 def _health(rho: np.ndarray) -> tuple[float, float]:
@@ -342,69 +320,6 @@ def propagate(
     return out, stats
 
 
-# Dormand-Prince 5(4) tableau
-_DP_A = [
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
-_DP_ERR = _DP_B5 - _DP_B4
-
-
-def _rk45_sweep(L, v0, t_grid, rtol, atol):
-    """One adaptive pass over the grid; returns (outputs, n_steps, n_rejected)."""
-    h = (t_grid[1] - t_grid[0]) / 10.0
-    t = 0.0
-    v = v0
-    outputs = [v0]
-    n_steps = n_rejected = 0
-    k = [None] * 7
-    k[0] = L @ v
-    for t_next in t_grid[1:]:
-        while t < t_next - 1e-18 * max(1.0, t_next):
-            h = min(h, t_next - t)
-            for i in range(1, 7):
-                vi = v + h * sum(a * k[j] for j, a in enumerate(_DP_A[i]) if a != 0.0)
-                k[i] = L @ vi
-            v5 = v + h * sum(b * k[j] for j, b in enumerate(_DP_B5) if b != 0.0)
-            err_vec = h * sum(e * k[j] for j, e in enumerate(_DP_ERR) if e != 0.0)
-            tol = atol + rtol * max(np.max(np.abs(v)), np.max(np.abs(v5)))
-            err = np.max(np.abs(err_vec)) / tol
-            if err <= 1.0:
-                t += h
-                v = v5
-                k[0] = k[6]  # first same as last: the seventh stage is evaluated at v5
-                n_steps += 1
-            else:
-                n_rejected += 1
-            h *= float(np.clip(0.9 * (max(err, 1e-10)) ** (-0.2), 0.2, 5.0))
-        outputs.append(v)
-    return outputs, n_steps, n_rejected
-
-
-def _rk45_sweep_retrying(H, collapse, v0, t, opts, stats):
-    """Adaptive sweeps, tightening rtol and atol tenfold until the trace
-    drift is within options.trace_tol."""
-    L = liouvillian(H, collapse)
-    rtol, atol = opts.rtol, opts.atol
-    for retry in range(opts.max_retries + 1):
-        outputs, n_steps, n_rejected = _rk45_sweep(L, v0, t, rtol, atol)
-        drift = _trace_drift(np.stack(outputs, axis=1), H.dim)
-        stats.update(n_steps=n_steps, n_rejected=n_rejected, retries=retry,
-                     rtol_used=rtol, atol_used=atol, max_trace_drift=drift)
-        if drift <= opts.trace_tol:
-            return outputs
-        rtol /= 10.0
-        atol /= 10.0
-    raise IntegrationError("tolerance tightening exhausted", stats)
-
-
 def evolve_master(
     H: Operator,
     collapse: CollapseSet,
@@ -413,30 +328,20 @@ def evolve_master(
     options: EvolveOptions | None = None,
     observables: Mapping[str, Callable[[np.ndarray], float]] | None = None,
 ) -> Trajectory:
-    """Integrate the master equation over the grid and record every state
-    and observable.
-
-    expm and rk4 run through `propagate`; rk45 is the adaptive cross-check,
-    retried with tenfold tighter tolerances while the trace drift exceeds
-    options.trace_tol, then IntegrationError. Stats also carry the
-    Hermiticity drift and minimum eigenvalue over all outputs.
+    """The states and observables of `propagate` from rho0 at every time of
+    the grid. Stats also carry the Hermiticity drift and minimum eigenvalue
+    over all outputs.
     """
-    opts = options or EvolveOptions()
     t = _check_grid(t_grid)
     if rho0.space != H.space:
         raise ValueError("initial state and Hamiltonian live on different spaces")
     d = H.dim
     v0 = rho0.to_density().data.reshape(-1)
-    if opts.method == "rk45":
-        stats: dict = {"method": opts.method}
-        outputs = _rk45_sweep_retrying(H, collapse, v0, t, opts, stats)
-        states = [v.reshape(d, d) for v in outputs]
-    else:  # the real parts of the rows [I; -iI] are Re and Im of vec(rho)
-        eye = np.eye(d * d)
-        series, stats = propagate(H, collapse, v0[:, None], np.concatenate([eye, -1j * eye]),
-                                  t, opts)
-        vecs = series[0, :d * d] + 1j * series[0, d * d:]
-        states = [vecs[:, i].reshape(d, d) for i in range(len(t))]
+    eye = np.eye(d * d)  # the real parts of the rows [I; -iI] are Re and Im of vec(rho)
+    series, stats = propagate(H, collapse, v0[:, None], np.concatenate([eye, -1j * eye]),
+                              t, options)
+    vecs = series[0, :d * d] + 1j * series[0, d * d:]
+    states = [vecs[:, i].reshape(d, d) for i in range(len(t))]
     stats["max_herm_drift"], stats["min_eigenvalue"] = _health(np.stack(states))
     obs_series = {name: np.array([fn(rho) for rho in states], dtype=float)
                   for name, fn in (observables or {}).items()}

@@ -1,5 +1,5 @@
-"""State and gate fidelities, the closed-form CNOT fidelity curves, and
-discrete / Bloch-sphere initial-state averages.
+"""State and gate fidelities, the closed-form CNOT fidelity curves, the
+initial-state families and `bloch_grid`, their Bloch-sphere quadrature.
 
 `state_fidelity` is the overlap convention <target|rho|target>. The master-
 equation figure pipeline additionally reports `amplitude_fidelity`, its
@@ -8,12 +8,11 @@ for a pure target and the one the reproduced figure data follows.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import Trajectory
 from .fockspace import QuantumState
 from .gates import cnot_sequence, ideal_cnot
 from .schema import check_fields
@@ -254,26 +253,3 @@ def bloch_grid(family: InitialStateFamily) -> tuple[list[np.ndarray], np.ndarray
         make = bloch_family(family.family)
     keep = np.flatnonzero(weights > 0.0)
     return [make(*points[i]) for i in keep], weights[keep]
-
-
-def bloch_average(
-    times: np.ndarray,
-    family: InitialStateFamily,
-    evaluator: Callable[[np.ndarray], np.ndarray],
-    grid: tuple[int, int] | None = None,
-    name: str = "fidelity",
-) -> Trajectory:
-    """sin(theta)-weighted trapezoidal average of evaluator(state) over the
-    family's Bloch grid (or `grid`, if given). The evaluator maps a
-    4-component ket to a series on `times` and may be called concurrently by
-    callers; it must be reentrant.
-    """
-    if grid is not None:
-        family = replace(family, grid=grid)
-    times = np.asarray(times, dtype=float)
-    acc = np.zeros(len(times))
-    total = 0.0
-    for v, w in zip(*bloch_grid(family)):
-        acc += w * evaluator(v)
-        total += w
-    return Trajectory(times, None, {name: acc / total}, {"grid": family.grid})

@@ -227,7 +227,7 @@ def test_criterion_7_lindblad_oracles():
     n_op = (a.dag() @ a).data
     worst_decay = 0.0
     stats_pool = []
-    for method in ("expm", "rk45"):
+    for method in ("expm", "rk4"):
         traj = evolve_master(h0, decay, rho0, t, EvolveOptions(method=method),
                              observables={"n": lambda r: np.trace(n_op @ r).real})
         worst_decay = max(worst_decay, float(np.max(np.abs(

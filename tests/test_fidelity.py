@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from phonongate.fidelity import (
     amplitude_fidelity,
     avg_fidelity_entangled,
     avg_fidelity_separable,
-    bloch_average,
     bloch_family,
     bloch_grid,
     gate_fidelity_closed,
@@ -146,30 +147,33 @@ def test_family_structure():
     assert abs(bottom[2]) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
 
 
+def bloch_average(family, evaluator):
+    """The bloch_grid quadrature of evaluator(ket): weights over their sum."""
+    kets, weights = bloch_grid(family)
+    return weights @ np.array([evaluator(v) for v in kets]) / weights.sum()
+
+
+def gate_fidelities(ots):
+    return lambda v: np.array([gate_fidelity_matrix(v, ot) for ot in ots])
+
+
 def test_bloch_average_constant_evaluator():
-    t = np.linspace(0, 1, 4)
     fam = InitialStateFamily("schmidt-entangled", grid=(16, 16))
-    out = bloch_average(t, fam, lambda _: np.full(4, 0.37))
-    assert np.allclose(out.observables["fidelity"], 0.37)
+    assert np.allclose(bloch_average(fam, lambda _: np.full(4, 0.37)), 0.37)
 
 
 def test_bloch_average_matches_entangled_closed_form():
     ots = np.array([0.0, 0.4, 1.0, np.pi / 2, 2.2])
     fam = InitialStateFamily("schmidt-entangled", grid=(64, 64))
-    out = bloch_average(
-        ots, fam, lambda v: np.array([gate_fidelity_matrix(v, ot) for ot in ots]),
-        grid=(64, 64))
-    expected = avg_fidelity_entangled(ots)
-    assert np.max(np.abs(out.observables["fidelity"] - expected)) <= 1e-3
+    out = bloch_average(fam, gate_fidelities(ots))
+    assert np.max(np.abs(out - avg_fidelity_entangled(ots))) <= 1e-3
 
 
 def test_bloch_average_separable_consistency():
     # two-sphere weighting against an independently coded trapezoid
     ots = np.array([0.4, 2.2])
-    fam = InitialStateFamily("separable-product", grid=(12, 8))
-    out = bloch_average(
-        ots, fam, lambda v: np.array([gate_fidelity_matrix(v, ot) for ot in ots]),
-        grid=(12, 8))
+    out = bloch_average(InitialStateFamily("separable-product", grid=(12, 8)),
+                        gate_fidelities(ots))
     thetas = np.linspace(0, np.pi, 12)
     phis = np.linspace(0, 2 * np.pi, 8)
     wt = np.ones(12); wt[0] = wt[-1] = 0.5
@@ -186,13 +190,13 @@ def test_bloch_average_separable_consistency():
         expected += w * np.array([gate_fidelity_matrix(v, ot) for ot in ots])
         total += w
     expected /= total
-    assert np.max(np.abs(out.observables["fidelity"] - expected)) <= 1e-12
+    assert np.max(np.abs(out - expected)) <= 1e-12
 
 
 def test_bloch_average_grid_floor():
     fam = InitialStateFamily("schmidt-entangled", grid=(16, 16))
     with pytest.raises(ValueError):
-        bloch_average(np.zeros(2), fam, lambda v: np.zeros(2), grid=(4, 16))
+        bloch_average(replace(fam, grid=(4, 16)), lambda v: np.zeros(2))
 
 
 def test_family_validation():

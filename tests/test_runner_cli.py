@@ -459,3 +459,14 @@ def test_cli_sweep_integer_key(tmp_path):
     steps = [json.loads((tmp_path / "sweep" / run["outdir"] / "summary.json").read_text())
              ["config"]["n_steps"] for run in manifest["runs"]]
     assert steps == [11, 21]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_jobs_below_one_is_refused(tmp_path, jobs):
+    out = tmp_path / "out"
+    for args in (["figure", "fig9"],
+                 ["sweep", "--preset", "paper_v1", "--param", "params.Q", "--values", "1e6"]):
+        res = CliRunner().invoke(cli.main, [*args, "--out", str(out), "--jobs", jobs])
+        assert res.exit_code != 0
+        assert "--jobs" in res.output
+        assert not out.exists()
