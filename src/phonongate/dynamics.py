@@ -13,14 +13,19 @@ evaluated as chunks of exp(t nu^T) @ A. The rates nu set the integrator:
 
 Both need a uniform grid. When H keeps the total occupation parity and
 every collapse operator keeps or flips it, L splits exactly into two blocks
-(`parity_blocks`); each block the initial columns occupy is eigendecomposed
-once. The decomposition is gated (Moler & Van Loan, SIAM Rev. 45, 3 (2003),
-method 14, and its caveat on an ill-conditioned V): ||LV - V Lambda|| / ||L||
-and the cancellation bound eps max_j sum_k |A_jk| must both be at most
-EIG_TOL; a defective L passes the first and fails the second. The trace is
-one more row, gated at every output (rk4 doubles m and retries), and the
-final output's Hermiticity and positivity come from V (exp(nu t_N) * V^-1 v0).
-`evolve_master` is `propagate` with the states read back.
+(`parity_blocks`). Each block the initial columns occupy splits further into
+real symmetry sectors (`symmetry_sectors`): in a basis of Hermitian matrices
+L is real, and when H and the collapse set are exactly invariant under the
+beam swap, its even and odd halves are uncoupled. Each occupied sector is
+eigendecomposed once, as the real matrix L_s = Q^H L Q. The decomposition is
+gated (Moler & Van Loan, SIAM Rev. 45, 3 (2003), method 14, and its caveat
+on an ill-conditioned V): ||L_s V - V Lambda|| / ||L_s||, max |Im Q^H L Q| /
+||L_s|| and the cancellation bound eps max_j sum_k |A_jk| must all be at
+most EIG_TOL; a defective L passes the first and fails the last. The trace
+is one more row, gated at every output (rk4 doubles m and retries), and the
+final output's Hermiticity and positivity come from the sum over sectors of
+Q V (exp(nu t_N) * V^-1 Q^H v0). `evolve_master` is `propagate` with the
+states read back.
 """
 from __future__ import annotations
 
@@ -151,6 +156,103 @@ def parity_blocks(H: Operator, collapse: CollapseSet) -> list[np.ndarray]:
     return [np.flatnonzero(~cross), np.flatnonzero(cross)]
 
 
+def beam_swap(H: Operator, collapse: CollapseSet) -> np.ndarray | None:
+    """The basis permutation that exchanges the last two tensor factors (the
+    two beams) if H and the collapse operators, as a multiset, are exactly
+    invariant under it; None otherwise. Entries are compared exactly."""
+    _check_spaces(H, collapse)
+    dims = H.space.dims
+    if len(dims) < 2 or dims[-1] != dims[-2]:
+        return None
+    perm = np.arange(H.dim).reshape(dims).swapaxes(-1, -2).reshape(-1)
+    ops = [op.data for op in collapse.ops]
+
+    def swap(a):
+        return a[np.ix_(perm, perm)]
+
+    def count(a):
+        return sum(np.array_equal(a, o) for o in ops)
+
+    if np.array_equal(swap(H.data), H.data) and all(count(swap(c)) == count(c) for c in ops):
+        return perm
+    return None
+
+
+def symmetry_sectors(H: Operator, collapse: CollapseSet,
+                     block: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Orthonormal bases Q of the real symmetry sectors of a parity block.
+
+    The block's entries (i, j) are closed under (i, j) -> (j, i), so the
+    Hermitian matrices E_ii, (E_ij + E_ji)/sqrt2 and i(E_ij - E_ji)/sqrt2
+    (i < j) span it, and Q^H L Q is real: L maps Hermitian rho to Hermitian
+    rho. When `beam_swap` holds, each such h is paired with its signed swap
+    image s h' as (h + s h')/sqrt2 and (h - s h')/sqrt2, an even and an odd
+    sector that L never couples (a weak symmetry, Albert & Jiang, Phys. Rev.
+    A 89, 022118 (2014)); otherwise the block is one sector. A sector is
+    (idx, coef), (m, 2) or (m, 4) arrays: column q of Q holds coef[q, t] at
+    block position idx[q, t]. Terms t = 0, 1 (and 2, 3) are a conjugate pair,
+    entries (i, j) and (j, i), or one entry and a zero pad; summed pairwise,
+    they keep Q^H L Q exactly real (`sector_liouvillian`).
+    """
+    d = H.dim
+    block = np.asarray(block)
+    pos = np.full(d * d, -1)
+    pos[block] = np.arange(block.size)
+    i, j = np.divmod(block[block // d <= block % d], d)
+    off = i < j
+    # Hermitian basis: kind 0 is E_ii or the real part, kind 1 the imaginary part
+    hi, hj = np.concatenate([i, i[off]]), np.concatenate([j, j[off]])
+    kind = np.repeat([0, 1], [i.size, np.count_nonzero(off)])
+    idx = np.stack([pos[hi * d + hj], pos[hj * d + hi]], axis=1)
+    if np.any(idx < 0):
+        raise ValueError("a sector block must hold (j, i) with every entry (i, j)")
+    phase = np.where(kind[:, None] == 1, [1j, -1j], [1.0, 1.0])
+    phase[hi == hj, 1] = 0.0
+    sectors = [(idx, phase)]
+    perm = beam_swap(H, collapse)
+    if perm is not None:
+        si, sj = perm[hi], perm[hj]
+        sign = np.where((kind == 1) & (si > sj), -1.0, 1.0)
+        table = np.full((2, d * d), -1)
+        table[kind, hi * d + hj] = np.arange(kind.size)
+        image = table[kind, np.minimum(si, sj) * d + np.maximum(si, sj)]
+        if np.all(image >= 0):
+            n = np.arange(kind.size)
+            pair = n < image
+            twin = phase[image[pair]] * sign[pair, None]
+            sectors = []
+            for s in (1.0, -1.0):
+                own = (n == image) & (sign == s)
+                sectors.append((
+                    np.concatenate([np.hstack([idx[pair], idx[image[pair]]]),
+                                    np.hstack([idx[own], idx[own]])]),
+                    np.concatenate([np.hstack([phase[pair], s * twin]),
+                                    np.hstack([phase[own], np.zeros_like(phase[own])])])))
+    return [(ix, c / np.sqrt(np.sum(np.abs(c) ** 2, axis=1, keepdims=True)))
+            for ix, c in sectors if len(ix)]
+
+
+def _apply_basis(x: np.ndarray, idx: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """out[q] = sum_t coef[q, t] x[idx[q, t]] along axis 0 of x, summed as
+    (t0 + t1) + (t2 + t3): Q^T x for a sector basis (coef.conj() gives Q^H x)."""
+    shape = (-1,) + (1,) * (x.ndim - 1)
+    for t in range(0, idx.shape[1], 2):
+        pair = x[idx[:, t]] * coef[:, t].reshape(shape)
+        pair += x[idx[:, t + 1]] * coef[:, t + 1].reshape(shape)
+        if t:
+            out += pair
+        else:
+            out = pair
+    return out
+
+
+def sector_liouvillian(L: np.ndarray, idx: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Q^H L Q for a sector basis (idx, coef) of the block that L is on.
+    L[(j, i), (l, k)] = conj(L[(i, j), (k, l)]) for an exactly Hermitian H
+    and C†C, so with the pairwise sums the imaginary part is exactly 0."""
+    return _apply_basis(_apply_basis(L.T, idx, coef).T, idx, coef.conj())
+
+
 @dataclass(frozen=True)
 class EvolveOptions:
     method: str = "expm"  # expm | rk4
@@ -238,9 +340,10 @@ def propagate(
 
     `rows` is one (r, d*d) set for every column or a (k, r, d*d) stack, one
     set per column. Returns the real (k, r, n_t) series, whose output 0 is
-    exactly rows @ columns, and the stats: sizes, the parity blocks
-    eigendecomposed (n_blocks) and their vec(rho) entries (support), the gate
-    (eig_residual, cancellation_bound), the largest |Im nu| dt over the modes
+    exactly rows @ columns, and the stats: sizes, the parity blocks the
+    columns occupy (n_blocks) and their vec(rho) entries (support), the sizes
+    of the sectors eigendecomposed (sectors), the gate (eig_residual,
+    sector_imag, cancellation_bound), the largest |Im nu| dt over the modes
     the rows see (max_phase_per_output), retries, max_trace_drift, and the
     Hermiticity drift and minimum eigenvalue of the final output. Raises
     IntegrationError when the gate fails or the trace drifts beyond
@@ -266,23 +369,34 @@ def propagate(
 
     blocks = [b for b in parity_blocks(H, collapse) if np.any(columns[b])]
     stats: dict = {"method": opts.method, "n_steps": len(t) - 1, "n_columns": k,
-                   "n_blocks": len(blocks), "support": sum(b.size for b in blocks)}
-    lam, amps, modes, residual = [], [], [], 0.0
+                   "n_blocks": len(blocks), "support": sum(b.size for b in blocks),
+                   "sectors": []}
+    lam, amps, modes, residual, imag = [], [], [], 0.0, 0.0
     for b in blocks:
         L = liouvillian(H, collapse, b)
-        w, V = eig(L)
-        res = L @ V
-        res -= V * w
-        residual = max(residual, float(np.linalg.norm(res) / (np.linalg.norm(L) or 1.0)))
-        c = solve(V, columns[b], check_finite=False)  # (m, k)
-        lam.append(w)
-        amps.append((rows[..., b] @ V) * c.T[:, None, :])  # (k, r, m)
-        modes.append((b, V, c))
+        for idx, coef in symmetry_sectors(H, collapse, b):
+            v0 = _apply_basis(columns[b], idx, coef.conj())  # Q^H columns, (m, k)
+            if not np.any(v0):
+                continue
+            M = sector_liouvillian(L, idx, coef)
+            Ls = M.real
+            scale = np.linalg.norm(Ls) or 1.0
+            imag = max(imag, float(np.max(np.abs(M.imag)) / scale))
+            w, V = eig(Ls)
+            res = V * w  # V is real when every eigenvalue is
+            res -= Ls @ V
+            residual = max(residual, float(np.linalg.norm(res) / scale))
+            c = solve(V, v0, check_finite=False)  # (m, k)
+            rows_q = _apply_basis(rows[..., b].T, idx, coef).T  # rows Q
+            lam.append(w)
+            amps.append((rows_q @ V) * c.T[:, None, :])  # (k, r, m)
+            modes.append((b[idx], coef, V, c))
+            stats["sectors"].append(idx.shape[0])
     lam, amps = np.concatenate(lam), np.concatenate(amps, axis=-1)
     magnitude = np.abs(amps)
-    stats.update(eig_residual=residual, cancellation_bound=float(
+    stats.update(eig_residual=residual, sector_imag=imag, cancellation_bound=float(
         np.finfo(float).eps * np.max(magnitude.sum(axis=-1))))
-    if not (residual <= EIG_TOL and stats["cancellation_bound"] <= EIG_TOL):
+    if not (residual <= EIG_TOL and imag <= EIG_TOL and stats["cancellation_bound"] <= EIG_TOL):
         raise IntegrationError(f"eigendecomposition of L beyond {EIG_TOL:g} "
                                "(defective or ill-conditioned)", stats)
     seen = np.max(magnitude, axis=(0, 1)) > 1e-12 * np.max(magnitude)
@@ -313,9 +427,9 @@ def propagate(
 
     stats["max_phase_per_output"] = float(np.max(np.abs(nu[seen].imag)) * dts[0])
     final = np.zeros((d * d, k), dtype=complex)
-    grow = np.split(np.exp(nu * t[-1]), np.cumsum([b.size for b, _, _ in modes])[:-1])
-    for (b, V, c), e in zip(modes, grow):
-        final[b] = V @ (e[:, None] * c)
+    grow = np.split(np.exp(nu * t[-1]), np.cumsum(stats["sectors"])[:-1])
+    for (where, coef, V, c), e in zip(modes, grow):  # Q V (e c), summed over the sectors
+        np.add.at(final, where, coef[..., None] * (V @ (e[:, None] * c))[:, None, :])
     stats["final_herm_drift"], stats["final_min_eigenvalue"] = _health(final.T.reshape(k, d, d))
     return out, stats
 

@@ -43,9 +43,9 @@ _KEYS = {**_HZ_KEYS, **_PLAIN_KEYS}
 class PhysicalParams:
     """Physical constants of one scenario (angular frequencies, rad/s).
 
-    Delta may carry either sign; every rate must be nonnegative. Optional
-    fields default to None and are filled by the scenario runner (gamma_m
-    from Q, n_th from T) when absent.
+    Delta may carry either sign; every rate must be nonnegative, and Q
+    positive. Optional fields default to None and are filled by the scenario
+    runner (gamma_m from Q, n_th from T) when absent.
     """
 
     Delta: float = 0.0
@@ -69,6 +69,8 @@ class PhysicalParams:
             v = getattr(self, name)
             if v is not None and v < 0:
                 raise ValueError(f"{name} must be nonnegative, got {v}")
+        if self.Q == 0:
+            raise ValueError("Q must be positive (a lossless beam is gamma_m_hz = 0), got 0")
         if self.gamma_m is not None and self.Q and self.omega_G:
             expected = self.omega_G / self.Q
             if abs(self.gamma_m - expected) > 1e-10 * max(abs(expected), 1e-300):
@@ -153,14 +155,16 @@ def system_hamiltonian(
     n_cav = space.dims[0]
     a = embed(annihilation_op(n_cav), space, 0)
     x_c = embed(cavity_quadrature(n_cav, quadrature_convention), space, 0)
-    h = (-p.Delta) * (a.dag() @ a)
+    beams = []
     for slot in (1, 2):
         n_b = space.dims[slot]
         b = embed(annihilation_op(n_b), space, slot)
         x_j = embed(quadrature_op(n_b), space, slot)
         x4 = b.data + b.data.conj().T
         quartic = Operator(space, np.linalg.matrix_power(x4, 4))
-        h = h + p.g_G * (x_c @ x_j) + p.omega_G * (b.dag() @ b) + (0.5 * p.lam) * quartic
+        beams.append(p.g_G * (x_c @ x_j) + p.omega_G * (b.dag() @ b) + (0.5 * p.lam) * quartic)
+    # the beam terms summed first, so that H is exactly invariant under the beam swap
+    h = (-p.Delta) * (a.dag() @ a) + (beams[0] + beams[1])
     x1 = embed(quadrature_op(space.dims[1]), space, 1)
     x2 = embed(quadrature_op(space.dims[2]), space, 2)
     h = h - p.G_tilde * (x1 @ x2)

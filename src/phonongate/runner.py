@@ -305,6 +305,24 @@ def _analytic_omega(cfg: ScenarioConfig) -> float:
     return exchange_rate(p.Delta, p.omega_G, p.g_G, xg_sq)
 
 
+MIN_QUBIT_WEIGHT = 0.05  # below it, summary.json warns of a poorly conditioned fidelity
+
+
+def _warnings(stats: dict) -> list[str]:
+    """Recorded, not refused: the literal n_b = 4 runs of the published grid
+    trip both."""
+    found = []
+    phase = stats.get("max_phase_per_output")
+    if phase is not None and phase > np.pi:
+        found.append(f"max_phase_per_output {phase:.3g} rad > pi: the time grid aliases "
+                     "the fastest oscillation the outputs see")
+    weight = stats.get("min_qubit_weight")
+    if weight is not None and weight < MIN_QUBIT_WEIGHT:
+        found.append(f"min_qubit_weight {weight:.3g} < {MIN_QUBIT_WEIGHT:g}: the fidelity is "
+                     "conditioned on a small share of the population")
+    return found
+
+
 def run_scenario(cfg: ScenarioConfig, outdir) -> dict:
     """Execute one scenario; writes trajectory.csv and summary.json, returns
     the summary mapping."""
@@ -339,6 +357,7 @@ def run_scenario(cfg: ScenarioConfig, outdir) -> dict:
         "leakage_max": stats.get("max_leakage", 0.0),
         "runtime_s": time.perf_counter() - started,
         "integrator": stats,
+        "warnings": _warnings(stats),
         "config": cfg.to_mapping(),
     }
     traj = Trajectory(times, None, columns, stats)

@@ -11,12 +11,15 @@ from phonongate.dynamics import (
     IntegrationError,
     Trajectory,
     _rk4_rates,
+    beam_swap,
     evolve_master,
     evolve_unitary,
     liouvillian,
     mech_damping,
     parity_blocks,
     propagate,
+    sector_liouvillian,
+    symmetry_sectors,
     thermal_occupation,
 )
 from phonongate.fockspace import (
@@ -27,6 +30,8 @@ from phonongate.fockspace import (
     embed,
     number_op,
 )
+from phonongate.hamiltonians import system_hamiltonian
+from phonongate.runner import PAPER_V1, ScenarioConfig, resolved_params
 
 TWOPI = 2 * np.pi
 
@@ -275,6 +280,17 @@ def test_propagate_refuses_a_defective_liouvillian():
     assert err.value.stats["cancellation_bound"] > EIG_TOL
 
 
+def test_propagate_refuses_a_non_hermitian_hamiltonian():
+    # L then does not keep rho Hermitian, and Q^H L Q is not real: the gate
+    # sees the imaginary part of each sector's matrix
+    space, _, _, collapse = cavity_decay_setup(dim=3, kappa=0.5)
+    H = Operator(space, np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=complex))
+    rho0 = QuantumState.fock(space, [1]).to_density().data.reshape(-1, 1)
+    with pytest.raises(IntegrationError, match="eigendecomposition") as err:
+        propagate(H, collapse, rho0, np.eye(9), np.linspace(0.0, 1.0, 11))
+    assert err.value.stats["sector_imag"] > EIG_TOL
+
+
 def test_evolve_master_hermiticity_and_positivity_stats():
     space, H, a, collapse = cavity_decay_setup(dim=3, kappa=0.5)
     rho0 = QuantumState.ket(space, [0.6, 0.8j, 0.0]).to_density()
@@ -471,16 +487,124 @@ def test_propagate_matches_dense_expm_property(seed, mix, k, t_max, method):
     t = np.linspace(0.0, t_max, 9)
     seen, stats = _states(H, collapse, columns, t, EvolveOptions(method=method))
     assert stats["n_blocks"] == (2 if mix is None else 1)
-    L = kron_liouvillian(H, collapse)
+    assert_density_outputs_match_expm(H, collapse, columns, t, seen, method)
+
+
+def assert_density_outputs_match_expm(H, collapse, columns, t, seen, method):
+    """Every output equals expm(L t_i) v0 and is a density matrix."""
+    d, k = H.dim, columns.shape[1]
     # rk4 adds its discretization error, ~1e-12 here at the default substep phase
     tol = 1e-10 if method == "expm" else 1e-9
-    for ti, vec in zip(t, seen, strict=True):
-        assert np.max(np.abs(vec - expm(L * ti) @ columns)) <= tol
-        rho = vec.T.reshape(k, 6, 6)
+    for vec, ref in zip(seen, _dense_outputs(H, collapse, columns, t), strict=True):
+        assert np.max(np.abs(vec - ref)) <= tol
+        rho = vec.T.reshape(k, d, d)
         adj = rho.conj().swapaxes(1, 2)
         assert np.max(np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0)) <= 1e-10
         assert np.max(np.abs(rho - adj)) <= 1e-10
         assert np.min(np.linalg.eigvalsh(0.5 * (rho + adj))) >= -1e-10
+
+
+def swap_model(mix=None, seed=7, swap=True):
+    """Cavity x beam x beam, two levels each: a random parity-keeping H made
+    exactly invariant under the beam swap, cavity decay and thermal beam
+    channels, the beams damped at one rate (two rates when swap=False);
+    mix="collapse" adds the parity-mixing cavity channel a + a†a."""
+    rng = np.random.default_rng(seed)
+    space = SpaceDescriptor((2, 2, 2))
+    p = space.parity
+    perm = np.arange(8).reshape(2, 2, 2).swapaxes(1, 2).reshape(-1)
+    m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    m = np.where(p[:, None] == p[None, :], m + m.conj().T, 0.0)
+    a = embed(annihilation_op(2), space, 0)
+    b1, b2 = (embed(annihilation_op(2), space, slot) for slot in (1, 2))
+    g1, g2 = (float(g) for g in rng.uniform(0.1, 0.5, size=2))
+    ops = [0.4 * a, g1 * b1, (g1 if swap else g2) * b2, 0.2 * b1.dag(), 0.2 * b2.dag()]
+    if mix == "collapse":
+        ops.append(0.5 * (a + a.dag() @ a))
+    return space, Operator(space, m + m[np.ix_(perm, perm)]), CollapseSet(tuple(ops))
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), mix=st.sampled_from([None, "collapse"]),
+       k=st.integers(1, 3), t_max=st.floats(0.1, 4.0), method=st.sampled_from(["expm", "rk4"]))
+def test_propagate_on_swap_sectors_matches_dense_expm_property(seed, mix, k, t_max, method):
+    # a beam-swap-symmetric model and random rho0, which are not: every block
+    # splits into an even and an odd sector, and both are occupied
+    _, H, collapse = swap_model(mix, seed)
+    assert beam_swap(H, collapse) is not None
+    columns = random_densities(np.random.default_rng([seed, 1]), 8, k)
+    t = np.linspace(0.0, t_max, 9)
+    seen, stats = _states(H, collapse, columns, t, EvolveOptions(method=method))
+    assert stats["n_blocks"] == (2 if mix is None else 1)
+    assert len(stats["sectors"]) == 2 * stats["n_blocks"]
+    assert sum(stats["sectors"]) == stats["support"]
+    assert_density_outputs_match_expm(H, collapse, columns, t, seen, method)
+
+
+@pytest.mark.parametrize("method", ["expm", "rk4"])
+def test_propagate_without_the_swap_keeps_one_sector_per_block(method):
+    # unequal beam damping breaks the swap: one real sector per parity block
+    _, H, collapse = swap_model(swap=False)
+    assert beam_swap(H, collapse) is None
+    columns = random_densities(np.random.default_rng(5), 8, 2)
+    t = np.linspace(0.0, 2.0, 9)
+    seen, stats = _states(H, collapse, columns, t, EvolveOptions(method=method))
+    assert stats["sectors"] == [32, 32]
+    assert_density_outputs_match_expm(H, collapse, columns, t, seen, method)
+
+
+def sector_basis_matrix(n, sectors):
+    """The dense (n, n) matrix whose columns are the sectors' basis vectors."""
+    Q = np.zeros((n, n), dtype=complex)
+    start = 0
+    for idx, coef in sectors:
+        cols = start + np.arange(idx.shape[0])
+        for t in range(idx.shape[1]):
+            np.add.at(Q, (idx[:, t], cols), coef[:, t])
+        start = cols[-1] + 1
+    assert start == n
+    return Q
+
+
+def test_sector_liouvillian_is_the_real_part_of_q_dagger_l_q():
+    for mix, swap, sizes in ((None, True, [20, 12]), ("collapse", True, [40, 24]),
+                             (None, False, [32])):
+        _, H, collapse = swap_model(mix, swap=swap)
+        block = parity_blocks(H, collapse)[0]
+        sectors = symmetry_sectors(H, collapse, block)
+        assert [idx.shape[0] for idx, _ in sectors] == sizes
+        L = liouvillian(H, collapse, block)
+        Q = sector_basis_matrix(block.size, sectors)
+        assert np.allclose(Q.conj().T @ Q, np.eye(block.size), rtol=0.0, atol=1e-15)
+        # L never couples two sectors
+        full = Q.conj().T @ L @ Q
+        start = 0
+        for idx, coef in sectors:
+            inside = slice(start, start + idx.shape[0])
+            Ls = sector_liouvillian(L, idx, coef)
+            assert not np.any(Ls.imag)
+            assert np.allclose(Ls, full[inside, inside], rtol=0.0, atol=1e-13 * np.abs(L).max())
+            full[inside, inside] = 0.0
+            start += idx.shape[0]
+        assert np.max(np.abs(full)) <= 1e-13 * np.abs(L).max()
+
+
+def test_paper_v1_nb4_parity_block_splits_into_real_sectors():
+    # the n_b = 4 run's cost is the eigendecomposition of this block; a silent
+    # fallback to one complex block would keep every output and lose the speed-up
+    cfg = ScenarioConfig.from_mapping({"params": PAPER_V1, "dims": {"n_cav": 3, "n_b": 4}})
+    p = resolved_params(cfg)
+    space = SpaceDescriptor((3, 4, 4))
+    H = system_hamiltonian(p, space, cfg.quadrature_convention)
+    collapse = CollapseSet.standard_channels(space, p.kappa, p.gamma_m, p.n_th)
+    block = parity_blocks(H, collapse)[0]
+    sectors = symmetry_sectors(H, collapse, block)
+    assert [idx.shape[0] for idx, _ in sectors] == [616, 536]
+    Q = sector_basis_matrix(block.size, sectors)
+    assert np.allclose(Q.conj().T @ Q, np.eye(block.size), rtol=0.0, atol=1e-15)
+    L = liouvillian(H, collapse, block)
+    for idx, coef in sectors:
+        assert not np.any(sector_liouvillian(L, idx, coef).imag)
 
 
 def test_parity_blocks_fall_back_to_one_block():

@@ -4,6 +4,7 @@ from dataclasses import replace
 from scipy.constants import hbar
 
 from phonongate.duffing import duffing_spectrum
+from phonongate.dynamics import CollapseSet, beam_swap
 from phonongate.fockspace import SpaceDescriptor
 from phonongate.hamiltonians import (
     PhysicalParams,
@@ -110,6 +111,35 @@ def test_system_hamiltonian_bare_convention():
     assert h[0, 0b110] == pytest.approx(p.g_G / np.sqrt(2), rel=1e-12)
     with pytest.raises(ValueError):
         system_hamiltonian(p, space, quadrature_convention="other")
+
+
+def beam_swap_permutation(space):
+    return np.arange(space.total).reshape(space.dims).swapaxes(1, 2).reshape(-1)
+
+
+@pytest.mark.parametrize("convention", ["symmetric", "bare"])
+@pytest.mark.parametrize("n_b", [2, 4])
+def test_system_hamiltonian_is_exactly_beam_swap_symmetric(convention, n_b):
+    # exact equality, not a tolerance: the spectral core splits L on it
+    p = default_params()
+    assert p.G_tilde != 0.0
+    space = SpaceDescriptor((3, n_b, n_b))
+    H = system_hamiltonian(p, space, convention)
+    perm = beam_swap_permutation(space)
+    assert np.array_equal(H.data[np.ix_(perm, perm)], H.data)
+
+
+def test_standard_channels_map_onto_themselves_under_the_beam_swap():
+    space = SpaceDescriptor((3, 4, 4))
+    ops = CollapseSet.standard_channels(space, kappa=1.0, gamma_m=0.5, n_th=0.3).ops
+    perm = beam_swap_permutation(space)
+    images = [op.data[np.ix_(perm, perm)] for op in ops]
+    # a bijection: every image is one of the operators, and no two images coincide
+    matches = [[i for i, op in enumerate(ops) if np.array_equal(img, op.data)] for img in images]
+    assert all(len(m) == 1 for m in matches)
+    assert sorted(m[0] for m in matches) == list(range(len(ops)))
+    assert [m[0] for m in matches] != list(range(len(ops)))  # the beam channels swap
+    assert beam_swap(system_hamiltonian(default_params(), space), CollapseSet(ops)) is not None
 
 
 def test_system_hamiltonian_factor_count():

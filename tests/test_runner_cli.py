@@ -112,7 +112,8 @@ def scenario_mappings(draw):
         {"omega_G_hz": st.floats(min_value=1.0, max_value=1e9)},
         optional={"Delta_hz": st.floats(min_value=-1e9, max_value=1e9), "g_G_hz": _RATE,
                   "G_tilde_hz": _RATE, "lambda_hz": _RATE, "kappa_hz": _RATE,
-                  "eps_L_hz": st.floats(-1e9, 1e9), "Q": _RATE, "T": _RATE,
+                  "eps_L_hz": st.floats(-1e9, 1e9), "T": _RATE,
+                  "Q": st.floats(min_value=0.0, max_value=1e9, exclude_min=True),
                   "P_in": st.floats(0.0, 10.0)}))
     kinds = ["fixed-list", "named-superposition"]
     kind = draw(st.sampled_from(kinds if mode == "analytic" else
@@ -239,9 +240,13 @@ def test_master_run_writes_outputs(tmp_path):
     assert health["final_min_eigenvalue"] >= -1e-10
     # basis kets keep rho in the parity-diagonal block: 32 of the 64 entries
     assert (health["n_blocks"], health["support"]) == (1, 32)
+    # and the beam swap splits that block into an even and an odd real sector
+    assert health["sectors"] == [20, 12]
     assert health["eig_residual"] <= 1e-10 and health["cancellation_bound"] <= 1e-10
+    assert health["sector_imag"] <= 1e-10
     assert 0.0 < health["max_phase_per_output"] < np.pi
     assert health["min_qubit_weight"] == pytest.approx(1.0 - reloaded["leakage_max"], abs=1e-15)
+    assert reloaded["warnings"] == []
 
 
 def test_master_run_fidelity_convention_sqrt(tmp_path):
@@ -289,6 +294,20 @@ def test_nb4_mode_runs_and_reports_leakage(tmp_path):
     assert summary["leakage_max"] > 0.0
     header = (tmp_path / "trajectory.csv").read_text().splitlines()[0]
     assert "leakage_00" in header
+
+
+def test_coarse_grid_and_small_qubit_weight_are_recorded_as_warnings(tmp_path):
+    # 50 ns per output at n_b = 4: the fastest mode turns by more than pi per
+    # output, and the qubit levels hold little of the population; both are
+    # recorded, and the run still completes
+    cfg = ScenarioConfig.from_mapping(small_master_mapping(
+        dims={"n_cav": 2, "n_b": 4}, n_steps=21, t_max_us=1.0))
+    summary = run_scenario(cfg, tmp_path)
+    assert summary["integrator"]["max_phase_per_output"] > np.pi
+    assert summary["integrator"]["min_qubit_weight"] < 0.05
+    assert [w.split()[0] for w in summary["warnings"]] == ["max_phase_per_output",
+                                                          "min_qubit_weight"]
+    assert json.loads((tmp_path / "summary.json").read_text())["warnings"] == summary["warnings"]
 
 
 def test_bloch_master_run(tmp_path):
@@ -348,6 +367,14 @@ def test_cli_gatecheck_without_a_finite_nonzero_rate_fails_cleanly(args, cause):
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
     assert cause in json.loads(res.stderr)["error"]
+
+
+def test_config_refuses_zero_q():
+    # Q = 0 would otherwise read as lossless beams (gamma_m = 0), not as infinite damping
+    doc = small_master_mapping()
+    doc["params"] = {**doc["params"], "Q": 0.0}
+    with pytest.raises(ValueError, match="Q must be positive"):
+        ScenarioConfig.from_mapping(doc)
 
 
 def test_config_rejects_the_removed_seed_key():
