@@ -102,8 +102,8 @@ def gatecheck(g_hz, omega_hz, delta_hz, xg2):
     """Print the exchange rate, the ISWAP check, and the CNOT-sequence distance."""
     delta, omega_g, g = (2 * np.pi * v for v in (delta_hz, omega_hz, g_hz))
     rate = exchange_rate(delta, omega_g, g, xg2)
-    if rate == 0:
-        raise ValueError("gatecheck needs a nonzero exchange rate: Delta, g and X_G^2 nonzero")
+    if not np.isfinite(rate) or rate == 0:
+        raise ValueError("gatecheck needs a finite nonzero exchange rate from Delta, g and X_G^2")
     t_gate = np.pi / (2 * rate)
     iswap = np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]])
     d_iswap = phase_aligned_distance(exchange_unitary(rate, t_gate), iswap)
@@ -136,7 +136,7 @@ def analytic(config_path, preset, out, t_max_us):
             outputs=("fidelity", "avg_entangled", "avg_separable"),
             label="analytic",
         )
-    if t_max_us:
+    if t_max_us is not None:
         cfg = replace(cfg, t_max_us=t_max_us)
     summary = runner.run_scenario(cfg, outdir)
     click.echo(json.dumps({"peak_fidelity": summary["peak_fidelity"],

@@ -17,15 +17,15 @@ every collapse operator keeps or flips it, L splits exactly into two blocks
 real symmetry sectors (`symmetry_sectors`): in a basis of Hermitian matrices
 L is real, and when H and the collapse set are exactly invariant under the
 beam swap, its even and odd halves are uncoupled. Each occupied sector is
-eigendecomposed once, as the real matrix L_s = Q^H L Q. The decomposition is
-gated (Moler & Van Loan, SIAM Rev. 45, 3 (2003), method 14, and its caveat
-on an ill-conditioned V): ||L_s V - V Lambda|| / ||L_s||, max |Im Q^H L Q| /
-||L_s|| and the cancellation bound eps max_j sum_k |A_jk| must all be at
-most EIG_TOL; a defective L passes the first and fails the last. The trace
-is one more row, gated at every output (rk4 doubles m and retries), and the
-final output's Hermiticity and positivity come from the sum over sectors of
-Q V (exp(nu t_N) * V^-1 Q^H v0). `evolve_master` is `propagate` with the
-states read back.
+eigendecomposed once, as the real matrix L_s = Q^H L Q read off rows of L
+(`sector_liouvillian`), for an H Hermitian to EIG_TOL (sector_imag). It is
+gated (Moler & Van Loan, SIAM Rev. 45, 3 (2003), method 14, and its caveat on
+an ill-conditioned V): ||L_s V - V Lambda|| / ||L_s|| and the cancellation
+bound eps max_j sum_k |A_jk| must be at most EIG_TOL; a defective L fails only
+the second. The trace is one more row, gated at every output (rk4 doubles m
+and retries), and the final output's Hermiticity and positivity come from the
+sum over sectors of Q V (exp(nu t_N) * V^-1 Q^H v0). `evolve_master` is
+`propagate` with the states read back.
 """
 from __future__ import annotations
 
@@ -115,26 +115,24 @@ def _check_spaces(H: Operator, collapse: CollapseSet) -> None:
         raise ValueError("collapse operators and Hamiltonian live on different spaces")
 
 
-def liouvillian(H: Operator, collapse: CollapseSet, block: np.ndarray | None = None) -> np.ndarray:
-    """Dense superoperator L of the master equation
-    rho_dot = -i[H, rho] + sum_k (C rho C† - (C†C rho + rho C†C)/2), acting on
-    row-major vec(rho), or only its rows and columns `block` (vec indices
-    i*d + j) when given: the Kronecker formula evaluated entry by entry on the
-    block, so the full d^2 x d^2 matrix is never formed."""
+def liouvillian(H: Operator, collapse: CollapseSet, rows: np.ndarray | None = None,
+                cols: np.ndarray | None = None) -> np.ndarray:
+    """Superoperator L of rho_dot = -i[H, rho] + sum_C (C rho C† - (C†C rho +
+    rho C†C)/2) on row-major vec(rho), for a Hermitian H, in the standard form
+    -i K⊗1 + i 1⊗conj(K) + sum_C C⊗conj(C), K = H - (i/2) sum_C C†C: whole, or
+    the block of `rows` (vec indices i*d + j) and `cols` (default `rows`),
+    evaluated entry by entry so the full d^2 x d^2 matrix is never formed."""
     _check_spaces(H, collapse)
     d = H.dim
-    left, right = np.divmod(np.arange(d * d) if block is None else np.asarray(block), d)
-    rows, cols = np.ix_(left, left), np.ix_(right, right)
-    eye = np.eye(d, dtype=complex)
-
-    def kron(a, b):  # np.kron(a, b)[block][:, block]
-        return a[rows] * b[cols]
-
-    L = -1j * (kron(H.data, eye) - kron(eye, H.data.T))
+    rows = np.arange(d * d) if rows is None else np.asarray(rows)
+    cols = rows if cols is None else np.asarray(cols)
+    (ri, rj), (ci, cj) = np.divmod(rows, d), np.divmod(cols, d)
+    left, right = np.ix_(ri, ci), np.ix_(rj, cj)
+    K = H.data - 0.5j * sum(op.data.conj().T @ op.data for op in collapse.ops)
+    L = (np.where(rj[:, None] == cj, -1j * K[left], 0.0)
+         + np.where(ri[:, None] == ci, 1j * K.conj()[right], 0.0))
     for op in collapse.ops:
-        c = op.data
-        cdc = c.conj().T @ c
-        L += kron(c, c.conj()) - 0.5 * (kron(cdc, eye) + kron(eye, cdc.T))
+        L += op.data[left] * op.data.conj()[right]
     return L
 
 
@@ -190,9 +188,9 @@ def symmetry_sectors(H: Operator, collapse: CollapseSet,
     sector that L never couples (a weak symmetry, Albert & Jiang, Phys. Rev.
     A 89, 022118 (2014)); otherwise the block is one sector. A sector is
     (idx, coef), (m, 2) or (m, 4) arrays: column q of Q holds coef[q, t] at
-    block position idx[q, t]. Terms t = 0, 1 (and 2, 3) are a conjugate pair,
-    entries (i, j) and (j, i), or one entry and a zero pad; summed pairwise,
-    they keep Q^H L Q exactly real (`sector_liouvillian`).
+    block position idx[q, t], its nonzero terms share one magnitude (a zero
+    coefficient pads a shorter column), and coef[q, 0] is never 0, which
+    `sector_liouvillian` relies on.
     """
     d = H.dim
     block = np.asarray(block)
@@ -233,24 +231,21 @@ def symmetry_sectors(H: Operator, collapse: CollapseSet,
 
 
 def _apply_basis(x: np.ndarray, idx: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """out[q] = sum_t coef[q, t] x[idx[q, t]] along axis 0 of x, summed as
-    (t0 + t1) + (t2 + t3): Q^T x for a sector basis (coef.conj() gives Q^H x)."""
-    shape = (-1,) + (1,) * (x.ndim - 1)
-    for t in range(0, idx.shape[1], 2):
-        pair = x[idx[:, t]] * coef[:, t].reshape(shape)
-        pair += x[idx[:, t + 1]] * coef[:, t + 1].reshape(shape)
-        if t:
-            out += pair
-        else:
-            out = pair
-    return out
+    """out[q] = sum_t coef[q, t] x[idx[q, t]] along axis 0 of x: Q^T x for a
+    sector basis (coef.conj() gives Q^H x)."""
+    c = coef.reshape(coef.shape + (1,) * (x.ndim - 1))
+    return sum(x[idx[:, t]] * c[:, t] for t in range(idx.shape[1]))
 
 
-def sector_liouvillian(L: np.ndarray, idx: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """Q^H L Q for a sector basis (idx, coef) of the block that L is on.
-    L[(j, i), (l, k)] = conj(L[(i, j), (k, l)]) for an exactly Hermitian H
-    and C†C, so with the pairwise sums the imaginary part is exactly 0."""
-    return _apply_basis(_apply_basis(L.T, idx, coef).T, idx, coef.conj())
+def sector_liouvillian(H: Operator, collapse: CollapseSet, block: np.ndarray,
+                       idx: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """The real generator L_s = Q^H L Q of a sector basis (idx, coef) of `block`.
+    L commutes with rho -> rho† and the beam swap, so every term of a row q of
+    Q^H L Q contributes alike: row q is Re((L Q)[e_q] / coef[q, 0]), e_q the
+    first entry of basis matrix q. Only those rows of L are built."""
+    first, row = np.unique(block[idx[:, 0]], return_inverse=True)
+    LQ = _apply_basis(liouvillian(H, collapse, first, block).T, idx, coef).T
+    return (LQ[row] / coef[:, :1]).real
 
 
 @dataclass(frozen=True)
@@ -342,12 +337,13 @@ def propagate(
     set per column. Returns the real (k, r, n_t) series, whose output 0 is
     exactly rows @ columns, and the stats: sizes, the parity blocks the
     columns occupy (n_blocks) and their vec(rho) entries (support), the sizes
-    of the sectors eigendecomposed (sectors), the gate (eig_residual,
-    sector_imag, cancellation_bound), the largest |Im nu| dt over the modes
-    the rows see (max_phase_per_output), retries, max_trace_drift, and the
-    Hermiticity drift and minimum eigenvalue of the final output. Raises
-    IntegrationError when the gate fails or the trace drifts beyond
-    options.trace_tol (rk4 first doubles its substeps up to max_retries).
+    of the sectors eigendecomposed (sectors), the gate (sector_imag, the
+    Hermiticity of H; eig_residual, cancellation_bound), the largest
+    |Im nu| dt over the modes the rows see (max_phase_per_output), retries,
+    max_trace_drift, and the Hermiticity drift and minimum eigenvalue of the
+    final output. Raises IntegrationError when the gate fails or the trace
+    drifts beyond options.trace_tol (rk4 first doubles its substeps up to
+    max_retries).
     """
     opts = options or EvolveOptions()
     if opts.method not in ("expm", "rk4"):
@@ -371,17 +367,19 @@ def propagate(
     stats: dict = {"method": opts.method, "n_steps": len(t) - 1, "n_columns": k,
                    "n_blocks": len(blocks), "support": sum(b.size for b in blocks),
                    "sectors": []}
-    lam, amps, modes, residual, imag = [], [], [], 0.0, 0.0
+    herm = np.max(np.abs(H.data - H.data.conj().T)) / (np.max(np.abs(H.data)) or 1.0)
+    stats["sector_imag"] = float(herm)
+    if not herm <= EIG_TOL:  # the standard form of L is the master equation's only then
+        raise IntegrationError(f"H is not Hermitian to {EIG_TOL:g}: the real sector "
+                               "eigendecomposition of L needs it", stats)
+    lam, amps, modes, residual = [], [], [], 0.0
     for b in blocks:
-        L = liouvillian(H, collapse, b)
         for idx, coef in symmetry_sectors(H, collapse, b):
             v0 = _apply_basis(columns[b], idx, coef.conj())  # Q^H columns, (m, k)
             if not np.any(v0):
                 continue
-            M = sector_liouvillian(L, idx, coef)
-            Ls = M.real
+            Ls = sector_liouvillian(H, collapse, b, idx, coef)
             scale = np.linalg.norm(Ls) or 1.0
-            imag = max(imag, float(np.max(np.abs(M.imag)) / scale))
             w, V = eig(Ls)
             res = V * w  # V is real when every eigenvalue is
             res -= Ls @ V
@@ -394,9 +392,9 @@ def propagate(
             stats["sectors"].append(idx.shape[0])
     lam, amps = np.concatenate(lam), np.concatenate(amps, axis=-1)
     magnitude = np.abs(amps)
-    stats.update(eig_residual=residual, sector_imag=imag, cancellation_bound=float(
+    stats.update(eig_residual=residual, cancellation_bound=float(
         np.finfo(float).eps * np.max(magnitude.sum(axis=-1))))
-    if not (residual <= EIG_TOL and imag <= EIG_TOL and stats["cancellation_bound"] <= EIG_TOL):
+    if not (residual <= EIG_TOL and stats["cancellation_bound"] <= EIG_TOL):
         raise IntegrationError(f"eigendecomposition of L beyond {EIG_TOL:g} "
                                "(defective or ill-conditioned)", stats)
     seen = np.max(magnitude, axis=(0, 1)) > 1e-12 * np.max(magnitude)

@@ -55,7 +55,7 @@ class GateMatrix:
         if data.shape not in ((2, 2), (4, 4)):
             raise ValueError(f"gate must be 2x2 or 4x4, got {data.shape}")
         dev = np.max(np.abs(data.conj().T @ data - np.eye(data.shape[0])))
-        if dev > UNITARY_ATOL:
+        if not dev <= UNITARY_ATOL:  # a NaN deviation fails too
             raise ValueError(f"matrix is not unitary (deviation {dev})")
         data.setflags(write=False)
         object.__setattr__(self, "data", data)

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.constants import hbar, k as kB
 from scipy.linalg import expm
 
+from phonongate import dynamics
 from phonongate.dynamics import (
     EIG_TOL,
     CollapseSet,
@@ -281,8 +282,8 @@ def test_propagate_refuses_a_defective_liouvillian():
 
 
 def test_propagate_refuses_a_non_hermitian_hamiltonian():
-    # L then does not keep rho Hermitian, and Q^H L Q is not real: the gate
-    # sees the imaginary part of each sector's matrix
+    # the standard form of L, K = H - (i/2) sum C†C, is the master equation's
+    # only for a Hermitian H: the up-front check refuses the run
     space, _, _, collapse = cavity_decay_setup(dim=3, kappa=0.5)
     H = Operator(space, np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=complex))
     rho0 = QuantumState.fock(space, [1]).to_density().data.reshape(-1, 1)
@@ -426,15 +427,30 @@ def parity_model(mix=None, seed=7):
     return space, Operator(space, h), CollapseSet(tuple(ops))
 
 
+def k_form_liouvillian(H, collapse):
+    """The dense standard form L = -i K⊗1 + i 1⊗conj(K) + sum_C C⊗conj(C),
+    K = H - (i/2) sum_C C†C, through np.kron."""
+    eye = np.eye(H.dim, dtype=complex)
+    K = H.data - 0.5j * sum(op.data.conj().T @ op.data for op in collapse.ops)
+    L = -1j * np.kron(K, eye) + 1j * np.kron(eye, K.conj())
+    for op in collapse.ops:
+        L += np.kron(op.data, op.data.conj())
+    return L
+
+
 def test_block_liouvillian_is_the_kron_formula_on_the_block():
     space, H, collapse = parity_model()
-    L = kron_liouvillian(H, collapse)
+    L = k_form_liouvillian(H, collapse)
     assert np.array_equal(liouvillian(H, collapse), L)
+    # the textbook commutator form, to rounding
+    assert np.max(np.abs(L - kron_liouvillian(H, collapse))) <= 1e-15 * np.abs(L).max()
     blocks = parity_blocks(H, collapse)
     assert [b.size for b in blocks] == [18, 18]
     rng = np.random.default_rng(3)
     for block in blocks + [np.sort(rng.choice(36, size=11, replace=False))]:
         assert np.array_equal(liouvillian(H, collapse, block), L[np.ix_(block, block)])
+    rows, cols = rng.choice(36, size=7, replace=False), rng.choice(36, size=13, replace=False)
+    assert np.array_equal(liouvillian(H, collapse, rows, cols), L[np.ix_(rows, cols)])
     # and L couples no entry of a parity block to one outside it
     even = np.isin(np.arange(36), blocks[0])
     assert not np.any(L[np.ix_(even, ~even)]) and not np.any(L[np.ix_(~even, even)])
@@ -573,7 +589,7 @@ def test_sector_liouvillian_is_the_real_part_of_q_dagger_l_q():
         block = parity_blocks(H, collapse)[0]
         sectors = symmetry_sectors(H, collapse, block)
         assert [idx.shape[0] for idx, _ in sectors] == sizes
-        L = liouvillian(H, collapse, block)
+        L = kron_liouvillian(H, collapse)[np.ix_(block, block)]
         Q = sector_basis_matrix(block.size, sectors)
         assert np.allclose(Q.conj().T @ Q, np.eye(block.size), rtol=0.0, atol=1e-15)
         # L never couples two sectors
@@ -581,15 +597,15 @@ def test_sector_liouvillian_is_the_real_part_of_q_dagger_l_q():
         start = 0
         for idx, coef in sectors:
             inside = slice(start, start + idx.shape[0])
-            Ls = sector_liouvillian(L, idx, coef)
-            assert not np.any(Ls.imag)
+            Ls = sector_liouvillian(H, collapse, block, idx, coef)
+            assert Ls.dtype == np.float64
             assert np.allclose(Ls, full[inside, inside], rtol=0.0, atol=1e-13 * np.abs(L).max())
             full[inside, inside] = 0.0
             start += idx.shape[0]
         assert np.max(np.abs(full)) <= 1e-13 * np.abs(L).max()
 
 
-def test_paper_v1_nb4_parity_block_splits_into_real_sectors():
+def test_paper_v1_nb4_parity_block_splits_into_real_sectors(monkeypatch):
     # the n_b = 4 run's cost is the eigendecomposition of this block; a silent
     # fallback to one complex block would keep every output and lose the speed-up
     cfg = ScenarioConfig.from_mapping({"params": PAPER_V1, "dims": {"n_cav": 3, "n_b": 4}})
@@ -602,9 +618,21 @@ def test_paper_v1_nb4_parity_block_splits_into_real_sectors():
     assert [idx.shape[0] for idx, _ in sectors] == [616, 536]
     Q = sector_basis_matrix(block.size, sectors)
     assert np.allclose(Q.conj().T @ Q, np.eye(block.size), rtol=0.0, atol=1e-15)
-    L = liouvillian(H, collapse, block)
-    for idx, coef in sectors:
-        assert not np.any(sector_liouvillian(L, idx, coef).imag)
+    # the real generators are Q^H L Q only for a Hermitian H; this one is exactly so
+    assert np.array_equal(H.data, H.data.conj().T)
+    # and propagate builds them from rows of L, never from the complex block
+    asked = []
+
+    def spy(H, collapse, rows=None, cols=None):
+        asked.append(H.dim ** 2 if rows is None else len(rows))
+        return liouvillian(H, collapse, rows, cols)
+
+    monkeypatch.setattr(dynamics, "liouvillian", spy)
+    rho0 = QuantumState.fock(space, [1, 0, 1]).to_density().data.reshape(-1, 1)
+    _, stats = propagate(H, collapse, rho0, np.zeros((1, H.dim ** 2)),
+                         np.linspace(0.0, 1e-7, 3))
+    assert stats["sectors"] == [616, 536] and stats["sector_imag"] == 0.0
+    assert asked and max(asked) < block.size
 
 
 def test_parity_blocks_fall_back_to_one_block():

@@ -192,6 +192,16 @@ def test_gate_matrix_unitarity_check():
         GateMatrix(np.eye(3, dtype=complex))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_gate_matrix_refuses_non_finite_entries():
+    # a NaN deviation compares False against any tolerance
+    for bad in (np.nan, np.inf):
+        u = np.eye(2, dtype=complex)
+        u[0, 1] = bad
+        with pytest.raises(ValueError, match="not unitary"):
+            GateMatrix(u)
+
+
 def test_phase_aligned_distance_kills_global_phase():
     u = cnot_sequence(1.0, 0.3)
     assert phase_aligned_distance(u, GateMatrix(np.exp(0.7j) * u.data)) <= 1e-14

@@ -1,5 +1,7 @@
 import json
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -249,6 +251,20 @@ def test_master_run_writes_outputs(tmp_path):
     assert reloaded["warnings"] == []
 
 
+def test_readme_lists_every_integrator_key(tmp_path):
+    # the key table below 'summary.json["integrator"]' in the README, first column
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split('(`summary.json["integrator"]`)', 1)[1].split("\n\n", 2)[1]
+    listed = {key for line in table.splitlines()[2:]
+              for key in re.findall(r"`([^`]+)`", line.split("|")[1])}
+    emitted = set()
+    for integrator in ("expm", "rk4"):
+        cfg = ScenarioConfig.from_mapping(small_master_mapping(
+            n_steps=101, t_max_us=0.1, integrator=integrator))
+        emitted |= set(run_scenario(cfg, tmp_path / integrator)["integrator"])
+    assert listed == emitted
+
+
 def test_master_run_fidelity_convention_sqrt(tmp_path):
     sq = run_scenario(ScenarioConfig.from_mapping(
         small_master_mapping(fidelity_convention="squared", n_steps=501)), tmp_path / "a")
@@ -361,12 +377,25 @@ def test_cli_gatecheck():
     (["--delta-hz", "36.6e6"], "|Delta| != omega_G"),
     (["--delta-hz", "-36.6e6"], "|Delta| != omega_G"),
     (["--g-hz", "0"], "nonzero exchange rate"),
+    (["--xg2", "nan"], "finite nonzero exchange rate"),
+    (["--g-hz", "inf"], "finite nonzero exchange rate"),
 ])
 def test_cli_gatecheck_without_a_finite_nonzero_rate_fails_cleanly(args, cause):
     res = CliRunner().invoke(cli.main, ["gatecheck", *args])
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
     assert cause in json.loads(res.stderr)["error"]
+
+
+@pytest.mark.parametrize("t_max_us", ["0", "-1"])
+def test_cli_analytic_refuses_a_nonpositive_t_max(tmp_path, t_max_us):
+    # 0 is an explicit value, not a request for the 120000 us default
+    res = CliRunner().invoke(cli.main, ["analytic", "--t-max-us", t_max_us,
+                                        "--out", str(tmp_path / "run")])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert json.loads(res.stderr)["error"] == "t_max_us must be positive"
+    assert not (tmp_path / "run").exists()
 
 
 def test_config_refuses_zero_q():
