@@ -54,8 +54,10 @@ def duffing_hamiltonian(omega_m: float, lam: float, dim: int) -> Operator:
     """H = omega_m b†b + (lam/2)(b† + b)^4 on a dim-level truncation."""
     if dim < 4:
         raise TruncationError(f"quartic term needs dim >= 4, got {dim}")
-    if omega_m <= 0:
-        raise ValueError("omega_m must be positive")
+    if not 0 < omega_m < np.inf:
+        raise ValueError(f"omega_m must be finite and positive, got {omega_m}")
+    if not np.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam}")
     b = annihilation_op(dim).data
     x = b + b.conj().T
     h = omega_m * (b.conj().T @ b) + 0.5 * lam * np.linalg.matrix_power(x, 4)

@@ -22,15 +22,17 @@ eigendecomposed once, as the real matrix L_s = Q^H L Q read off rows of L
 gated (Moler & Van Loan, SIAM Rev. 45, 3 (2003), method 14, and its caveat on
 an ill-conditioned V): ||L_s V - V Lambda|| / ||L_s|| and the cancellation
 bound eps max_j sum_k |A_jk| must be at most EIG_TOL; a defective L fails only
-the second. The trace is one more row, gated at every output (rk4 doubles m
-and retries), and the final output's Hermiticity and positivity come from the
-sum over sectors of Q V (exp(nu t_N) * V^-1 Q^H v0). `evolve_master` is
-`propagate` with the states read back.
+the second. The trace is one more row, gated at every output, in one pass, to
+TRACE_TOL. Its row is a left null vector of L, so only the lambda = 0 modes
+reach it and R(0) = 1: rk4 drifts exactly as expm does at any substep count,
+and a drift is refused at once. The final output's Hermiticity and positivity
+come from the sum over sectors of Q V (exp(nu t_N) * V^-1 Q^H v0).
+`evolve_master` is `propagate` with the states read back.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 from scipy.constants import hbar as HBAR_SI, k as KB_SI
@@ -41,7 +43,8 @@ from .fockspace import Operator, QuantumState, SpaceDescriptor, annihilation_op,
 
 
 class IntegrationError(RuntimeError):
-    """Step control failed; carries the integrator diagnostics."""
+    """A propagation gate failed (the Hermiticity of H, the eigendecomposition
+    or the trace); carries the integrator diagnostics."""
 
     def __init__(self, message: str, stats: dict):
         super().__init__(f"{message} (diagnostics: {stats})")
@@ -86,22 +89,14 @@ class CollapseSet:
         return self.ops[0].space if self.ops else None
 
     @classmethod
-    def standard_channels(
-        cls,
-        space: SpaceDescriptor,
-        kappa: float,
-        gamma_m: float,
-        n_th: float,
-        cavity_slot: int = 0,
-        beam_slots: Sequence[int] = (1, 2),
-    ) -> "CollapseSet":
-        """Cavity decay sqrt(kappa) a plus thermal beam channels
-        sqrt(gamma_m n_th) b_j† and sqrt(gamma_m (n_th+1)) b_j."""
+    def standard_channels(cls, space: SpaceDescriptor, kappa: float, gamma_m: float,
+                          n_th: float) -> "CollapseSet":
+        """Cavity decay sqrt(kappa) a (factor 0) plus thermal beam channels
+        sqrt(gamma_m n_th) b_j† and sqrt(gamma_m (n_th+1)) b_j (factors 1, 2)."""
         ops = []
         if kappa > 0:
-            a = embed(annihilation_op(space.dims[cavity_slot]), space, cavity_slot)
-            ops.append(np.sqrt(kappa) * a)
-        for slot in beam_slots:
+            ops.append(np.sqrt(kappa) * embed(annihilation_op(space.dims[0]), space, 0))
+        for slot in (1, 2):
             b = embed(annihilation_op(space.dims[slot]), space, slot)
             if gamma_m * n_th > 0:
                 ops.append(np.sqrt(gamma_m * n_th) * b.dag())
@@ -248,15 +243,9 @@ def sector_liouvillian(H: Operator, collapse: CollapseSet, block: np.ndarray,
     return (LQ[row] / coef[:, :1]).real
 
 
-@dataclass(frozen=True)
-class EvolveOptions:
-    method: str = "expm"  # expm | rk4
-    trace_tol: float = 1e-6
-    max_retries: int = 8
-    substep_phase: float = 3e-3  # rk4: fastest phase advanced per substep
-
-
 EIG_TOL = 1e-10  # bound on the eigendecomposition's residual and cancellation
+TRACE_TOL = 1e-6  # bound on abs(tr rho - 1) at every output
+SUBSTEP_PHASE = 3e-3  # rk4: fastest phase advanced per substep
 _CHUNK = 256  # output times per matrix product or CSV write: small next to the series
 
 
@@ -328,10 +317,11 @@ def propagate(
     columns: np.ndarray,
     rows: np.ndarray,
     t_grid: np.ndarray,
-    options: EvolveOptions | None = None,
+    method: str = "expm",
 ) -> tuple[np.ndarray, dict]:
     """Series of linear functionals `rows` of vec(rho) from a (d*d, k) batch
-    of vec(rho) columns over a uniform time grid.
+    of vec(rho) columns over a uniform time grid, integrated by `method`
+    (expm or rk4).
 
     `rows` is one (r, d*d) set for every column or a (k, r, d*d) stack, one
     set per column. Returns the real (k, r, n_t) series, whose output 0 is
@@ -339,19 +329,18 @@ def propagate(
     columns occupy (n_blocks) and their vec(rho) entries (support), the sizes
     of the sectors eigendecomposed (sectors), the gate (sector_imag, the
     Hermiticity of H; eig_residual, cancellation_bound), the largest
-    |Im nu| dt over the modes the rows see (max_phase_per_output), retries,
-    max_trace_drift, and the Hermiticity drift and minimum eigenvalue of the
-    final output. Raises IntegrationError when the gate fails or the trace
-    drifts beyond options.trace_tol (rk4 first doubles its substeps up to
-    max_retries).
+    |Im nu| dt over the modes the rows see (max_phase_per_output),
+    max_trace_drift, rk4's n_substeps_per_interval, and the Hermiticity drift
+    and minimum eigenvalue of the final output. Raises IntegrationError when
+    the gate fails or, in the one pass over the outputs, the trace drifts
+    beyond TRACE_TOL (NaN included) at any of them.
     """
-    opts = options or EvolveOptions()
-    if opts.method not in ("expm", "rk4"):
-        raise ValueError(f"propagate runs expm or rk4, not {opts.method!r}")
+    if method not in ("expm", "rk4"):
+        raise ValueError(f"propagate runs expm or rk4, not {method!r}")
     t = _check_grid(t_grid)
     dts = np.diff(t)
     if not np.allclose(dts, dts[0], rtol=1e-9, atol=0.0):
-        raise ValueError(f"{opts.method} needs a uniform time grid")
+        raise ValueError(f"{method} needs a uniform time grid")
     d = H.dim
     if columns.ndim != 2 or columns.shape[0] != d * d:
         raise ValueError(f"columns must be a ({d * d}, k) batch of vec(rho)")
@@ -364,7 +353,7 @@ def propagate(
     r = rows.shape[-2]
 
     blocks = [b for b in parity_blocks(H, collapse) if np.any(columns[b])]
-    stats: dict = {"method": opts.method, "n_steps": len(t) - 1, "n_columns": k,
+    stats: dict = {"method": method, "n_steps": len(t) - 1, "n_columns": k,
                    "n_blocks": len(blocks), "support": sum(b.size for b in blocks),
                    "sectors": []}
     herm = np.max(np.abs(H.data - H.data.conj().T)) / (np.max(np.abs(H.data)) or 1.0)
@@ -401,27 +390,24 @@ def propagate(
     coeffs = np.ascontiguousarray(amps.reshape(k * r, -1).T)  # (m, k r)
     first = (rows @ columns.T[:, :, None])[..., 0].real  # (k, r)
 
-    rk4 = opts.method == "rk4"
-    if rk4:  # substeps per output interval
-        m = max(1, int(np.ceil(dts[0] * _spectral_scale(H, collapse) / opts.substep_phase)))
+    nu = lam
+    if method == "rk4":  # substeps per output interval
+        m = max(1, int(np.ceil(dts[0] * _spectral_scale(H, collapse) / SUBSTEP_PHASE)))
+        nu = _rk4_rates(lam, float(dts[0]), m)
     out = np.empty((k, r - 1, len(t)))
-    for retry in range(opts.max_retries + 1 if rk4 else 1):
-        nu = _rk4_rates(lam, float(dts[0]), m << retry) if rk4 else lam
-        drifts = []
-        with np.errstate(over="ignore", invalid="ignore"):  # an unstable rk4 mode
-            for s in range(0, len(t), _CHUNK):
-                f = (np.exp(np.outer(t[s:s + _CHUNK], nu)) @ coeffs).real.reshape(-1, k, r)
-                if s == 0:
-                    f[0] = first
-                drifts.append(np.max(np.abs(f[..., -1] - 1.0)))
-                out[..., s:s + _CHUNK] = f[..., :-1].transpose(1, 2, 0)
-        stats.update(retries=retry, max_trace_drift=float(np.max(drifts)))
-        if rk4:
-            stats["n_substeps_per_interval"] = m << retry
-        if stats["max_trace_drift"] <= opts.trace_tol:  # a NaN trace fails too
-            break
-    else:
-        raise IntegrationError("trace drift above tolerance after all retries", stats)
+    drifts = []
+    with np.errstate(over="ignore", invalid="ignore"):  # an unstable rk4 mode
+        for s in range(0, len(t), _CHUNK):
+            f = (np.exp(np.outer(t[s:s + _CHUNK], nu)) @ coeffs).real.reshape(-1, k, r)
+            if s == 0:
+                f[0] = first
+            drifts.append(np.max(np.abs(f[..., -1] - 1.0)))
+            out[..., s:s + _CHUNK] = f[..., :-1].transpose(1, 2, 0)
+    stats["max_trace_drift"] = float(np.max(drifts))
+    if method == "rk4":
+        stats["n_substeps_per_interval"] = m
+    if not stats["max_trace_drift"] <= TRACE_TOL:  # a NaN trace fails too
+        raise IntegrationError(f"trace drift above {TRACE_TOL:g}", stats)
 
     stats["max_phase_per_output"] = float(np.max(np.abs(nu[seen].imag)) * dts[0])
     final = np.zeros((d * d, k), dtype=complex)
@@ -437,7 +423,7 @@ def evolve_master(
     collapse: CollapseSet,
     rho0: QuantumState,
     t_grid: np.ndarray,
-    options: EvolveOptions | None = None,
+    method: str = "expm",
     observables: Mapping[str, Callable[[np.ndarray], float]] | None = None,
 ) -> Trajectory:
     """The states and observables of `propagate` from rho0 at every time of
@@ -451,7 +437,7 @@ def evolve_master(
     v0 = rho0.to_density().data.reshape(-1)
     eye = np.eye(d * d)  # the real parts of the rows [I; -iI] are Re and Im of vec(rho)
     series, stats = propagate(H, collapse, v0[:, None], np.concatenate([eye, -1j * eye]),
-                              t, options)
+                              t, method)
     vecs = series[0, :d * d] + 1j * series[0, d * d:]
     states = [vecs[:, i].reshape(d, d) for i in range(len(t))]
     stats["max_herm_drift"], stats["min_eigenvalue"] = _health(np.stack(states))

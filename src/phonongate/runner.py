@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from . import dynamics, fidelity
-from .dynamics import CollapseSet, EvolveOptions, Trajectory
+from .dynamics import CollapseSet, Trajectory
 from .duffing import duffing_hamiltonian
 from .files import atomic_write
 from .fockspace import SpaceDescriptor
@@ -280,7 +280,7 @@ def master_fidelity_series(
         rows.append((np.kron(cav_eye, np.outer(u.conj(), u)).reshape(-1), weight_row))
 
     series, stats = dynamics.propagate(H, collapse, np.stack(vecs, axis=1), np.array(rows),
-                                       times, EvolveOptions(method=cfg.integrator))
+                                       times, cfg.integrator)
     f_sq, weight = series[:, 0], series[:, 1]
     stats["min_qubit_weight"] = float(np.min(weight))
     np.clip(np.divide(f_sq, weight, out=f_sq), 0.0, None, out=f_sq)

@@ -13,11 +13,10 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from phonongate import runner
+from phonongate import dynamics, runner
 from phonongate.duffing import duffing_hamiltonian, duffing_spectrum
 from phonongate.dynamics import (
     CollapseSet,
-    EvolveOptions,
     evolve_master,
     thermal_occupation,
 )
@@ -228,7 +227,7 @@ def test_criterion_7_lindblad_oracles():
     worst_decay = 0.0
     stats_pool = []
     for method in ("expm", "rk4"):
-        traj = evolve_master(h0, decay, rho0, t, EvolveOptions(method=method),
+        traj = evolve_master(h0, decay, rho0, t, method,
                              observables={"n": lambda r: np.trace(n_op @ r).real})
         worst_decay = max(worst_decay, float(np.max(np.abs(
             traj.observables["n"] - np.exp(-kappa * t)))))
@@ -404,13 +403,13 @@ def test_criterion_9_fixed_step_determinism(tmp_path):
     assert ok
 
 
-def test_invariant_fixed_step_order_check():
+def test_invariant_fixed_step_order_check(monkeypatch):
     # halving the fixed step at acceptance settings moves the final fidelity
     # by <= 1e-8
     cfg = replace(figure_config("fig3"), integrator="rk4", n_steps=2001)
     states = list(cfg.initial.members)
 
-    def final_avg(substep_phase: float) -> float:
+    def final_avg() -> float:
         from phonongate.hamiltonians import system_hamiltonian
         from phonongate.runner import resolved_params
 
@@ -420,18 +419,17 @@ def test_invariant_fixed_step_order_check():
         collapse = CollapseSet.standard_channels(space, p.kappa, p.gamma_m, p.n_th)
         t = np.linspace(0.0, cfg.t_max_us * 1e-6, cfg.n_steps)
         rho0 = QuantumState.fock(space, [1, 0, 0]).to_density()
-        opts = EvolveOptions(method="rk4", substep_phase=substep_phase)
         target = QuantumState.fock(SpaceDescriptor((2, 2)), [1, 1]).data  # CNOT|10>
         from phonongate.fockspace import partial_trace
 
-        traj = evolve_master(H, collapse, rho0, t, opts)
+        traj = evolve_master(H, collapse, rho0, t, "rk4")
         rho_q = partial_trace(
             QuantumState.density(space, traj.states[-1]), [1, 2]).data
         return float(np.real(target.conj() @ rho_q @ target))
 
-    base = EvolveOptions().substep_phase
-    f1 = final_avg(base)
-    f2 = final_avg(base / 2.0)
+    f1 = final_avg()
+    monkeypatch.setattr(dynamics, "SUBSTEP_PHASE", dynamics.SUBSTEP_PHASE / 2.0)
+    f2 = final_avg()
     report(f"invariant (fixed-step order check): |dF| on halving = {abs(f1-f2):.2e} "
            f"<= 1e-8: {'PASS' if abs(f1-f2) <= 1e-8 else 'FAIL'}")
     assert abs(f1 - f2) <= 1e-8

@@ -8,7 +8,6 @@ from phonongate import dynamics
 from phonongate.dynamics import (
     EIG_TOL,
     CollapseSet,
-    EvolveOptions,
     IntegrationError,
     Trajectory,
     _rk4_rates,
@@ -161,7 +160,7 @@ def test_evolve_master_cavity_decay(method):
     rho0 = QuantumState.fock(space, [1]).to_density()
     t = np.linspace(0.0, 3.0 / kappa, 61)
     n = (a.dag() @ a).data
-    traj = evolve_master(H, collapse, rho0, t, EvolveOptions(method=method),
+    traj = evolve_master(H, collapse, rho0, t, method,
                          observables={"n": lambda r: np.trace(n @ r).real})
     assert np.max(np.abs(traj.observables["n"] - np.exp(-kappa * t))) <= 1e-6
     assert traj.stats["max_trace_drift"] <= 1e-6
@@ -190,8 +189,7 @@ def test_evolve_master_matches_unitary_without_dissipation(method):
     psi0 = QuantumState.ket(space, rng.normal(size=6) + 1j * rng.normal(size=6))
     t = np.linspace(0.0, 4.0, 41)
     traj_u = evolve_unitary(H, psi0, t)
-    traj_m = evolve_master(H, CollapseSet(()), psi0.to_density(), t,
-                           EvolveOptions(method=method))
+    traj_m = evolve_master(H, CollapseSet(()), psi0.to_density(), t, method)
     for k in (10, 25, 40):
         proj = np.outer(traj_u.states[k], traj_u.states[k].conj())
         assert np.max(np.abs(traj_m.states[k] - proj)) <= 1e-8
@@ -206,31 +204,34 @@ def test_evolve_master_grid_validation():
         evolve_master(H, collapse, rho0, np.array([0.0, 1.0, 0.5]))
 
 
-def test_evolve_master_retry_exhaustion():
+@pytest.mark.parametrize("method", ["expm", "rk4"])
+def test_trace_gate_fails_at_once(monkeypatch, method):
     # the two-level decay keeps its trace exactly; |2> of three levels drifts by rounding
     space, H, _, collapse = cavity_decay_setup(dim=3, kappa=0.5)
     rho0 = QuantumState.fock(space, [2]).to_density()
-    t = np.linspace(0.0, 1.0, 11)
-    with pytest.raises(IntegrationError) as err:
-        evolve_master(H, collapse, rho0, t,
-                      EvolveOptions(method="rk4", trace_tol=1e-17, max_retries=1))
-    assert err.value.stats["retries"] == 1
+    monkeypatch.setattr(dynamics, "TRACE_TOL", 1e-17)
+    with pytest.raises(IntegrationError, match="trace drift") as err:
+        evolve_master(H, collapse, rho0, np.linspace(0.0, 1.0, 11), method)
     assert err.value.stats["max_trace_drift"] > 1e-17
 
 
-def test_propagate_rk4_trace_gate_exhaustion():
+def test_rk4_trace_drift_does_not_depend_on_substeps(monkeypatch):
+    # the trace row is a left null vector of L: only the lambda = 0 modes
+    # reach it and R(0) = 1, so more substeps cannot change its drift
     space, H, _, collapse = cavity_decay_setup(dim=3, kappa=0.5)
     cols = np.stack([QuantumState.fock(space, [n]).to_density().data.reshape(-1)
                      for n in (1, 2)], axis=1)
     t = np.linspace(0.0, 1.0, 11)
-    with pytest.raises(IntegrationError) as err:
-        propagate(H, collapse, cols, np.eye(9), t,
-                  EvolveOptions(method="rk4", trace_tol=1e-17, max_retries=1))
-    assert err.value.stats["retries"] == 1
-    assert err.value.stats["max_trace_drift"] > 1e-17
-    series, stats = propagate(H, collapse, cols, np.eye(9), t, EvolveOptions(method="rk4"))
-    assert series.shape == (2, 9, 11)
-    assert err.value.stats["n_substeps_per_interval"] == 2 * stats["n_substeps_per_interval"]
+
+    def drift(method):
+        _, stats = propagate(H, collapse, cols, np.eye(9), t, method)
+        return stats["max_trace_drift"], stats.get("n_substeps_per_interval")
+
+    coarse, m = drift("rk4")
+    monkeypatch.setattr(dynamics, "SUBSTEP_PHASE", dynamics.SUBSTEP_PHASE / 4)
+    fine, m_fine = drift("rk4")
+    assert m_fine > m
+    assert coarse == fine == drift("expm")[0]
 
 
 def test_rk4_rates_keep_the_digits_of_small_steps():
@@ -260,7 +261,8 @@ def test_propagate_rejects_bad_rows():
 def test_propagate_rejects_nan_trace():
     space, H, _, collapse = cavity_decay_setup()
     cols = np.full((4, 1), np.nan, dtype=complex)
-    with pytest.raises(IntegrationError):
+    # a NaN cancellation bound fails before any trace is evaluated
+    with pytest.raises(IntegrationError, match="eigendecomposition"):
         propagate(H, collapse, cols, np.eye(4), np.linspace(0.0, 1.0, 3))
 
 
@@ -316,16 +318,15 @@ def test_propagate_batch_matches_per_column():
     stack = rng.normal(size=(3, 2, 9)) + 1j * rng.normal(size=(3, 2, 9))
     t = np.linspace(0.0, 2.0, 21)
     for method in ("expm", "rk4"):
-        opts = EvolveOptions(method=method)
-        shared, _ = propagate(H, collapse, batch, stack[0], t, opts)
-        own, _ = propagate(H, collapse, batch, stack, t, opts)
+        shared, _ = propagate(H, collapse, batch, stack[0], t, method)
+        own, _ = propagate(H, collapse, batch, stack, t, method)
         # output 0 is the rows applied to the columns, not the mode sum at t = 0
         assert np.array_equal(own[..., 0], (stack @ batch.T[:, :, None])[..., 0].real)
         for i in range(3):
             column = batch[:, i:i + 1]
-            assert np.allclose(shared[i], propagate(H, collapse, column, stack[0], t, opts)[0][0],
+            assert np.allclose(shared[i], propagate(H, collapse, column, stack[0], t, method)[0][0],
                                rtol=0.0, atol=1e-14)
-            assert np.allclose(own[i], propagate(H, collapse, column, stack[i], t, opts)[0][0],
+            assert np.allclose(own[i], propagate(H, collapse, column, stack[i], t, method)[0][0],
                                rtol=0.0, atol=1e-14)
 
 
@@ -464,12 +465,12 @@ def _dense_outputs(H, collapse, columns, t):
     return out
 
 
-def _states(H, collapse, columns, t, options=None):
+def _states(H, collapse, columns, t, method="expm"):
     """(n_t, d*d, k) vec(rho) outputs of propagate, read back through the
     rows [I; -iI], whose real parts are Re and Im of vec(rho); and the stats."""
     n = columns.shape[0]
     eye = np.eye(n)
-    series, stats = propagate(H, collapse, columns, np.concatenate([eye, -1j * eye]), t, options)
+    series, stats = propagate(H, collapse, columns, np.concatenate([eye, -1j * eye]), t, method)
     return (series[:, :n] + 1j * series[:, n:]).transpose(2, 1, 0), stats
 
 
@@ -501,7 +502,7 @@ def test_propagate_matches_dense_expm_property(seed, mix, k, t_max, method):
     _, H, collapse = parity_model(mix, seed)
     columns = random_densities(np.random.default_rng([seed, 1]), 6, k)
     t = np.linspace(0.0, t_max, 9)
-    seen, stats = _states(H, collapse, columns, t, EvolveOptions(method=method))
+    seen, stats = _states(H, collapse, columns, t, method)
     assert stats["n_blocks"] == (2 if mix is None else 1)
     assert_density_outputs_match_expm(H, collapse, columns, t, seen, method)
 
@@ -550,7 +551,7 @@ def test_propagate_on_swap_sectors_matches_dense_expm_property(seed, mix, k, t_m
     assert beam_swap(H, collapse) is not None
     columns = random_densities(np.random.default_rng([seed, 1]), 8, k)
     t = np.linspace(0.0, t_max, 9)
-    seen, stats = _states(H, collapse, columns, t, EvolveOptions(method=method))
+    seen, stats = _states(H, collapse, columns, t, method)
     assert stats["n_blocks"] == (2 if mix is None else 1)
     assert len(stats["sectors"]) == 2 * stats["n_blocks"]
     assert sum(stats["sectors"]) == stats["support"]
@@ -564,7 +565,7 @@ def test_propagate_without_the_swap_keeps_one_sector_per_block(method):
     assert beam_swap(H, collapse) is None
     columns = random_densities(np.random.default_rng(5), 8, 2)
     t = np.linspace(0.0, 2.0, 9)
-    seen, stats = _states(H, collapse, columns, t, EvolveOptions(method=method))
+    seen, stats = _states(H, collapse, columns, t, method)
     assert stats["sectors"] == [32, 32]
     assert_density_outputs_match_expm(H, collapse, columns, t, seen, method)
 

@@ -237,7 +237,7 @@ def test_master_run_writes_outputs(tmp_path):
     assert 0.0 <= reloaded["peak_fidelity"] <= 1.0 + 1e-9
     health = reloaded["integrator"]
     assert health["max_trace_drift"] <= 1e-6
-    assert health["retries"] == 0
+    assert "retries" not in health
     assert health["final_herm_drift"] <= 1e-10
     assert health["final_min_eigenvalue"] >= -1e-10
     # basis kets keep rho in the parity-diagonal block: 32 of the 64 entries
@@ -385,6 +385,19 @@ def test_cli_gatecheck_without_a_finite_nonzero_rate_fails_cleanly(args, cause):
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
     assert cause in json.loads(res.stderr)["error"]
+
+
+@pytest.mark.parametrize("args, name", [
+    (["--lambda-hz", "nan"], "lam"), (["--lambda-hz", "inf"], "lam"),
+    (["--omega-g-hz", "nan"], "omega_m"), (["--omega-g-hz", "inf"], "omega_m"),
+])
+def test_cli_spectrum_refuses_non_finite_parameters(tmp_path, args, name):
+    # refused by name before H is built, with no numerical warning on the way
+    res = CliRunner().invoke(cli.main, ["spectrum", *args, "--out", str(tmp_path)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert json.loads(res.stderr)["error"].startswith(f"{name} must be finite")
+    assert not (tmp_path / "spectrum.csv").exists()
 
 
 @pytest.mark.parametrize("t_max_us", ["0", "-1"])
