@@ -16,6 +16,7 @@ import numpy as np
 
 from . import runner
 from .duffing import duffing_spectrum
+from .dynamics import IntegrationError
 from .files import atomic_write
 from .gates import cnot_sequence, exchange_unitary, ideal_cnot, phase_aligned_distance
 from .hamiltonians import PhysicalParams, exchange_rate
@@ -51,13 +52,13 @@ def _scenario_from_sources(config_path, preset) -> ScenarioConfig:
 
 
 class _Main(click.Group):
-    """Reports a rejected config or input, from any command, as one JSON
-    error line on stderr and exit status 1."""
+    """Reports a rejected config or input, or a run a numerical gate refused,
+    from any command, as one JSON error line on stderr and exit status 1."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (ValueError, OSError) as exc:
+        except (ValueError, OSError, IntegrationError) as exc:
             click.echo(json.dumps({"error": str(exc)}), err=True)
             sys.exit(1)
 

@@ -1,4 +1,4 @@
-"""Open-system (Lindblad) and closed-system propagation on a time grid.
+"""Open-system (Lindblad) propagation on a time grid.
 
 The generator here is always time-independent. `propagate` is the one
 propagation core, and it does not step. Every output is a linear functional
@@ -31,12 +31,11 @@ come from the sum over sectors of Q V (exp(nu t_N) * V^-1 Q^H v0).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.constants import hbar as HBAR_SI, k as KB_SI
-from scipy.linalg import eig, eigh, solve
+from scipy.linalg import eig, solve
 
 from .files import atomic_write
 from .fockspace import Operator, QuantumState, SpaceDescriptor, annihilation_op, embed
@@ -251,35 +250,22 @@ _CHUNK = 256  # output times per matrix product or CSV write: small next to the 
 
 @dataclass
 class Trajectory:
-    """Time grid plus per-time states and named real observable series."""
+    """Time grid plus named real series, one CSV column each."""
 
     times: np.ndarray
-    states: list | None
-    observables: dict[str, np.ndarray]
-    stats: dict = field(default_factory=dict)
+    columns: dict[str, np.ndarray]
 
     def to_csv(self, path) -> None:
-        """t_s column followed by one column per observable; 17 significant
+        """t_s column followed by one column per series; 17 significant
         digits, comma separator, LF line endings; written atomically."""
-        names = list(self.observables)
-        cols = [self.times] + [self.observables[n] for n in names]
+        names = list(self.columns)
+        cols = [self.times] + [self.columns[n] for n in names]
         template = ",".join(["%.17g"] * len(cols)) + "\n"
         with atomic_write(path) as fh:
             fh.write(",".join(["t_s"] + names) + "\n")
             for s in range(0, len(self.times), _CHUNK):  # whole, Python floats take 32 B a value
                 rows = zip(*(c[s:s + _CHUNK].tolist() for c in cols))
                 fh.writelines(template % row for row in rows)
-
-
-def _check_grid(t_grid: np.ndarray) -> np.ndarray:
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size < 2:
-        raise ValueError("time grid must be 1-D with at least two points")
-    if t[0] != 0.0:
-        raise ValueError("time grid must start at 0")
-    if np.any(np.diff(t) <= 0):
-        raise ValueError("time grid must be strictly ascending")
-    return t
 
 
 def _spectral_scale(H: Operator, collapse: CollapseSet) -> float:
@@ -337,8 +323,14 @@ def propagate(
     """
     if method not in ("expm", "rk4"):
         raise ValueError(f"propagate runs expm or rk4, not {method!r}")
-    t = _check_grid(t_grid)
+    t = np.asarray(t_grid, dtype=float)
+    if t.ndim != 1 or t.size < 2:
+        raise ValueError("time grid must be 1-D with at least two points")
+    if t[0] != 0.0:
+        raise ValueError("time grid must start at 0")
     dts = np.diff(t)
+    if np.any(dts <= 0):
+        raise ValueError("time grid must be strictly ascending")
     if not np.allclose(dts, dts[0], rtol=1e-9, atol=0.0):
         raise ValueError(f"{method} needs a uniform time grid")
     d = H.dim
@@ -424,52 +416,18 @@ def evolve_master(
     rho0: QuantumState,
     t_grid: np.ndarray,
     method: str = "expm",
-    observables: Mapping[str, Callable[[np.ndarray], float]] | None = None,
-) -> Trajectory:
-    """The states and observables of `propagate` from rho0 at every time of
-    the grid. Stats also carry the Hermiticity drift and minimum eigenvalue
-    over all outputs.
+) -> tuple[np.ndarray, dict]:
+    """The (n_t, d, d) states of `propagate` from rho0 at every time of the
+    grid, and its stats, which also carry the Hermiticity drift and minimum
+    eigenvalue over all outputs.
     """
-    t = _check_grid(t_grid)
     if rho0.space != H.space:
         raise ValueError("initial state and Hamiltonian live on different spaces")
     d = H.dim
     v0 = rho0.to_density().data.reshape(-1)
     eye = np.eye(d * d)  # the real parts of the rows [I; -iI] are Re and Im of vec(rho)
     series, stats = propagate(H, collapse, v0[:, None], np.concatenate([eye, -1j * eye]),
-                              t, method)
-    vecs = series[0, :d * d] + 1j * series[0, d * d:]
-    states = [vecs[:, i].reshape(d, d) for i in range(len(t))]
-    stats["max_herm_drift"], stats["min_eigenvalue"] = _health(np.stack(states))
-    obs_series = {name: np.array([fn(rho) for rho in states], dtype=float)
-                  for name, fn in (observables or {}).items()}
-    return Trajectory(t, states, obs_series, stats)
-
-
-def evolve_unitary(
-    H: Operator,
-    psi0: QuantumState,
-    t_grid: np.ndarray,
-    observables: Mapping[str, Callable[[np.ndarray], float]] | None = None,
-) -> Trajectory:
-    """Closed-system |psi(t)> = e^{-iHt}|psi0> through one eigendecomposition."""
-    if not H.is_hermitian(rtol=1e-10):
-        raise ValueError("Hamiltonian must be Hermitian")
-    if psi0.kind != "ket":
-        raise ValueError("evolve_unitary needs a ket initial state")
-    if psi0.space != H.space:
-        raise ValueError("initial state and Hamiltonian live on different spaces")
-    t = _check_grid(t_grid)
-    energies, vecs = eigh(H.data)
-    coeff = vecs.conj().T @ psi0.data
-    phases = np.exp(-1j * np.outer(t, energies))
-    kets = (vecs @ (phases * coeff).T).T  # shape (n_t, d)
-    norms = np.linalg.norm(kets, axis=1)
-    if np.max(np.abs(norms - 1.0)) > 1e-10:
-        raise IntegrationError("norm drift in unitary evolution", {"max_drift": float(np.max(np.abs(norms - 1.0)))})
-    obs_series = {name: np.empty(len(t)) for name in (observables or {})}
-    for i in range(len(t)):
-        for name, fn in (observables or {}).items():
-            obs_series[name][i] = fn(kets[i])
-    states = [kets[i] for i in range(len(t))]
-    return Trajectory(t, states, obs_series, {"method": "eig", "max_norm_drift": float(np.max(np.abs(norms - 1.0)))})
+                              t_grid, method)
+    states = (series[0, :d * d] + 1j * series[0, d * d:]).T.reshape(-1, d, d)
+    stats["max_herm_drift"], stats["min_eigenvalue"] = _health(states)
+    return states, stats

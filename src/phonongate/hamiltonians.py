@@ -1,17 +1,15 @@
-"""System Hamiltonian assembly, drive/steady-state algebra, and the
-effective cavity-mediated exchange between gate qubits.
+"""System Hamiltonian assembly and the effective cavity-mediated exchange
+between gate qubits.
 
-All rates are angular frequencies (rad/s) with hbar = 1, except
-`drive_amplitude` which takes SI watts and returns 1/s. JSON configs carry
-frequencies in Hz under mandatory `*_hz` keys and are multiplied by 2*pi
-on ingestion.
+All rates are angular frequencies (rad/s) with hbar = 1. JSON configs carry
+frequencies in Hz under mandatory `*_hz` keys and are multiplied by 2*pi on
+ingestion.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import hbar as HBAR_SI
 
 from .duffing import DuffingSpectrum
 from .fockspace import Operator, SpaceDescriptor, annihilation_op, embed, quadrature_op
@@ -32,10 +30,8 @@ _HZ_KEYS = {
     "kappa": "kappa_hz",
     "gamma_m": "gamma_m_hz",
     "eps_L": "eps_L_hz",
-    "omega_L": "omega_L_hz",
-    "g0": "g0_hz",
 }
-_PLAIN_KEYS = {"n_th": "n_th", "P_in": "P_in", "T": "T", "Q": "Q"}
+_PLAIN_KEYS = {"n_th": "n_th", "T": "T", "Q": "Q"}
 _KEYS = {**_HZ_KEYS, **_PLAIN_KEYS}
 
 
@@ -45,7 +41,8 @@ class PhysicalParams:
 
     Delta may carry either sign; every rate must be nonnegative, and Q
     positive. Optional fields default to None and are filled by the scenario
-    runner (gamma_m from Q, n_th from T) when absent.
+    runner (gamma_m from Q, n_th from T) when absent. eps_L, the published
+    drive amplitude, is recorded and echoed but read by nothing.
     """
 
     Delta: float = 0.0
@@ -57,9 +54,6 @@ class PhysicalParams:
     gamma_m: float | None = None
     n_th: float | None = None
     eps_L: float | None = None
-    omega_L: float | None = None
-    P_in: float | None = None
-    g0: float | None = None
     T: float | None = None
     Q: float | None = None
 
@@ -103,28 +97,6 @@ class EffectiveGateParams:
     stark_shifts: tuple[float, float]
     X_G: float
     omega_G: float
-
-
-def drive_amplitude(P_in: float, kappa: float, omega_L: float) -> float:
-    """Laser drive amplitude eps_L = 2 sqrt(P_in kappa / (hbar omega_L)), in 1/s."""
-    if P_in < 0 or kappa <= 0 or omega_L <= 0:
-        raise ValueError("P_in must be >= 0 and kappa, omega_L positive")
-    return 2.0 * np.sqrt(P_in * kappa / (HBAR_SI * omega_L))
-
-
-def steady_amplitude(eps_L: float, Delta: float, kappa: float) -> complex:
-    """Steady intracavity amplitude alpha = eps_L / (2 Delta + i kappa)."""
-    den = 2.0 * Delta + 1j * kappa
-    if den == 0:
-        raise ValueError("2*Delta + i*kappa must be nonzero")
-    return complex(eps_L / den)
-
-
-def enhanced_coupling(alpha: complex, g0: float) -> float:
-    """Linearized optomechanical coupling g = sqrt(2) |alpha| g0."""
-    if g0 < 0:
-        raise ValueError("g0 must be nonnegative")
-    return float(np.sqrt(2.0) * abs(alpha) * g0)
 
 
 def cavity_quadrature(dim: int, convention: str = "symmetric") -> Operator:
@@ -206,15 +178,6 @@ def effective_gate_hamiltonian(spec: DuffingSpectrum, g_G: float, Delta: float) 
             s += abs(spec.X[level, m]) ** 2 / (Delta + spec.delta[level, m])
         shifts.append(0.5 * g_G**2 * s)
     return EffectiveGateParams(float(omega), (shifts[0], shifts[1]), float(x10), float(omega_g))
-
-
-def exchange_rate_paths(spec: DuffingSpectrum, g_G: float, Delta: float) -> float:
-    """Exchange coefficient summed over the two second-order paths,
-    (g^2 X_G^2 / 2)[1/(Delta + omega_G) + 1/(Delta - omega_G)]; identical to
-    the closed-form Omega and kept as an independent code path."""
-    x10 = abs(spec.X[0, 1])
-    omega_g = spec.delta[1, 0]
-    return float(0.5 * g_G**2 * x10**2 * (1.0 / (Delta + omega_g) + 1.0 / (Delta - omega_g)))
 
 
 def rabi_angle(Omega: float, t: float) -> float:

@@ -360,8 +360,7 @@ def run_scenario(cfg: ScenarioConfig, outdir) -> dict:
         "warnings": _warnings(stats),
         "config": cfg.to_mapping(),
     }
-    traj = Trajectory(times, None, columns, stats)
-    traj.to_csv(os.path.join(outdir, "trajectory.csv"))
+    Trajectory(times, columns).to_csv(os.path.join(outdir, "trajectory.csv"))
     write_json(os.path.join(outdir, "summary.json"), summary)
     return summary
 

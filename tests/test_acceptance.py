@@ -227,11 +227,10 @@ def test_criterion_7_lindblad_oracles():
     worst_decay = 0.0
     stats_pool = []
     for method in ("expm", "rk4"):
-        traj = evolve_master(h0, decay, rho0, t, method,
-                             observables={"n": lambda r: np.trace(n_op @ r).real})
+        states, stats = evolve_master(h0, decay, rho0, t, method)
         worst_decay = max(worst_decay, float(np.max(np.abs(
-            traj.observables["n"] - np.exp(-kappa * t)))))
-        stats_pool.append(traj.stats)
+            np.einsum("ij,tji->t", n_op, states).real - np.exp(-kappa * t)))))
+        stats_pool.append(stats)
 
     # thermal steady state
     dim, gamma = 25, 1.0
@@ -242,10 +241,9 @@ def test_criterion_7_lindblad_oracles():
     thermal = CollapseSet((np.sqrt(gamma * n_th) * b.dag(),
                            np.sqrt(gamma * (n_th + 1)) * b))
     tt = np.linspace(0.0, 10.0 / gamma, 201)
-    traj_th = evolve_master(hb, thermal, QuantumState.fock(space_b, [0]).to_density(),
-                            tt, observables={"n": lambda r: np.trace(number_op(dim).data @ r).real})
-    stats_pool.append(traj_th.stats)
-    n_final = traj_th.observables["n"][-1]
+    states_th, stats_th = evolve_master(hb, thermal, QuantumState.fock(space_b, [0]).to_density(), tt)
+    stats_pool.append(stats_th)
+    n_final = np.trace(number_op(dim).data @ states_th[-1]).real
     thermal_rel = abs(n_final - n_th) / n_th
 
     trace_worst = max(s["max_trace_drift"] for s in stats_pool)
@@ -422,9 +420,9 @@ def test_invariant_fixed_step_order_check(monkeypatch):
         target = QuantumState.fock(SpaceDescriptor((2, 2)), [1, 1]).data  # CNOT|10>
         from phonongate.fockspace import partial_trace
 
-        traj = evolve_master(H, collapse, rho0, t, "rk4")
+        states, _ = evolve_master(H, collapse, rho0, t, "rk4")
         rho_q = partial_trace(
-            QuantumState.density(space, traj.states[-1]), [1, 2]).data
+            QuantumState.density(space, states[-1]), [1, 2]).data
         return float(np.real(target.conj() @ rho_q @ target))
 
     f1 = final_avg()

@@ -13,7 +13,6 @@ from phonongate.dynamics import (
     _rk4_rates,
     beam_swap,
     evolve_master,
-    evolve_unitary,
     liouvillian,
     mech_damping,
     parity_blocks,
@@ -160,11 +159,11 @@ def test_evolve_master_cavity_decay(method):
     rho0 = QuantumState.fock(space, [1]).to_density()
     t = np.linspace(0.0, 3.0 / kappa, 61)
     n = (a.dag() @ a).data
-    traj = evolve_master(H, collapse, rho0, t, method,
-                         observables={"n": lambda r: np.trace(n @ r).real})
-    assert np.max(np.abs(traj.observables["n"] - np.exp(-kappa * t))) <= 1e-6
-    assert traj.stats["max_trace_drift"] <= 1e-6
-    assert traj.stats["min_eigenvalue"] >= -1e-6
+    states, stats = evolve_master(H, collapse, rho0, t, method)
+    occupation = np.einsum("ij,tji->t", n, states).real
+    assert np.max(np.abs(occupation - np.exp(-kappa * t))) <= 1e-6
+    assert stats["max_trace_drift"] <= 1e-6
+    assert stats["min_eigenvalue"] >= -1e-6
 
 
 def test_evolve_master_thermal_steady_state():
@@ -175,9 +174,8 @@ def test_evolve_master_thermal_steady_state():
     rho0 = QuantumState.fock(space, [0]).to_density()
     t = np.linspace(0.0, 10.0 / gamma, 201)
     n = number_op(dim).data
-    traj = evolve_master(H, collapse, rho0, t,
-                         observables={"n": lambda r: np.trace(n @ r).real})
-    assert traj.observables["n"][-1] == pytest.approx(n_th, rel=0.01)
+    states, _ = evolve_master(H, collapse, rho0, t)
+    assert np.trace(n @ states[-1]).real == pytest.approx(n_th, rel=0.01)
 
 
 @pytest.mark.parametrize("method", ["expm", "rk4"])
@@ -188,11 +186,10 @@ def test_evolve_master_matches_unitary_without_dissipation(method):
     H = Operator(space, (hmat + hmat.T) * 1.0)
     psi0 = QuantumState.ket(space, rng.normal(size=6) + 1j * rng.normal(size=6))
     t = np.linspace(0.0, 4.0, 41)
-    traj_u = evolve_unitary(H, psi0, t)
-    traj_m = evolve_master(H, CollapseSet(()), psi0.to_density(), t, method)
+    states, _ = evolve_master(H, CollapseSet(()), psi0.to_density(), t, method)
     for k in (10, 25, 40):
-        proj = np.outer(traj_u.states[k], traj_u.states[k].conj())
-        assert np.max(np.abs(traj_m.states[k] - proj)) <= 1e-8
+        psi = expm(-1j * H.data * t[k]) @ psi0.data
+        assert np.max(np.abs(states[k] - np.outer(psi, psi.conj()))) <= 1e-8
 
 
 def test_evolve_master_grid_validation():
@@ -298,9 +295,9 @@ def test_evolve_master_hermiticity_and_positivity_stats():
     space, H, a, collapse = cavity_decay_setup(dim=3, kappa=0.5)
     rho0 = QuantumState.ket(space, [0.6, 0.8j, 0.0]).to_density()
     t = np.linspace(0.0, 5.0, 101)
-    traj = evolve_master(H, collapse, rho0, t)
-    assert traj.stats["max_herm_drift"] <= 1e-8
-    assert traj.stats["min_eigenvalue"] >= -1e-6
+    _, stats = evolve_master(H, collapse, rho0, t)
+    assert stats["max_herm_drift"] <= 1e-8
+    assert stats["min_eigenvalue"] >= -1e-6
 
 
 def random_densities(rng, d, k):
@@ -330,32 +327,34 @@ def test_propagate_batch_matches_per_column():
                                rtol=0.0, atol=1e-14)
 
 
+# closed-system (unitary) evolution: evolve_master with no collapse operators
+
+
 def test_evolve_unitary_phase_only():
     w = 3.0
     space = SpaceDescriptor((2,))
     H = Operator(space, np.diag([w / 2, -w / 2]).astype(complex), hermitian=True)
-    psi0 = QuantumState.fock(space, [0])
+    rho0 = QuantumState.fock(space, [0]).to_density()
     t = np.linspace(0.0, np.pi / w, 5)
-    traj = evolve_unitary(H, psi0, t)
-    final = traj.states[-1]
-    assert abs(abs(final[0]) - 1.0) <= 1e-12
-    assert abs(final[1]) <= 1e-12
+    final = evolve_master(H, CollapseSet(()), rho0, t)[0][-1]
+    assert abs(final[0, 0] - 1.0) <= 1e-12
+    assert np.max(np.abs(final[1])) <= 1e-12
 
 
 def test_evolve_unitary_exchange_block():
     # H = -Omega (|01><10| + h.c.) sends |01> to +i|10> at Omega t = pi/2,
-    # the phase convention of the published exchange matrix
+    # the phase convention of the published exchange matrix; |00> is the
+    # phase reference that the coherence <10|rho|00> = i/2 shows it against
     omega = 2.0
     space = SpaceDescriptor((2, 2))
     hmat = np.zeros((4, 4), dtype=complex)
     hmat[1, 2] = hmat[2, 1] = -omega
     H = Operator(space, hmat, hermitian=True)
-    psi0 = QuantumState.fock(space, [0, 1])
+    rho0 = QuantumState.ket(space, [1.0, 1.0, 0.0, 0.0]).to_density()
     t = np.linspace(0.0, np.pi / (2 * omega), 9)
-    traj = evolve_unitary(H, psi0, t)
-    final = traj.states[-1]
-    assert abs(final[2] - 1j) <= 1e-12
-    assert abs(final[1]) <= 1e-12
+    final = evolve_master(H, CollapseSet(()), rho0, t)[0][-1]
+    assert abs(final[2, 0] - 0.5j) <= 1e-12
+    assert abs(final[1, 1]) <= 1e-12
 
 
 def test_evolve_unitary_energy_conserved():
@@ -363,19 +362,11 @@ def test_evolve_unitary_energy_conserved():
     space = SpaceDescriptor((5,))
     hmat = rng.normal(size=(5, 5))
     H = Operator(space, hmat + hmat.T)
-    psi0 = QuantumState.ket(space, rng.normal(size=5) + 1j * rng.normal(size=5))
+    rho0 = QuantumState.ket(space, rng.normal(size=5) + 1j * rng.normal(size=5)).to_density()
     t = np.linspace(0.0, 10.0, 101)
-    traj = evolve_unitary(H, psi0, t,
-                          observables={"E": lambda v: np.real(v.conj() @ H.data @ v)})
-    e = traj.observables["E"]
+    states, _ = evolve_master(H, CollapseSet(()), rho0, t)
+    e = np.einsum("ij,tji->t", H.data, states).real
     assert np.max(np.abs(e - e[0])) <= 1e-10 * max(1.0, abs(e[0]))
-
-
-def test_evolve_unitary_validation():
-    space = SpaceDescriptor((2,))
-    bad = Operator(space, np.array([[0, 1], [0, 0]], dtype=complex))
-    with pytest.raises(ValueError):
-        evolve_unitary(bad, QuantumState.fock(space, [0]), np.linspace(0, 1, 3))
 
 
 def test_standard_channels_structure():
@@ -387,7 +378,7 @@ def test_standard_channels_structure():
 
 
 def test_trajectory_csv_format(tmp_path):
-    traj = Trajectory(np.array([0.0, 0.5, 1.0]), None,
+    traj = Trajectory(np.array([0.0, 0.5, 1.0]),
                       {"F": np.array([1.0, 1 / 3, -0.0]), "G": np.array([np.nan, np.inf, 2e-300])})
     path = tmp_path / "traj.csv"
     traj.to_csv(path)
@@ -652,9 +643,10 @@ def test_evolve_master_returns_distinct_states():
     space, H, a, collapse = cavity_decay_setup(dim=3, kappa=0.5)
     rho0 = QuantumState.fock(space, [2]).to_density()
     t = np.linspace(0.0, 2.0, 5)
-    traj = evolve_master(H, collapse, rho0, t)
-    assert traj.stats["support"] == 5
-    assert np.array_equal(traj.states[0], rho0.data)
-    top = [rho[2, 2].real for rho in traj.states]
+    states, stats = evolve_master(H, collapse, rho0, t)
+    assert stats["support"] == 5
+    assert states.shape == (5, 3, 3)
+    assert np.array_equal(states[0], rho0.data)
+    top = states[:, 2, 2].real
     assert np.all(np.diff(top) < 0)
     assert top[-1] == pytest.approx(np.exp(-2 * 0.5 * 2.0), abs=1e-12)

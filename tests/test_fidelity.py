@@ -18,6 +18,7 @@ from phonongate.fidelity import (
     state_fidelity,
 )
 from phonongate.fockspace import QuantumState, SpaceDescriptor
+from phonongate.gates import cnot_sequence, ideal_cnot
 from phonongate.runner import figure_config
 
 SPACE4 = SpaceDescriptor((2, 2))
@@ -148,18 +149,22 @@ def test_family_structure():
 
 
 def bloch_average(family, evaluator):
-    """The bloch_grid quadrature of evaluator(ket): weights over their sum."""
+    """The bloch_grid quadrature of evaluator(kets), one row per ket: weights
+    over their sum."""
     kets, weights = bloch_grid(family)
-    return weights @ np.array([evaluator(v) for v in kets]) / weights.sum()
+    return weights @ evaluator(np.array(kets)) / weights.sum()
 
 
 def gate_fidelities(ots):
-    return lambda v: np.array([gate_fidelity_matrix(v, ot) for ot in ots])
+    """The matrix path of gate_fidelity_matrix, |<v|CNOT† U_Gate(ot)|v>|^2,
+    for a (n, 4) batch of kets at every ot: an (n, len(ots)) array."""
+    gates = np.stack([ideal_cnot().data.conj().T @ cnot_sequence(ot, 1.0).data for ot in ots])
+    return lambda kets: np.abs(np.einsum("ni,kij,nj->nk", kets.conj(), gates, kets)) ** 2
 
 
 def test_bloch_average_constant_evaluator():
     fam = InitialStateFamily("schmidt-entangled", grid=(16, 16))
-    assert np.allclose(bloch_average(fam, lambda _: np.full(4, 0.37)), 0.37)
+    assert np.allclose(bloch_average(fam, lambda kets: np.full((len(kets), 4), 0.37)), 0.37)
 
 
 def test_bloch_average_matches_entangled_closed_form():
@@ -179,24 +184,17 @@ def test_bloch_average_separable_consistency():
     wt = np.ones(12); wt[0] = wt[-1] = 0.5
     wp = np.ones(8); wp[0] = wp[-1] = 0.5
     w1 = np.outer(wt * np.sin(thetas), wp).reshape(-1)
-    expected = np.zeros(2)
-    total = 0.0
-    states = [separable_state(t1, p1, t2, p2)
-              for t1 in thetas for p1 in phis for t2 in thetas for p2 in phis]
+    states = np.array([separable_state(t1, p1, t2, p2)
+                       for t1 in thetas for p1 in phis for t2 in thetas for p2 in phis])
     weights = np.outer(w1, w1).reshape(-1)
-    for v, w in zip(states, weights):
-        if w == 0.0:
-            continue
-        expected += w * np.array([gate_fidelity_matrix(v, ot) for ot in ots])
-        total += w
-    expected /= total
+    expected = weights @ gate_fidelities(ots)(states) / weights.sum()
     assert np.max(np.abs(out - expected)) <= 1e-12
 
 
 def test_bloch_average_grid_floor():
     fam = InitialStateFamily("schmidt-entangled", grid=(16, 16))
     with pytest.raises(ValueError):
-        bloch_average(replace(fam, grid=(4, 16)), lambda v: np.zeros(2))
+        bloch_average(replace(fam, grid=(4, 16)), lambda kets: np.zeros((len(kets), 2)))
 
 
 def test_family_validation():

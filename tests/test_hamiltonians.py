@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 from dataclasses import replace
-from scipy.constants import hbar
 
 from phonongate.duffing import duffing_spectrum
 from phonongate.dynamics import CollapseSet, beam_swap
@@ -9,14 +8,10 @@ from phonongate.fockspace import SpaceDescriptor
 from phonongate.hamiltonians import (
     PhysicalParams,
     ResonanceProximityError,
-    drive_amplitude,
     effective_gate_hamiltonian,
-    enhanced_coupling,
     exchange_rate,
-    exchange_rate_paths,
     rabi_angle,
     rabi_angle_from_profile,
-    steady_amplitude,
     system_hamiltonian,
 )
 
@@ -27,49 +22,6 @@ def paper_va_spectrum():
     # harmonic beam so delta_10 equals the quoted transition frequency exactly
     # (a quartic term would dress it to omega + 6 lam)
     return duffing_spectrum(TWOPI * 36.6e6, 0.0, dim=16, dim_trust=4)
-
-
-def test_drive_amplitude_zero_power():
-    assert drive_amplitude(0.0, 1e3, 1e15) == 0.0
-
-
-def test_drive_amplitude_sqrt_scaling():
-    e1 = drive_amplitude(1.0, 1e3, 1e15)
-    e4 = drive_amplitude(4.0, 1e3, 1e15)
-    assert e4 == pytest.approx(2 * e1, rel=1e-12)
-
-
-def test_drive_amplitude_formula():
-    p, k, wl = 5.0, TWOPI * 523.0, TWOPI * 2.82e14
-    assert drive_amplitude(p, k, wl) == pytest.approx(2 * np.sqrt(p * k / (hbar * wl)), rel=1e-12)
-
-
-def test_drive_amplitude_errors():
-    with pytest.raises(ValueError):
-        drive_amplitude(1.0, 0.0, 1e15)
-    with pytest.raises(ValueError):
-        drive_amplitude(-1.0, 1e3, 1e15)
-
-
-def test_steady_amplitude_limits():
-    assert steady_amplitude(2.0, 4.0, 0.0) == pytest.approx(0.25)
-    assert steady_amplitude(3.0, 0.0, 6.0) == pytest.approx(-0.5j)
-    with pytest.raises(ValueError):
-        steady_amplitude(1.0, 0.0, 0.0)
-
-
-def test_steady_amplitude_published_numbers():
-    # |alpha| = eps / sqrt(4 Delta^2 + kappa^2) evaluated at the quoted inputs
-    alpha = steady_amplitude(9.34e5, TWOPI * 28e6, TWOPI * 523.0)
-    assert abs(alpha) == pytest.approx(2.6545e-3, rel=1e-4)
-
-
-def test_enhanced_coupling():
-    assert enhanced_coupling(0.0, 5.0) == 0.0
-    assert enhanced_coupling(1 / np.sqrt(2), 5.0) == pytest.approx(5.0, rel=1e-12)
-    assert enhanced_coupling(np.sqrt(2) * 1j, 5.0) == pytest.approx(10.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        enhanced_coupling(1.0, -1.0)
 
 
 def default_params(**kw):
@@ -192,7 +144,10 @@ def test_exchange_rate_two_paths_agree():
     spec = paper_va_spectrum()
     g, delta = TWOPI * 21e3, TWOPI * 49.9e6
     eff = effective_gate_hamiltonian(spec, g, delta)
-    assert exchange_rate_paths(spec, g, delta) == pytest.approx(eff.Omega, rel=1e-12)
+    # the two second-order paths, (g^2 X_G^2 / 2)[1/(Delta + omega_G) + 1/(Delta - omega_G)]
+    x10, omega_g = abs(spec.X[0, 1]), spec.delta[1, 0]
+    paths = 0.5 * g**2 * x10**2 * (1.0 / (delta + omega_g) + 1.0 / (delta - omega_g))
+    assert paths == pytest.approx(eff.Omega, rel=1e-12)
 
 
 def test_exchange_rate_guards_the_resonance():

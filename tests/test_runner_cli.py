@@ -9,7 +9,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh
 
-from phonongate import cli, runner
+from phonongate import cli, hamiltonians, runner
 from phonongate.duffing import duffing_hamiltonian
 from phonongate.fidelity import InitialStateFamily
 from phonongate.hamiltonians import PhysicalParams
@@ -115,8 +115,7 @@ def scenario_mappings(draw):
         optional={"Delta_hz": st.floats(min_value=-1e9, max_value=1e9), "g_G_hz": _RATE,
                   "G_tilde_hz": _RATE, "lambda_hz": _RATE, "kappa_hz": _RATE,
                   "eps_L_hz": st.floats(-1e9, 1e9), "T": _RATE,
-                  "Q": st.floats(min_value=0.0, max_value=1e9, exclude_min=True),
-                  "P_in": st.floats(0.0, 10.0)}))
+                  "Q": st.floats(min_value=0.0, max_value=1e9, exclude_min=True)}))
     kinds = ["fixed-list", "named-superposition"]
     kind = draw(st.sampled_from(kinds if mode == "analytic" else
                                 kinds + ["schmidt-entangled", "separable-product"]))
@@ -265,6 +264,17 @@ def test_readme_lists_every_integrator_key(tmp_path):
     assert listed == emitted
 
 
+def test_readme_lists_every_params_key():
+    # the params of the README's config example, and the keys the params.* row
+    # of its key table adds before the ';'
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("### Scenario config (JSON)", 1)[1].split("```json\n", 1)[1]
+    row = next(line for line in readme.splitlines() if line.startswith("| `params.*` |"))
+    listed = (set(json.loads(example.split("```", 1)[0])["params"])
+              | set(re.findall(r"`([^`]+)`", row.split("|")[2].split(";")[0])))
+    assert listed == set(hamiltonians._KEYS.values())
+
+
 def test_master_run_fidelity_convention_sqrt(tmp_path):
     sq = run_scenario(ScenarioConfig.from_mapping(
         small_master_mapping(fidelity_convention="squared", n_steps=501)), tmp_path / "a")
@@ -398,6 +408,23 @@ def test_cli_spectrum_refuses_non_finite_parameters(tmp_path, args, name):
     assert isinstance(res.exception, SystemExit)
     assert json.loads(res.stderr)["error"].startswith(f"{name} must be finite")
     assert not (tmp_path / "spectrum.csv").exists()
+
+
+def test_cli_evolve_reports_a_gate_refusal_as_json(tmp_path):
+    # the config validates, but at Q = 1e-3 the beams are damped so hard that
+    # the trace drifts 2.7e-4 and the trace gate refuses the run
+    doc = {"params": {"Delta_hz": 28e6, "g_G_hz": 9e6, "omega_G_hz": 28.6e6, "lambda_hz": 209e3,
+                      "kappa_hz": 0, "Q": 1e-3, "T": 3e-3},
+           "dims": {"n_cav": 2, "n_b": 2}, "t_max_us": 1e6, "n_steps": 11}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    res = CliRunner().invoke(cli.main, ["evolve", "--config", str(cfg_path),
+                                        "--out", str(tmp_path / "run")])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    [line] = res.stderr.splitlines()
+    assert "trace drift" in json.loads(line)["error"]
+    assert not list((tmp_path / "run").glob("*"))  # no CSV, no summary
 
 
 @pytest.mark.parametrize("t_max_us", ["0", "-1"])
