@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .fockspace import Operator, SpaceDescriptor, annihilation_op, quadrature_op
 
@@ -73,7 +72,7 @@ def spectrum(H: Operator, dim_trust: int, omega_m: float = np.nan, lam: float = 
     dim = H.dim
     if dim_trust < 2 or dim_trust > dim - 4:
         raise ValueError(f"dim_trust must be in [2, dim-4], got {dim_trust} for dim {dim}")
-    energies, vecs = eigh(H.data)
+    energies, vecs = np.linalg.eigh(H.data)
     # fix eigenvector phases: overlap with the same-index Fock state real, >= 0
     for n in range(dim):
         ov = vecs[n, n]
@@ -112,7 +111,7 @@ def truncation_convergence(
     omega_m: float, lam: float, n_levels: int = 4, dim_lo: int = 16, dim_hi: int = 24
 ) -> float:
     """Max relative change of the lowest n_levels energies between two truncations."""
-    lo = eigh(duffing_hamiltonian(omega_m, lam, dim_lo).data, eigvals_only=True)[:n_levels]
-    hi = eigh(duffing_hamiltonian(omega_m, lam, dim_hi).data, eigvals_only=True)[:n_levels]
+    lo = np.linalg.eigvalsh(duffing_hamiltonian(omega_m, lam, dim_lo).data)[:n_levels]
+    hi = np.linalg.eigvalsh(duffing_hamiltonian(omega_m, lam, dim_hi).data)[:n_levels]
     ref = np.where(np.abs(hi) > 0, np.abs(hi), 1.0)
     return float(np.max(np.abs(lo - hi) / ref))

@@ -34,11 +34,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import hbar as HBAR_SI, k as KB_SI
-from scipy.linalg import eig, solve
 
+from .electrostatics import HBAR_SI
 from .files import atomic_write
 from .fockspace import Operator, QuantumState, SpaceDescriptor, annihilation_op, embed
+
+KB_SI = 1.380649e-23  # J/K, exact in the 2019 SI
 
 
 class IntegrationError(RuntimeError):
@@ -361,11 +362,11 @@ def propagate(
                 continue
             Ls = sector_liouvillian(H, collapse, b, idx, coef)
             scale = np.linalg.norm(Ls) or 1.0
-            w, V = eig(Ls)
+            w, V = np.linalg.eig(Ls)
             res = V * w  # V is real when every eigenvalue is
             res -= Ls @ V
             residual = max(residual, float(np.linalg.norm(res) / scale))
-            c = solve(V, v0, check_finite=False)  # (m, k)
+            c = np.linalg.solve(V, v0)  # (m, k)
             rows_q = _apply_basis(rows[..., b].T, idx, coef).T  # rows Q
             lam.append(w)
             amps.append((rows_q @ V) * c.T[:, None, :])  # (k, r, m)

@@ -15,8 +15,8 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import hbar
 
+HBAR_SI = 6.62607015e-34 / (2 * np.pi)  # J s, exact in the 2019 SI
 # first positive root of cos(kL)*cosh(kL) = 1 (clamped-clamped fundamental)
 CLAMPED_ROOT = 4.730040744862704
 
@@ -29,7 +29,7 @@ def zero_point_motion(m_star: float, omega: float) -> float:
     """chi_ZPM = sqrt(hbar / (2 m* omega)) in meters."""
     if m_star <= 0 or omega <= 0:
         raise ValueError("mass and frequency must be positive")
-    return np.sqrt(hbar / (2.0 * m_star * omega))
+    return np.sqrt(HBAR_SI / (2.0 * m_star * omega))
 
 
 @dataclass(frozen=True)
@@ -48,9 +48,10 @@ class FieldProfile:
     alpha_perp: float | None = None
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        w1 = np.asarray(self.w1, dtype=float)
-        w2 = np.asarray(self.w2, dtype=float)
+        x, w1, w2 = (np.asarray(a, dtype=float) for a in (self.x, self.w1, self.w2))
+        for name, value in (("L", self.L), ("x", x), ("w1", w1), ("w2", w2)):
+            if not np.all(np.isfinite(value)):  # NaN passes every comparison below
+                raise ValueError(f"{name} must be finite")
         if self.L <= 0:
             raise ValueError("beam length must be positive")
         if x.size < 2:
@@ -95,7 +96,7 @@ class BeamParams:
     def __post_init__(self):
         if self.m_star <= 0 or self.omega_m0 <= 0:
             raise ValueError("mass and intrinsic frequency must be positive")
-        expected = self.beta * self.chi_zpm**4 / (2.0 * hbar)
+        expected = self.beta * self.chi_zpm**4 / (2.0 * HBAR_SI)
         scale = max(abs(expected), abs(self.lambda0), 1e-300)
         if abs(self.lambda0 - expected) > 1e-10 * scale:
             raise ValueError(
@@ -109,7 +110,7 @@ class BeamParams:
     @classmethod
     def from_beta(cls, m_star: float, omega_m0: float, beta: float) -> "BeamParams":
         chi = zero_point_motion(m_star, omega_m0)
-        return cls(m_star, omega_m0, beta, beta * chi**4 / (2.0 * hbar))
+        return cls(m_star, omega_m0, beta, beta * chi**4 / (2.0 * HBAR_SI))
 
 
 def clamped_mode_shape(x, L: float):

@@ -9,9 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import hbar as HBAR_SI
 
 from .duffing import QubitSubspace
+from .electrostatics import HBAR_SI
 
 UNITARY_ATOL = 1e-12
 

@@ -22,7 +22,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from scipy.linalg import eigh
 
 from . import dynamics, fidelity
 from .dynamics import CollapseSet, Trajectory
@@ -230,7 +229,7 @@ def _qubit_isometry(n_b: int, omega_G: float, lam: float) -> np.ndarray:
     energies, vecs = [], []
     for parity in (0, 1):
         levels = np.flatnonzero(h.space.parity == parity)
-        e, v = eigh(h.data[np.ix_(levels, levels)])
+        e, v = np.linalg.eigh(h.data[np.ix_(levels, levels)])
         full = np.zeros((n_b, levels.size), dtype=complex)
         full[levels] = v
         energies.append(e)

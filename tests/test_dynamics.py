@@ -7,6 +7,7 @@ from scipy.linalg import expm
 from phonongate import dynamics
 from phonongate.dynamics import (
     EIG_TOL,
+    KB_SI,
     CollapseSet,
     IntegrationError,
     Trajectory,
@@ -21,6 +22,7 @@ from phonongate.dynamics import (
     symmetry_sectors,
     thermal_occupation,
 )
+from phonongate.electrostatics import HBAR_SI
 from phonongate.fockspace import (
     Operator,
     QuantumState,
@@ -44,6 +46,12 @@ def test_thermal_occupation_ln2_point():
     T = 1e-3
     w = kB * T * np.log(2) / hbar
     assert thermal_occupation(w, T) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_si_constants_are_scipys_exact_values():
+    # the 2019 SI fixes h and kB; the rounded hbar 1.054571817e-34 differs
+    assert HBAR_SI == hbar
+    assert KB_SI == kB
 
 
 def test_thermal_occupation_published_point():
@@ -263,7 +271,6 @@ def test_propagate_rejects_nan_trace():
         propagate(H, collapse, cols, np.eye(4), np.linspace(0.0, 1.0, 3))
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_propagate_refuses_a_defective_liouvillian():
     # |2> -> |1> -> |0> at equal rates: L has a Jordan block, so V is
     # singular. The residual and the reconstruction of rho0 both look clean;

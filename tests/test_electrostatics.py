@@ -81,6 +81,22 @@ def test_profile_from_csv_header_mandatory(tmp_path):
         FieldProfile.from_csv(path, L)
 
 
+@pytest.mark.parametrize("body, length, field", [
+    ("0,1,1\nnan,1,1\n", L, "x"),
+    ("0,1,1\n2.5e-7,inf,1\n", L, "w1"),
+    (None, float("nan"), "L"),
+])
+def test_profile_refuses_non_finite_input(tmp_path, body, length, field):
+    # NaN passes every ordering check, and mode_integrals would return (nan, nan)
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        if body is None:
+            FieldProfile(length, [0.0, L], [1.0, 1.0], [1.0, 1.0])
+        else:
+            path = tmp_path / "profile.csv"
+            path.write_text("x,w1,w2\n" + body)
+            FieldProfile.from_csv(path, length)
+
+
 def test_tuned_frequency_unsoftened():
     p = beam()
     assert tuned_frequency(p, 0.0) == p.omega_m0

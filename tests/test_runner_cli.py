@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -37,6 +40,18 @@ def small_master_mapping(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+def test_package_imports_no_scipy():
+    # NumPy is the package's one numerical library; SciPy serves the tests only
+    code = ("import pkgutil, sys, phonongate, phonongate.cli\n"
+            "for m in pkgutil.iter_modules(phonongate.__path__):\n"
+            "    __import__('phonongate.' + m.name)\n"
+            "print(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_config_roundtrip():
