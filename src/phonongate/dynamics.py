@@ -3,8 +3,8 @@
 The generator here is always time-independent. `propagate` is the one
 propagation core, and it does not step. Every output is a linear functional
 f of vec(rho) (a row); with L = V diag(lambda) V^-1 on a parity block, the
-series from a column v0 is f(t) = sum_k A_k exp(nu_k t), A = (f V) * (V^-1 v0),
-evaluated as chunks of exp(t nu^T) @ A. The rates nu set the integrator:
+series from a column v0 is f(t) = sum_k A_k exp(nu_k t), A = (f V) * (V^-1 v0).
+The rates nu set the integrator:
 
 * ``expm`` (default): nu = lambda, the exact propagator, or
 * ``rk4``: fixed-step classic Runge-Kutta. m substeps per output interval h
@@ -22,12 +22,23 @@ eigendecomposed once, as the real matrix L_s = Q^H L Q read off rows of L
 gated (Moler & Van Loan, SIAM Rev. 45, 3 (2003), method 14, and its caveat on
 an ill-conditioned V): ||L_s V - V Lambda|| / ||L_s|| and the cancellation
 bound eps max_j sum_k |A_jk| must be at most EIG_TOL; a defective L fails only
-the second. The trace is one more row, gated at every output, in one pass, to
-TRACE_TOL. Its row is a left null vector of L, so only the lambda = 0 modes
-reach it and R(0) = 1: rk4 drifts exactly as expm does at any substep count,
-and a drift is refused at once. The final output's Hermiticity and positivity
-come from the sum over sectors of Q V (exp(nu t_N) * V^-1 Q^H v0).
-`evolve_master` is `propagate` with the states read back.
+the second. An eigenvalue within the rounding floor m eps ||L_s|| of 0 is the
+steady state's, and is set to exactly 0.
+
+The series are evaluated in real arithmetic. The columns are vec of Hermitian
+matrices, so each sector state Q^H vec rho(t) is real, and Re(f Q y) =
+Re(f Q) y: the rows enter as Re(f Q). Conjugate eigenpairs of the real L_s
+then carry conjugate amplitudes, so only the modes with Im lambda >= 0 are kept
+(rk4's rates keep the pairing) and a pair counts twice, 2 e^{at} (Re A cos bt
+- Im A sin bt) for nu = a + ib. Each chunk of outputs is one real product of
+the amplitudes with the columns e^{at} cos bt of every kept mode and
+e^{at} sin bt of every pair. The trace is one more row, gated at every
+output, in one pass, to TRACE_TOL. Its row is a left null vector of L, so only
+the lambda = 0 modes reach it and R(0) = 1: rk4 drifts exactly as expm does
+at any substep count, and a drift is refused at once. The final output's
+Hermiticity and positivity come from the sum over sectors of
+Q V (exp(nu t_N) * V^-1 Q^H v0). `evolve_master` is `propagate` with the
+states read back.
 """
 from __future__ import annotations
 
@@ -306,19 +317,22 @@ def propagate(
     t_grid: np.ndarray,
     method: str = "expm",
 ) -> tuple[np.ndarray, dict]:
-    """Series of linear functionals `rows` of vec(rho) from a (d*d, k) batch
-    of vec(rho) columns over a uniform time grid, integrated by `method`
-    (expm or rk4).
+    """Real parts of the linear functionals `rows` of vec(rho) from a
+    (d*d, k) batch of columns, vec of Hermitian matrices, over a uniform time
+    grid, integrated by `method` (expm or rk4).
 
     `rows` is one (r, d*d) set for every column or a (k, r, d*d) stack, one
-    set per column. Returns the real (k, r, n_t) series, whose output 0 is
-    exactly rows @ columns, and the stats: sizes, the parity blocks the
-    columns occupy (n_blocks) and their vec(rho) entries (support), the sizes
-    of the sectors eigendecomposed (sectors), the gate (sector_imag, the
-    Hermiticity of H; eig_residual, cancellation_bound), the largest
-    |Im nu| dt over the modes the rows see (max_phase_per_output),
-    max_trace_drift, rk4's n_substeps_per_interval, and the Hermiticity drift
-    and minimum eigenvalue of the final output. Raises IntegrationError when
+    set per column; they need not be Hermitian functionals. A column whose
+    anti-Hermitian part exceeds EIG_TOL of its largest entry is refused with
+    a ValueError naming it: the real series would drop that part. Returns the
+    real (k, r, n_t) series, whose output 0 is exactly Re(rows @ columns),
+    and the stats: sizes, the parity blocks the columns occupy (n_blocks)
+    and their vec(rho) entries (support), the sizes of the sectors
+    eigendecomposed (sectors), the gate (sector_imag, the Hermiticity of H;
+    eig_residual, cancellation_bound), the largest |Im nu| dt over the modes
+    the rows see (max_phase_per_output), max_trace_drift, rk4's
+    n_substeps_per_interval, and the Hermiticity drift and minimum eigenvalue
+    of the final output. Raises IntegrationError when
     the gate fails or, in the one pass over the outputs, the trace drifts
     beyond TRACE_TOL (NaN included) at any of them.
     """
@@ -340,6 +354,12 @@ def propagate(
     k = columns.shape[1]
     if rows.ndim not in (2, 3) or rows.shape[-1] != d * d or rows.shape[:-2] not in ((), (k,)):
         raise ValueError(f"rows must be an (r, {d * d}) set or a ({k}, r, {d * d}) stack")
+    rho = columns.T.reshape(k, d, d)
+    anti = np.max(np.abs(rho - rho.conj().swapaxes(1, 2)), axis=(1, 2))
+    bad = np.flatnonzero(anti > EIG_TOL * np.max(np.abs(rho), axis=(1, 2)))
+    if bad.size:  # a NaN column passes here and fails the gate below
+        raise ValueError(f"column {bad[0]} is not vec of a Hermitian matrix: "
+                         f"max abs(rho - rho^dagger) = {anti[bad[0]]:.3g}")
     trace = np.zeros(d * d)
     trace[::d + 1] = 1.0
     rows = np.concatenate([rows, np.broadcast_to(trace, rows.shape[:-2] + (1, d * d))], axis=-2)
@@ -357,7 +377,7 @@ def propagate(
     lam, amps, modes, residual = [], [], [], 0.0
     for b in blocks:
         for idx, coef in symmetry_sectors(H, collapse, b):
-            v0 = _apply_basis(columns[b], idx, coef.conj())  # Q^H columns, (m, k)
+            v0 = _apply_basis(columns[b], idx, coef.conj()).real  # Q^H columns, (m, k)
             if not np.any(v0):
                 continue
             Ls = sector_liouvillian(H, collapse, b, idx, coef)
@@ -366,8 +386,11 @@ def propagate(
             res = V * w  # V is real when every eigenvalue is
             res -= Ls @ V
             residual = max(residual, float(np.linalg.norm(res) / scale))
+            # the steady state's 0 comes out at the rounding floor, and exp(w t)
+            # would carry that into the trace at a large enough t
+            w[np.abs(w) <= w.size * np.finfo(float).eps * scale] = 0.0
             c = np.linalg.solve(V, v0)  # (m, k)
-            rows_q = _apply_basis(rows[..., b].T, idx, coef).T  # rows Q
+            rows_q = _apply_basis(rows[..., b].T, idx, coef).T.real  # Re(rows Q)
             lam.append(w)
             amps.append((rows_q @ V) * c.T[:, None, :])  # (k, r, m)
             modes.append((b[idx], coef, V, c))
@@ -380,22 +403,39 @@ def propagate(
         raise IntegrationError(f"eigendecomposition of L beyond {EIG_TOL:g} "
                                "(defective or ill-conditioned)", stats)
     seen = np.max(magnitude, axis=(0, 1)) > 1e-12 * np.max(magnitude)
-    coeffs = np.ascontiguousarray(amps.reshape(k * r, -1).T)  # (m, k r)
     first = (rows @ columns.T[:, :, None])[..., 0].real  # (k, r)
 
     nu = lam
     if method == "rk4":  # substeps per output interval
         m = max(1, int(np.ceil(dts[0] * _spectral_scale(H, collapse) / SUBSTEP_PHASE)))
         nu = _rk4_rates(lam, float(dts[0]), m)
+    # real rows and real sector states give conjugate amplitudes on each
+    # conjugate pair: keep the Im lam >= 0 half, a pair counted twice as
+    # 2 Re(A e^{nu t}) = 2 e^{at} (Re A cos bt - Im A sin bt), nu = a + ib
+    kept, pair = lam.imag >= 0.0, lam.imag > 0.0
+    coeffs = np.concatenate([amps[..., kept].real * np.where(pair[kept], 2.0, 1.0),
+                             -2.0 * amps[..., pair].imag], axis=-1)  # (k, r, m)
+    rates, freqs = nu[kept].real, nu[kept].imag
+    sines = np.flatnonzero(pair[kept])
+    main = coeffs[:, :-1].reshape(k * (r - 1), -1)
     out = np.empty((k, r - 1, len(t)))
     drifts = []
     with np.errstate(over="ignore", invalid="ignore"):  # an unstable rk4 mode
         for s in range(0, len(t), _CHUNK):
-            f = (np.exp(np.outer(t[s:s + _CHUNK], nu)) @ coeffs).real.reshape(-1, k, r)
+            ts = t[s:s + _CHUNK, None]
+            # in place: more temporaries this small would grow the heap
+            E = np.empty((len(ts), rates.size + sines.size))
+            cos, sin = E[:, :rates.size], E[:, rates.size:]
+            env = np.exp(np.multiply(ts, rates, out=cos))
+            np.cos(np.multiply(ts, freqs, out=cos), out=cos)
+            np.sin(np.multiply(ts, freqs[sines], out=sin), out=sin)
+            cos *= env
+            sin *= env[:, sines]
+            np.matmul(main, E.T, out=out.reshape(k * (r - 1), -1)[:, s:s + _CHUNK])
+            trace = coeffs[:, -1] @ E.T  # (k, chunk)
             if s == 0:
-                f[0] = first
-            drifts.append(np.max(np.abs(f[..., -1] - 1.0)))
-            out[..., s:s + _CHUNK] = f[..., :-1].transpose(1, 2, 0)
+                out[..., 0], trace[:, 0] = first[:, :-1], first[:, -1]
+            drifts.append(np.max(np.abs(trace - 1.0)))
     stats["max_trace_drift"] = float(np.max(drifts))
     if method == "rk4":
         stats["n_substeps_per_interval"] = m

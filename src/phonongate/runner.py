@@ -407,8 +407,7 @@ def _run_master(cfg: ScenarioConfig):
     stacks = {f"F_avg_{name}": np.sqrt(fid, out=fid) if amplitude else fid}
     if emit_leakage:
         stacks[f"leakage_avg_{name}"] = np.stack(list(leaks.values()))
-    return times, {col: (weights[:, None] * s).sum(axis=0) / weights.sum()
-                   for col, s in stacks.items()}, stats
+    return times, {col: weights @ s / weights.sum() for col, s in stacks.items()}, stats
 
 
 # ---------------------------------------------------------------------------

@@ -334,6 +334,73 @@ def test_propagate_batch_matches_per_column():
                                rtol=0.0, atol=1e-14)
 
 
+
+def test_propagate_refuses_a_non_hermitian_column():
+    # the series are real parts: a column's anti-Hermitian part would be
+    # dropped without a word, so it is refused by index
+    space, H, _, collapse = cavity_decay_setup(dim=3, kappa=0.5)
+    good = QuantumState.fock(space, [1]).to_density().data.reshape(-1)
+    skew = np.zeros((3, 3), dtype=complex)
+    skew[0, 1] = 0.25
+    t = np.linspace(0.0, 1.0, 3)
+    with pytest.raises(ValueError, match="column 1 is not vec of a Hermitian matrix"):
+        propagate(H, collapse, np.stack([good, good + skew.reshape(-1)], axis=1), np.eye(9), t)
+    # rounding far below EIG_TOL of the largest entry is not refused
+    jitter = good + 1e-13j * np.eye(3).reshape(-1)
+    propagate(H, collapse, np.stack([good, jitter], axis=1), np.eye(9), t)
+
+
+def dense_series(H, collapse, columns, rows, t, substeps=None):
+    """The (k, r, n_t) oracle Re(rows P_i columns), L dense: P_i = expm(L t_i),
+    or with `substeps` m the i-th power of the RK4 step R(L h/m)^m."""
+    L = kron_liouvillian(H, collapse)
+    if substeps is None:
+        states = [expm(L * ti) @ columns for ti in t]
+    else:
+        z, one = L * ((t[1] - t[0]) / substeps), np.eye(len(L))
+        step = np.linalg.matrix_power(one + z @ (one + z @ (one / 2 + z @ (one / 6 + z / 24))),
+                                      substeps)
+        states = [columns]
+        for _ in t[1:]:
+            states.append(step @ states[-1])
+    return np.stack([(rows @ v).real for v in states], axis=-1).swapaxes(0, 1)
+
+
+@pytest.mark.parametrize("method", ["expm", "rk4"])
+def test_propagate_with_a_real_spectrum_matches_a_dense_oracle(method):
+    # H = 0 and one decay channel: every sector's eigenvalues are real, so the
+    # real series has no conjugate pair and no sine column; rk4 against the
+    # dense RK4 step, so that its discretization error is not measured
+    space, H, _, collapse = cavity_decay_setup(dim=3, kappa=0.7)
+    for block in parity_blocks(H, collapse):
+        for idx, coef in symmetry_sectors(H, collapse, block):
+            assert np.isrealobj(np.linalg.eigvals(sector_liouvillian(H, collapse, block,
+                                                                     idx, coef)))
+    rng = np.random.default_rng(11)
+    columns = random_densities(rng, 3, 2)
+    rows = rng.normal(size=(2, 9)) + 1j * rng.normal(size=(2, 9))
+    t = np.linspace(0.0, 3.0, 31)
+    series, stats = propagate(H, collapse, columns, rows, t, method)
+    oracle = dense_series(H, collapse, columns, rows, t, stats.get("n_substeps_per_interval"))
+    assert np.max(np.abs(series - oracle)) <= 1e-12
+
+
+@pytest.mark.parametrize("method", ["expm", "rk4"])
+def test_propagate_with_non_hermitian_rows_matches_a_dense_oracle(method):
+    # evolve_master's rows [I; -iI] and random complex rows are not Hermitian
+    # functionals: each output is the real part of the row applied to rho(t)
+    # (rk4 against the dense RK4 step)
+    _, H, collapse = parity_model()
+    rng = np.random.default_rng(12)
+    columns = random_densities(rng, 6, 2)
+    eye = np.eye(36)
+    rows = np.concatenate([eye, -1j * eye, rng.normal(size=(2, 36)) + 1j * rng.normal(size=(2, 36))])
+    t = np.linspace(0.0, 1.0, 11)
+    series, stats = propagate(H, collapse, columns, rows, t, method)
+    oracle = dense_series(H, collapse, columns, rows, t, stats.get("n_substeps_per_interval"))
+    assert np.max(np.abs(series - oracle)) <= 1e-12
+
+
 # closed-system (unitary) evolution: evolve_master with no collapse operators
 
 

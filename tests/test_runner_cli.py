@@ -12,9 +12,9 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh
 
-from phonongate import cli, hamiltonians, runner
+from phonongate import cli, dynamics, hamiltonians, runner
 from phonongate.duffing import duffing_hamiltonian
-from phonongate.fidelity import InitialStateFamily
+from phonongate.fidelity import InitialStateFamily, bloch_grid
 from phonongate.hamiltonians import PhysicalParams
 from phonongate.runner import (
     PAPER_V1,
@@ -364,9 +364,26 @@ def test_bloch_master_run(tmp_path):
     assert head[0].startswith("t_s,F_avg_Psi")
     first = float(head[1].split(",")[1])
     # at t = 0 the Psi-family average fidelity is the Bloch average of
-    # |<psi|CNOT|psi>| (amplitude convention)
-    assert 0.5 < first < 1.0
+    # |<psi|CNOT|psi>| (amplitude convention), and every Psi ket is a CNOT
+    # eigenvector (its |10> and |11> amplitudes are equal): 1 to rounding
+    assert first == pytest.approx(1.0, rel=0.0, abs=1e-15)
 
+
+
+def test_bloch_average_is_the_weighted_mean_of_per_ket_runs():
+    # the smallest grid the families accept; each ket on its own, amplitude
+    # convention, summed in a plain loop
+    cfg = ScenarioConfig.from_mapping(small_master_mapping(
+        initial={"kind": "schmidt-entangled", "family": "Phi2", "grid": [8, 8]},
+        n_steps=41, t_max_us=0.2))
+    _, columns, _ = runner._run_master(cfg)
+    kets, weights = bloch_grid(cfg.initial)
+    total = np.zeros(cfg.n_steps)
+    for w, ket in zip(weights, kets):
+        _, series, _, _ = runner.master_fidelity_series(cfg, [("ket", ket)])
+        total += w * np.sqrt(series["ket"])
+    assert list(columns) == ["F_avg_Phi2"]
+    assert np.max(np.abs(columns["F_avg_Phi2"] - total / weights.sum())) <= 1e-13
 
 def test_sweep(tmp_path):
     cfg = ScenarioConfig.from_mapping(small_master_mapping(n_steps=101, t_max_us=0.1))
@@ -425,14 +442,19 @@ def test_cli_spectrum_refuses_non_finite_parameters(tmp_path, args, name):
     assert not (tmp_path / "spectrum.csv").exists()
 
 
-def test_cli_evolve_reports_a_gate_refusal_as_json(tmp_path):
-    # the config validates, but at Q = 1e-3 the beams are damped so hard that
-    # the trace drifts 2.7e-4 and the trace gate refuses the run
-    doc = {"params": {"Delta_hz": 28e6, "g_G_hz": 9e6, "omega_G_hz": 28.6e6, "lambda_hz": 209e3,
-                      "kappa_hz": 0, "Q": 1e-3, "T": 3e-3},
-           "dims": {"n_cav": 2, "n_b": 2}, "t_max_us": 1e6, "n_steps": 11}
+# validates, but gamma_m = omega_G / Q = 1.8e11 rad/s gives the even sector a
+# generator of norm 4.1e12, so eig returns its steady-state 0 as 2.7e-4 rad/s
+STRONGLY_DAMPED = {"params": {"Delta_hz": 28e6, "g_G_hz": 9e6, "omega_G_hz": 28.6e6,
+                              "lambda_hz": 209e3, "kappa_hz": 0, "Q": 1e-3, "T": 3e-3},
+                   "dims": {"n_cav": 2, "n_b": 2}, "t_max_us": 1e6, "n_steps": 11}
+
+
+def test_cli_evolve_reports_a_gate_refusal_as_json(tmp_path, monkeypatch):
+    # a validated config whose run a numerical gate refuses: here the trace
+    # gate, at a bound below any rounding
+    monkeypatch.setattr(dynamics, "TRACE_TOL", 1e-17)
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(doc))
+    cfg_path.write_text(json.dumps(small_master_mapping(n_steps=11)))
     res = CliRunner().invoke(cli.main, ["evolve", "--config", str(cfg_path),
                                         "--out", str(tmp_path / "run")])
     assert res.exit_code == 1
@@ -440,6 +462,20 @@ def test_cli_evolve_reports_a_gate_refusal_as_json(tmp_path):
     [line] = res.stderr.splitlines()
     assert "trace drift" in json.loads(line)["error"]
     assert not list((tmp_path / "run").glob("*"))  # no CSV, no summary
+
+
+@pytest.mark.parametrize("fixed_step", [[], ["--fixed-step"]])
+def test_cli_evolve_runs_the_strongly_damped_config(tmp_path, fixed_step):
+    # exp(2.7e-4 t) over t = 1 s drifted the trace by 2.7e-4 until the
+    # eigenvalues within the rounding floor m eps ||L_s|| were set to 0
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(STRONGLY_DAMPED))
+    res = CliRunner().invoke(cli.main, ["evolve", "--config", str(cfg_path), *fixed_step,
+                                        "--out", str(tmp_path / "run")])
+    assert res.exit_code == 0, res.output
+    assert (tmp_path / "run" / "trajectory.csv").exists()
+    health = json.loads((tmp_path / "run" / "summary.json").read_text())["integrator"]
+    assert health["max_trace_drift"] <= 1e-6
 
 
 @pytest.mark.parametrize("t_max_us", ["0", "-1"])
