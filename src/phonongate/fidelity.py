@@ -232,11 +232,11 @@ class InitialStateFamily:
         return {"kind": self.kind, **{key: getattr(self, key) for key in _KIND_KEYS[self.kind]}}
 
 
-def bloch_grid(family: InitialStateFamily) -> tuple[list[np.ndarray], np.ndarray]:
-    """Kets and sin(theta)-weighted trapezoid weights of the family's Bloch
-    grid: (theta, phi) points with theta outermost, or for separable-product
-    every pair of points on two spheres. The theta = 0 and theta = pi pole
-    rows carry zero weight and are dropped."""
+def bloch_grid(family: InitialStateFamily) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, 4) kets and sin(theta)-weighted trapezoid weights of the
+    family's Bloch grid: (theta, phi) points with theta outermost, or for
+    separable-product every pair of points on two spheres. The theta = 0 and
+    theta = pi pole rows carry zero weight and are dropped."""
     n_theta, n_phi = family.grid
     thetas = np.linspace(0.0, np.pi, n_theta)
     phis = np.linspace(0.0, 2 * np.pi, n_phi)
@@ -252,4 +252,4 @@ def bloch_grid(family: InitialStateFamily) -> tuple[list[np.ndarray], np.ndarray
     else:
         make = bloch_family(family.family)
     keep = np.flatnonzero(weights > 0.0)
-    return [make(*points[i]) for i in keep], weights[keep]
+    return np.array([make(*points[i]) for i in keep]), weights[keep]

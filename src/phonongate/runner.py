@@ -242,52 +242,52 @@ def _qubit_isometry(n_b: int, omega_G: float, lam: float) -> np.ndarray:
 
 
 def master_fidelity_series(
-    cfg: ScenarioConfig, states: list[tuple[str, np.ndarray]]
-) -> tuple[np.ndarray, dict[str, np.ndarray], dict[str, np.ndarray], dict]:
-    """Evolve every initial two-qubit ket under the full system Lindbladian and
-    return per-state squared-overlap fidelity series against the CNOT targets.
+    cfg: ScenarioConfig, kets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+    """Evolve a (k, 4) batch of initial two-qubit kets under the full system
+    Lindbladian and return their squared-overlap fidelity series against the
+    CNOT targets.
 
     Both outputs are ratios of linear functionals of rho, handed to
-    `dynamics.propagate` as rows, with every state in one batch: the
+    `dynamics.propagate` as rows, with every ket in one batch: the
     numerator <u|Tr_cav rho|u> with u = kk CNOT v, and the qubit weight
-    tr(P Tr_cav rho) with P = kk kk†. Returns (times, {label: F_sq series},
-    {label: leakage series}, stats); stats carries the integrator's health
-    figures, the max leakage out of the qubit subspace and the smallest
-    qubit weight the fidelity was divided by.
+    tr(P Tr_cav rho) with P = kk kk†. Returns (times, F_sq, leakage, stats),
+    F_sq and leakage as (k, n_t) views of propagate's output; stats carries
+    the integrator's health figures, the max leakage out of the qubit
+    subspace and the smallest qubit weight the fidelity was divided by.
     """
     p = resolved_params(cfg)
     space = SpaceDescriptor((cfg.n_cav, cfg.n_b, cfg.n_b))
     H = system_hamiltonian(p, space, cfg.quadrature_convention)
     collapse = CollapseSet.standard_channels(space, p.kappa, p.gamma_m, p.n_th)
-    t_max = cfg.t_max_us * 1e-6
-    times = np.linspace(0.0, t_max, cfg.n_steps)
+    times = np.linspace(0.0, cfg.t_max_us * 1e-6, cfg.n_steps)
 
     # per-beam isometry onto the qubit levels (Fock states for n_b = 2)
     iso = _qubit_isometry(cfg.n_b, p.omega_G, p.lam)
     kk = np.kron(iso, iso)  # (n_b^2) x 4
 
-    # the row of tr(M rho) on row-major vec(rho) is vec(M^T)
-    cav_eye = np.eye(cfg.n_cav)
-    weight_row = np.kron(cav_eye, kk.conj() @ kk.T).reshape(-1)
-    cav = np.zeros(cfg.n_cav, dtype=complex)
+    # one column vec(psi psi†) per ket, psi = |cavity_fock> (x) kk v
+    k, m = len(kets), kk.shape[0]
+    cav = np.zeros((cfg.n_cav, 1, 1), dtype=complex)
     cav[cfg.cavity_fock] = 1.0
-    vecs, rows = [], []
-    for _, v4 in states:
-        psi = np.kron(cav, kk @ v4)
-        vecs.append(np.outer(psi, psi.conj()).reshape(-1))
-        u = kk @ (_CNOT @ v4)
-        rows.append((np.kron(cav_eye, np.outer(u.conj(), u)).reshape(-1), weight_row))
+    psi = (cav * (kets @ kk.T).T).reshape(-1, k)  # d x k
+    columns = (psi[:, None] * psi.conj()).reshape(-1, k)
+    # the row of tr(M rho) on row-major vec(rho) is vec(M^T); both M are
+    # I_cav (x) block, with blocks conj(u) u^T and conj(kk) kk^T = P^T
+    u = kets @ _CNOT.T @ kk.T
+    blocks = np.empty((k, 2, m, m), dtype=complex)
+    blocks[:, 0] = u.conj()[:, :, None] * u[:, None, :]
+    blocks[:, 1] = kk.conj() @ kk.T
+    cav_eye = np.eye(cfg.n_cav)[:, None, :, None]
+    rows = (cav_eye * blocks[:, :, None, :, None, :]).reshape(k, 2, -1)
 
-    series, stats = dynamics.propagate(H, collapse, np.stack(vecs, axis=1), np.array(rows),
-                                       times, cfg.integrator)
+    series, stats = dynamics.propagate(H, collapse, columns, rows, times, cfg.integrator)
     f_sq, weight = series[:, 0], series[:, 1]
     stats["min_qubit_weight"] = float(np.min(weight))
     np.clip(np.divide(f_sq, weight, out=f_sq), 0.0, None, out=f_sq)
     leak = np.subtract(1.0, weight, out=weight)
     stats.update(integrator=cfg.integrator, max_leakage=float(np.max(leak)))
-    labels = [lbl for lbl, _ in states]
-    return times, {lbl: f_sq[i] for i, lbl in enumerate(labels)}, \
-        {lbl: leak[i] for i, lbl in enumerate(labels)}, stats
+    return times, f_sq, leak, stats
 
 
 # ---------------------------------------------------------------------------
@@ -389,25 +389,29 @@ def _run_analytic(cfg: ScenarioConfig):
 
 
 def _run_master(cfg: ScenarioConfig):
+    """All of the family's kets through `master_fidelity_series` as one
+    batch: a label list gives F_<label> (and leakage_<label>) columns, a
+    Bloch family its weighted averages F_avg_<family> (and leakage_avg_...)."""
     emit_leakage = "leakage" in cfg.outputs or cfg.n_b > 2
-    amplitude = cfg.fidelity_convention == "amplitude"
-    if cfg.initial.kind in fidelity.LABEL_KINDS:
-        times, series, leaks, stats = master_fidelity_series(cfg, list(cfg.initial.members))
-        columns = _fidelity_columns(
-            cfg, {lbl: np.sqrt(s) if amplitude else s for lbl, s in series.items()})
+    labels = cfg.initial.labels
+    if labels:
+        kets = np.array([fidelity.named_state(lbl) for lbl in labels])
+    else:
+        kets, weights = fidelity.bloch_grid(cfg.initial)
+    times, fid, leak, stats = master_fidelity_series(cfg, kets)
+    if cfg.fidelity_convention == "amplitude":
+        np.sqrt(fid, out=fid)
+    if labels:
+        columns = _fidelity_columns(cfg, dict(zip(labels, fid)))
         if emit_leakage:
-            for lbl in series:
-                columns[f"leakage_{lbl}"] = leaks[lbl]
+            columns.update({f"leakage_{lbl}": s for lbl, s in zip(labels, leak)})
         return times, columns, stats
     # Bloch-sphere families: weighted average over the sampled sphere
-    kets, weights = fidelity.bloch_grid(cfg.initial)
-    times, series, leaks, stats = master_fidelity_series(cfg, list(enumerate(kets)))
     name = cfg.initial.family or "separable"
-    fid = np.stack(list(series.values()))
-    stacks = {f"F_avg_{name}": np.sqrt(fid, out=fid) if amplitude else fid}
+    columns = {f"F_avg_{name}": weights @ fid / weights.sum()}
     if emit_leakage:
-        stacks[f"leakage_avg_{name}"] = np.stack(list(leaks.values()))
-    return times, {col: weights @ s / weights.sum() for col, s in stacks.items()}, stats
+        columns[f"leakage_avg_{name}"] = weights @ leak / weights.sum()
+    return times, columns, stats
 
 
 # ---------------------------------------------------------------------------

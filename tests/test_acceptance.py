@@ -275,11 +275,10 @@ PEAK_SPECS = {
 def _aggregate(cfg: ScenarioConfig, amplitude: bool) -> tuple[float, float]:
     """Refined peak of the configured average (or single) fidelity column,
     skipping the trivial initial overlap at t < 0.3 us."""
-    states = list(cfg.initial.members)
-    times, series, _, _ = master_fidelity_series(cfg, states)
-    stack = np.stack([np.sqrt(series[lbl]) if amplitude else series[lbl]
-                      for lbl in (cfg.average_over or [l for l, _ in states])])
-    avg = stack.mean(axis=0)
+    labels, kets = zip(*cfg.initial.members)
+    times, series, _, _ = master_fidelity_series(cfg, np.array(kets))
+    stack = series[[labels.index(lbl) for lbl in cfg.average_over or labels]]
+    avg = (np.sqrt(stack) if amplitude else stack).mean(axis=0)
     late = times >= 0.3e-6
     value, t_peak = refine_peak(times[late], avg[late])
     return value, t_peak * 1e6

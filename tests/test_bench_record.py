@@ -12,13 +12,13 @@ _SPEC.loader.exec_module(bench_record)
 MACHINE = {"nproc": 2, "blas": "scipy-openblas", "blas_threads": 2}
 
 
-def write_run(checkout, workload, seed, wall, failed=0):
+def write_run(checkout, workload, seed, wall, failed=0, seconds=6.0, machine=MACHINE):
     results = checkout / ".perfbench_work" / "results"
     results.mkdir(parents=True, exist_ok=True)
     metrics = {"wall_s": wall, "setup_s": 0.3, "state_steps_per_s": 1.0 / wall,
                "peak_rss_mb": 100.0}
     (results / f"{workload}-seed{seed}-trace0.json").write_text(json.dumps({
-        "workload": workload, "seed": seed, "seconds": 6.0, "machine": MACHINE,
+        "workload": workload, "seed": seed, "seconds": seconds, "machine": machine,
         "failed": failed, "attempted": 3,
         "metrics": {k: {"value": v, "unit": ""} for k, v in metrics.items()}}))
 
@@ -43,3 +43,16 @@ def test_record_has_medians_quartiles_and_pair_wins(tmp_path):
     # lower is better for wall_s, higher for state_steps_per_s; ties count for neither
     assert fig10["change_better_in_pairs"] == {"wall_s": 3, "setup_s": 0,
                                                "state_steps_per_s": 3, "peak_rss_mb": 0}
+
+
+@pytest.mark.parametrize("odd", [{"seconds": 20.0}, {"machine": {**MACHINE, "blas_threads": 1}}])
+def test_record_refuses_a_side_of_mixed_runs(tmp_path, odd):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed in range(3):
+        write_run(parent, "fig10", seed, 1.0)
+        write_run(change, "fig10", seed, 0.5)
+    write_run(change, "nb4", 10, 0.5, **odd)
+    with pytest.raises(SystemExit, match="differ in seconds or machine") as refused:
+        bench_record.build(parent, change)
+    assert "nb4-seed10-trace0.json" in str(refused.value)
+    assert "fig10-seed0-trace0.json" in str(refused.value)

@@ -14,7 +14,16 @@ from scipy.linalg import eigh
 
 from phonongate import cli, dynamics, hamiltonians, runner
 from phonongate.duffing import duffing_hamiltonian
-from phonongate.fidelity import InitialStateFamily, bloch_grid
+from phonongate.dynamics import CollapseSet
+from phonongate.fidelity import (
+    InitialStateFamily,
+    bloch_family,
+    bloch_grid,
+    named_state,
+    separable_state,
+)
+from phonongate.fockspace import QuantumState, SpaceDescriptor, partial_trace
+from phonongate.gates import ideal_cnot
 from phonongate.hamiltonians import PhysicalParams
 from phonongate.runner import (
     PAPER_V1,
@@ -380,10 +389,42 @@ def test_bloch_average_is_the_weighted_mean_of_per_ket_runs():
     kets, weights = bloch_grid(cfg.initial)
     total = np.zeros(cfg.n_steps)
     for w, ket in zip(weights, kets):
-        _, series, _, _ = runner.master_fidelity_series(cfg, [("ket", ket)])
-        total += w * np.sqrt(series["ket"])
+        _, series, _, _ = runner.master_fidelity_series(cfg, ket[None])
+        total += w * np.sqrt(series[0])
     assert list(columns) == ["F_avg_Phi2"]
     assert np.max(np.abs(columns["F_avg_Phi2"] - total / weights.sum())) <= 1e-13
+
+
+def test_batched_rows_match_a_per_ket_density_route_at_nb4():
+    # at n_b = 4 the qubit levels are the two lowest Duffing eigenstates, not
+    # Fock states. Each ket of the batch against its own evolve_master run,
+    # the cavity traced out and <u|rho_b|u> / tr(P rho_b) taken on the beams,
+    # with the isometry from SciPy's eigh of the whole beam Hamiltonian
+    cfg = ScenarioConfig.from_mapping(small_master_mapping(
+        dims={"n_cav": 2, "n_b": 4}, n_steps=41, t_max_us=0.2))
+    kets = np.array([named_state("01"), named_state("psi2"), bloch_family("Psi")(1.1, 0.7),
+                     separable_state(0.4, 2.0, 2.5, 5.0)])
+    times, f_sq, leak, _ = runner.master_fidelity_series(cfg, kets)
+    assert f_sq.shape == leak.shape == (4, 41)
+
+    p = runner.resolved_params(cfg)
+    _, vecs = eigh(duffing_hamiltonian(p.omega_G, p.lam, 4).data)
+    iso = vecs[:, :2] * (np.abs(np.diag(vecs[:2, :2])) / np.diag(vecs[:2, :2]))
+    assert np.max(np.abs(iso - np.eye(4, 2))) > 1e-3
+    kk = np.kron(iso, iso)
+    proj = kk @ kk.conj().T
+    space = SpaceDescriptor((2, 4, 4))
+    H = hamiltonians.system_hamiltonian(p, space, cfg.quadrature_convention)
+    collapse = CollapseSet.standard_channels(space, p.kappa, p.gamma_m, p.n_th)
+    for i, v in enumerate(kets):
+        psi = np.kron(np.eye(2)[cfg.cavity_fock], kk @ v)
+        states, _ = dynamics.evolve_master(H, collapse, QuantumState(space, "ket", psi), times)
+        u = kk @ ideal_cnot().data @ v
+        for n, rho in enumerate(states):
+            rho_b = partial_trace(QuantumState.density(space, rho), [1, 2]).data
+            weight = np.trace(proj @ rho_b).real
+            assert abs(leak[i, n] - (1.0 - weight)) <= 1e-12
+            assert abs(f_sq[i, n] - (u.conj() @ rho_b @ u).real / weight) <= 1e-12
 
 def test_sweep(tmp_path):
     cfg = ScenarioConfig.from_mapping(small_master_mapping(n_steps=101, t_max_us=0.1))

@@ -22,11 +22,20 @@ METRICS = {"wall_s": "lower", "setup_s": "lower", "state_steps_per_s": "higher",
 
 
 def load_runs(checkout: Path) -> dict[str, dict[int, dict]]:
-    """workload -> seed -> result of every untraced run in a checkout."""
+    """workload -> seed -> result of every untraced run in a checkout. Refuses
+    a checkout whose runs differ in length or machine, naming the files:
+    their medians do not pool."""
     runs: dict[str, dict[int, dict]] = {}
+    setups: dict[tuple, list[str]] = {}
     for path in sorted((checkout / ".perfbench_work" / "results").glob("*-trace0.json")):
         result = json.loads(path.read_text())
         runs.setdefault(result["workload"], {})[result["seed"]] = result
+        setup = (result["seconds"], json.dumps(result["machine"], sort_keys=True))
+        setups.setdefault(setup, []).append(path.name)
+    if len(setups) > 1:
+        raise SystemExit(f"runs under {checkout} differ in seconds or machine: " + "; ".join(
+            f"{seconds} s on {machine}: {', '.join(names)}"
+            for (seconds, machine), names in setups.items()))
     return runs
 
 
