@@ -129,7 +129,7 @@ def analytic(config_path, preset, out, t_max_us):
     else:
         cfg = ScenarioConfig(
             params=PhysicalParams.from_config(PRESETS[preset]),
-            initial=runner.fidelity.InitialStateFamily.from_labels(["00", "01", "10", "11"]),
+            initial=runner.fidelity.InitialStateFamily("fixed-list", ("00", "01", "10", "11")),
             mode="analytic",
             t_max_us=120e3,
             n_steps=4001,

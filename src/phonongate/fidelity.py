@@ -1,6 +1,12 @@
 """State and gate fidelities, the closed-form CNOT fidelity curves, the
 initial-state families and `bloch_grid`, their Bloch-sphere quadrature.
 
+Every initial-state family yields its kets as one (k, 4) array
+(`InitialStateFamily.kets`): the named kets of a label list, or a Bloch grid
+evaluated in one broadcast expression. Each (theta, phi) family is one row
+of `BLOCH_FAMILIES`; a separable product is the product of two qubit rows.
+`gate_fidelity_closed` broadcasts over such a batch.
+
 `state_fidelity` is the overlap convention <target|rho|target>. The master-
 equation figure pipeline additionally reports `amplitude_fidelity`, its
 square root, which is the convention common master-equation toolkits use
@@ -9,7 +15,8 @@ for a pure target and the one the reproduced figure data follows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -46,16 +53,18 @@ def amplitude_fidelity(rho: QuantumState, target: QuantumState) -> float:
 
 
 def _check_normalized(v: np.ndarray, atol: float = 1e-10) -> np.ndarray:
+    """v with every ket along axis 0 checked to have unit norm."""
     v = np.asarray(v, dtype=complex)
-    n = np.linalg.norm(v)
-    if abs(n - 1.0) > atol:
+    n = np.linalg.norm(v, axis=0)
+    if np.any(abs(n - 1.0) > atol):
         raise ValueError(f"state norm {n} deviates from 1 beyond {atol}")
     return v
 
 
-def gate_fidelity_closed(a: complex, b: complex, c: complex, d: complex, Omega_t):
+def gate_fidelity_closed(a, b, c, d, Omega_t):
     """Closed-form F_G(t) = |<psi_in| CNOT U_gate(t) |psi_in>|^2 for
-    |psi_in> = a|00> + b|01> + c|10> + d|11>. Omega_t may be an array."""
+    |psi_in> = a|00> + b|01> + c|10> + d|11>. The amplitudes and Omega_t
+    broadcast: (k, 1) amplitudes of k kets and (n_t,) angles give (k, n_t)."""
     v = _check_normalized(np.array([a, b, c, d]))
     a, b, c, d = v
     Omega_t = np.asarray(Omega_t, dtype=float)
@@ -98,75 +107,69 @@ def avg_fidelity_separable(Omega_t):
 # initial-state families
 
 
+_S2, _S3 = 1 / np.sqrt(2), 1 / np.sqrt(3)
+# the two-qubit kets the figure scenarios name, in the fixed basis order
+NAMED_STATES = {
+    "00": [1, 0, 0, 0],
+    "01": [0, 1, 0, 0],
+    "10": [0, 0, 1, 0],
+    "11": [0, 0, 0, 1],
+    "psi1": [_S2, _S2, 0, 0],
+    "psi2": [_S2, 0, _S2, 0],
+    "psi3": [0, _S2, 0, _S2],
+    "psi4": [0, 0, _S2, _S2],
+    "varphi1": [_S3, _S3, _S3, 0],
+    "varphi2": [_S3, _S3, 0, _S3],
+    "varphi3": [_S3, 0, _S3, _S3],
+    "varphi4": [0, _S3, _S3, _S3],
+    "four_equal": [0.5, 0.5, 0.5, 0.5],
+}
+
+
 def named_state(name: str) -> np.ndarray:
-    """Two-qubit kets used by the figure scenarios, in the fixed basis order."""
-    s2, s3 = 1 / np.sqrt(2), 1 / np.sqrt(3)
-    table = {
-        "00": [1, 0, 0, 0],
-        "01": [0, 1, 0, 0],
-        "10": [0, 0, 1, 0],
-        "11": [0, 0, 0, 1],
-        "psi1": [s2, s2, 0, 0],
-        "psi2": [s2, 0, s2, 0],
-        "psi3": [0, s2, 0, s2],
-        "psi4": [0, 0, s2, s2],
-        "varphi1": [s3, s3, s3, 0],
-        "varphi2": [s3, s3, 0, s3],
-        "varphi3": [s3, 0, s3, s3],
-        "varphi4": [0, s3, s3, s3],
-        "four_equal": [0.5, 0.5, 0.5, 0.5],
-    }
-    if name not in table:
-        raise ValueError(f"unknown state name {name!r}; known: {sorted(table)}")
-    return np.asarray(table[name], dtype=complex)
+    """The ket NAMED_STATES gives a name."""
+    if name not in NAMED_STATES:
+        raise ValueError(f"unknown state name {name!r}; known: {sorted(NAMED_STATES)}")
+    return np.asarray(NAMED_STATES[name], dtype=complex)
 
 
-def schmidt_state(theta: float, phi: float) -> np.ndarray:
-    """cos(theta/2)|00> + e^{i phi} sin(theta/2)|11>."""
-    return np.array([np.cos(theta / 2), 0, 0, np.exp(1j * phi) * np.sin(theta / 2)], dtype=complex)
+# (theta, phi) family -> (c, p, s, q): the family's ket at (theta, phi) is
+# cos(theta/2) e^{i p phi} c + sin(theta/2) e^{i q phi} s
+BLOCH_FAMILIES = {
+    "schmidt": ((1, 0, 0, 0), 0, (0, 0, 0, 1), 1),
+    "Phi1": ((0, _S2, _S2, 0), -1, (1, 0, 0, 0), 0),
+    "Phi2": ((0, _S2, 0, _S2), -1, (1, 0, 0, 0), 0),
+    "Phi3": ((0, 0, _S2, _S2), -1, (1, 0, 0, 0), 0),
+    "Phi4": ((0, 0, _S2, _S2), -1, (0, 1, 0, 0), 0),
+    "Psi": ((0, 0, _S2, _S2), -1, (_S2, _S2, 0, 0), 0),
+}
+_QUBIT = ((1, 0), 0, (0, 1), 1)  # cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>
 
 
-def separable_state(theta1: float, phi1: float, theta2: float, phi2: float) -> np.ndarray:
-    q1 = np.array([np.cos(theta1 / 2), np.exp(1j * phi1) * np.sin(theta1 / 2)])
-    q2 = np.array([np.cos(theta2 / 2), np.exp(1j * phi2) * np.sin(theta2 / 2)])
-    return np.kron(q1, q2).astype(complex)
+def _sphere_ket(row, theta, phi) -> np.ndarray:
+    """A BLOCH_FAMILIES-style row at scalar or array angles: (..., len(c))."""
+    c, p, s, q = row
+    half, phi = np.asarray(theta)[..., None] / 2, np.asarray(phi)[..., None]
+    return np.cos(half) * np.exp(1j * p * phi) * c + np.sin(half) * np.exp(1j * q * phi) * s
 
 
-def bloch_family(name: str) -> Callable[[float, float], np.ndarray]:
-    """(theta, phi)-parameterized families; every sample is normalized
-    explicitly before use."""
-    s2 = 1 / np.sqrt(2)
+def bloch_family(name: str) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The (theta, phi) -> (..., 4) kets of one BLOCH_FAMILIES row."""
+    if name not in BLOCH_FAMILIES:
+        raise ValueError(f"unknown Bloch family {name!r}; known: {sorted(BLOCH_FAMILIES)}")
+    return partial(_sphere_ket, BLOCH_FAMILIES[name])
 
-    def make(weights_one: Sequence[int]):
-        def state(theta: float, phi: float) -> np.ndarray:
-            v = np.zeros(4, dtype=complex)
-            head, tail = weights_one[0], weights_one[1:]
-            v[head] = np.sin(theta / 2)
-            for idx in tail:
-                v[idx] += s2 * np.exp(-1j * phi) * np.cos(theta / 2)
-            return v / np.linalg.norm(v)
 
-        return state
+def schmidt_state(theta, phi) -> np.ndarray:
+    """cos(theta/2)|00> + e^{i phi} sin(theta/2)|11>, broadcast: (..., 4)."""
+    return _sphere_ket(BLOCH_FAMILIES["schmidt"], theta, phi)
 
-    families = {
-        "schmidt": lambda th, ph: schmidt_state(th, ph),
-        "Phi1": make((0, 1, 2)),
-        "Phi2": make((0, 1, 3)),
-        "Phi3": make((0, 2, 3)),
-        "Phi4": make((1, 2, 3)),
-    }
 
-    def psi_family(theta: float, phi: float) -> np.ndarray:
-        v = np.array(
-            [np.sin(theta / 2), np.sin(theta / 2),
-             np.exp(-1j * phi) * np.cos(theta / 2), np.exp(-1j * phi) * np.cos(theta / 2)],
-            dtype=complex) * s2
-        return v / np.linalg.norm(v)
-
-    families["Psi"] = psi_family
-    if name not in families:
-        raise ValueError(f"unknown Bloch family {name!r}; known: {sorted(families)}")
-    return families[name]
+def separable_state(theta1, phi1, theta2, phi2) -> np.ndarray:
+    """The product of two qubit kets on their Bloch spheres, broadcast: (..., 4)."""
+    q1, q2 = _sphere_ket(_QUBIT, theta1, phi1), _sphere_ket(_QUBIT, theta2, phi2)
+    prod = q1[..., :, None] * q2[..., None, :]
+    return prod.reshape(prod.shape[:-2] + (4,))
 
 
 LABEL_KINDS = ("fixed-list", "named-superposition")
@@ -180,10 +183,11 @@ class InitialStateFamily:
     """Initial-state set for a scenario; owns the config's `initial`
     sub-document except `cavity_fock`, a scenario field.
 
-    kind "fixed-list" / "named-superposition": `labels` names the kets of
-    `members`. kind "schmidt-entangled": `family` names the (theta, phi)
+    kind "fixed-list" / "named-superposition": `labels` names the kets.
+    kind "schmidt-entangled": `family` names the (theta, phi)
     parametrization and `grid` the (n_theta, n_phi) sampling. kind
     "separable-product": two-sphere sampling with `grid` per sphere.
+    `kets()` yields every kind's kets as one (k, 4) array.
     """
 
     kind: str
@@ -211,13 +215,19 @@ class InitialStateFamily:
             raise ValueError(f"{self.kind} takes no family")
 
     @property
-    def members(self) -> tuple[tuple[str, np.ndarray], ...]:
-        """(label, ket) pairs of a label list."""
-        return tuple((lbl, named_state(lbl)) for lbl in self.labels)
+    def size(self) -> int:
+        """The number of kets `kets()` yields, worked out without building them."""
+        if self.kind in LABEL_KINDS:
+            return len(self.labels)
+        k = (self.grid[0] - 2) * self.grid[1]  # the two pole rows are dropped
+        return k * k if self.kind == "separable-product" else k
 
-    @classmethod
-    def from_labels(cls, labels: Sequence[str], kind: str = "fixed-list") -> "InitialStateFamily":
-        return cls(kind, tuple(labels))
+    def kets(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """The family's (k, 4) kets and their quadrature weights: a label
+        list's kets in label order with weights None, or `bloch_grid`."""
+        if self.kind in LABEL_KINDS:
+            return np.array([NAMED_STATES[lbl] for lbl in self.labels], dtype=complex), None
+        return bloch_grid(self)
 
     @classmethod
     def from_mapping(cls, doc: dict) -> "InitialStateFamily":
@@ -235,21 +245,16 @@ class InitialStateFamily:
 def bloch_grid(family: InitialStateFamily) -> tuple[np.ndarray, np.ndarray]:
     """The (k, 4) kets and sin(theta)-weighted trapezoid weights of the
     family's Bloch grid: (theta, phi) points with theta outermost, or for
-    separable-product every pair of points on two spheres. The theta = 0 and
-    theta = pi pole rows carry zero weight and are dropped."""
+    separable-product every pair of points on two spheres, the first sphere
+    outermost. The theta = 0 and theta = pi pole rows carry zero weight and
+    are dropped."""
     n_theta, n_phi = family.grid
-    thetas = np.linspace(0.0, np.pi, n_theta)
+    thetas = np.linspace(0.0, np.pi, n_theta)[1:-1]
     phis = np.linspace(0.0, 2 * np.pi, n_phi)
-    w_t = np.sin(thetas)
-    w_t[0] = w_t[-1] = 0.0  # sin(pi) rounds to 1.2e-16, not 0
     w_p = np.ones(n_phi); w_p[0] = w_p[-1] = 0.5
-    weights = np.outer(w_t, w_p).reshape(-1)
-    points = [(th, ph) for th in thetas for ph in phis]
-    if family.kind == "separable-product":
-        points = [p1 + p2 for p1 in points for p2 in points]
-        weights = np.outer(weights, weights).reshape(-1)
-        make = separable_state
-    else:
-        make = bloch_family(family.family)
-    keep = np.flatnonzero(weights > 0.0)
-    return np.array([make(*points[i]) for i in keep]), weights[keep]
+    weights = np.outer(np.sin(thetas), w_p).reshape(-1)
+    theta, phi = (a.reshape(-1) for a in np.meshgrid(thetas, phis, indexing="ij"))
+    if family.kind != "separable-product":
+        return bloch_family(family.family)(theta, phi), weights
+    kets = separable_state(theta[:, None], phi[:, None], theta, phi).reshape(-1, 4)
+    return kets, np.outer(weights, weights).reshape(-1)

@@ -124,11 +124,7 @@ def exchange_unitary(Omega: float, t: float) -> GateMatrix:
     cos/isin inside, with angle Omega*t. ISWAP at Omega*t = pi/2."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    return _exchange_from_angle(Omega * t)
-
-
-def _exchange_from_angle(theta: float) -> GateMatrix:
-    c, s = np.cos(theta), 1j * np.sin(theta)
+    c, s = np.cos(Omega * t), 1j * np.sin(Omega * t)
     return GateMatrix(np.array(
         [[1, 0, 0, 0],
          [0, c, s, 0],
@@ -144,9 +140,7 @@ def cnot_sequence(Omega: float, t: float) -> GateMatrix:
     Equals CNOT (control = first qubit) at Omega*t = pi/2 with no residual
     global phase.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    u_g = _exchange_from_angle(Omega * t).data
+    u_g = exchange_unitary(Omega, t).data
     pre = np.kron(np.eye(2), pauli_rotation("z", np.pi / 2).data)
     mid = np.kron(pauli_rotation("x", np.pi / 2).data, np.eye(2))
     post = np.kron(

@@ -3,9 +3,12 @@
 A scenario is a single JSON document: physical parameters (Hz values under
 `*_hz` keys), truncations, an initial-state family, a time grid, and the
 run mode ("analytic" closed-form curves or "master" open-system evolution).
-`ScenarioConfig` checks the whole document when it is constructed; a run
-computes, then writes `trajectory.csv` and `summary.json` atomically into
-the output directory.
+`ScenarioConfig` checks the whole document when it is constructed, down to
+the size of the series a run must hold; a run computes, then writes
+`trajectory.csv` and `summary.json` atomically into the output directory.
+Both modes take the initial kets as one (k, 4) array from
+`InitialStateFamily.kets`: the analytic mode evaluates the closed form on it
+in one call, the master mode propagates it as one batch.
 
 The `figure` presets reproduce the published curves; they override three
 defaults to the conventions that were found to match the published peak
@@ -54,6 +57,10 @@ PAPER_VA = {
 PAPER_VA_XG_SQ = 0.25
 
 PRESETS = {"paper_v1": PAPER_V1, "paper_va": PAPER_VA}
+
+# bound on a run's k x 2 x n_steps float64 series (propagate's output), so a
+# config whose kets and steps cannot be held is refused, not run out of memory
+MAX_SERIES_BYTES = 2 * 2**30
 
 _CNOT = ideal_cnot().data
 
@@ -105,6 +112,11 @@ class ScenarioConfig:
             raise ValueError("t_max_us must be positive")
         if self.n_steps < 2:
             raise ValueError("n_steps must be at least 2")
+        series_bytes = self.initial.size * 2 * self.n_steps * 8
+        if series_bytes > MAX_SERIES_BYTES:
+            raise ValueError(f"{self.initial.size} initial kets x 2 x {self.n_steps} steps of "
+                             f"float64 series need {series_bytes} bytes, over the "
+                             f"{MAX_SERIES_BYTES}-byte bound")
         if self.n_cav < 2 or self.n_b < 2 or self.n_b == 3:
             raise ValueError("dims.n_cav must be >= 2, and dims.n_b 2 or >= 4 "
                              "(the quartic term needs 4 levels)")
@@ -201,7 +213,7 @@ def envelope_maxima(times: np.ndarray, series: np.ndarray, window_us: float = 0.
     if n_win < 3:
         value, t = refine_peak(times, series)
         return [{"t_us": t * 1e6, "value": value}]
-    env = np.array([series[k * w:(k + 1) * w].max() for k in range(n_win)])
+    env = series[:n_win * w].reshape(n_win, w).max(axis=1)
     out = []
     for k in range(1, n_win - 1):
         if env[k] >= env[k - 1] and env[k] >= env[k + 1]:
@@ -364,11 +376,12 @@ def run_scenario(cfg: ScenarioConfig, outdir) -> dict:
     return summary
 
 
-def _fidelity_columns(cfg: ScenarioConfig, series: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """F_<label> per member, then F_avg over cfg.average_over, or over every
-    member when there are several."""
-    columns = {f"F_{lbl}": s for lbl, s in series.items()}
-    avg_members = cfg.average_over or (list(series) if len(series) > 1 else None)
+def _fidelity_columns(cfg: ScenarioConfig, fid: np.ndarray) -> dict[str, np.ndarray]:
+    """F_<label> per row of the (k, n_t) fidelities of a label list, then
+    F_avg over cfg.average_over, or over every member when there are several."""
+    labels = cfg.initial.labels
+    columns = {f"F_{lbl}": s for lbl, s in zip(labels, fid)}
+    avg_members = cfg.average_over or (labels if len(labels) > 1 else None)
     if avg_members:
         columns["F_avg"] = np.mean([columns[f"F_{lbl}"] for lbl in avg_members], axis=0)
     return columns
@@ -377,9 +390,9 @@ def _fidelity_columns(cfg: ScenarioConfig, series: dict[str, np.ndarray]) -> dic
 def _run_analytic(cfg: ScenarioConfig):
     omega = _analytic_omega(cfg)
     times = np.linspace(0.0, cfg.t_max_us * 1e-6, cfg.n_steps)
-    columns = _fidelity_columns(cfg, {
-        lbl: np.asarray(fidelity.gate_fidelity_closed(*v4, omega * times))
-        for lbl, v4 in cfg.initial.members})
+    kets, _ = cfg.initial.kets()
+    columns = _fidelity_columns(
+        cfg, fidelity.gate_fidelity_closed(*kets.T[:, :, None], omega * times))
     if "avg_entangled" in cfg.outputs:
         columns["F_avg_entangled"] = np.asarray(fidelity.avg_fidelity_entangled(omega * times))
     if "avg_separable" in cfg.outputs:
@@ -393,18 +406,14 @@ def _run_master(cfg: ScenarioConfig):
     batch: a label list gives F_<label> (and leakage_<label>) columns, a
     Bloch family its weighted averages F_avg_<family> (and leakage_avg_...)."""
     emit_leakage = "leakage" in cfg.outputs or cfg.n_b > 2
-    labels = cfg.initial.labels
-    if labels:
-        kets = np.array([fidelity.named_state(lbl) for lbl in labels])
-    else:
-        kets, weights = fidelity.bloch_grid(cfg.initial)
+    kets, weights = cfg.initial.kets()
     times, fid, leak, stats = master_fidelity_series(cfg, kets)
     if cfg.fidelity_convention == "amplitude":
         np.sqrt(fid, out=fid)
-    if labels:
-        columns = _fidelity_columns(cfg, dict(zip(labels, fid)))
+    if weights is None:
+        columns = _fidelity_columns(cfg, fid)
         if emit_leakage:
-            columns.update({f"leakage_{lbl}": s for lbl, s in zip(labels, leak)})
+            columns.update({f"leakage_{lbl}": s for lbl, s in zip(cfg.initial.labels, leak)})
         return times, columns, stats
     # Bloch-sphere families: weighted average over the sampled sphere
     name = cfg.initial.family or "separable"
@@ -488,17 +497,15 @@ def run_figure(fig_id: str, outdir, n_b: int = 2, jobs: int | None = 1,
 
 def _run_fig2(outdir) -> dict:
     """Fidelity bars of the closed-form gate at Omega t = pi/2."""
-    rows = []
-    for lbl in ("00", "01", "10", "11"):
-        v = fidelity.named_state(lbl)
-        rows.append((lbl, fidelity.gate_fidelity_closed(*v, np.pi / 2)))
+    family = fidelity.InitialStateFamily("fixed-list", ("00", "01", "10", "11"))
+    kets, _ = family.kets()
+    fids = dict(zip(family.labels, fidelity.gate_fidelity_closed(*kets.T, np.pi / 2).tolist()))
     with atomic_write(os.path.join(outdir, "trajectory.csv")) as fh:
         fh.write("state,fidelity\n")
-        for lbl, val in rows:
+        for lbl, val in fids.items():
             fh.write(f"{lbl},{format(val, '.17g')}\n")
-    summary = {"label": "fig2", "mode": "analytic",
-               "fidelities": {lbl: val for lbl, val in rows},
-               "peak_fidelity": max(v for _, v in rows)}
+    summary = {"label": "fig2", "mode": "analytic", "fidelities": fids,
+               "peak_fidelity": max(fids.values())}
     write_json(os.path.join(outdir, "summary.json"), summary)
     return summary
 

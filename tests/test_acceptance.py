@@ -153,7 +153,7 @@ def test_criterion_5_rabi_rate():
     # the same number through the scenario runner's analytic path
     cfg_omega = runner._analytic_omega(ScenarioConfig(
         params=runner.PhysicalParams.from_config(runner.PAPER_VA),
-        initial=runner.fidelity.InitialStateFamily.from_labels(["00"]),
+        initial=runner.fidelity.InitialStateFamily("fixed-list", ("00",)),
         mode="analytic", X_G_sq=0.25))
     assert cfg_omega == pytest.approx(omega, rel=1e-12)
 
@@ -275,8 +275,8 @@ PEAK_SPECS = {
 def _aggregate(cfg: ScenarioConfig, amplitude: bool) -> tuple[float, float]:
     """Refined peak of the configured average (or single) fidelity column,
     skipping the trivial initial overlap at t < 0.3 us."""
-    labels, kets = zip(*cfg.initial.members)
-    times, series, _, _ = master_fidelity_series(cfg, np.array(kets))
+    labels = cfg.initial.labels
+    times, series, _, _ = master_fidelity_series(cfg, cfg.initial.kets()[0])
     stack = series[[labels.index(lbl) for lbl in cfg.average_over or labels]]
     avg = (np.sqrt(stack) if amplitude else stack).mean(axis=0)
     late = times >= 0.3e-6
@@ -404,7 +404,6 @@ def test_invariant_fixed_step_order_check(monkeypatch):
     # halving the fixed step at acceptance settings moves the final fidelity
     # by <= 1e-8
     cfg = replace(figure_config("fig3"), integrator="rk4", n_steps=2001)
-    states = list(cfg.initial.members)
 
     def final_avg() -> float:
         from phonongate.hamiltonians import system_hamiltonian

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from phonongate.fidelity import (
+    LABEL_KINDS,
     InitialStateFamily,
     amplitude_fidelity,
     avg_fidelity_entangled,
@@ -83,6 +84,26 @@ def test_gate_fidelity_closed_matches_matrix_path():
 def test_gate_fidelity_closed_rejects_unnormalized():
     with pytest.raises(ValueError):
         gate_fidelity_closed(1.0, 1.0, 0.0, 0.0, 0.5)
+    # one unnormalized ket in a batch
+    kets = np.array([named_state("00"), [1.0, 1.0, 0.0, 0.0], named_state("psi1")])
+    with pytest.raises(ValueError):
+        gate_fidelity_closed(*kets.T[:, :, None], np.array([0.1, 0.5]))
+
+
+def test_gate_fidelity_closed_broadcasts_over_a_ket_batch():
+    # (k, 1) amplitudes and (n_t,) angles give (k, n_t), each row the
+    # single-ket call to rounding (array and scalar complex products may
+    # round apart); (k,) amplitudes and one angle give (k,)
+    rng = np.random.default_rng(7)
+    kets = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
+    kets /= np.linalg.norm(kets, axis=1)[:, None]
+    ots = np.linspace(0.0, 4 * np.pi, 37)
+    batch = gate_fidelity_closed(*kets.T[:, :, None], ots)
+    assert batch.shape == (5, 37)
+    single = np.array([gate_fidelity_closed(*v, ots) for v in kets])
+    assert np.max(np.abs(batch - single)) <= 1e-15
+    at = gate_fidelity_closed(*kets.T, ots[3])
+    assert at.shape == (5,) and np.max(np.abs(at - single[:, 3])) <= 1e-15
 
 
 def test_avg_entangled_values():
@@ -136,6 +157,79 @@ def test_bloch_families_normalized():
             assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-10)
     with pytest.raises(ValueError):
         bloch_family("Phi9")
+
+
+def written_out(name, theta, phi):
+    """Each (theta, phi) family from its formula, independently of the table:
+    (..., 4) kets."""
+    c, s, r = np.cos(theta / 2), np.sin(theta / 2), 1 / np.sqrt(2)
+    e, z = np.exp(-1j * phi) * c * r, np.zeros_like(theta)
+    return np.stack({
+        "schmidt": [c, z, z, np.exp(1j * phi) * s],
+        "Phi1": [s, e, e, z],
+        "Phi2": [s, e, z, e],
+        "Phi3": [s, z, e, e],
+        "Phi4": [z, s, e, e],
+        "Psi": [r * s, r * s, e, e],
+    }[name], axis=-1)
+
+
+@pytest.mark.parametrize("name", ["schmidt", "Phi1", "Phi2", "Phi3", "Phi4", "Psi"])
+def test_bloch_family_table_matches_the_formulas(name):
+    theta, phi = np.meshgrid([0.0, 0.3, np.pi / 2, 2.0, np.pi], [0.0, 1.1, np.pi, 2 * np.pi],
+                             indexing="ij")
+    kets = bloch_family(name)(theta, phi)
+    assert kets.shape == (5, 4, 4)
+    assert np.max(np.abs(kets - written_out(name, theta, phi))) <= 1e-15
+    # scalar angles give one ket
+    assert np.array_equal(bloch_family(name)(theta[1, 1], phi[1, 1]), kets[1, 1])
+    if name == "schmidt":
+        assert np.array_equal(schmidt_state(theta, phi), kets)
+
+
+def test_separable_state_broadcasts():
+    t1, p1, t2, p2 = np.array([0.0, 0.4, np.pi]), 0.1, np.array([[1.2], [3.0]]), 2.2
+    q = lambda t, p: np.array([np.cos(t / 2), np.exp(1j * p) * np.sin(t / 2)])
+    kets = separable_state(t1, p1, t2, p2)
+    assert kets.shape == (2, 3, 4)
+    for i in range(2):
+        for j in range(3):
+            assert np.max(np.abs(kets[i, j] - np.kron(q(t1[j], p1), q(t2[i, 0], p2)))) <= 1e-15
+
+
+@pytest.mark.parametrize("kind", ["schmidt-entangled", "separable-product"])
+def test_bloch_grid_matches_a_double_loop(kind):
+    # theta outermost, the pole rows dropped, the first sphere outermost
+    family = "Phi3" if kind == "schmidt-entangled" else None
+    kets, weights = bloch_grid(InitialStateFamily(kind, family=family, grid=(9, 8)))
+    thetas, phis = np.linspace(0.0, np.pi, 9), np.linspace(0.0, 2 * np.pi, 8)
+    points, w = [], []
+    for i in range(1, 8):
+        for j in range(8):
+            points.append((thetas[i], phis[j]))
+            w.append(np.sin(thetas[i]) * (0.5 if j in (0, 7) else 1.0))
+    if kind == "separable-product":
+        expected = [separable_state(*p1, *p2) for p1 in points for p2 in points]
+        w = [w1 * w2 for w1 in w for w2 in w]
+    else:
+        expected = [bloch_family("Phi3")(*p) for p in points]
+    assert np.array_equal(kets, np.array(expected))
+    assert np.array_equal(weights, np.array(w))
+
+
+@pytest.mark.parametrize("family", [
+    InitialStateFamily("fixed-list", ("00", "11")),
+    InitialStateFamily("named-superposition", ("psi1", "varphi2", "four_equal")),
+    InitialStateFamily("schmidt-entangled", family="Psi", grid=(9, 8)),
+    InitialStateFamily("separable-product", grid=(8, 10)),
+])
+def test_size_counts_the_kets_without_building_them(family):
+    kets, weights = family.kets()
+    assert family.size == len(kets) and kets.shape == (family.size, 4)
+    if family.kind in LABEL_KINDS:
+        assert weights is None
+    else:
+        assert weights.shape == (family.size,)
 
 
 def test_family_structure():
@@ -204,8 +298,9 @@ def test_family_validation():
         InitialStateFamily("schmidt-entangled", grid=(4, 4))
     with pytest.raises(ValueError):
         InitialStateFamily("mystery")
-    fam = InitialStateFamily.from_labels(["00", "psi1"])
-    assert [lbl for lbl, _ in fam.members] == ["00", "psi1"]
+    fam = InitialStateFamily("fixed-list", ("00", "psi1"))
+    kets, weights = fam.kets()
+    assert np.array_equal(kets, [named_state("00"), named_state("psi1")]) and weights is None
     with pytest.raises(ValueError):
         InitialStateFamily("fixed-list", ("00", "00"))
     with pytest.raises(ValueError):

@@ -18,7 +18,6 @@ from phonongate.dynamics import CollapseSet
 from phonongate.fidelity import (
     InitialStateFamily,
     bloch_family,
-    bloch_grid,
     named_state,
     separable_state,
 )
@@ -68,8 +67,7 @@ def test_config_roundtrip():
     again = ScenarioConfig.from_mapping(cfg.to_mapping())
     assert again.params.Delta == pytest.approx(cfg.params.Delta)
     assert again.n_steps == cfg.n_steps
-    assert [l for l, _ in again.initial.members] == ["00", "01", "11"]
-    # members holds kets, yet configs compare by value
+    assert again.initial.labels == ("00", "01", "11")
     assert again == cfg
 
 
@@ -177,9 +175,25 @@ def scenario_mappings(draw):
     return doc
 
 
+def series_bytes(doc) -> int:
+    """k x 2 x n_steps float64, with k counted from the document by hand."""
+    initial = doc["initial"]
+    if "labels" in initial:
+        k = len(initial["labels"])
+    else:
+        n_theta, n_phi = initial["grid"]
+        k = ((n_theta - 2) * n_phi) ** (2 if initial["kind"] == "separable-product" else 1)
+    return k * 2 * int(doc["n_steps"]) * 8
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(scenario_mappings())
 def test_config_roundtrip_property(doc):
+    # a document whose series cannot be held is refused; every other round-trips
+    if series_bytes(doc) > runner.MAX_SERIES_BYTES:
+        with pytest.raises(ValueError, match="bytes, over the"):
+            ScenarioConfig.from_mapping(doc)
+        return
     cfg = ScenarioConfig.from_mapping(doc)
     assert ScenarioConfig.from_mapping(cfg.to_mapping()) == cfg
     # the echo in summary.json reads back as the same config
@@ -209,7 +223,7 @@ def test_analytic_run_peak_at_quarter_period(tmp_path):
     omega = 30.0463
     cfg = ScenarioConfig(
         params=PhysicalParams(),
-        initial=InitialStateFamily.from_labels(["00", "01", "10", "11"]),
+        initial=InitialStateFamily("fixed-list", ("00", "01", "10", "11")),
         mode="analytic",
         t_max_us=120e3,
         n_steps=4001,
@@ -227,7 +241,7 @@ def test_analytic_run_peak_at_quarter_period(tmp_path):
 def test_analytic_omega_from_params(tmp_path):
     cfg = ScenarioConfig(
         params=PhysicalParams.from_config(runner.PAPER_VA),
-        initial=InitialStateFamily.from_labels(["00"]),
+        initial=InitialStateFamily("fixed-list", ("00",)),
         mode="analytic",
         t_max_us=120e3,
         n_steps=101,
@@ -386,7 +400,7 @@ def test_bloch_average_is_the_weighted_mean_of_per_ket_runs():
         initial={"kind": "schmidt-entangled", "family": "Phi2", "grid": [8, 8]},
         n_steps=41, t_max_us=0.2))
     _, columns, _ = runner._run_master(cfg)
-    kets, weights = bloch_grid(cfg.initial)
+    kets, weights = cfg.initial.kets()
     total = np.zeros(cfg.n_steps)
     for w, ket in zip(weights, kets):
         _, series, _, _ = runner.master_fidelity_series(cfg, ket[None])
@@ -503,6 +517,30 @@ def test_cli_evolve_reports_a_gate_refusal_as_json(tmp_path, monkeypatch):
     [line] = res.stderr.splitlines()
     assert "trace drift" in json.loads(line)["error"]
     assert not list((tmp_path / "run").glob("*"))  # no CSV, no summary
+
+
+def test_series_bound_refuses_the_default_separable_grid_and_keeps_the_figures(tmp_path):
+    # ((16 - 2) * 16)^2 = 50176 kets x 2 x 20001 steps x 8 bytes = 16.1 GB
+    doc = small_master_mapping(initial={"kind": "separable-product"}, n_steps=20001)
+    with pytest.raises(ValueError) as err:
+        ScenarioConfig.from_mapping(doc)
+    assert str(err.value).startswith("50176 initial kets x 2 x 20001 steps")
+    assert f"need {50176 * 2 * 20001 * 8} bytes" in str(err.value)
+    # fig10 (224 kets, 72 MB) and a separable [8, 8] grid (2304 kets, 737 MB)
+    # at 20001 steps stay within the bound
+    assert figure_config("fig10").initial.size == 224
+    sep = ScenarioConfig.from_mapping(small_master_mapping(
+        initial={"kind": "separable-product", "grid": [8, 8]}, n_steps=20001))
+    assert sep.initial.size == 2304
+    # the CLI refuses it before any output is written
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    res = CliRunner().invoke(cli.main, ["evolve", "--config", str(cfg_path),
+                                        "--out", str(tmp_path / "run")])
+    assert res.exit_code == 1
+    [line] = res.stderr.splitlines()
+    assert "over the" in json.loads(line)["error"]
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("fixed_step", [[], ["--fixed-step"]])
