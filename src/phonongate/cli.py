@@ -23,10 +23,6 @@ from .hamiltonians import PhysicalParams, exchange_rate
 from .runner import PAPER_VA_XG_SQ, PRESETS, ScenarioConfig
 
 
-_JOBS = click.option("--jobs", type=click.IntRange(min=1), default=None,
-                     help="Worker pool size (default: logical CPUs).")
-
-
 def _default_out() -> str:
     return os.environ.get("PHONONGATE_OUTDIR", "phonongate_out")
 
@@ -170,16 +166,14 @@ def evolve(config_path, preset, out, fixed_step, nb):
 @main.command()
 @click.argument("fig_id", type=click.Choice(["fig2", *runner.FIGURES]))
 @click.option("--out", type=click.Path(), default=None)
-@_JOBS
 @click.option("--fixed-step", is_flag=True)
 @click.option("--nb", type=click.Choice(["2", "4"]), default="2")
 @click.option("--bloch-grid", type=int, default=16, show_default=True,
               help="Angular points per axis for fig9/fig10.")
-def figure(fig_id, out, jobs, fixed_step, nb, bloch_grid):
+def figure(fig_id, out, fixed_step, nb, bloch_grid):
     """Emit the CSV data behind one published figure."""
     outdir = out or os.path.join(_default_out(), fig_id)
-    summary = runner.run_figure(fig_id, outdir, n_b=int(nb), jobs=jobs,
-                                fixed_step=fixed_step,
+    summary = runner.run_figure(fig_id, outdir, n_b=int(nb), fixed_step=fixed_step,
                                 bloch_grid=(bloch_grid, bloch_grid))
     click.echo(json.dumps({"figure": fig_id, "outdir": str(outdir),
                            "peak_fidelity": summary.get("peak_fidelity")}))
@@ -191,15 +185,14 @@ def figure(fig_id, out, jobs, fixed_step, nb, bloch_grid):
 @click.option("--param", required=True, help="Dotted config key, e.g. params.g_G_hz.")
 @click.option("--values", required=True, help="Comma-separated numeric values.")
 @click.option("--out", type=click.Path(), default=None)
-@_JOBS
-def sweep(config_path, preset, param, values, out, jobs):
+def sweep(config_path, preset, param, values, out):
     """Re-run one scenario while varying a single named parameter."""
     cfg = _scenario_from_sources(config_path, preset)
     vals = [float(v) for v in values.split(",") if v.strip()]
     if not vals:
         raise ValueError("no sweep values given")
     outdir = out or os.path.join(_default_out(), f"sweep_{param.replace('.', '_')}")
-    runner.run_sweep(cfg, param, vals, outdir, jobs=jobs)
+    runner.run_sweep(cfg, param, vals, outdir)
     click.echo(json.dumps({"param": param, "n_runs": len(vals), "outdir": str(outdir)}))
 
 

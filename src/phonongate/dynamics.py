@@ -46,10 +46,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .electrostatics import HBAR_SI
 from .files import atomic_write
 from .fockspace import Operator, QuantumState, SpaceDescriptor, annihilation_op, embed
 
+HBAR_SI = 6.62607015e-34 / (2 * np.pi)  # J s, exact in the 2019 SI
 KB_SI = 1.380649e-23  # J/K, exact in the 2019 SI
 
 

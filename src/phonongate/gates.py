@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duffing import QubitSubspace
-from .electrostatics import HBAR_SI
+from .dynamics import HBAR_SI
 
 UNITARY_ATOL = 1e-12
 

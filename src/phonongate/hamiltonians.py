@@ -179,24 +179,3 @@ def effective_gate_hamiltonian(spec: DuffingSpectrum, g_G: float, Delta: float) 
         shifts.append(0.5 * g_G**2 * s)
     return EffectiveGateParams(float(omega), (shifts[0], shifts[1]), float(x10), float(omega_g))
 
-
-def rabi_angle(Omega: float, t: float) -> float:
-    """Accumulated exchange angle Omega * t for constant coupling."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    return Omega * t
-
-
-def rabi_angle_from_profile(
-    times: np.ndarray, g_profile: np.ndarray, X_G: float, omega_G: float, Delta: float
-) -> float:
-    """Exchange angle for time-dependent coupling:
-    (Delta X_G^2 / (Delta^2 - omega_G^2)) * int g_G(t')^2 dt', trapezoidal."""
-    times = np.asarray(times, dtype=float)
-    g_profile = np.asarray(g_profile, dtype=float)
-    if times.ndim != 1 or times.shape != g_profile.shape or times.size < 2:
-        raise ValueError("times and g_profile must be equal-length 1-D arrays, >= 2 samples")
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("times must be strictly increasing")
-    integral = float(np.trapezoid(g_profile**2, times))
-    return exchange_rate(Delta, omega_G, 1.0, X_G**2) * integral

@@ -4,7 +4,7 @@ A scenario is a single JSON document: physical parameters (Hz values under
 `*_hz` keys), truncations, an initial-state family, a time grid, and the
 run mode ("analytic" closed-form curves or "master" open-system evolution).
 `ScenarioConfig` checks the whole document when it is constructed, down to
-the size of the series a run must hold; a run computes, then writes
+the memory a run must hold; a run computes, then writes
 `trajectory.csv` and `summary.json` atomically into the output directory.
 Both modes take the initial kets as one (k, 4) array from
 `InitialStateFamily.kets`: the analytic mode evaluates the closed form on it
@@ -18,10 +18,8 @@ fidelity). See the README for the sensitivity discussion.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -58,8 +56,10 @@ PAPER_VA_XG_SQ = 0.25
 
 PRESETS = {"paper_v1": PAPER_V1, "paper_va": PAPER_VA}
 
-# bound on a run's k x 2 x n_steps float64 series (propagate's output), so a
-# config whose kets and steps cannot be held is refused, not run out of memory
+# bound on what a run holds for its k kets: the k x 2 x n_steps float64 series
+# (propagate's output) and, in master mode, the (d^2, k) complex columns and
+# (k, 3, d^2) complex rows, so a config that cannot be held is refused, not
+# run out of memory
 MAX_SERIES_BYTES = 2 * 2**30
 
 _CNOT = ideal_cnot().data
@@ -112,14 +112,19 @@ class ScenarioConfig:
             raise ValueError("t_max_us must be positive")
         if self.n_steps < 2:
             raise ValueError("n_steps must be at least 2")
-        series_bytes = self.initial.size * 2 * self.n_steps * 8
-        if series_bytes > MAX_SERIES_BYTES:
-            raise ValueError(f"{self.initial.size} initial kets x 2 x {self.n_steps} steps of "
-                             f"float64 series need {series_bytes} bytes, over the "
-                             f"{MAX_SERIES_BYTES}-byte bound")
         if self.n_cav < 2 or self.n_b < 2 or self.n_b == 3:
             raise ValueError("dims.n_cav must be >= 2, and dims.n_b 2 or >= 4 "
                              "(the quartic term needs 4 levels)")
+        k = self.initial.size
+        series_bytes = k * 2 * self.n_steps * 8
+        d2 = (self.n_cav * self.n_b**2) ** 2 if self.mode == "master" else 0
+        vector_bytes = k * 4 * d2 * 16  # one column and three rows per ket
+        if series_bytes + vector_bytes > MAX_SERIES_BYTES:
+            held = (f", and their {k} columns and {3 * k} rows of {d2} complex entries "
+                    f"{vector_bytes} more: {series_bytes + vector_bytes} bytes" if d2 else "")
+            raise ValueError(f"{k} initial kets x 2 x {self.n_steps} steps of float64 series "
+                             f"need {series_bytes} bytes{held}, over the "
+                             f"{MAX_SERIES_BYTES}-byte bound")
         if not 0 <= self.cavity_fock < self.n_cav:
             raise ValueError("cavity Fock index outside the cavity truncation")
         labelled = self.initial.kind in fidelity.LABEL_KINDS
@@ -464,18 +469,8 @@ def figure_config(fig_id: str, n_b: int = 2, bloch_grid: tuple[int, int] = (16, 
     return cfgs if len(cfgs) > 1 else cfgs[0]
 
 
-def _run_all(tasks: list[tuple[ScenarioConfig, str]], jobs: int | None) -> list[dict]:
-    """`run_scenario` over (config, outdir) pairs on `jobs` spawned workers (None: one per CPU)."""
-    jobs = jobs or os.cpu_count() or 1
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
-                                 mp_context=multiprocessing.get_context("spawn")) as pool:
-            return list(pool.map(run_scenario, *zip(*tasks)))
-    return [run_scenario(cfg, outdir) for cfg, outdir in tasks]
-
-
-def run_figure(fig_id: str, outdir, n_b: int = 2, jobs: int | None = 1,
-               fixed_step: bool = False, bloch_grid: tuple[int, int] = (16, 16)) -> dict:
+def run_figure(fig_id: str, outdir, n_b: int = 2, fixed_step: bool = False,
+               bloch_grid: tuple[int, int] = (16, 16)) -> dict:
     """Emit the CSV data behind one published figure."""
     os.makedirs(outdir, exist_ok=True)
     if fig_id == "fig2":
@@ -484,7 +479,7 @@ def run_figure(fig_id: str, outdir, n_b: int = 2, jobs: int | None = 1,
                          integrator="rk4" if fixed_step else "expm")
     if isinstance(cfgs, ScenarioConfig):
         return run_scenario(cfgs, outdir)
-    summaries = _run_all([(c, os.path.join(outdir, c.label)) for c in cfgs], jobs)
+    summaries = [run_scenario(c, os.path.join(outdir, c.label)) for c in cfgs]
     combined = {
         "figure": fig_id,
         "runs": {s["label"]: {"peak_fidelity": s["peak_fidelity"],
@@ -514,7 +509,7 @@ def _run_fig2(outdir) -> dict:
 # sweeps
 
 
-def run_sweep(cfg: ScenarioConfig, param: str, values, outdir, jobs: int | None = 1) -> dict:
+def run_sweep(cfg: ScenarioConfig, param: str, values, outdir) -> dict:
     """One scenario per value of a dotted config key (e.g. params.g_G_hz).
     Every value is validated, and the run directories (named by the value in
     %g format) checked to be distinct, before any run starts."""
@@ -534,7 +529,7 @@ def run_sweep(cfg: ScenarioConfig, param: str, values, outdir, jobs: int | None 
         raise ValueError(f"sweep values {list(values)} give run directories that collide: "
                          f"{sorted({os.path.basename(n) for n in names if names.count(n) > 1})}")
     os.makedirs(outdir, exist_ok=True)
-    summaries = _run_all(tasks, jobs)
+    summaries = [run_scenario(c, sub) for c, sub in tasks]
     manifest = {
         "param": param,
         "values": [float(v) for v in values],

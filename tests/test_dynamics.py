@@ -7,6 +7,7 @@ from scipy.linalg import expm
 from phonongate import dynamics
 from phonongate.dynamics import (
     EIG_TOL,
+    HBAR_SI,
     KB_SI,
     CollapseSet,
     IntegrationError,
@@ -22,7 +23,6 @@ from phonongate.dynamics import (
     symmetry_sectors,
     thermal_occupation,
 )
-from phonongate.electrostatics import HBAR_SI
 from phonongate.fockspace import (
     Operator,
     QuantumState,

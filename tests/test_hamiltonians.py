@@ -10,10 +10,9 @@ from phonongate.hamiltonians import (
     ResonanceProximityError,
     effective_gate_hamiltonian,
     exchange_rate,
-    rabi_angle,
-    rabi_angle_from_profile,
     system_hamiltonian,
 )
+from phonongate.runner import PAPER_VA
 
 TWOPI = 2 * np.pi
 
@@ -152,12 +151,24 @@ def test_exchange_rate_two_paths_agree():
 
 def test_exchange_rate_guards_the_resonance():
     assert exchange_rate(5.0, 2.0, 0.3, 0.36) == 5.0 * 0.36 * 0.3**2 / (5.0**2 - 2.0**2)
-    ts = np.linspace(0.0, 1.0, 5)
     for delta in (2.0, -2.0):
         with pytest.raises(ValueError, match="diverges"):
             exchange_rate(delta, 2.0, 0.3, 0.36)
-        with pytest.raises(ValueError, match="diverges"):
-            rabi_angle_from_profile(ts, ts, 0.6, 2.0, delta)
+
+
+def test_exchange_rate_is_half_the_full_two_level_doublet_splitting():
+    # cross-route oracle: paper_va, no direct beam coupling, two beam levels,
+    # symmetric X_c (X_G^2 = 1/2); the two eigenstates of the full H mostly on
+    # |0,0,1> and |0,1,0> split by 2 Omega, 2 x 60.09258 rad/s
+    p = PhysicalParams.from_config({**PAPER_VA, "G_tilde_hz": 0.0})
+    space = SpaceDescriptor((4, 2, 2))
+    energies, vecs = np.linalg.eigh(system_hamiltonian(p, space, "symmetric").data)
+    one_up = np.ravel_multi_index(([0, 0], [0, 1], [1, 0]), space.dims)
+    doublet = np.argsort(np.sum(np.abs(vecs[one_up]) ** 2, axis=0))[-2:]
+    half_splitting = abs(np.diff(energies[doublet])[0]) / 2
+    omega = exchange_rate(p.Delta, p.omega_G, p.g_G, 0.5)
+    assert omega == pytest.approx(60.09264, rel=1e-6)
+    assert half_splitting == pytest.approx(omega, rel=1e-5)
 
 
 def test_stark_shifts_harmonic_oracle():
@@ -170,30 +181,6 @@ def test_stark_shifts_harmonic_oracle():
     s1 = 0.5 * g**2 * (0.5 / (delta + w) + 1.0 / (delta - w))
     assert eff.stark_shifts[0] == pytest.approx(s0, rel=1e-10)
     assert eff.stark_shifts[1] == pytest.approx(s1, rel=1e-10)
-
-
-def test_rabi_angle():
-    assert rabi_angle(3.0, 0.0) == 0.0
-    assert rabi_angle(3.0, np.pi / 6) == pytest.approx(np.pi / 2)
-    with pytest.raises(ValueError):
-        rabi_angle(3.0, -1.0)
-
-
-def test_rabi_angle_linear_ramp_oracle():
-    # g(t) = c t on [0, T]: angle = Delta X^2 c^2 T^3 / (3 (Delta^2 - w^2))
-    delta, w, xg = 5.0, 2.0, 0.6
-    c, T = 0.3, 2.0
-    ts = np.linspace(0.0, T, 20001)
-    angle = rabi_angle_from_profile(ts, c * ts, xg, w, delta)
-    expected = delta * xg**2 * c**2 * T**3 / (3 * (delta**2 - w**2))
-    assert angle == pytest.approx(expected, rel=1e-7)
-
-
-def test_rabi_angle_profile_validation():
-    with pytest.raises(ValueError):
-        rabi_angle_from_profile(np.array([0.0]), np.array([1.0]), 1, 1, 2)
-    with pytest.raises(ValueError):
-        rabi_angle_from_profile(np.array([0.0, 0.0]), np.array([1.0, 1.0]), 1, 1, 2)
 
 
 def test_params_from_config():

@@ -51,11 +51,13 @@ def small_master_mapping(**overrides):
 
 
 def test_package_imports_no_scipy():
-    # NumPy is the package's one numerical library; SciPy serves the tests only
+    # NumPy is the package's one numerical library; SciPy serves the tests only.
+    # Every command runs in one process, so no worker-pool module is imported
     code = ("import pkgutil, sys, phonongate, phonongate.cli\n"
             "for m in pkgutil.iter_modules(phonongate.__path__):\n"
             "    __import__('phonongate.' + m.name)\n"
-            "print(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))")
+            "print(sorted(n for n in sys.modules if n.split('.')[0] in\n"
+            "             ('scipy', 'multiprocessing', 'concurrent')))")
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
@@ -175,22 +177,24 @@ def scenario_mappings(draw):
     return doc
 
 
-def series_bytes(doc) -> int:
-    """k x 2 x n_steps float64, with k counted from the document by hand."""
+def held_bytes(doc) -> int:
+    """k x 2 x n_steps float64 series, plus in master mode one (d^2,) complex
+    column and three rows per ket, with k and d counted from the document by hand."""
     initial = doc["initial"]
     if "labels" in initial:
         k = len(initial["labels"])
     else:
         n_theta, n_phi = initial["grid"]
         k = ((n_theta - 2) * n_phi) ** (2 if initial["kind"] == "separable-product" else 1)
-    return k * 2 * int(doc["n_steps"]) * 8
+    d = doc["dims"]["n_cav"] * doc["dims"]["n_b"] ** 2
+    return k * 2 * int(doc["n_steps"]) * 8 + (k * 4 * d**2 * 16 if doc["mode"] == "master" else 0)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(scenario_mappings())
 def test_config_roundtrip_property(doc):
-    # a document whose series cannot be held is refused; every other round-trips
-    if series_bytes(doc) > runner.MAX_SERIES_BYTES:
+    # a document whose run cannot be held is refused; every other round-trips
+    if held_bytes(doc) > runner.MAX_SERIES_BYTES:
         with pytest.raises(ValueError, match="bytes, over the"):
             ScenarioConfig.from_mapping(doc)
         return
@@ -442,7 +446,7 @@ def test_batched_rows_match_a_per_ket_density_route_at_nb4():
 
 def test_sweep(tmp_path):
     cfg = ScenarioConfig.from_mapping(small_master_mapping(n_steps=101, t_max_us=0.1))
-    manifest = run_sweep(cfg, "params.G_tilde_hz", [1e6, 2e6], tmp_path, jobs=1)
+    manifest = run_sweep(cfg, "params.G_tilde_hz", [1e6, 2e6], tmp_path)
     assert len(manifest["runs"]) == 2
     assert (tmp_path / "manifest.json").exists()
     for entry in manifest["runs"]:
@@ -543,6 +547,27 @@ def test_series_bound_refuses_the_default_separable_grid_and_keeps_the_figures(t
     assert not (tmp_path / "run").exists()
 
 
+def test_held_bound_counts_the_columns_and_rows_of_a_master_run():
+    # k = 50176, d^2 = 2304: the series is 1.6 GB, within the bound, but the
+    # (d^2, k) complex columns are 1.85 GB and the (k, 3, d^2) complex rows 5.5 GB
+    doc = small_master_mapping(initial={"kind": "separable-product"},
+                               dims={"n_cav": 3, "n_b": 4}, n_steps=2000)
+    assert 50176 * 2 * 2000 * 8 < runner.MAX_SERIES_BYTES
+    with pytest.raises(ValueError) as err:
+        ScenarioConfig.from_mapping(doc)
+    assert f"need {50176 * 2 * 2000 * 8} bytes, and their 50176 columns" in str(err.value)
+    assert f"{50176 * 4 * 2304 * 16} more" in str(err.value)
+    # fig10, nb4's config and a separable [8, 8] grid at n_b = 2 stay within it
+    assert figure_config("fig10").initial.size == 224
+    nb4 = small_master_mapping(initial={"kind": "fixed-list", "labels": ["00", "01", "10", "11"]},
+                               dims={"n_cav": 3, "n_b": 4}, n_steps=2001)
+    assert ScenarioConfig.from_mapping(nb4).n_b == 4
+    sep = ScenarioConfig.from_mapping(small_master_mapping(
+        initial={"kind": "separable-product", "grid": [8, 8]}, dims={"n_cav": 3, "n_b": 2},
+        n_steps=20001))
+    assert sep.initial.size == 2304
+
+
 @pytest.mark.parametrize("fixed_step", [[], ["--fixed-step"]])
 def test_cli_evolve_runs_the_strongly_damped_config(tmp_path, fixed_step):
     # exp(2.7e-4 t) over t = 1 s drifted the trace by 2.7e-4 until the
@@ -587,6 +612,24 @@ def test_cli_figure_fig2(tmp_path):
     rows = (tmp_path / "trajectory.csv").read_text().splitlines()
     assert rows[0] == "state,fidelity"
     assert all(line.endswith(",1") for line in rows[1:5])
+
+
+def test_cli_figure_fig9_runs_every_family_in_turn(tmp_path):
+    res = CliRunner().invoke(cli.main, ["figure", "fig9", "--bloch-grid", "8",
+                                        "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    labels = [f"fig9_Phi{i}" for i in range(1, 5)]
+    combined = json.loads((tmp_path / "summary.json").read_text())
+    assert combined["figure"] == "fig9"
+    assert sorted(combined["runs"]) == labels
+    for label in labels:
+        run = combined["runs"][label]
+        assert run["outdir"] == label
+        header = (tmp_path / label / "trajectory.csv").read_text().split("\n", 1)[0]
+        assert header.endswith(f"F_avg_{label[5:]}")
+        summary = json.loads((tmp_path / label / "summary.json").read_text())
+        assert summary["peak_fidelity"] == run["peak_fidelity"]
+        assert summary["config"]["initial"]["grid"] == [8, 8]
 
 
 def test_cli_evolve_and_error_paths(tmp_path):
@@ -656,8 +699,7 @@ def _sweep(tmp_path, param, values):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(small_master_mapping(n_steps=101, t_max_us=0.1)))
     return CliRunner().invoke(cli.main, ["sweep", "--config", str(cfg_path), "--param", param,
-                                         "--values", values, "--out", str(tmp_path / "sweep"),
-                                         "--jobs", "1"])
+                                         "--values", values, "--out", str(tmp_path / "sweep")])
 
 
 def test_cli_sweep_validates_every_value_first(tmp_path):
@@ -687,12 +729,3 @@ def test_cli_sweep_integer_key(tmp_path):
     assert steps == [11, 21]
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_cli_jobs_below_one_is_refused(tmp_path, jobs):
-    out = tmp_path / "out"
-    for args in (["figure", "fig9"],
-                 ["sweep", "--preset", "paper_v1", "--param", "params.Q", "--values", "1e6"]):
-        res = CliRunner().invoke(cli.main, [*args, "--out", str(out), "--jobs", jobs])
-        assert res.exit_code != 0
-        assert "--jobs" in res.output
-        assert not out.exists()
