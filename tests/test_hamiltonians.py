@@ -156,6 +156,18 @@ def test_exchange_rate_guards_the_resonance():
             exchange_rate(delta, 2.0, 0.3, 0.36)
 
 
+def test_rabi_angle_linear_ramp_oracle():
+    # the exchange angle of a time-dependent coupling is int Omega(g_G(t)) dt;
+    # for g(t) = c t on [0, T]: angle = Delta X^2 c^2 T^3 / (3 (Delta^2 - w^2))
+    delta, w, xg = 5.0, 2.0, 0.6
+    c, T = 0.3, 2.0
+    ts = np.linspace(0.0, T, 20001)
+    rates = [exchange_rate(delta, w, c * t, xg**2) for t in ts]
+    angle = float(np.trapezoid(rates, ts))
+    expected = delta * xg**2 * c**2 * T**3 / (3 * (delta**2 - w**2))
+    assert angle == pytest.approx(expected, rel=1e-7)
+
+
 def test_exchange_rate_is_half_the_full_two_level_doublet_splitting():
     # cross-route oracle: paper_va, no direct beam coupling, two beam levels,
     # symmetric X_c (X_G^2 = 1/2); the two eigenstates of the full H mostly on
