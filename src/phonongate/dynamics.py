@@ -11,37 +11,47 @@ The rates nu set the integrator:
   multiply each mode by R(lambda h/m)^m, R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24
   the stability polynomial, so nu = m log R(lambda h/m) / h.
 
-Both need a uniform grid. When H keeps the total occupation parity and
-every collapse operator keeps or flips it, L splits exactly into two blocks
-(`parity_blocks`). Each block the initial columns occupy splits further into
-real symmetry sectors (`symmetry_sectors`): in a basis of Hermitian matrices
-L is real, and when H and the collapse set are exactly invariant under the
-beam swap, its even and odd halves are uncoupled. Each occupied sector is
-eigendecomposed once, as the real matrix L_s = Q^H L Q read off rows of L
-(`sector_liouvillian`), for an H Hermitian to EIG_TOL (sector_imag). It is
-gated (Moler & Van Loan, SIAM Rev. 45, 3 (2003), method 14, and its caveat on
-an ill-conditioned V): ||L_s V - V Lambda|| / ||L_s|| and the cancellation
-bound eps max_j sum_k |A_jk| must be at most EIG_TOL; a defective L fails only
-the second. An eigenvalue within the rounding floor m eps ||L_s|| of 0 is the
-steady state's, and is set to exactly 0.
+Both need a grid uniform to rounding, as numpy.linspace gives (below). When H
+keeps the total occupation parity and every collapse operator keeps or flips
+it, L splits exactly into two blocks (`parity_blocks`). Each block the initial
+columns occupy splits further into real symmetry sectors (`symmetry_sectors`):
+in a basis of Hermitian matrices L is real, and when H and the collapse set
+are exactly invariant under the beam swap, its even and odd halves are
+uncoupled. Each occupied sector is eigendecomposed once, as the real matrix
+L_s = Q^H L Q read off rows of L (`sector_liouvillian`), for an H Hermitian to
+EIG_TOL (sector_imag). It is gated (Moler & Van Loan, SIAM Rev. 45, 3 (2003),
+method 14, and its caveat on an ill-conditioned V):
+||L_s V - V Lambda|| / ||L_s|| and the cancellation bound eps max_j sum_k
+|A_jk| must be at most EIG_TOL; a defective L fails only the second. An
+eigenvalue within the rounding floor m eps ||L_s|| of 0 is the steady state's,
+and is set to exactly 0.
 
 The series are evaluated in real arithmetic. The columns are vec of Hermitian
 matrices, so each sector state Q^H vec rho(t) is real, and Re(f Q y) =
 Re(f Q) y: the rows enter as Re(f Q). Conjugate eigenpairs of the real L_s
 then carry conjugate amplitudes, so only the modes with Im lambda >= 0 are kept
-(rk4's rates keep the pairing) and a pair counts twice, 2 e^{at} (Re A cos bt
-- Im A sin bt) for nu = a + ib. Each chunk of outputs is one real product of
-the amplitudes with the columns e^{at} cos bt of every kept mode and
-e^{at} sin bt of every pair. The trace is one more row, gated at every
-output, in one pass, to TRACE_TOL. Its row is a left null vector of L, so only
-the lambda = 0 modes reach it and R(0) = 1: rk4 drifts exactly as expm does
-at any substep count, and a drift is refused at once. The final output's
-Hermiticity and positivity come from the sum over sectors of
-Q V (exp(nu t_N) * V^-1 Q^H v0). `evolve_master` is `propagate` with the
-states read back.
+(rk4's rates keep the pairing) and a pair counts twice: 2 Re(A e^{nu t}) =
+2 (Re A Re e^{nu t} - Im A Im e^{nu t}). Each chunk of _CHUNK outputs from
+t_s is one real product of those coefficients with the real and imaginary
+parts of a complex table e^{nu (t_s + t_j)}, filled as e^{nu t_s} times a
+table of e^{nu t_j} over the first chunk's times built once: one exp per mode
+per chunk and one complex product per entry. That is e^{nu t_{s+j}} to the
+rounding of nu t only where t_s + t_j = t_{s+j} to rounding, so `propagate`
+refuses a grid whose times lie more than 4 eps t_max off i t_max / (n - 1).
+The table, the output block and the trace row are buffers refilled per chunk,
+and each chunk is handed to the caller's reduction before the next is
+evaluated, so no (k, r, n_t) series need ever be held. The trace is one more
+row, and every column's |tr rho(t) - tr rho(0)| is gated at every output, in
+the same pass, to TRACE_TOL, so a traceless column is gated as any other. The
+trace row is a left null vector of L, so only the lambda = 0 modes reach it
+and R(0) = 1: rk4 drifts exactly as expm does at any substep count, and a
+drift is refused at once. The final output's Hermiticity and positivity come
+from the sum over sectors of Q V (exp(nu t_N) * V^-1 Q^H v0). `evolve_master`
+is `propagate` with the states read back.
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -255,9 +265,10 @@ def sector_liouvillian(H: Operator, collapse: CollapseSet, block: np.ndarray,
 
 
 EIG_TOL = 1e-10  # bound on the eigendecomposition's residual and cancellation
-TRACE_TOL = 1e-6  # bound on abs(tr rho - 1) at every output
+TRACE_TOL = 1e-6  # bound on abs(tr rho(t) - tr rho(0)) of every column at every output
 SUBSTEP_PHASE = 3e-3  # rk4: fastest phase advanced per substep
 _CHUNK = 256  # output times per matrix product or CSV write: small next to the series
+EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -316,7 +327,8 @@ def propagate(
     rows: np.ndarray,
     t_grid: np.ndarray,
     method: str = "expm",
-) -> tuple[np.ndarray, dict]:
+    reduce=None,
+) -> tuple[np.ndarray | None, dict]:
     """Real parts of the linear functionals `rows` of vec(rho) from a
     (d*d, k) batch of columns, vec of Hermitian matrices, over a uniform time
     grid, integrated by `method` (expm or rk4).
@@ -324,17 +336,22 @@ def propagate(
     `rows` is one (r, d*d) set for every column or a (k, r, d*d) stack, one
     set per column; they need not be Hermitian functionals. A column whose
     anti-Hermitian part exceeds EIG_TOL of its largest entry is refused with
-    a ValueError naming it: the real series would drop that part. Returns the
-    real (k, r, n_t) series, whose output 0 is exactly Re(rows @ columns),
-    and the stats: sizes, the parity blocks the columns occupy (n_blocks)
-    and their vec(rho) entries (support), the sizes of the sectors
-    eigendecomposed (sectors), the gate (sector_imag, the Hermiticity of H;
-    eig_residual, cancellation_bound), the largest |Im nu| dt over the modes
-    the rows see (max_phase_per_output), max_trace_drift, rk4's
-    n_substeps_per_interval, and the Hermiticity drift and minimum eigenvalue
-    of the final output. Raises IntegrationError when
-    the gate fails or, in the one pass over the outputs, the trace drifts
-    beyond TRACE_TOL (NaN included) at any of them.
+    a ValueError naming it: the real series would drop that part. Each chunk
+    of the real (k, r, n_t) series, whose output 0 is exactly
+    Re(rows @ columns), goes to `reduce(s, block)` as the (k, r, c) block of
+    outputs s..s+c-1, before the next chunk is evaluated; the block is a
+    buffer the next chunk overwrites, which `reduce` may overwrite too.
+    Without `reduce` the whole series is returned, else None; with the stats:
+    sizes, the parity blocks the columns occupy (n_blocks) and their vec(rho)
+    entries (support), the sizes of the sectors eigendecomposed (sectors),
+    the gate (sector_imag, the Hermiticity of H; eig_residual,
+    cancellation_bound), the largest |Im nu| dt over the modes the rows see
+    (max_phase_per_output), max_trace_drift, rk4's n_substeps_per_interval,
+    the Hermiticity drift and minimum eigenvalue of the final output, and
+    timings_s of the sector generators, eig and solve, and the series loop.
+    Raises IntegrationError when the gate fails or, in the one pass over the
+    outputs, a column's trace drifts from its own tr rho(0) by more than
+    TRACE_TOL (NaN included) at any of them.
     """
     if method not in ("expm", "rk4"):
         raise ValueError(f"propagate runs expm or rk4, not {method!r}")
@@ -343,11 +360,13 @@ def propagate(
         raise ValueError("time grid must be 1-D with at least two points")
     if t[0] != 0.0:
         raise ValueError("time grid must start at 0")
-    dts = np.diff(t)
-    if np.any(dts <= 0):
-        raise ValueError("time grid must be strictly ascending")
-    if not np.allclose(dts, dts[0], rtol=1e-9, atol=0.0):
-        raise ValueError(f"{method} needs a uniform time grid")
+    # the chunks evaluate exp(nu t_s) exp(nu t_j) for exp(nu t_{s+j}), which is
+    # exact to the rounding of nu t only where every t_i lies within a few
+    # rounding steps of t_max i / (n - 1), as on a numpy.linspace grid
+    uniform = np.arange(t.size) * (t[-1] / (t.size - 1))
+    if not (t[-1] > 0.0 and np.max(np.abs(t - uniform)) <= 4 * EPS * t[-1]):  # NaN fails too
+        raise ValueError(f"{method} needs an ascending time grid uniform to rounding (linspace)")
+    h = t[1]
     d = H.dim
     if columns.ndim != 2 or columns.shape[0] != d * d:
         raise ValueError(f"columns must be a ({d * d}, k) batch of vec(rho)")
@@ -375,12 +394,15 @@ def propagate(
         raise IntegrationError(f"H is not Hermitian to {EIG_TOL:g}: the real sector "
                                "eigendecomposition of L needs it", stats)
     lam, amps, modes, residual = [], [], [], 0.0
+    timings = dict.fromkeys(("generators_s", "eig_solve_s", "series_s"), 0.0)
+    started = time.perf_counter()  # each sector: its basis and generator, then eig and solve
     for b in blocks:
         for idx, coef in symmetry_sectors(H, collapse, b):
             v0 = _apply_basis(columns[b], idx, coef.conj()).real  # Q^H columns, (m, k)
             if not np.any(v0):
                 continue
             Ls = sector_liouvillian(H, collapse, b, idx, coef)
+            built = time.perf_counter()
             scale = np.linalg.norm(Ls) or 1.0
             w, V = np.linalg.eig(Ls)
             res = V * w  # V is real when every eigenvalue is
@@ -388,17 +410,19 @@ def propagate(
             residual = max(residual, float(np.linalg.norm(res) / scale))
             # the steady state's 0 comes out at the rounding floor, and exp(w t)
             # would carry that into the trace at a large enough t
-            w[np.abs(w) <= w.size * np.finfo(float).eps * scale] = 0.0
+            w[np.abs(w) <= w.size * EPS * scale] = 0.0
             c = np.linalg.solve(V, v0)  # (m, k)
             rows_q = _apply_basis(rows[..., b].T, idx, coef).T.real  # Re(rows Q)
             lam.append(w)
             amps.append((rows_q @ V) * c.T[:, None, :])  # (k, r, m)
             modes.append((b[idx], coef, V, c))
             stats["sectors"].append(idx.shape[0])
+            timings["generators_s"] += built - started
+            timings["eig_solve_s"] += (started := time.perf_counter()) - built
     lam, amps = np.concatenate(lam), np.concatenate(amps, axis=-1)
     magnitude = np.abs(amps)
     stats.update(eig_residual=residual, cancellation_bound=float(
-        np.finfo(float).eps * np.max(magnitude.sum(axis=-1))))
+        EPS * np.max(magnitude.sum(axis=-1))))
     if not (residual <= EIG_TOL and stats["cancellation_bound"] <= EIG_TOL):
         raise IntegrationError(f"eigendecomposition of L beyond {EIG_TOL:g} "
                                "(defective or ill-conditioned)", stats)
@@ -407,48 +431,56 @@ def propagate(
 
     nu = lam
     if method == "rk4":  # substeps per output interval
-        m = max(1, int(np.ceil(dts[0] * _spectral_scale(H, collapse) / SUBSTEP_PHASE)))
-        nu = _rk4_rates(lam, float(dts[0]), m)
+        m = stats["n_substeps_per_interval"] = max(
+            1, int(np.ceil(h * _spectral_scale(H, collapse) / SUBSTEP_PHASE)))
+        nu = _rk4_rates(lam, h, m)
     # real rows and real sector states give conjugate amplitudes on each
     # conjugate pair: keep the Im lam >= 0 half, a pair counted twice as
-    # 2 Re(A e^{nu t}) = 2 e^{at} (Re A cos bt - Im A sin bt), nu = a + ib
-    kept, pair = lam.imag >= 0.0, lam.imag > 0.0
-    coeffs = np.concatenate([amps[..., kept].real * np.where(pair[kept], 2.0, 1.0),
-                             -2.0 * amps[..., pair].imag], axis=-1)  # (k, r, m)
-    rates, freqs = nu[kept].real, nu[kept].imag
-    sines = np.flatnonzero(pair[kept])
-    main = coeffs[:, :-1].reshape(k * (r - 1), -1)
-    out = np.empty((k, r - 1, len(t)))
-    drifts = []
-    with np.errstate(over="ignore", invalid="ignore"):  # an unstable rk4 mode
-        for s in range(0, len(t), _CHUNK):
-            ts = t[s:s + _CHUNK, None]
-            # in place: more temporaries this small would grow the heap
-            E = np.empty((len(ts), rates.size + sines.size))
-            cos, sin = E[:, :rates.size], E[:, rates.size:]
-            env = np.exp(np.multiply(ts, rates, out=cos))
-            np.cos(np.multiply(ts, freqs, out=cos), out=cos)
-            np.sin(np.multiply(ts, freqs[sines], out=sin), out=sin)
-            cos *= env
-            sin *= env[:, sines]
-            np.matmul(main, E.T, out=out.reshape(k * (r - 1), -1)[:, s:s + _CHUNK])
-            trace = coeffs[:, -1] @ E.T  # (k, chunk)
-            if s == 0:
-                out[..., 0], trace[:, 0] = first[:, :-1], first[:, -1]
-            drifts.append(np.max(np.abs(trace - 1.0)))
-    stats["max_trace_drift"] = float(np.max(drifts))
-    if method == "rk4":
-        stats["n_substeps_per_interval"] = m
-    if not stats["max_trace_drift"] <= TRACE_TOL:  # a NaN trace fails too
-        raise IntegrationError(f"trace drift above {TRACE_TOL:g}", stats)
+    # 2 Re(A e^{nu t}) = 2 (Re A Re e^{nu t} - Im A Im e^{nu t}); as floats, the
+    # coefficients conj(A) are Re A, -Im A side by side, as the table's Re, Im.
+    # Rows ordered (r, k): a chunk's outputs are (r, k, c), each (k, c) contiguous
+    kept = lam.imag >= 0.0
+    coeffs = np.conj(amps[..., kept] * np.where(lam[kept].imag > 0.0, 2.0, 1.0), dtype=complex)
+    coeffs = np.ascontiguousarray(coeffs.swapaxes(0, 1).reshape(r * k, -1)).view(float)
+    series = None
+    if reduce is None:
+        series = np.empty((k, r - 1, len(t)))
 
-    stats["max_phase_per_output"] = float(np.max(np.abs(nu[seen].imag)) * dts[0])
+        def reduce(s, block):
+            series[..., s:s + block.shape[-1]] = block
+
+    # one buffer each, refilled per chunk: the table of e^{nu t} and the
+    # outputs with the trace row
+    n, rates = min(_CHUNK, len(t)), nu[kept]
+    table, outputs = np.empty((n, rates.size), dtype=complex), np.empty(r * k * n)
+    stats["max_trace_drift"] = 0.0
+    started = time.perf_counter()
+    with np.errstate(over="ignore", invalid="ignore"):  # an unstable rk4 mode
+        base = np.exp(np.multiply.outer(t[:n], rates))  # e^{nu t_j}, j < _CHUNK
+        for s in range(0, len(t), _CHUNK):
+            c = min(_CHUNK, len(t) - s)  # flat buffers: a short last chunk stays contiguous
+            chunk = outputs[:r * k * c].reshape(r, k, c)
+            block, tr = chunk[:-1].swapaxes(0, 1), chunk[-1]
+            np.multiply(base[:c], np.exp(rates * t[s]), out=table[:c])
+            np.matmul(coeffs, table[:c].view(float).T, out=chunk.reshape(r * k, c))
+            if s == 0:
+                block[..., 0], tr[:, 0] = first[:, :-1], first[:, -1]
+            worst = float(np.max(np.abs(np.subtract(tr, first[:, -1:], out=tr), out=tr)))
+            if not worst <= stats["max_trace_drift"]:  # larger, or NaN
+                stats["max_trace_drift"] = worst
+                if not worst <= TRACE_TOL:
+                    raise IntegrationError(f"trace drift above {TRACE_TOL:g}", stats)
+            reduce(s, block)
+    timings["series_s"] = time.perf_counter() - started
+
+    stats["max_phase_per_output"] = float(np.max(np.abs(nu[seen].imag)) * h)
     final = np.zeros((d * d, k), dtype=complex)
     grow = np.split(np.exp(nu * t[-1]), np.cumsum(stats["sectors"])[:-1])
     for (where, coef, V, c), e in zip(modes, grow):  # Q V (e c), summed over the sectors
         np.add.at(final, where, coef[..., None] * (V @ (e[:, None] * c))[:, None, :])
     stats["final_herm_drift"], stats["final_min_eigenvalue"] = _health(final.T.reshape(k, d, d))
-    return out, stats
+    stats["timings_s"] = timings
+    return series, stats
 
 
 def evolve_master(

@@ -57,9 +57,10 @@ PAPER_VA_XG_SQ = 0.25
 PRESETS = {"paper_v1": PAPER_V1, "paper_va": PAPER_VA}
 
 # bound on what a run holds for its k kets: the k x 2 x n_steps float64 series
-# (propagate's output) and, in master mode, the (d^2, k) complex columns and
-# (k, 3, d^2) complex rows, so a config that cannot be held is refused, not
-# run out of memory
+# and, in master mode, the (d^2, k) complex columns and (k, 3, d^2) complex
+# rows, so a config that cannot be held is refused, not run out of memory. A
+# Bloch family's series is reduced chunk by chunk to two n_steps columns, so
+# for it the series term overcounts
 MAX_SERIES_BYTES = 2 * 2**30
 
 _CNOT = ideal_cnot().data
@@ -259,19 +260,22 @@ def _qubit_isometry(n_b: int, omega_G: float, lam: float) -> np.ndarray:
 
 
 def master_fidelity_series(
-    cfg: ScenarioConfig, kets: np.ndarray
+    cfg: ScenarioConfig, kets: np.ndarray, weights: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """Evolve a (k, 4) batch of initial two-qubit kets under the full system
-    Lindbladian and return their squared-overlap fidelity series against the
-    CNOT targets.
+    Lindbladian and return their fidelity series against the CNOT targets,
+    in cfg's fidelity convention.
 
     Both outputs are ratios of linear functionals of rho, handed to
     `dynamics.propagate` as rows, with every ket in one batch: the
     numerator <u|Tr_cav rho|u> with u = kk CNOT v, and the qubit weight
-    tr(P Tr_cav rho) with P = kk kk†. Returns (times, F_sq, leakage, stats),
-    F_sq and leakage as (k, n_t) views of propagate's output; stats carries
-    the integrator's health figures, the max leakage out of the qubit
-    subspace and the smallest qubit weight the fidelity was divided by.
+    tr(P Tr_cav rho) with P = kk kk†. Each chunk of outputs is reduced as
+    propagate hands it over: the ratio, clipped at 0, its square root in the
+    amplitude convention, and the leakage 1 - tr(P Tr_cav rho). Returns
+    (times, fidelity, leakage, stats), both (k, n_t) per ket, or with
+    `weights` their weighted means (n_t,); stats carries the integrator's
+    health figures, the max leakage out of the qubit subspace and the
+    smallest qubit weight the fidelity was divided by.
     """
     p = resolved_params(cfg)
     space = SpaceDescriptor((cfg.n_cav, cfg.n_b, cfg.n_b))
@@ -298,13 +302,23 @@ def master_fidelity_series(
     cav_eye = np.eye(cfg.n_cav)[:, None, :, None]
     rows = (cav_eye * blocks[:, :, None, :, None, :]).reshape(k, 2, -1)
 
-    series, stats = dynamics.propagate(H, collapse, columns, rows, times, cfg.integrator)
-    f_sq, weight = series[:, 0], series[:, 1]
-    stats["min_qubit_weight"] = float(np.min(weight))
-    np.clip(np.divide(f_sq, weight, out=f_sq), 0.0, None, out=f_sq)
-    leak = np.subtract(1.0, weight, out=weight)
-    stats.update(integrator=cfg.integrator, max_leakage=float(np.max(leak)))
-    return times, f_sq, leak, stats
+    series, lowest = np.empty((2, k, times.size) if weights is None else (2, times.size)), []
+
+    def reduce(s, block):  # (k, 2, c): numerators and qubit weights, in place
+        num, weight = block[:, 0], block[:, 1]
+        lowest.append(np.min(weight))
+        np.maximum(np.divide(num, weight, out=num), 0.0, out=num)  # the clip at 0
+        if cfg.fidelity_convention == "amplitude":
+            np.sqrt(num, out=num)
+        np.subtract(1.0, weight, out=weight)
+        both = block.swapaxes(0, 1)  # (2, k, c): fidelities and leakages
+        series[..., s:s + both.shape[-1]] = both if weights is None else weights @ both / weights.sum()
+
+    _, stats = dynamics.propagate(H, collapse, columns, rows, times, cfg.integrator, reduce)
+    # 1 - w rounds monotonically in w, so the largest leakage is 1 - the smallest weight
+    stats["min_qubit_weight"] = float(np.min(lowest))
+    stats.update(integrator=cfg.integrator, max_leakage=1.0 - stats["min_qubit_weight"])
+    return times, series[0], series[1], stats
 
 
 # ---------------------------------------------------------------------------
@@ -372,11 +386,14 @@ def run_scenario(cfg: ScenarioConfig, outdir) -> dict:
         "local_maxima": maxima,
         "leakage_max": stats.get("max_leakage", 0.0),
         "runtime_s": time.perf_counter() - started,
+        "timings_s": stats.pop("timings_s", {}),
         "integrator": stats,
         "warnings": _warnings(stats),
         "config": cfg.to_mapping(),
     }
+    started = time.perf_counter()
     Trajectory(times, columns).to_csv(os.path.join(outdir, "trajectory.csv"))
+    summary["timings_s"]["csv_s"] = time.perf_counter() - started
     write_json(os.path.join(outdir, "summary.json"), summary)
     return summary
 
@@ -410,21 +427,16 @@ def _run_master(cfg: ScenarioConfig):
     """All of the family's kets through `master_fidelity_series` as one
     batch: a label list gives F_<label> (and leakage_<label>) columns, a
     Bloch family its weighted averages F_avg_<family> (and leakage_avg_...)."""
-    emit_leakage = "leakage" in cfg.outputs or cfg.n_b > 2
     kets, weights = cfg.initial.kets()
-    times, fid, leak, stats = master_fidelity_series(cfg, kets)
-    if cfg.fidelity_convention == "amplitude":
-        np.sqrt(fid, out=fid)
+    times, fid, leak, stats = master_fidelity_series(cfg, kets, weights)
     if weights is None:
         columns = _fidelity_columns(cfg, fid)
-        if emit_leakage:
-            columns.update({f"leakage_{lbl}": s for lbl, s in zip(cfg.initial.labels, leak)})
-        return times, columns, stats
-    # Bloch-sphere families: weighted average over the sampled sphere
-    name = cfg.initial.family or "separable"
-    columns = {f"F_avg_{name}": weights @ fid / weights.sum()}
-    if emit_leakage:
-        columns[f"leakage_avg_{name}"] = weights @ leak / weights.sum()
+        leaks = {f"leakage_{lbl}": s for lbl, s in zip(cfg.initial.labels, leak)}
+    else:  # Bloch-sphere families: the weighted averages over the sampled sphere
+        name = cfg.initial.family or "separable"
+        columns, leaks = {f"F_avg_{name}": fid}, {f"leakage_avg_{name}": leak}
+    if "leakage" in cfg.outputs or cfg.n_b > 2:
+        columns.update(leaks)
     return times, columns, stats
 
 

@@ -276,7 +276,8 @@ def _aggregate(cfg: ScenarioConfig, amplitude: bool) -> tuple[float, float]:
     """Refined peak of the configured average (or single) fidelity column,
     skipping the trivial initial overlap at t < 0.3 us."""
     labels = cfg.initial.labels
-    times, series, _, _ = master_fidelity_series(cfg, cfg.initial.kets()[0])
+    squared = replace(cfg, fidelity_convention="squared")
+    times, series, _, _ = master_fidelity_series(squared, cfg.initial.kets()[0])
     stack = series[[labels.index(lbl) for lbl in cfg.average_over or labels]]
     avg = (np.sqrt(stack) if amplitude else stack).mean(axis=0)
     late = times >= 0.3e-6

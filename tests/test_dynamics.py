@@ -401,6 +401,34 @@ def test_propagate_with_non_hermitian_rows_matches_a_dense_oracle(method):
     assert np.max(np.abs(series - oracle)) <= 1e-12
 
 
+@pytest.mark.parametrize("method", ["expm", "rk4"])
+def test_propagate_across_chunk_boundaries_matches_a_dense_oracle(method):
+    # two whole chunks of outputs and a short third one: every chunk's mode
+    # table is built from e^{nu t_s} times the first chunk's e^{nu t_j}
+    _, H, collapse = parity_model()
+    rng = np.random.default_rng(13)
+    columns = random_densities(rng, 6, 2)
+    rows = rng.normal(size=(2, 36)) + 1j * rng.normal(size=(2, 36))
+    t = np.linspace(0.0, 3.0, 2 * dynamics._CHUNK + 33)
+    series, stats = propagate(H, collapse, columns, rows, t, method)
+    oracle = dense_series(H, collapse, columns, rows, t, stats.get("n_substeps_per_interval"))
+    assert np.max(np.abs(series - oracle)) <= 1e-12
+
+
+def test_propagate_gates_each_column_against_its_own_initial_trace():
+    # |0><0| - |1><1| is Hermitian and traceless: its trace stays 0, which a
+    # gate on abs(tr rho - 1) would refuse; beside a density matrix it runs
+    space, H, _, collapse = cavity_decay_setup(dim=3, kappa=0.7)
+    traceless = np.diag([1.0, -1.0, 0.0]).astype(complex).reshape(-1)
+    columns = np.stack([traceless, QuantumState.fock(space, [2]).to_density().data.reshape(-1)],
+                       axis=1)
+    rows = np.random.default_rng(14).normal(size=(3, 9)) + 0j
+    t = np.linspace(0.0, 2.0, 41)
+    series, stats = propagate(H, collapse, columns, rows, t)
+    assert stats["max_trace_drift"] <= 1e-12
+    assert np.max(np.abs(series - dense_series(H, collapse, columns, rows, t))) <= 1e-12
+
+
 # closed-system (unitary) evolution: evolve_master with no collapse operators
 
 

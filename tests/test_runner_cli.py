@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -290,6 +291,8 @@ def test_master_run_writes_outputs(tmp_path):
     assert 0.0 < health["max_phase_per_output"] < np.pi
     assert health["min_qubit_weight"] == pytest.approx(1.0 - reloaded["leakage_max"], abs=1e-15)
     assert reloaded["warnings"] == []
+    # stage timings vary from run to run: only their names are fixed
+    assert set(reloaded["timings_s"]) == {"generators_s", "eig_solve_s", "series_s", "csv_s"}
 
 
 def test_readme_lists_every_integrator_key(tmp_path):
@@ -398,19 +401,39 @@ def test_bloch_master_run(tmp_path):
 
 
 def test_bloch_average_is_the_weighted_mean_of_per_ket_runs():
-    # the smallest grid the families accept; each ket on its own, amplitude
-    # convention, summed in a plain loop
+    # the smallest grid the families accept, over three chunks of outputs, the
+    # last one short; each ket on its own, its squared fidelity taken to the
+    # amplitude convention and summed in a plain loop
     cfg = ScenarioConfig.from_mapping(small_master_mapping(
         initial={"kind": "schmidt-entangled", "family": "Phi2", "grid": [8, 8]},
-        n_steps=41, t_max_us=0.2))
+        n_steps=2 * dynamics._CHUNK + 33, t_max_us=0.2))
     _, columns, _ = runner._run_master(cfg)
     kets, weights = cfg.initial.kets()
     total = np.zeros(cfg.n_steps)
     for w, ket in zip(weights, kets):
-        _, series, _, _ = runner.master_fidelity_series(cfg, ket[None])
+        _, series, _, _ = runner.master_fidelity_series(
+            replace(cfg, fidelity_convention="squared"), ket[None])
         total += w * np.sqrt(series[0])
     assert list(columns) == ["F_avg_Phi2"]
     assert np.max(np.abs(columns["F_avg_Phi2"] - total / weights.sum())) <= 1e-13
+
+
+def test_bloch_run_holds_no_series_of_every_ket():
+    # a Bloch family is reduced chunk by chunk to its two averaged columns, so
+    # the run never holds the k x 2 x n_steps series of its kets; what it does
+    # hold (amplitudes, the chunk buffers) is about 1.5 MB at any n_steps,
+    # so the published 20001 outputs keep the bound clear of it
+    cfg = ScenarioConfig.from_mapping(small_master_mapping(
+        initial={"kind": "schmidt-entangled", "family": "Phi2", "grid": [8, 8]},
+        n_steps=20001, t_max_us=1.0))
+    k = cfg.initial.size
+    tracemalloc.start()
+    try:
+        runner._run_master(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < k * 2 * cfg.n_steps * 8 / 2
 
 
 def test_batched_rows_match_a_per_ket_density_route_at_nb4():
@@ -419,7 +442,7 @@ def test_batched_rows_match_a_per_ket_density_route_at_nb4():
     # the cavity traced out and <u|rho_b|u> / tr(P rho_b) taken on the beams,
     # with the isometry from SciPy's eigh of the whole beam Hamiltonian
     cfg = ScenarioConfig.from_mapping(small_master_mapping(
-        dims={"n_cav": 2, "n_b": 4}, n_steps=41, t_max_us=0.2))
+        dims={"n_cav": 2, "n_b": 4}, n_steps=41, t_max_us=0.2, fidelity_convention="squared"))
     kets = np.array([named_state("01"), named_state("psi2"), bloch_family("Psi")(1.1, 0.7),
                      separable_state(0.4, 2.0, 2.5, 5.0)])
     times, f_sq, leak, _ = runner.master_fidelity_series(cfg, kets)
@@ -621,6 +644,10 @@ def test_cli_figure_fig9_runs_every_family_in_turn(tmp_path):
     labels = [f"fig9_Phi{i}" for i in range(1, 5)]
     combined = json.loads((tmp_path / "summary.json").read_text())
     assert combined["figure"] == "fig9"
+    # the echoed line carries every run's peak
+    echoed = json.loads(res.output.strip().splitlines()[-1])
+    assert echoed["peak_fidelity"] == {label: run["peak_fidelity"]
+                                       for label, run in combined["runs"].items()}
     assert sorted(combined["runs"]) == labels
     for label in labels:
         run = combined["runs"][label]
