@@ -106,12 +106,3 @@ def qubit_subspace(s: DuffingSpectrum) -> QubitSubspace:
         X_block=block,
     )
 
-
-def truncation_convergence(
-    omega_m: float, lam: float, n_levels: int = 4, dim_lo: int = 16, dim_hi: int = 24
-) -> float:
-    """Max relative change of the lowest n_levels energies between two truncations."""
-    lo = np.linalg.eigvalsh(duffing_hamiltonian(omega_m, lam, dim_lo).data)[:n_levels]
-    hi = np.linalg.eigvalsh(duffing_hamiltonian(omega_m, lam, dim_hi).data)[:n_levels]
-    ref = np.where(np.abs(hi) > 0, np.abs(hi), 1.0)
-    return float(np.max(np.abs(lo - hi) / ref))

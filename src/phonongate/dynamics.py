@@ -40,14 +40,14 @@ rounding of nu t only where t_s + t_j = t_{s+j} to rounding, so `propagate`
 refuses a grid whose times lie more than 4 eps t_max off i t_max / (n - 1).
 The table, the output block and the trace row are buffers refilled per chunk,
 and each chunk is handed to the caller's reduction before the next is
-evaluated, so no (k, r, n_t) series need ever be held. The trace is one more
+evaluated: that reduction is the only way out for the outputs, so no
+(k, r, n_t) series is held unless the caller keeps one. The trace is one more
 row, and every column's |tr rho(t) - tr rho(0)| is gated at every output, in
 the same pass, to TRACE_TOL, so a traceless column is gated as any other. The
 trace row is a left null vector of L, so only the lambda = 0 modes reach it
 and R(0) = 1: rk4 drifts exactly as expm does at any substep count, and a
 drift is refused at once. The final output's Hermiticity and positivity come
-from the sum over sectors of Q V (exp(nu t_N) * V^-1 Q^H v0). `evolve_master`
-is `propagate` with the states read back.
+from the sum over sectors of Q V (exp(nu t_N) * V^-1 Q^H v0).
 """
 from __future__ import annotations
 
@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .files import atomic_write
-from .fockspace import Operator, QuantumState, SpaceDescriptor, annihilation_op, embed
+from .fockspace import Operator, SpaceDescriptor, annihilation_op, embed
 
 HBAR_SI = 6.62607015e-34 / (2 * np.pi)  # J s, exact in the 2019 SI
 KB_SI = 1.380649e-23  # J/K, exact in the 2019 SI
@@ -326,9 +326,9 @@ def propagate(
     columns: np.ndarray,
     rows: np.ndarray,
     t_grid: np.ndarray,
-    method: str = "expm",
-    reduce=None,
-) -> tuple[np.ndarray | None, dict]:
+    method: str,
+    reduce,
+) -> dict:
     """Real parts of the linear functionals `rows` of vec(rho) from a
     (d*d, k) batch of columns, vec of Hermitian matrices, over a uniform time
     grid, integrated by `method` (expm or rk4).
@@ -341,8 +341,8 @@ def propagate(
     Re(rows @ columns), goes to `reduce(s, block)` as the (k, r, c) block of
     outputs s..s+c-1, before the next chunk is evaluated; the block is a
     buffer the next chunk overwrites, which `reduce` may overwrite too.
-    Without `reduce` the whole series is returned, else None; with the stats:
-    sizes, the parity blocks the columns occupy (n_blocks) and their vec(rho)
+    `reduce` is the only way out for the outputs. Returns the stats: sizes,
+    the parity blocks the columns occupy (n_blocks) and their vec(rho)
     entries (support), the sizes of the sectors eigendecomposed (sectors),
     the gate (sector_imag, the Hermiticity of H; eig_residual,
     cancellation_bound), the largest |Im nu| dt over the modes the rows see
@@ -442,13 +442,6 @@ def propagate(
     kept = lam.imag >= 0.0
     coeffs = np.conj(amps[..., kept] * np.where(lam[kept].imag > 0.0, 2.0, 1.0), dtype=complex)
     coeffs = np.ascontiguousarray(coeffs.swapaxes(0, 1).reshape(r * k, -1)).view(float)
-    series = None
-    if reduce is None:
-        series = np.empty((k, r - 1, len(t)))
-
-        def reduce(s, block):
-            series[..., s:s + block.shape[-1]] = block
-
     # one buffer each, refilled per chunk: the table of e^{nu t} and the
     # outputs with the trace row
     n, rates = min(_CHUNK, len(t)), nu[kept]
@@ -480,27 +473,5 @@ def propagate(
         np.add.at(final, where, coef[..., None] * (V @ (e[:, None] * c))[:, None, :])
     stats["final_herm_drift"], stats["final_min_eigenvalue"] = _health(final.T.reshape(k, d, d))
     stats["timings_s"] = timings
-    return series, stats
+    return stats
 
-
-def evolve_master(
-    H: Operator,
-    collapse: CollapseSet,
-    rho0: QuantumState,
-    t_grid: np.ndarray,
-    method: str = "expm",
-) -> tuple[np.ndarray, dict]:
-    """The (n_t, d, d) states of `propagate` from rho0 at every time of the
-    grid, and its stats, which also carry the Hermiticity drift and minimum
-    eigenvalue over all outputs.
-    """
-    if rho0.space != H.space:
-        raise ValueError("initial state and Hamiltonian live on different spaces")
-    d = H.dim
-    v0 = rho0.to_density().data.reshape(-1)
-    eye = np.eye(d * d)  # the real parts of the rows [I; -iI] are Re and Im of vec(rho)
-    series, stats = propagate(H, collapse, v0[:, None], np.concatenate([eye, -1j * eye]),
-                              t_grid, method)
-    states = (series[0, :d * d] + 1j * series[0, d * d:]).T.reshape(-1, d, d)
-    stats["max_herm_drift"], stats["min_eigenvalue"] = _health(states)
-    return states, stats

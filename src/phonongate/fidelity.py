@@ -1,5 +1,5 @@
-"""State and gate fidelities, the closed-form CNOT fidelity curves, the
-initial-state families and `bloch_grid`, their Bloch-sphere quadrature.
+"""The closed-form CNOT fidelity curves, the initial-state families and
+`bloch_grid`, their Bloch-sphere quadrature.
 
 Every initial-state family yields its kets as one (k, 4) array
 (`InitialStateFamily.kets`): the named kets of a label list, or a Bloch grid
@@ -7,10 +7,12 @@ evaluated in one broadcast expression. Each (theta, phi) family is one row
 of `BLOCH_FAMILIES`; a separable product is the product of two qubit rows.
 `gate_fidelity_closed` broadcasts over such a batch.
 
-`state_fidelity` is the overlap convention <target|rho|target>. The master-
-equation figure pipeline additionally reports `amplitude_fidelity`, its
-square root, which is the convention common master-equation toolkits use
-for a pure target and the one the reproduced figure data follows.
+The master-equation route takes its fidelities from density matrices
+itself (`runner.master_fidelity_series`): the squared convention is the
+overlap <u|rho|u>/tr(P rho) with the CNOT target u in the qubit subspace of
+projector P, and the amplitude convention its square root, which common
+master-equation toolkits use for a pure target and the reproduced figure
+data follows.
 """
 from __future__ import annotations
 
@@ -20,13 +22,9 @@ from typing import Callable
 
 import numpy as np
 
-from .fockspace import QuantumState
-from .gates import cnot_sequence, ideal_cnot
 from .schema import check_fields
 
 FIDELITY_SLACK = 1e-9
-
-_CNOT = ideal_cnot().data
 
 
 def _clamp(value, slack: float = FIDELITY_SLACK):
@@ -35,21 +33,6 @@ def _clamp(value, slack: float = FIDELITY_SLACK):
         raise ValueError(f"fidelity {value} outside [-{slack}, 1+{slack}]")
     out = np.clip(value, 0.0, 1.0)
     return float(out) if out.ndim == 0 else out
-
-
-def state_fidelity(rho: QuantumState, target: QuantumState) -> float:
-    """<target|rho|target> for a density matrix against a pure target."""
-    if target.kind != "ket":
-        raise ValueError("target must be a ket")
-    if rho.space != target.space:
-        raise ValueError("state and target live on different spaces")
-    mat = rho.to_density().data
-    return _clamp(float(np.real(target.data.conj() @ mat @ target.data)))
-
-
-def amplitude_fidelity(rho: QuantumState, target: QuantumState) -> float:
-    """sqrt(<target|rho|target>), the amplitude-convention fidelity."""
-    return float(np.sqrt(state_fidelity(rho, target)))
 
 
 def _check_normalized(v: np.ndarray, atol: float = 1e-10) -> np.ndarray:
@@ -79,14 +62,6 @@ def gate_fidelity_closed(a, b, c, d, Omega_t):
         + (1j * c * np.conj(a) - c * np.conj(b) + b * (np.conj(c) + 1j * np.conj(d))) * sin2
     )
     return _clamp(0.25 * np.abs(amp) ** 2)
-
-
-def gate_fidelity_matrix(psi_in: np.ndarray, Omega_t: float) -> float:
-    """Matrix-path F_G through the composed gate sequence; the cross-check
-    partner of gate_fidelity_closed."""
-    v = _check_normalized(psi_in)
-    u = cnot_sequence(Omega_t, 1.0).data
-    return _clamp(float(abs(v.conj() @ _CNOT.conj().T @ u @ v) ** 2))
 
 
 def avg_fidelity_entangled(Omega_t):
@@ -158,11 +133,6 @@ def bloch_family(name: str) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     if name not in BLOCH_FAMILIES:
         raise ValueError(f"unknown Bloch family {name!r}; known: {sorted(BLOCH_FAMILIES)}")
     return partial(_sphere_ket, BLOCH_FAMILIES[name])
-
-
-def schmidt_state(theta, phi) -> np.ndarray:
-    """cos(theta/2)|00> + e^{i phi} sin(theta/2)|11>, broadcast: (..., 4)."""
-    return _sphere_ket(BLOCH_FAMILIES["schmidt"], theta, phi)
 
 
 def separable_state(theta1, phi1, theta2, phi2) -> np.ndarray:

@@ -57,11 +57,57 @@ PAPER_VA_XG_SQ = 0.25
 PRESETS = {"paper_v1": PAPER_V1, "paper_va": PAPER_VA}
 
 # bound on what a run holds for its k kets: the k x 2 x n_steps float64 series
-# and, in master mode, the (d^2, k) complex columns and (k, 3, d^2) complex
-# rows, so a config that cannot be held is refused, not run out of memory. A
-# Bloch family's series is reduced chunk by chunk to two n_steps columns, so
-# for it the series term overcounts
+# and, in master mode, `master_held_bytes`, so a config that cannot be held is
+# refused, not run out of memory. A Bloch family's series is reduced chunk by
+# chunk to two n_steps columns, so for it the series term overcounts
 MAX_SERIES_BYTES = 2 * 2**30
+
+
+def master_held_bytes(n_cav: int, n_b: int, k: int, n_steps: int) -> dict[str, int]:
+    """Upper bounds on the bytes a master run of k kets holds besides its
+    series, from the shapes `master_fidelity_series` and `dynamics.propagate`
+    allocate (16 bytes a complex entry, 8 a float), D = d^2 entries of vec(rho):
+
+    * kets: per ket, the column 1, the rows 2 and 3 with the trace, the mode
+      amplitudes 3 and coefficients 1 (at most D modes), the real chunk
+      coefficients 3 and the final output 1, complex (D,) vectors, and the
+      amplitudes' magnitudes 3 float ones; on top, the larger of the final
+      health check's 4 (conjugate, difference or Hermitian part, its half,
+      eigvalsh's copy) and the final output's 6 (m,) sector terms; the
+      (2, n_b^4) qubit blocks of the rows and the (d,) initial ket.
+    * sectors: every sector's eigenvectors, kept to the end (sum m^2 <= m D),
+      and one sector's largest working set: 4 (f, B) rows of L and their
+      products; L with 3 (m, f) basis products; (f, m) and 2 (m, m) for L_s;
+      or 5 (m, m) for L_s, V, the residual and the product L_s V with L_s
+      cast; and 32 (D,) complex vectors' worth of operators (H, the collapse
+      operators, K) and parity and sector index tables.
+    * chunks: the e^{nu t} table, its first-chunk base and the product it is
+      taken from, (n, D) each, and the (3, k, n) outputs, n = min(_CHUNK,
+      n_steps).
+
+    A parity block holds B = e^2 + o^2 entries for e even and o odd basis
+    states; a symmetry sector at most m = (B + s)/2 of them, s = F^2 + d - F
+    the Hermitian basis matrices the beam swap maps to themselves (F = n_cav
+    n_b basis states it fixes); and a sector's generator reads one row of L
+    per first entry of its basis matrices, f = (m + d)/2 at most, as the real
+    and imaginary parts of an off-diagonal entry share theirs and at most d
+    basis matrices of a sector have no such partner.
+    """
+    d = n_cav * n_b**2
+    D = d * d
+    even = int(np.count_nonzero(SpaceDescriptor((n_cav, n_b, n_b)).parity == 0))
+    B = even**2 + (d - even) ** 2
+    F = n_cav * n_b
+    m = min(B, (B + F * F + d - F + 1) // 2)
+    f = (m + d + 1) // 2
+    n = min(dynamics._CHUNK, n_steps)
+    return {
+        "kets": k * (16 * 14 * D + 8 * 3 * D + 16 * max(4 * D, 6 * m)
+                     + 16 * (2 * n_b**4 + d)),
+        "sectors": 16 * (m * D + max(4 * f * B, f * B + 3 * m * f, f * m + 2 * m * m, 5 * m * m)
+                         + 32 * D),
+        "chunks": 16 * 3 * n * D + 8 * 3 * k * n,
+    }
 
 _CNOT = ideal_cnot().data
 
@@ -118,13 +164,13 @@ class ScenarioConfig:
                              "(the quartic term needs 4 levels)")
         k = self.initial.size
         series_bytes = k * 2 * self.n_steps * 8
-        d2 = (self.n_cav * self.n_b**2) ** 2 if self.mode == "master" else 0
-        vector_bytes = k * 4 * d2 * 16  # one column and three rows per ket
-        if series_bytes + vector_bytes > MAX_SERIES_BYTES:
-            held = (f", and their {k} columns and {3 * k} rows of {d2} complex entries "
-                    f"{vector_bytes} more: {series_bytes + vector_bytes} bytes" if d2 else "")
+        held = (master_held_bytes(self.n_cav, self.n_b, k, self.n_steps)
+                if self.mode == "master" else {})
+        if series_bytes + sum(held.values()) > MAX_SERIES_BYTES:
+            more = (", and the master run's " + ", ".join(f"{name} {v}" for name, v in held.items())
+                    + f" more: {series_bytes + sum(held.values())} bytes" if held else "")
             raise ValueError(f"{k} initial kets x 2 x {self.n_steps} steps of float64 series "
-                             f"need {series_bytes} bytes{held}, over the "
+                             f"need {series_bytes} bytes{more}, over the "
                              f"{MAX_SERIES_BYTES}-byte bound")
         if not 0 <= self.cavity_fock < self.n_cav:
             raise ValueError("cavity Fock index outside the cavity truncation")
@@ -314,7 +360,7 @@ def master_fidelity_series(
         both = block.swapaxes(0, 1)  # (2, k, c): fidelities and leakages
         series[..., s:s + both.shape[-1]] = both if weights is None else weights @ both / weights.sum()
 
-    _, stats = dynamics.propagate(H, collapse, columns, rows, times, cfg.integrator, reduce)
+    stats = dynamics.propagate(H, collapse, columns, rows, times, cfg.integrator, reduce)
     # 1 - w rounds monotonically in w, so the largest leakage is 1 - the smallest weight
     stats["min_qubit_weight"] = float(np.min(lowest))
     stats.update(integrator=cfg.integrator, max_leakage=1.0 - stats["min_qubit_weight"])
@@ -385,15 +431,16 @@ def run_scenario(cfg: ScenarioConfig, outdir) -> dict:
         "peak_after_initial": {"value": peak_late_value, "t_us": peak_late_time * 1e6},
         "local_maxima": maxima,
         "leakage_max": stats.get("max_leakage", 0.0),
-        "runtime_s": time.perf_counter() - started,
+        "runtime_s": None,  # set once the CSV is written, which it includes
         "timings_s": stats.pop("timings_s", {}),
         "integrator": stats,
         "warnings": _warnings(stats),
         "config": cfg.to_mapping(),
     }
-    started = time.perf_counter()
+    written = time.perf_counter()
     Trajectory(times, columns).to_csv(os.path.join(outdir, "trajectory.csv"))
-    summary["timings_s"]["csv_s"] = time.perf_counter() - started
+    summary["runtime_s"] = (done := time.perf_counter()) - started
+    summary["timings_s"]["csv_s"] = done - written
     write_json(os.path.join(outdir, "summary.json"), summary)
     return summary
 

@@ -15,26 +15,18 @@ from scipy.linalg import eigh
 
 from phonongate import dynamics, runner
 from phonongate.duffing import duffing_hamiltonian, duffing_spectrum
-from phonongate.dynamics import (
-    CollapseSet,
-    evolve_master,
-    thermal_occupation,
-)
+from phonongate.dynamics import CollapseSet, thermal_occupation
 from phonongate.fidelity import (
     avg_fidelity_entangled,
     avg_fidelity_separable,
+    bloch_family,
     gate_fidelity_closed,
-    schmidt_state,
 )
-from phonongate.fockspace import (
-    Operator,
-    QuantumState,
-    SpaceDescriptor,
-    annihilation_op,
-    number_op,
-)
+from phonongate.fockspace import Operator, SpaceDescriptor, annihilation_op
 from phonongate.gates import cnot_sequence, ideal_cnot, phase_aligned_distance
 from phonongate.runner import ScenarioConfig, figure_config, master_fidelity_series, refine_peak
+
+from oracles import evolve_master, fock_density, partial_trace
 
 REPORT_DIR = Path(__file__).resolve().parents[1] / "reports"
 
@@ -98,7 +90,7 @@ def _entangled_quadrature(ots: np.ndarray, n_theta=64, n_phi=64) -> np.ndarray:
     wt = np.ones(n_theta); wt[0] = wt[-1] = 0.5
     wp = np.ones(n_phi); wp[0] = wp[-1] = 0.5
     w = np.outer(wt * np.sin(thetas), wp).reshape(-1)
-    states = np.array([schmidt_state(t, p) for t in thetas for p in phis])
+    states = np.array([bloch_family("schmidt")(t, p) for t in thetas for p in phis])
     out = np.empty(len(ots))
     for j, ot in enumerate(ots):
         m = CNOT.conj().T @ cnot_sequence(ot, 1.0).data
@@ -221,7 +213,7 @@ def test_criterion_7_lindblad_oracles():
     h0 = Operator(space, np.zeros((2, 2)), hermitian=True)
     a = annihilation_op(2)
     decay = CollapseSet((np.sqrt(kappa) * a,))
-    rho0 = QuantumState.fock(space, [1]).to_density()
+    rho0 = fock_density(space.dims, [1])
     t = np.linspace(0.0, 3.0 / kappa, 61)
     n_op = (a.dag() @ a).data
     worst_decay = 0.0
@@ -241,9 +233,9 @@ def test_criterion_7_lindblad_oracles():
     thermal = CollapseSet((np.sqrt(gamma * n_th) * b.dag(),
                            np.sqrt(gamma * (n_th + 1)) * b))
     tt = np.linspace(0.0, 10.0 / gamma, 201)
-    states_th, stats_th = evolve_master(hb, thermal, QuantumState.fock(space_b, [0]).to_density(), tt)
+    states_th, stats_th = evolve_master(hb, thermal, fock_density(space_b.dims, [0]), tt)
     stats_pool.append(stats_th)
-    n_final = np.trace(number_op(dim).data @ states_th[-1]).real
+    n_final = np.trace(np.diag(np.arange(dim)) @ states_th[-1]).real
     thermal_rel = abs(n_final - n_th) / n_th
 
     trace_worst = max(s["max_trace_drift"] for s in stats_pool)
@@ -415,13 +407,10 @@ def test_invariant_fixed_step_order_check(monkeypatch):
         H = system_hamiltonian(p, space, cfg.quadrature_convention)
         collapse = CollapseSet.standard_channels(space, p.kappa, p.gamma_m, p.n_th)
         t = np.linspace(0.0, cfg.t_max_us * 1e-6, cfg.n_steps)
-        rho0 = QuantumState.fock(space, [1, 0, 0]).to_density()
-        target = QuantumState.fock(SpaceDescriptor((2, 2)), [1, 1]).data  # CNOT|10>
-        from phonongate.fockspace import partial_trace
-
+        rho0 = fock_density(space.dims, [1, 0, 0])
+        target = np.eye(4)[3]  # |11> = CNOT|10>
         states, _ = evolve_master(H, collapse, rho0, t, "rk4")
-        rho_q = partial_trace(
-            QuantumState.density(space, states[-1]), [1, 2]).data
+        rho_q = partial_trace(states[-1], space.dims, [1, 2])
         return float(np.real(target.conj() @ rho_q @ target))
 
     f1 = final_avg()

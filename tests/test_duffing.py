@@ -7,9 +7,10 @@ from phonongate.duffing import (
     duffing_spectrum,
     qubit_subspace,
     spectrum,
-    truncation_convergence,
 )
 from phonongate.fockspace import Operator, SpaceDescriptor
+
+from oracles import truncation_convergence
 
 W = 2 * np.pi * 28.6e6
 PAPER_RATIO = 209e3 / 28.6e6

@@ -6,54 +6,18 @@ import pytest
 from phonongate.fidelity import (
     LABEL_KINDS,
     InitialStateFamily,
-    amplitude_fidelity,
     avg_fidelity_entangled,
     avg_fidelity_separable,
     bloch_family,
     bloch_grid,
     gate_fidelity_closed,
-    gate_fidelity_matrix,
     named_state,
-    schmidt_state,
     separable_state,
-    state_fidelity,
 )
-from phonongate.fockspace import QuantumState, SpaceDescriptor
 from phonongate.gates import cnot_sequence, ideal_cnot
 from phonongate.runner import figure_config
 
-SPACE4 = SpaceDescriptor((2, 2))
-
-
-def ket4(vec):
-    return QuantumState.ket(SPACE4, vec)
-
-
-def test_state_fidelity_pure_match():
-    psi = ket4([0.5, 0.5, 0.5, 0.5])
-    assert state_fidelity(psi.to_density(), psi) == pytest.approx(1.0)
-
-
-def test_state_fidelity_orthogonal():
-    a = ket4([1, 0, 0, 0])
-    b = ket4([0, 1, 0, 0])
-    assert state_fidelity(a.to_density(), b) == 0.0
-
-
-def test_state_fidelity_maximal_mixture():
-    rho = QuantumState.density(SPACE4, np.eye(4) / 4)
-    assert state_fidelity(rho, ket4([0, 0, 1, 0])) == pytest.approx(0.25)
-
-
-def test_state_fidelity_space_mismatch():
-    rho = QuantumState.density(SPACE4, np.eye(4) / 4)
-    with pytest.raises(ValueError):
-        state_fidelity(rho, QuantumState.fock(SpaceDescriptor((2,)), [0]))
-
-
-def test_amplitude_fidelity_is_sqrt():
-    rho = QuantumState.density(SPACE4, np.eye(4) / 4)
-    assert amplitude_fidelity(rho, ket4([1, 0, 0, 0])) == pytest.approx(0.5)
+from oracles import gate_fidelity_matrix
 
 
 def test_gate_fidelity_closed_basis_curves():
@@ -141,7 +105,7 @@ def test_named_states_normalized():
 
 
 def test_schmidt_and_separable_states():
-    v = schmidt_state(np.pi / 3, 0.7)
+    v = bloch_family("schmidt")(np.pi / 3, 0.7)
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
     assert v[1] == 0.0 and v[2] == 0.0
     w = separable_state(0.4, 0.1, 1.2, 2.2)
@@ -183,8 +147,6 @@ def test_bloch_family_table_matches_the_formulas(name):
     assert np.max(np.abs(kets - written_out(name, theta, phi))) <= 1e-15
     # scalar angles give one ket
     assert np.array_equal(bloch_family(name)(theta[1, 1], phi[1, 1]), kets[1, 1])
-    if name == "schmidt":
-        assert np.array_equal(schmidt_state(theta, phi), kets)
 
 
 def test_separable_state_broadcasts():
@@ -250,7 +212,7 @@ def bloch_average(family, evaluator):
 
 
 def gate_fidelities(ots):
-    """The matrix path of gate_fidelity_matrix, |<v|CNOT† U_Gate(ot)|v>|^2,
+    """The matrix path of oracles.gate_fidelity_matrix, |<v|CNOT† U_Gate(ot)|v>|^2,
     for a (n, 4) batch of kets at every ot: an (n, len(ots)) array."""
     gates = np.stack([ideal_cnot().data.conj().T @ cnot_sequence(ot, 1.0).data for ot in ots])
     return lambda kets: np.abs(np.einsum("ni,kij,nj->nk", kets.conj(), gates, kets)) ** 2

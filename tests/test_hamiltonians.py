@@ -12,7 +12,7 @@ from phonongate.hamiltonians import (
     exchange_rate,
     system_hamiltonian,
 )
-from phonongate.runner import PAPER_VA
+from phonongate.runner import PAPER_VA, _qubit_isometry
 
 TWOPI = 2 * np.pi
 
@@ -181,6 +181,32 @@ def test_exchange_rate_is_half_the_full_two_level_doublet_splitting():
     omega = exchange_rate(p.Delta, p.omega_G, p.g_G, 0.5)
     assert omega == pytest.approx(60.09264, rel=1e-6)
     assert half_splitting == pytest.approx(omega, rel=1e-5)
+
+
+def test_effective_exchange_rate_matches_the_full_doublet_at_six_beam_levels():
+    # cross-route oracle: paper_va, lambda = 2 pi 209 kHz, no direct beam
+    # coupling, symmetric X_c. The dressed |01>/|10> doublet of the full H,
+    # picked by its weight on the cavity vacuum times the two lowest Duffing
+    # eigenstates, splits by 2 x 63.00868 rad/s at n_b = 6; the dispersive
+    # Omega of the 16-level beam spectrum is 63.01256, and the gap closes
+    # from 2.5e-3 at n_b = 4 as the truncation of the beams grows
+    p = PhysicalParams.from_config({**PAPER_VA, "G_tilde_hz": 0.0, "lambda_hz": 209e3})
+    omega = effective_gate_hamiltonian(duffing_spectrum(p.omega_G, p.lam, 16, 4),
+                                       p.g_G, p.Delta).Omega
+    gaps = {}
+    for n_b in (4, 6):
+        space = SpaceDescriptor((4, n_b, n_b))
+        energies, vecs = np.linalg.eigh(system_hamiltonian(p, space, "symmetric").data)
+        iso = _qubit_isometry(n_b, p.omega_G, p.lam)
+        vacuum = np.eye(4)[0]
+        kets = [np.kron(vacuum, np.kron(iso[:, i], iso[:, 1 - i])) for i in (0, 1)]
+        weight = sum(np.abs(ket.conj() @ vecs) ** 2 for ket in kets)
+        doublet = np.argsort(weight)[-2:]
+        assert np.min(weight[doublet]) > 0.999
+        gaps[n_b] = abs(abs(np.diff(energies[doublet])[0]) / 2 - omega) / omega
+    assert omega == pytest.approx(63.01256, rel=1e-6)
+    assert gaps[6] <= 2e-4
+    assert gaps[6] < gaps[4]
 
 
 def test_stark_shifts_harmonic_oracle():

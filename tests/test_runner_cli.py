@@ -22,7 +22,7 @@ from phonongate.fidelity import (
     named_state,
     separable_state,
 )
-from phonongate.fockspace import QuantumState, SpaceDescriptor, partial_trace
+from phonongate.fockspace import SpaceDescriptor
 from phonongate.gates import ideal_cnot
 from phonongate.hamiltonians import PhysicalParams
 from phonongate.runner import (
@@ -34,6 +34,9 @@ from phonongate.runner import (
     run_scenario,
     run_sweep,
 )
+
+from oracles import evolve_master, partial_trace
+
 
 def small_master_mapping(**overrides):
     doc = {
@@ -179,16 +182,18 @@ def scenario_mappings(draw):
 
 
 def held_bytes(doc) -> int:
-    """k x 2 x n_steps float64 series, plus in master mode one (d^2,) complex
-    column and three rows per ket, with k and d counted from the document by hand."""
+    """k x 2 x n_steps float64 series, plus in master mode what
+    `runner.master_held_bytes` counts, with k counted from the document by hand."""
     initial = doc["initial"]
     if "labels" in initial:
         k = len(initial["labels"])
     else:
         n_theta, n_phi = initial["grid"]
         k = ((n_theta - 2) * n_phi) ** (2 if initial["kind"] == "separable-product" else 1)
-    d = doc["dims"]["n_cav"] * doc["dims"]["n_b"] ** 2
-    return k * 2 * int(doc["n_steps"]) * 8 + (k * 4 * d**2 * 16 if doc["mode"] == "master" else 0)
+    n_steps = int(doc["n_steps"])
+    held = (runner.master_held_bytes(doc["dims"]["n_cav"], doc["dims"]["n_b"], k, n_steps)
+            if doc["mode"] == "master" else {})
+    return k * 2 * n_steps * 8 + sum(held.values())
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -293,6 +298,21 @@ def test_master_run_writes_outputs(tmp_path):
     assert reloaded["warnings"] == []
     # stage timings vary from run to run: only their names are fixed
     assert set(reloaded["timings_s"]) == {"generators_s", "eig_solve_s", "series_s", "csv_s"}
+
+
+@pytest.mark.parametrize("mode", ["master", "analytic"])
+def test_runtime_includes_every_stage_timing(tmp_path, mode):
+    # runtime_s is taken after the CSV is written, so it covers csv_s too; at
+    # 20001 outputs the CSV is most of an analytic run
+    doc = small_master_mapping(n_steps=20001)
+    if mode == "analytic":
+        doc.update(mode="analytic", fidelity_convention="squared", Omega=30.0463)
+    summary = run_scenario(ScenarioConfig.from_mapping(doc), tmp_path)
+    assert summary["timings_s"]["csv_s"] > 0.0
+    assert summary["runtime_s"] >= sum(summary["timings_s"].values())
+    # the key keeps its place in summary.json
+    keys = list(json.loads((tmp_path / "summary.json").read_text()))
+    assert keys.index("runtime_s") == keys.index("leakage_max") + 1
 
 
 def test_readme_lists_every_integrator_key(tmp_path):
@@ -459,10 +479,10 @@ def test_batched_rows_match_a_per_ket_density_route_at_nb4():
     collapse = CollapseSet.standard_channels(space, p.kappa, p.gamma_m, p.n_th)
     for i, v in enumerate(kets):
         psi = np.kron(np.eye(2)[cfg.cavity_fock], kk @ v)
-        states, _ = dynamics.evolve_master(H, collapse, QuantumState(space, "ket", psi), times)
+        states, _ = evolve_master(H, collapse, np.outer(psi, psi.conj()), times)
         u = kk @ ideal_cnot().data @ v
         for n, rho in enumerate(states):
-            rho_b = partial_trace(QuantumState.density(space, rho), [1, 2]).data
+            rho_b = partial_trace(rho, space.dims, [1, 2])
             weight = np.trace(proj @ rho_b).real
             assert abs(leak[i, n] - (1.0 - weight)) <= 1e-12
             assert abs(f_sq[i, n] - (u.conj() @ rho_b @ u).real / weight) <= 1e-12
@@ -571,15 +591,17 @@ def test_series_bound_refuses_the_default_separable_grid_and_keeps_the_figures(t
 
 
 def test_held_bound_counts_the_columns_and_rows_of_a_master_run():
-    # k = 50176, d^2 = 2304: the series is 1.6 GB, within the bound, but the
-    # (d^2, k) complex columns are 1.85 GB and the (k, 3, d^2) complex rows 5.5 GB
+    # k = 50176, d^2 = 2304: the series is 1.6 GB, within the bound, but each
+    # ket holds 19.5 complex (d^2,) vectors at the run's peak (its column, its
+    # rows, its mode amplitudes, the final output and its health check),
+    # 36.5 GB in all, and its (2, n_b^4) qubit blocks and (d,) ket
     doc = small_master_mapping(initial={"kind": "separable-product"},
                                dims={"n_cav": 3, "n_b": 4}, n_steps=2000)
     assert 50176 * 2 * 2000 * 8 < runner.MAX_SERIES_BYTES
     with pytest.raises(ValueError) as err:
         ScenarioConfig.from_mapping(doc)
-    assert f"need {50176 * 2 * 2000 * 8} bytes, and their 50176 columns" in str(err.value)
-    assert f"{50176 * 4 * 2304 * 16} more" in str(err.value)
+    assert f"need {50176 * 2 * 2000 * 8} bytes, and the master run's kets" in str(err.value)
+    assert f"kets {50176 * (39 * 2304 * 16 // 2 + 16 * (2 * 4**4 + 48))}," in str(err.value)
     # fig10, nb4's config and a separable [8, 8] grid at n_b = 2 stay within it
     assert figure_config("fig10").initial.size == 224
     nb4 = small_master_mapping(initial={"kind": "fixed-list", "labels": ["00", "01", "10", "11"]},
@@ -589,6 +611,30 @@ def test_held_bound_counts_the_columns_and_rows_of_a_master_run():
         initial={"kind": "separable-product", "grid": [8, 8]}, dims={"n_cav": 3, "n_b": 2},
         n_steps=20001))
     assert sep.initial.size == 2304
+
+
+@pytest.mark.parametrize("dims, initial", [
+    ((2, 4), {"kind": "fixed-list", "labels": ["00", "01", "10", "11"]}),  # the sectors' share
+    ((2, 4), {"kind": "schmidt-entangled", "family": "Phi2", "grid": [8, 8]}),  # both shares
+    ((3, 2), {"kind": "separable-product", "grid": [8, 8]}),  # the kets' share, 2304 of them
+])
+def test_held_bound_is_at_least_the_traced_peak_of_a_master_run(dims, initial):
+    # what master_fidelity_series allocates, traced, against the count that
+    # validation refuses configs by, over three chunks of outputs; with the
+    # series the run holds, which a Bloch family averages to (2, n_steps)
+    n_cav, n_b = dims
+    cfg = ScenarioConfig.from_mapping(small_master_mapping(
+        dims={"n_cav": n_cav, "n_b": n_b}, initial=initial, n_steps=2 * dynamics._CHUNK + 33))
+    kets, weights = cfg.initial.kets()
+    tracemalloc.start()
+    try:
+        runner.master_fidelity_series(cfg, kets, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    counted = runner.master_held_bytes(n_cav, n_b, len(kets), cfg.n_steps)
+    series = (1 if weights is not None else len(kets)) * 2 * cfg.n_steps * 8
+    assert peak <= series + sum(counted.values())
 
 
 @pytest.mark.parametrize("fixed_step", [[], ["--fixed-step"]])

@@ -54,3 +54,74 @@ def test_sources_at_the_work_tree_and_at_a_revision(tmp_path):
     assert src_lines.sources(tmp_path, "HEAD") == {"src/phonongate/a.py": FIXTURE}
     assert sorted(src_lines.sources(tmp_path, None)) == ["src/phonongate/a.py",
                                                          "src/phonongate/b.py"]
+
+
+# a command module and a library module: `main` reaches `used` by name and
+# `Shape` by attribute, `Shape` reaches `TABLE` from its body, the module-level
+# call reaches `registered`; `unused`, `LIMIT` and `spare` are left, with their
+# code lines, and `__version__` is ignored
+CLI_FIXTURE = '''"""Commands."""
+from . import lib
+
+
+def main():
+    return lib.used() + lib.Shape().area()
+'''
+LIB_FIXTURE = '''"""Library."""
+import math
+
+__version__ = "1"
+LIMIT = 3
+TABLE = {"a": 1}
+
+
+def used():
+    return 1
+
+
+class Shape:
+    """Reached through its attribute."""
+
+    def area(self):
+        return TABLE["a"]
+
+
+def registered():
+    return 2
+
+
+def unused():
+    """Two code lines."""
+    return math.pi
+
+
+@staticmethod
+def spare(a,
+          b):
+    return a + b
+
+
+print(registered())
+'''
+
+
+def test_unreached_rule_on_a_fixture():
+    srcs = {"pkg/cli.py": CLI_FIXTURE, "pkg/lib.py": LIB_FIXTURE}
+    assert src_lines.unreached(srcs) == {"lib.LIMIT": 1, "lib.unused": 2, "lib.spare": 4}
+    # without the command module nothing but the module-level call is a root
+    assert set(src_lines.unreached({"pkg/lib.py": LIB_FIXTURE})) == {
+        "lib.LIMIT", "lib.TABLE", "lib.used", "lib.Shape", "lib.unused", "lib.spare"}
+
+
+def test_unreached_is_only_the_pulse_gate_and_dispersive_surface():
+    # what no command reaches is kept in src/ only for the open-system CNOT
+    # process report to call: the pulse gates, the qubit subspace of a beam
+    # spectrum and the dispersive gate Hamiltonian. Code only the tests use
+    # belongs in tests/oracles.py
+    found = src_lines.unreached(src_lines.sources(src_lines.ROOT, None))
+    assert set(found) == {
+        "gates.PulseSpec", "gates.force_pulse_unitary", "gates.sigma_x_area",
+        "gates.gradient_pulse_unitary", "gates.DarkTransitionError", "gates._expi_hermitian",
+        "duffing.QubitSubspace", "duffing.qubit_subspace",
+        "hamiltonians.effective_gate_hamiltonian", "hamiltonians.EffectiveGateParams",
+        "hamiltonians.ResonanceProximityError"}
