@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fockspace import Operator, SpaceDescriptor, annihilation_op, quadrature_op
+from .fockspace import annihilation_op, quadrature_op
 
 
 class TruncationError(ValueError):
@@ -49,7 +49,7 @@ class QubitSubspace:
     X_block: np.ndarray
 
 
-def duffing_hamiltonian(omega_m: float, lam: float, dim: int) -> Operator:
+def duffing_hamiltonian(omega_m: float, lam: float, dim: int) -> np.ndarray:
     """H = omega_m b†b + (lam/2)(b† + b)^4 on a dim-level truncation."""
     if dim < 4:
         raise TruncationError(f"quartic term needs dim >= 4, got {dim}")
@@ -57,28 +57,27 @@ def duffing_hamiltonian(omega_m: float, lam: float, dim: int) -> Operator:
         raise ValueError(f"omega_m must be finite and positive, got {omega_m}")
     if not np.isfinite(lam):
         raise ValueError(f"lam must be finite, got {lam}")
-    b = annihilation_op(dim).data
+    b = annihilation_op(dim)
     x = b + b.conj().T
-    h = omega_m * (b.conj().T @ b) + 0.5 * lam * np.linalg.matrix_power(x, 4)
-    return Operator(SpaceDescriptor((dim,)), h, hermitian=True)
+    return omega_m * (b.conj().T @ b) + 0.5 * lam * np.linalg.matrix_power(x, 4)
 
 
-def spectrum(H: Operator, dim_trust: int, omega_m: float = np.nan, lam: float = np.nan) -> DuffingSpectrum:
-    """Diagonalize a single-factor Hamiltonian and build the eigenbasis tables."""
-    if len(H.space.dims) != 1:
-        raise ValueError("spectrum expects a single-factor operator")
-    if not H.is_hermitian(rtol=1e-10):
+def spectrum(H: np.ndarray, dim_trust: int, omega_m: float = np.nan, lam: float = np.nan) -> DuffingSpectrum:
+    """Diagonalize a single-factor (dim, dim) Hamiltonian and build the eigenbasis tables."""
+    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+        raise ValueError(f"spectrum expects a square single-factor operator, got {H.shape}")
+    if not np.max(np.abs(H - H.conj().T)) <= 1e-10 * np.max(np.abs(H)):  # NaN fails too
         raise ValueError("Hamiltonian must be Hermitian")
-    dim = H.dim
+    dim = H.shape[0]
     if dim_trust < 2 or dim_trust > dim - 4:
         raise ValueError(f"dim_trust must be in [2, dim-4], got {dim_trust} for dim {dim}")
-    energies, vecs = np.linalg.eigh(H.data)
+    energies, vecs = np.linalg.eigh(H)
     # fix eigenvector phases: overlap with the same-index Fock state real, >= 0
     for n in range(dim):
         ov = vecs[n, n]
         if abs(ov) > 1e-14:
             vecs[:, n] *= np.conj(ov) / abs(ov)
-    x_fock = quadrature_op(dim).data
+    x_fock = quadrature_op(dim)
     x_eig = vecs.conj().T @ x_fock @ vecs
     delta = energies[:, None] - energies[None, :]
     return DuffingSpectrum(dim, dim_trust, omega_m, lam, energies, vecs, x_eig, delta)

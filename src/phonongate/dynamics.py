@@ -1,5 +1,11 @@
 """Open-system (Lindblad) propagation on a time grid.
 
+H and every collapse operator are plain (d, d) complex arrays, and a
+collapse set is any sequence of them (`standard_channels` builds the
+system's); the functions that read the tensor structure (`parity_blocks`,
+`beam_swap`, `symmetry_sectors`, `propagate`) take it as a tuple of factor
+dimensions, dims.
+
 The generator here is always time-independent. `propagate` is the one
 propagation core, and it does not step. Every output is a linear functional
 f of vec(rho) (a row); with L = V diag(lambda) V^-1 on a parity block, the
@@ -57,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .files import atomic_write
-from .fockspace import Operator, SpaceDescriptor, annihilation_op, embed
+from .fockspace import annihilation_op, embed, parity
 
 HBAR_SI = 6.62607015e-34 / (2 * np.pi)  # J s, exact in the 2019 SI
 KB_SI = 1.380649e-23  # J/K, exact in the 2019 SI
@@ -90,69 +96,54 @@ def mech_damping(omega: float, Q: float) -> float:
     return omega / Q
 
 
-@dataclass(frozen=True)
-class CollapseSet:
-    """Collapse operators with their rates already folded in as sqrt(rate)*C."""
-
-    ops: tuple[Operator, ...]
-
-    def __post_init__(self):
-        ops = tuple(self.ops)
-        if ops:
-            space = ops[0].space
-            for op in ops:
-                if op.space != space:
-                    raise ValueError("all collapse operators must share one space")
-        object.__setattr__(self, "ops", ops)
-
-    @property
-    def space(self) -> SpaceDescriptor | None:
-        return self.ops[0].space if self.ops else None
-
-    @classmethod
-    def standard_channels(cls, space: SpaceDescriptor, kappa: float, gamma_m: float,
-                          n_th: float) -> "CollapseSet":
-        """Cavity decay sqrt(kappa) a (factor 0) plus thermal beam channels
-        sqrt(gamma_m n_th) b_j† and sqrt(gamma_m (n_th+1)) b_j (factors 1, 2)."""
-        ops = []
-        if kappa > 0:
-            ops.append(np.sqrt(kappa) * embed(annihilation_op(space.dims[0]), space, 0))
-        for slot in (1, 2):
-            b = embed(annihilation_op(space.dims[slot]), space, slot)
-            if gamma_m * n_th > 0:
-                ops.append(np.sqrt(gamma_m * n_th) * b.dag())
-            if gamma_m * (n_th + 1.0) > 0:
-                ops.append(np.sqrt(gamma_m * (n_th + 1.0)) * b)
-        return cls(tuple(ops))
+def standard_channels(dims: tuple[int, ...], kappa: float, gamma_m: float,
+                      n_th: float) -> tuple[np.ndarray, ...]:
+    """Collapse operators with their rates folded in as sqrt(rate) C: cavity
+    decay sqrt(kappa) a (factor 0) plus thermal beam channels
+    sqrt(gamma_m n_th) b_j† and sqrt(gamma_m (n_th+1)) b_j (factors 1, 2)."""
+    ops = []
+    if kappa > 0:
+        ops.append(np.sqrt(kappa) * embed(annihilation_op(dims[0]), dims, 0))
+    for slot in (1, 2):
+        b = embed(annihilation_op(dims[slot]), dims, slot)
+        if gamma_m * n_th > 0:
+            ops.append(np.sqrt(gamma_m * n_th) * b.conj().T)
+        if gamma_m * (n_th + 1.0) > 0:
+            ops.append(np.sqrt(gamma_m * (n_th + 1.0)) * b)
+    return tuple(ops)
 
 
-def _check_spaces(H: Operator, collapse: CollapseSet) -> None:
-    if collapse.ops and collapse.space != H.space:
+def _check_spaces(H: np.ndarray, collapse, dims: tuple[int, ...] | None = None) -> None:
+    """H and every collapse operator (d, d), and d the product of dims if given."""
+    d = H.shape[0]
+    if (H.shape != (d, d) or any(op.shape != H.shape for op in collapse)
+            or dims is not None and int(np.prod(dims)) != d):
         raise ValueError("collapse operators and Hamiltonian live on different spaces")
 
 
-def liouvillian(H: Operator, collapse: CollapseSet, rows: np.ndarray | None = None,
+def liouvillian(H: np.ndarray, collapse, rows: np.ndarray | None = None,
                 cols: np.ndarray | None = None) -> np.ndarray:
     """Superoperator L of rho_dot = -i[H, rho] + sum_C (C rho C† - (C†C rho +
     rho C†C)/2) on row-major vec(rho), for a Hermitian H, in the standard form
     -i K⊗1 + i 1⊗conj(K) + sum_C C⊗conj(C), K = H - (i/2) sum_C C†C: whole, or
     the block of `rows` (vec indices i*d + j) and `cols` (default `rows`),
-    evaluated entry by entry so the full d^2 x d^2 matrix is never formed."""
+    evaluated entry by entry so the full d^2 x d^2 matrix is never formed.
+    `collapse` is any sequence of (d, d) collapse operators."""
     _check_spaces(H, collapse)
-    d = H.dim
+    d = H.shape[0]
     rows = np.arange(d * d) if rows is None else np.asarray(rows)
     cols = rows if cols is None else np.asarray(cols)
     (ri, rj), (ci, cj) = np.divmod(rows, d), np.divmod(cols, d)
     left, right = np.ix_(ri, ci), np.ix_(rj, cj)
-    K = H.data - 0.5j * sum(op.data.conj().T @ op.data for op in collapse.ops)
+    K = H - 0.5j * sum(op.conj().T @ op for op in collapse)
     L = (np.where(rj[:, None] == cj, -1j * K[left], 0.0)
          + np.where(ri[:, None] == ci, 1j * K.conj()[right], 0.0))
-    for op in collapse.ops:
-        L += op.data[left] * op.data.conj()[right]
+    for op in collapse:
+        L += op[left] * op.conj()[right]
     return L
 
 
-def parity_blocks(H: Operator, collapse: CollapseSet) -> list[np.ndarray]:
+def parity_blocks(H: np.ndarray, collapse, dims: tuple[int, ...]) -> list[np.ndarray]:
     """Sets of vec(rho) indices that the Liouvillian never couples.
 
     If H has no entry between basis states of opposite occupation parity and
@@ -161,38 +152,35 @@ def parity_blocks(H: Operator, collapse: CollapseSet) -> list[np.ndarray]:
     parity-diagonal and the parity-off-diagonal entries. Otherwise one block
     of every entry. Entries are tested for exact zeros.
     """
-    _check_spaces(H, collapse)
-    p = H.space.parity
+    _check_spaces(H, collapse, dims)
+    p = parity(dims)
     cross = p[:, None] != p[None, :]
-    if np.any(H.data[cross]) or any(np.any(op.data[cross]) and np.any(op.data[~cross])
-                                    for op in collapse.ops):
-        return [np.arange(H.dim * H.dim)]
+    if np.any(H[cross]) or any(np.any(op[cross]) and np.any(op[~cross]) for op in collapse):
+        return [np.arange(H.size)]
     return [np.flatnonzero(~cross), np.flatnonzero(cross)]
 
 
-def beam_swap(H: Operator, collapse: CollapseSet) -> np.ndarray | None:
+def beam_swap(H: np.ndarray, collapse, dims: tuple[int, ...]) -> np.ndarray | None:
     """The basis permutation that exchanges the last two tensor factors (the
     two beams) if H and the collapse operators, as a multiset, are exactly
     invariant under it; None otherwise. Entries are compared exactly."""
-    _check_spaces(H, collapse)
-    dims = H.space.dims
+    _check_spaces(H, collapse, dims)
     if len(dims) < 2 or dims[-1] != dims[-2]:
         return None
-    perm = np.arange(H.dim).reshape(dims).swapaxes(-1, -2).reshape(-1)
-    ops = [op.data for op in collapse.ops]
+    perm = np.arange(H.shape[0]).reshape(dims).swapaxes(-1, -2).reshape(-1)
 
     def swap(a):
         return a[np.ix_(perm, perm)]
 
     def count(a):
-        return sum(np.array_equal(a, o) for o in ops)
+        return sum(np.array_equal(a, o) for o in collapse)
 
-    if np.array_equal(swap(H.data), H.data) and all(count(swap(c)) == count(c) for c in ops):
+    if np.array_equal(swap(H), H) and all(count(swap(c)) == count(c) for c in collapse):
         return perm
     return None
 
 
-def symmetry_sectors(H: Operator, collapse: CollapseSet,
+def symmetry_sectors(H: np.ndarray, collapse, dims: tuple[int, ...],
                      block: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Orthonormal bases Q of the real symmetry sectors of a parity block.
 
@@ -208,7 +196,7 @@ def symmetry_sectors(H: Operator, collapse: CollapseSet,
     coefficient pads a shorter column), and coef[q, 0] is never 0, which
     `sector_liouvillian` relies on.
     """
-    d = H.dim
+    d = H.shape[0]
     block = np.asarray(block)
     pos = np.full(d * d, -1)
     pos[block] = np.arange(block.size)
@@ -223,7 +211,7 @@ def symmetry_sectors(H: Operator, collapse: CollapseSet,
     phase = np.where(kind[:, None] == 1, [1j, -1j], [1.0, 1.0])
     phase[hi == hj, 1] = 0.0
     sectors = [(idx, phase)]
-    perm = beam_swap(H, collapse)
+    perm = beam_swap(H, collapse, dims)
     if perm is not None:
         si, sj = perm[hi], perm[hj]
         sign = np.where((kind == 1) & (si > sj), -1.0, 1.0)
@@ -253,7 +241,7 @@ def _apply_basis(x: np.ndarray, idx: np.ndarray, coef: np.ndarray) -> np.ndarray
     return sum(x[idx[:, t]] * c[:, t] for t in range(idx.shape[1]))
 
 
-def sector_liouvillian(H: Operator, collapse: CollapseSet, block: np.ndarray,
+def sector_liouvillian(H: np.ndarray, collapse, block: np.ndarray,
                        idx: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """The real generator L_s = Q^H L Q of a sector basis (idx, coef) of `block`.
     L commutes with rho -> rho† and the beam swap, so every term of a row q of
@@ -291,11 +279,11 @@ class Trajectory:
                 fh.writelines(template % row for row in rows)
 
 
-def _spectral_scale(H: Operator, collapse: CollapseSet) -> float:
-    evals = np.linalg.eigvalsh(H.data)
+def _spectral_scale(H: np.ndarray, collapse) -> float:
+    evals = np.linalg.eigvalsh(H)
     scale = float(evals[-1] - evals[0])
-    for op in collapse.ops:
-        scale += float(np.linalg.norm(op.data, 2) ** 2)
+    for op in collapse:
+        scale += float(np.linalg.norm(op, 2) ** 2)
     return max(scale, 1e-300)
 
 
@@ -321,8 +309,9 @@ def _health(rho: np.ndarray) -> tuple[float, float]:
 
 
 def propagate(
-    H: Operator,
-    collapse: CollapseSet,
+    H: np.ndarray,
+    collapse,
+    dims: tuple[int, ...],
     columns: np.ndarray,
     rows: np.ndarray,
     t_grid: np.ndarray,
@@ -331,7 +320,8 @@ def propagate(
 ) -> dict:
     """Real parts of the linear functionals `rows` of vec(rho) from a
     (d*d, k) batch of columns, vec of Hermitian matrices, over a uniform time
-    grid, integrated by `method` (expm or rk4).
+    grid, integrated by `method` (expm or rk4), for a (d, d) H and a sequence
+    of (d, d) collapse operators on the composite space of factor dims `dims`.
 
     `rows` is one (r, d*d) set for every column or a (k, r, d*d) stack, one
     set per column; they need not be Hermitian functionals. A column whose
@@ -367,7 +357,7 @@ def propagate(
     if not (t[-1] > 0.0 and np.max(np.abs(t - uniform)) <= 4 * EPS * t[-1]):  # NaN fails too
         raise ValueError(f"{method} needs an ascending time grid uniform to rounding (linspace)")
     h = t[1]
-    d = H.dim
+    d = H.shape[0]
     if columns.ndim != 2 or columns.shape[0] != d * d:
         raise ValueError(f"columns must be a ({d * d}, k) batch of vec(rho)")
     k = columns.shape[1]
@@ -384,11 +374,11 @@ def propagate(
     rows = np.concatenate([rows, np.broadcast_to(trace, rows.shape[:-2] + (1, d * d))], axis=-2)
     r = rows.shape[-2]
 
-    blocks = [b for b in parity_blocks(H, collapse) if np.any(columns[b])]
+    blocks = [b for b in parity_blocks(H, collapse, dims) if np.any(columns[b])]
     stats: dict = {"method": method, "n_steps": len(t) - 1, "n_columns": k,
                    "n_blocks": len(blocks), "support": sum(b.size for b in blocks),
                    "sectors": []}
-    herm = np.max(np.abs(H.data - H.data.conj().T)) / (np.max(np.abs(H.data)) or 1.0)
+    herm = np.max(np.abs(H - H.conj().T)) / (np.max(np.abs(H)) or 1.0)
     stats["sector_imag"] = float(herm)
     if not herm <= EIG_TOL:  # the standard form of L is the master equation's only then
         raise IntegrationError(f"H is not Hermitian to {EIG_TOL:g}: the real sector "
@@ -397,7 +387,7 @@ def propagate(
     timings = dict.fromkeys(("generators_s", "eig_solve_s", "series_s"), 0.0)
     started = time.perf_counter()  # each sector: its basis and generator, then eig and solve
     for b in blocks:
-        for idx, coef in symmetry_sectors(H, collapse, b):
+        for idx, coef in symmetry_sectors(H, collapse, dims, b):
             v0 = _apply_basis(columns[b], idx, coef.conj()).real  # Q^H columns, (m, k)
             if not np.any(v0):
                 continue
@@ -428,6 +418,7 @@ def propagate(
                                "(defective or ill-conditioned)", stats)
     seen = np.max(magnitude, axis=(0, 1)) > 1e-12 * np.max(magnitude)
     first = (rows @ columns.T[:, :, None])[..., 0].real  # (k, r)
+    del magnitude, rows  # not read again: released before the chunk loop
 
     nu = lam
     if method == "rk4":  # substeps per output interval
@@ -441,6 +432,7 @@ def propagate(
     # Rows ordered (r, k): a chunk's outputs are (r, k, c), each (k, c) contiguous
     kept = lam.imag >= 0.0
     coeffs = np.conj(amps[..., kept] * np.where(lam[kept].imag > 0.0, 2.0, 1.0), dtype=complex)
+    del amps
     coeffs = np.ascontiguousarray(coeffs.swapaxes(0, 1).reshape(r * k, -1)).view(float)
     # one buffer each, refilled per chunk: the table of e^{nu t} and the
     # outputs with the trace row

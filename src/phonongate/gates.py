@@ -1,8 +1,9 @@
 """Single-qubit pulse gates, the two-qubit exchange unitary, and the CNOT
 sequence built from it.
 
-Two-qubit basis order is {|00>, |01>, |10>, |11>} with the FIRST ket the
-control qubit, fixed project-wide.
+Every gate is a plain (2, 2) or (4, 4) complex ndarray. Two-qubit basis
+order is {|00>, |01>, |10>, |11>} with the FIRST ket the control qubit,
+fixed project-wide.
 """
 from __future__ import annotations
 
@@ -12,8 +13,6 @@ import numpy as np
 
 from .duffing import QubitSubspace
 from .dynamics import HBAR_SI
-
-UNITARY_ATOL = 1e-12
 
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -44,35 +43,11 @@ class PulseSpec:
             raise ValueError("chi_zpm must be positive")
 
 
-@dataclass(frozen=True)
-class GateMatrix:
-    """A 2x2 or 4x4 unitary."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        data = np.array(self.data, dtype=complex)
-        if data.shape not in ((2, 2), (4, 4)):
-            raise ValueError(f"gate must be 2x2 or 4x4, got {data.shape}")
-        dev = np.max(np.abs(data.conj().T @ data - np.eye(data.shape[0])))
-        if not dev <= UNITARY_ATOL:  # a NaN deviation fails too
-            raise ValueError(f"matrix is not unitary (deviation {dev})")
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[0]
-
-    def __matmul__(self, other: "GateMatrix") -> "GateMatrix":
-        return GateMatrix(self.data @ other.data)
-
-
-def pauli_rotation(axis: str, angle: float) -> GateMatrix:
+def pauli_rotation(axis: str, angle: float) -> np.ndarray:
     """U[angle]_axis = exp(-i angle sigma_axis / 2), exactly."""
     if axis not in PAULI:
         raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
-    return GateMatrix(np.cos(angle / 2) * np.eye(2) - 1j * np.sin(angle / 2) * PAULI[axis])
+    return np.cos(angle / 2) * np.eye(2) - 1j * np.sin(angle / 2) * PAULI[axis]
 
 
 def _expi_hermitian(M: np.ndarray) -> np.ndarray:
@@ -81,7 +56,7 @@ def _expi_hermitian(M: np.ndarray) -> np.ndarray:
     return (vecs * np.exp(-1j * evals)) @ vecs.conj().T
 
 
-def force_pulse_unitary(pulse: PulseSpec, qubit: QubitSubspace) -> GateMatrix:
+def force_pulse_unitary(pulse: PulseSpec, qubit: QubitSubspace) -> np.ndarray:
     """exp(-i Phi X_qubit) with Phi = -(1/hbar) * area * chi_zpm.
 
     X_qubit is the deflection restricted to the two lowest eigenstates; its
@@ -91,7 +66,7 @@ def force_pulse_unitary(pulse: PulseSpec, qubit: QubitSubspace) -> GateMatrix:
         raise ValueError("force_pulse_unitary needs a force pulse")
     phi = -pulse.area * pulse.chi_zpm / HBAR_SI
     x_block = 0.5 * (qubit.X_block + qubit.X_block.conj().T)
-    return GateMatrix(_expi_hermitian(phi * x_block))
+    return _expi_hermitian(phi * x_block)
 
 
 def sigma_x_area(qubit: QubitSubspace) -> float:
@@ -105,7 +80,7 @@ def sigma_x_area(qubit: QubitSubspace) -> float:
     return np.pi / (2.0 * qubit.X10)
 
 
-def gradient_pulse_unitary(pulse: PulseSpec, qubit: QubitSubspace) -> GateMatrix:
+def gradient_pulse_unitary(pulse: PulseSpec, qubit: QubitSubspace) -> np.ndarray:
     """diag(e^{-i phi}, e^{i phi}) with phi = area * chi_zpm^2 * Z_coeff / (2 hbar).
 
     The gradient Hamiltonian is (1/2) W00(t) chi^2, whose qubit restriction is
@@ -116,23 +91,23 @@ def gradient_pulse_unitary(pulse: PulseSpec, qubit: QubitSubspace) -> GateMatrix
     if not np.isfinite(qubit.Z_coeff):
         raise ValueError("Z_coeff must be finite")
     phi = 0.5 * pulse.area * pulse.chi_zpm**2 * qubit.Z_coeff / HBAR_SI
-    return GateMatrix(np.diag([np.exp(-1j * phi), np.exp(1j * phi)]))
+    return np.diag([np.exp(-1j * phi), np.exp(1j * phi)])
 
 
-def exchange_unitary(Omega: float, t: float) -> GateMatrix:
+def exchange_unitary(Omega: float, t: float) -> np.ndarray:
     """Cavity-mediated exchange U_G(t): identity outside the {01, 10} block,
     cos/isin inside, with angle Omega*t. ISWAP at Omega*t = pi/2."""
     if t < 0:
         raise ValueError("t must be nonnegative")
     c, s = np.cos(Omega * t), 1j * np.sin(Omega * t)
-    return GateMatrix(np.array(
+    return np.array(
         [[1, 0, 0, 0],
          [0, c, s, 0],
          [0, s, c, 0],
-         [0, 0, 0, 1]], dtype=complex))
+         [0, 0, 0, 1]], dtype=complex)
 
 
-def cnot_sequence(Omega: float, t: float) -> GateMatrix:
+def cnot_sequence(Omega: float, t: float) -> np.ndarray:
     """Two exchange evolutions interleaved with single-qubit rotations:
 
     e^{i pi/4} (U[-pi/2]_z (x) U[pi/2]_x U[pi/2]_z) U_G (U[pi/2]_x (x) I) U_G (I (x) U[pi/2]_z)
@@ -140,29 +115,27 @@ def cnot_sequence(Omega: float, t: float) -> GateMatrix:
     Equals CNOT (control = first qubit) at Omega*t = pi/2 with no residual
     global phase.
     """
-    u_g = exchange_unitary(Omega, t).data
-    pre = np.kron(np.eye(2), pauli_rotation("z", np.pi / 2).data)
-    mid = np.kron(pauli_rotation("x", np.pi / 2).data, np.eye(2))
+    u_g = exchange_unitary(Omega, t)
+    pre = np.kron(np.eye(2), pauli_rotation("z", np.pi / 2))
+    mid = np.kron(pauli_rotation("x", np.pi / 2), np.eye(2))
     post = np.kron(
-        pauli_rotation("z", -np.pi / 2).data,
-        pauli_rotation("x", np.pi / 2).data @ pauli_rotation("z", np.pi / 2).data,
+        pauli_rotation("z", -np.pi / 2),
+        pauli_rotation("x", np.pi / 2) @ pauli_rotation("z", np.pi / 2),
     )
-    return GateMatrix(np.exp(1j * np.pi / 4) * post @ u_g @ mid @ u_g @ pre)
+    return np.exp(1j * np.pi / 4) * post @ u_g @ mid @ u_g @ pre
 
 
-def ideal_cnot() -> GateMatrix:
-    return GateMatrix(np.array(
+def ideal_cnot() -> np.ndarray:
+    return np.array(
         [[1, 0, 0, 0],
          [0, 1, 0, 0],
          [0, 0, 0, 1],
-         [0, 0, 1, 0]], dtype=complex))
+         [0, 0, 1, 0]], dtype=complex)
 
 
-def phase_aligned_distance(U: GateMatrix | np.ndarray, V: GateMatrix | np.ndarray) -> float:
-    """max-entry distance min_theta ||U - e^{i theta} V||, aligning the global
-    phase on the overlap Tr(V†U)."""
-    u = U.data if isinstance(U, GateMatrix) else np.asarray(U, dtype=complex)
-    v = V.data if isinstance(V, GateMatrix) else np.asarray(V, dtype=complex)
+def phase_aligned_distance(u: np.ndarray, v: np.ndarray) -> float:
+    """max-entry distance min_theta ||u - e^{i theta} v||, aligning the global
+    phase on the overlap Tr(v†u)."""
     ov = np.trace(v.conj().T @ u)
     phase = ov / abs(ov) if abs(ov) > 0 else 1.0
     return float(np.max(np.abs(u - phase * v)))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duffing import DuffingSpectrum
-from .fockspace import Operator, SpaceDescriptor, annihilation_op, embed, quadrature_op
+from .fockspace import annihilation_op, embed, quadrature_op
 from .schema import check, check_fields
 
 
@@ -99,7 +99,7 @@ class EffectiveGateParams:
     omega_G: float
 
 
-def cavity_quadrature(dim: int, convention: str = "symmetric") -> Operator:
+def cavity_quadrature(dim: int, convention: str = "symmetric") -> np.ndarray:
     """X_c as (a+a†)/sqrt(2) ("symmetric") or a+a† ("bare").
 
     The bare form is the drive-phase-fixed quadrature (alpha real positive);
@@ -110,37 +110,33 @@ def cavity_quadrature(dim: int, convention: str = "symmetric") -> Operator:
         return quadrature_op(dim)
     if convention == "bare":
         a = annihilation_op(dim)
-        return Operator(a.space, a.data + a.data.conj().T, hermitian=True)
+        return a + a.conj().T
     raise ValueError(f"quadrature convention must be 'symmetric' or 'bare', got {convention!r}")
 
 
 def system_hamiltonian(
-    p: PhysicalParams, space: SpaceDescriptor, quadrature_convention: str = "symmetric"
-) -> Operator:
-    """Linearized cavity + two driven Duffing beams:
+    p: PhysicalParams, dims: tuple[int, ...], quadrature_convention: str = "symmetric"
+) -> np.ndarray:
+    """Linearized cavity + two driven Duffing beams on dims (cavity, beam, beam):
 
     H = -Delta a†a + sum_j g_G X_c X_j - G_tilde X_1 X_2
         + sum_j [omega_G b_j†b_j + (lam/2)(b_j† + b_j)^4]
     """
-    if len(space.dims) != 3:
-        raise ValueError(f"space must have exactly 3 factors (cavity, beam, beam), got {len(space.dims)}")
-    n_cav = space.dims[0]
-    a = embed(annihilation_op(n_cav), space, 0)
-    x_c = embed(cavity_quadrature(n_cav, quadrature_convention), space, 0)
+    if len(dims) != 3:
+        raise ValueError(f"space must have exactly 3 factors (cavity, beam, beam), got {len(dims)}")
+    a = embed(annihilation_op(dims[0]), dims, 0)
+    x_c = embed(cavity_quadrature(dims[0], quadrature_convention), dims, 0)
     beams = []
     for slot in (1, 2):
-        n_b = space.dims[slot]
-        b = embed(annihilation_op(n_b), space, slot)
-        x_j = embed(quadrature_op(n_b), space, slot)
-        x4 = b.data + b.data.conj().T
-        quartic = Operator(space, np.linalg.matrix_power(x4, 4))
-        beams.append(p.g_G * (x_c @ x_j) + p.omega_G * (b.dag() @ b) + (0.5 * p.lam) * quartic)
+        b = embed(annihilation_op(dims[slot]), dims, slot)
+        x_j = embed(quadrature_op(dims[slot]), dims, slot)
+        quartic = np.linalg.matrix_power(b + b.conj().T, 4)
+        beams.append(p.g_G * (x_c @ x_j) + p.omega_G * (b.conj().T @ b) + (0.5 * p.lam) * quartic)
     # the beam terms summed first, so that H is exactly invariant under the beam swap
-    h = (-p.Delta) * (a.dag() @ a) + (beams[0] + beams[1])
-    x1 = embed(quadrature_op(space.dims[1]), space, 1)
-    x2 = embed(quadrature_op(space.dims[2]), space, 2)
-    h = h - p.G_tilde * (x1 @ x2)
-    return Operator(space, h.data, hermitian=True)
+    h = (-p.Delta) * (a.conj().T @ a) + (beams[0] + beams[1])
+    x1 = embed(quadrature_op(dims[1]), dims, 1)
+    x2 = embed(quadrature_op(dims[2]), dims, 2)
+    return h - p.G_tilde * (x1 @ x2)
 
 
 def exchange_rate(Delta: float, omega_G: float, g_G: float, X_G_sq: float) -> float:

@@ -25,10 +25,10 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import dynamics, fidelity
-from .dynamics import CollapseSet, Trajectory
+from .dynamics import Trajectory
 from .duffing import duffing_hamiltonian
 from .files import atomic_write
-from .fockspace import SpaceDescriptor
+from .fockspace import parity
 from .gates import ideal_cnot
 from .hamiltonians import PhysicalParams, exchange_rate, system_hamiltonian
 from .schema import check_fields
@@ -57,9 +57,9 @@ PAPER_VA_XG_SQ = 0.25
 PRESETS = {"paper_v1": PAPER_V1, "paper_va": PAPER_VA}
 
 # bound on what a run holds for its k kets: the k x 2 x n_steps float64 series
-# and, in master mode, `master_held_bytes`, so a config that cannot be held is
-# refused, not run out of memory. A Bloch family's series is reduced chunk by
-# chunk to two n_steps columns, so for it the series term overcounts
+# and `master_held_bytes` or `analytic_held_bytes`, so a config that cannot be
+# held is refused, not run out of memory. A Bloch family's series is reduced
+# chunk by chunk to two n_steps columns, so for it the series term overcounts
 MAX_SERIES_BYTES = 2 * 2**30
 
 
@@ -95,7 +95,7 @@ def master_held_bytes(n_cav: int, n_b: int, k: int, n_steps: int) -> dict[str, i
     """
     d = n_cav * n_b**2
     D = d * d
-    even = int(np.count_nonzero(SpaceDescriptor((n_cav, n_b, n_b)).parity == 0))
+    even = int(np.count_nonzero(parity((n_cav, n_b, n_b)) == 0))
     B = even**2 + (d - even) ** 2
     F = n_cav * n_b
     m = min(B, (B + F * F + d - F + 1) // 2)
@@ -109,7 +109,25 @@ def master_held_bytes(n_cav: int, n_b: int, k: int, n_steps: int) -> dict[str, i
         "chunks": 16 * 3 * n * D + 8 * 3 * k * n,
     }
 
-_CNOT = ideal_cnot().data
+
+def analytic_held_bytes(k: int, n_steps: int) -> dict[str, int]:
+    """Upper bounds on the bytes an analytic run of k kets holds besides its
+    series, from the shapes `fidelity.gate_fidelity_closed` and `_run_analytic`
+    allocate over n_t = n_steps outputs:
+
+    * kets: the closed form's amplitude sum, at most 3 complex (k, n_t) arrays
+      at once (the running sum, the next term and their sum); after it, |amp|^2
+      and its clipped copy beside the amplitudes (16 + 8 + 8 bytes and a 1-byte
+      mask), and the (m, n_t) rows F_avg is averaged from (m <= k), are less.
+    * times: 7 float (n_t,) vectors: the grid and the angles Omega t, with the
+      closed form's 2 Omega t and its two cosines and two sines; or, after it,
+      the three averaged columns and at most two temporaries of an average
+      formula beside the one it builds, or `run_scenario`'s masked copies of
+      the grid and the main column.
+    """
+    return {"kets": 16 * 3 * k * n_steps, "times": 8 * 7 * n_steps}
+
+_CNOT = ideal_cnot()
 
 
 # JSON key of each scalar field below the top level; `params` and the rest of
@@ -165,12 +183,12 @@ class ScenarioConfig:
         k = self.initial.size
         series_bytes = k * 2 * self.n_steps * 8
         held = (master_held_bytes(self.n_cav, self.n_b, k, self.n_steps)
-                if self.mode == "master" else {})
+                if self.mode == "master" else analytic_held_bytes(k, self.n_steps))
         if series_bytes + sum(held.values()) > MAX_SERIES_BYTES:
-            more = (", and the master run's " + ", ".join(f"{name} {v}" for name, v in held.items())
-                    + f" more: {series_bytes + sum(held.values())} bytes" if held else "")
+            more = ", ".join(f"{name} {v}" for name, v in held.items())
             raise ValueError(f"{k} initial kets x 2 x {self.n_steps} steps of float64 series "
-                             f"need {series_bytes} bytes{more}, over the "
+                             f"need {series_bytes} bytes, and the {self.mode} run's {more} "
+                             f"more: {series_bytes + sum(held.values())} bytes, over the "
                              f"{MAX_SERIES_BYTES}-byte bound")
         if not 0 <= self.cavity_fock < self.n_cav:
             raise ValueError("cavity Fock index outside the cavity truncation")
@@ -291,9 +309,9 @@ def _qubit_isometry(n_b: int, omega_G: float, lam: float) -> np.ndarray:
         return np.eye(2, dtype=complex)
     h = duffing_hamiltonian(omega_G, lam, n_b)
     energies, vecs = [], []
-    for parity in (0, 1):
-        levels = np.flatnonzero(h.space.parity == parity)
-        e, v = np.linalg.eigh(h.data[np.ix_(levels, levels)])
+    for p in (0, 1):
+        levels = np.flatnonzero(parity((n_b,)) == p)
+        e, v = np.linalg.eigh(h[np.ix_(levels, levels)])
         full = np.zeros((n_b, levels.size), dtype=complex)
         full[levels] = v
         energies.append(e)
@@ -324,9 +342,9 @@ def master_fidelity_series(
     smallest qubit weight the fidelity was divided by.
     """
     p = resolved_params(cfg)
-    space = SpaceDescriptor((cfg.n_cav, cfg.n_b, cfg.n_b))
-    H = system_hamiltonian(p, space, cfg.quadrature_convention)
-    collapse = CollapseSet.standard_channels(space, p.kappa, p.gamma_m, p.n_th)
+    dims = (cfg.n_cav, cfg.n_b, cfg.n_b)
+    H = system_hamiltonian(p, dims, cfg.quadrature_convention)
+    collapse = dynamics.standard_channels(dims, p.kappa, p.gamma_m, p.n_th)
     times = np.linspace(0.0, cfg.t_max_us * 1e-6, cfg.n_steps)
 
     # per-beam isometry onto the qubit levels (Fock states for n_b = 2)
@@ -360,7 +378,7 @@ def master_fidelity_series(
         both = block.swapaxes(0, 1)  # (2, k, c): fidelities and leakages
         series[..., s:s + both.shape[-1]] = both if weights is None else weights @ both / weights.sum()
 
-    stats = dynamics.propagate(H, collapse, columns, rows, times, cfg.integrator, reduce)
+    stats = dynamics.propagate(H, collapse, dims, columns, rows, times, cfg.integrator, reduce)
     # 1 - w rounds monotonically in w, so the largest leakage is 1 - the smallest weight
     stats["min_qubit_weight"] = float(np.min(lowest))
     stats.update(integrator=cfg.integrator, max_leakage=1.0 - stats["min_qubit_weight"])

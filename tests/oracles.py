@@ -13,29 +13,29 @@ from phonongate import dynamics
 from phonongate.duffing import duffing_hamiltonian
 from phonongate.gates import cnot_sequence, ideal_cnot
 
-CNOT = ideal_cnot().data
+CNOT = ideal_cnot()
 
 
-def series(H, collapse, columns, rows, t_grid, method="expm"):
+def series(H, collapse, dims, columns, rows, t_grid, method="expm"):
     """The whole real (k, r, n_t) series of `propagate`, and its stats."""
     chunks = []
-    stats = dynamics.propagate(H, collapse, columns, rows, t_grid, method,
+    stats = dynamics.propagate(H, collapse, dims, columns, rows, t_grid, method,
                                lambda s, block: chunks.append(block.copy()))
     return np.concatenate(chunks, axis=-1), stats
 
 
-def evolve_master(H, collapse, rho0, t_grid, method="expm"):
+def evolve_master(H, collapse, dims, rho0, t_grid, method="expm"):
     """The (n_t, d, d) states of `propagate` from the (d, d) rho0 at every
     time of the grid, and its stats, which also carry the Hermiticity drift
     (max_herm_drift) and minimum eigenvalue (min_eigenvalue) over all outputs."""
-    d = H.dim
+    d = len(H)
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (d, d):
         raise ValueError(f"initial state {rho0.shape} and Hamiltonian ({d}, {d}) "
                          "live on different spaces")
     eye = np.eye(d * d)  # the real parts of the rows [I; -iI] are Re and Im of vec(rho)
-    out, stats = series(H, collapse, rho0.reshape(-1, 1), np.concatenate([eye, -1j * eye]),
-                        t_grid, method)
+    out, stats = series(H, collapse, dims, rho0.reshape(-1, 1),
+                        np.concatenate([eye, -1j * eye]), t_grid, method)
     states = (out[0, :d * d] + 1j * out[0, d * d:]).T.reshape(-1, d, d)
     stats["max_herm_drift"], stats["min_eigenvalue"] = dynamics._health(states)
     return states, stats
@@ -74,13 +74,13 @@ def gate_fidelity_matrix(psi_in, Omega_t):
     """F_G = |<v| CNOT† U_Gate(Omega t) |v>|^2 through the composed gate
     sequence; the matrix-path partner of `fidelity.gate_fidelity_closed`."""
     v = np.asarray(psi_in, dtype=complex)
-    return float(abs(v.conj() @ CNOT.conj().T @ cnot_sequence(Omega_t, 1.0).data @ v) ** 2)
+    return float(abs(v.conj() @ CNOT.conj().T @ cnot_sequence(Omega_t, 1.0) @ v) ** 2)
 
 
 def truncation_convergence(omega_m, lam, n_levels=4, dim_lo=16, dim_hi=24):
     """Max relative change of the lowest n_levels Duffing energies between two
     truncations."""
-    lo = np.linalg.eigvalsh(duffing_hamiltonian(omega_m, lam, dim_lo).data)[:n_levels]
-    hi = np.linalg.eigvalsh(duffing_hamiltonian(omega_m, lam, dim_hi).data)[:n_levels]
+    lo = np.linalg.eigvalsh(duffing_hamiltonian(omega_m, lam, dim_lo))[:n_levels]
+    hi = np.linalg.eigvalsh(duffing_hamiltonian(omega_m, lam, dim_hi))[:n_levels]
     ref = np.where(np.abs(hi) > 0, np.abs(hi), 1.0)
     return float(np.max(np.abs(lo - hi) / ref))

@@ -15,14 +15,14 @@ from scipy.linalg import eigh
 
 from phonongate import dynamics, runner
 from phonongate.duffing import duffing_hamiltonian, duffing_spectrum
-from phonongate.dynamics import CollapseSet, thermal_occupation
+from phonongate.dynamics import standard_channels, thermal_occupation
 from phonongate.fidelity import (
     avg_fidelity_entangled,
     avg_fidelity_separable,
     bloch_family,
     gate_fidelity_closed,
 )
-from phonongate.fockspace import Operator, SpaceDescriptor, annihilation_op
+from phonongate.fockspace import annihilation_op
 from phonongate.gates import cnot_sequence, ideal_cnot, phase_aligned_distance
 from phonongate.runner import ScenarioConfig, figure_config, master_fidelity_series, refine_peak
 
@@ -30,7 +30,7 @@ from oracles import evolve_master, fock_density, partial_trace
 
 REPORT_DIR = Path(__file__).resolve().parents[1] / "reports"
 
-CNOT = ideal_cnot().data
+CNOT = ideal_cnot()
 TWOPI = 2 * np.pi
 
 
@@ -60,7 +60,7 @@ def test_criterion_2_closed_form_equivalence():
     closed = np.stack([gate_fidelity_closed(*v, omega_ts) for v in states])
     matrix = np.empty((n_states, n_times))
     for j, ot in enumerate(omega_ts):
-        m = CNOT.conj().T @ cnot_sequence(ot, 1.0).data
+        m = CNOT.conj().T @ cnot_sequence(ot, 1.0)
         amps = np.einsum("ni,in->n", states.conj(), m @ states.T)
         matrix[:, j] = np.abs(amps) ** 2
     elapsed = time.perf_counter() - started
@@ -93,7 +93,7 @@ def _entangled_quadrature(ots: np.ndarray, n_theta=64, n_phi=64) -> np.ndarray:
     states = np.array([bloch_family("schmidt")(t, p) for t in thetas for p in phis])
     out = np.empty(len(ots))
     for j, ot in enumerate(ots):
-        m = CNOT.conj().T @ cnot_sequence(ot, 1.0).data
+        m = CNOT.conj().T @ cnot_sequence(ot, 1.0)
         f = np.abs(np.einsum("ni,in->n", states.conj(), m @ states.T)) ** 2
         out[j] = np.sum(w * f) / np.sum(w)
     return out
@@ -111,7 +111,7 @@ def _separable_quadrature(ots: np.ndarray, n_theta=24, n_phi=24) -> np.ndarray:
     w = np.outer(w1, w1).reshape(-1)
     out = np.empty(len(ots))
     for j, ot in enumerate(ots):
-        m = CNOT.conj().T @ cnot_sequence(ot, 1.0).data
+        m = CNOT.conj().T @ cnot_sequence(ot, 1.0)
         f = np.abs(np.einsum("ni,in->n", states.conj(), m @ states.T)) ** 2
         out[j] = np.sum(w * f) / np.sum(w)
     return out
@@ -155,7 +155,7 @@ def _gap_relative_errors():
     for ratio in (1e-6, 1e-5, 1e-4):
         w = 1.0
         lam = ratio * w
-        energies = eigh(duffing_hamiltonian(w, lam, 40).data, eigvals_only=True)
+        energies = eigh(duffing_hamiltonian(w, lam, 40), eigvals_only=True)
         gap = energies[1] - energies[0]
         out[ratio] = abs(gap - (w + 6 * lam)) / (w + 6 * lam)
     return out
@@ -209,17 +209,17 @@ def test_criterion_7_lindblad_oracles():
     started = time.perf_counter()
     # cavity decay against the analytic exponential
     kappa = 1.0
-    space = SpaceDescriptor((2,))
-    h0 = Operator(space, np.zeros((2, 2)), hermitian=True)
+    dims = (2,)
+    h0 = np.zeros((2, 2))
     a = annihilation_op(2)
-    decay = CollapseSet((np.sqrt(kappa) * a,))
-    rho0 = fock_density(space.dims, [1])
+    decay = (np.sqrt(kappa) * a,)
+    rho0 = fock_density(dims, [1])
     t = np.linspace(0.0, 3.0 / kappa, 61)
-    n_op = (a.dag() @ a).data
+    n_op = a.conj().T @ a
     worst_decay = 0.0
     stats_pool = []
     for method in ("expm", "rk4"):
-        states, stats = evolve_master(h0, decay, rho0, t, method)
+        states, stats = evolve_master(h0, decay, dims, rho0, t, method)
         worst_decay = max(worst_decay, float(np.max(np.abs(
             np.einsum("ij,tji->t", n_op, states).real - np.exp(-kappa * t)))))
         stats_pool.append(stats)
@@ -227,13 +227,12 @@ def test_criterion_7_lindblad_oracles():
     # thermal steady state
     dim, gamma = 25, 1.0
     n_th = thermal_occupation(TWOPI * 28.6e6, 3e-3)
-    space_b = SpaceDescriptor((dim,))
-    hb = Operator(space_b, np.zeros((dim, dim)), hermitian=True)
+    dims_b = (dim,)
+    hb = np.zeros((dim, dim))
     b = annihilation_op(dim)
-    thermal = CollapseSet((np.sqrt(gamma * n_th) * b.dag(),
-                           np.sqrt(gamma * (n_th + 1)) * b))
+    thermal = (np.sqrt(gamma * n_th) * b.conj().T, np.sqrt(gamma * (n_th + 1)) * b)
     tt = np.linspace(0.0, 10.0 / gamma, 201)
-    states_th, stats_th = evolve_master(hb, thermal, fock_density(space_b.dims, [0]), tt)
+    states_th, stats_th = evolve_master(hb, thermal, dims_b, fock_density(dims_b, [0]), tt)
     stats_pool.append(stats_th)
     n_final = np.trace(np.diag(np.arange(dim)) @ states_th[-1]).real
     thermal_rel = abs(n_final - n_th) / n_th
@@ -403,14 +402,14 @@ def test_invariant_fixed_step_order_check(monkeypatch):
         from phonongate.runner import resolved_params
 
         p = resolved_params(cfg)
-        space = SpaceDescriptor((cfg.n_cav, cfg.n_b, cfg.n_b))
-        H = system_hamiltonian(p, space, cfg.quadrature_convention)
-        collapse = CollapseSet.standard_channels(space, p.kappa, p.gamma_m, p.n_th)
+        dims = (cfg.n_cav, cfg.n_b, cfg.n_b)
+        H = system_hamiltonian(p, dims, cfg.quadrature_convention)
+        collapse = standard_channels(dims, p.kappa, p.gamma_m, p.n_th)
         t = np.linspace(0.0, cfg.t_max_us * 1e-6, cfg.n_steps)
-        rho0 = fock_density(space.dims, [1, 0, 0])
+        rho0 = fock_density(dims, [1, 0, 0])
         target = np.eye(4)[3]  # |11> = CNOT|10>
-        states, _ = evolve_master(H, collapse, rho0, t, "rk4")
-        rho_q = partial_trace(states[-1], space.dims, [1, 2])
+        states, _ = evolve_master(H, collapse, dims, rho0, t, "rk4")
+        rho_q = partial_trace(states[-1], dims, [1, 2])
         return float(np.real(target.conj() @ rho_q @ target))
 
     f1 = final_avg()

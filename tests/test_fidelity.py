@@ -214,7 +214,7 @@ def bloch_average(family, evaluator):
 def gate_fidelities(ots):
     """The matrix path of oracles.gate_fidelity_matrix, |<v|CNOT† U_Gate(ot)|v>|^2,
     for a (n, 4) batch of kets at every ot: an (n, len(ots)) array."""
-    gates = np.stack([ideal_cnot().data.conj().T @ cnot_sequence(ot, 1.0).data for ot in ots])
+    gates = np.stack([ideal_cnot().conj().T @ cnot_sequence(ot, 1.0) for ot in ots])
     return lambda kets: np.abs(np.einsum("ni,kij,nj->nk", kets.conj(), gates, kets)) ** 2
 
 

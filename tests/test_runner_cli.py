@@ -15,18 +15,19 @@ from scipy.linalg import eigh
 
 from phonongate import cli, dynamics, hamiltonians, runner
 from phonongate.duffing import duffing_hamiltonian
-from phonongate.dynamics import CollapseSet
+from phonongate.dynamics import standard_channels
 from phonongate.fidelity import (
+    NAMED_STATES,
     InitialStateFamily,
     bloch_family,
     named_state,
     separable_state,
 )
-from phonongate.fockspace import SpaceDescriptor
 from phonongate.gates import ideal_cnot
 from phonongate.hamiltonians import PhysicalParams
 from phonongate.runner import (
     PAPER_V1,
+    PAPER_VA,
     ScenarioConfig,
     envelope_maxima,
     figure_config,
@@ -182,8 +183,8 @@ def scenario_mappings(draw):
 
 
 def held_bytes(doc) -> int:
-    """k x 2 x n_steps float64 series, plus in master mode what
-    `runner.master_held_bytes` counts, with k counted from the document by hand."""
+    """k x 2 x n_steps float64 series, plus what `runner.master_held_bytes` or
+    `runner.analytic_held_bytes` counts, with k counted from the document by hand."""
     initial = doc["initial"]
     if "labels" in initial:
         k = len(initial["labels"])
@@ -192,7 +193,7 @@ def held_bytes(doc) -> int:
         k = ((n_theta - 2) * n_phi) ** (2 if initial["kind"] == "separable-product" else 1)
     n_steps = int(doc["n_steps"])
     held = (runner.master_held_bytes(doc["dims"]["n_cav"], doc["dims"]["n_b"], k, n_steps)
-            if doc["mode"] == "master" else {})
+            if doc["mode"] == "master" else runner.analytic_held_bytes(k, n_steps))
     return k * 2 * n_steps * 8 + sum(held.values())
 
 
@@ -267,7 +268,7 @@ def test_qubit_isometry_is_exactly_parity_pure():
     for n_b in (4, 5, 6):
         iso = runner._qubit_isometry(n_b, omega, lam)
         assert not np.any(iso[1::2, 0]) and not np.any(iso[0::2, 1])
-        _, vecs = eigh(duffing_hamiltonian(omega, lam, n_b).data)
+        _, vecs = eigh(duffing_hamiltonian(omega, lam, n_b))
         for n in range(2):
             sign = np.sign(vecs[n, n].real)
             assert np.max(np.abs(iso[:, n] - sign * vecs[:, n])) <= 1e-12
@@ -469,20 +470,20 @@ def test_batched_rows_match_a_per_ket_density_route_at_nb4():
     assert f_sq.shape == leak.shape == (4, 41)
 
     p = runner.resolved_params(cfg)
-    _, vecs = eigh(duffing_hamiltonian(p.omega_G, p.lam, 4).data)
+    _, vecs = eigh(duffing_hamiltonian(p.omega_G, p.lam, 4))
     iso = vecs[:, :2] * (np.abs(np.diag(vecs[:2, :2])) / np.diag(vecs[:2, :2]))
     assert np.max(np.abs(iso - np.eye(4, 2))) > 1e-3
     kk = np.kron(iso, iso)
     proj = kk @ kk.conj().T
-    space = SpaceDescriptor((2, 4, 4))
-    H = hamiltonians.system_hamiltonian(p, space, cfg.quadrature_convention)
-    collapse = CollapseSet.standard_channels(space, p.kappa, p.gamma_m, p.n_th)
+    dims = (2, 4, 4)
+    H = hamiltonians.system_hamiltonian(p, dims, cfg.quadrature_convention)
+    collapse = standard_channels(dims, p.kappa, p.gamma_m, p.n_th)
     for i, v in enumerate(kets):
         psi = np.kron(np.eye(2)[cfg.cavity_fock], kk @ v)
-        states, _ = evolve_master(H, collapse, np.outer(psi, psi.conj()), times)
-        u = kk @ ideal_cnot().data @ v
+        states, _ = evolve_master(H, collapse, dims, np.outer(psi, psi.conj()), times)
+        u = kk @ ideal_cnot() @ v
         for n, rho in enumerate(states):
-            rho_b = partial_trace(rho, space.dims, [1, 2])
+            rho_b = partial_trace(rho, dims, [1, 2])
             weight = np.trace(proj @ rho_b).real
             assert abs(leak[i, n] - (1.0 - weight)) <= 1e-12
             assert abs(f_sq[i, n] - (u.conj() @ rho_b @ u).real / weight) <= 1e-12
@@ -635,6 +636,39 @@ def test_held_bound_is_at_least_the_traced_peak_of_a_master_run(dims, initial):
     counted = runner.master_held_bytes(n_cav, n_b, len(kets), cfg.n_steps)
     series = (1 if weights is not None else len(kets)) * 2 * cfg.n_steps * 8
     assert peak <= series + sum(counted.values())
+
+
+@pytest.mark.parametrize("labels, outputs", [
+    (tuple(NAMED_STATES), ("fidelity",)),  # the (k, n_t) amplitudes' share, k = 13
+    (("00",), ("fidelity",)),  # the (n_t,) vectors' share
+    (("00", "01", "10", "11"), ("fidelity", "avg_entangled", "avg_separable")),
+])
+def test_held_bound_is_at_least_the_traced_peak_of_an_analytic_run(labels, outputs):
+    # what the closed form allocates over 100001 angles, traced, against the
+    # count that validation refuses configs by, with the series term
+    cfg = ScenarioConfig(params=PhysicalParams.from_config(PAPER_VA),
+                         initial=InitialStateFamily("fixed-list", labels), mode="analytic",
+                         t_max_us=120e3, n_steps=100001, outputs=outputs)
+    tracemalloc.start()
+    try:
+        runner._run_analytic(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    counted = runner.analytic_held_bytes(len(labels), cfg.n_steps)
+    assert peak <= len(labels) * 2 * cfg.n_steps * 8 + sum(counted.values())
+
+
+def test_held_bound_refuses_an_analytic_run_that_validated_on_its_series_alone():
+    # 13 labels at 5 million steps: 1.04 GB of series, but 3.2 GB with the
+    # closed form's (k, n_t) amplitudes and (n_t,) vectors
+    n_steps, k = 5_000_000, len(NAMED_STATES)
+    assert k * 2 * n_steps * 8 < runner.MAX_SERIES_BYTES
+    with pytest.raises(ValueError, match="and the analytic run's kets") as err:
+        ScenarioConfig(params=PhysicalParams.from_config(PAPER_VA), mode="analytic",
+                       initial=InitialStateFamily("fixed-list", tuple(NAMED_STATES)),
+                       n_steps=n_steps)
+    assert f"kets {48 * k * n_steps}, times {56 * n_steps} more" in str(err.value)
 
 
 @pytest.mark.parametrize("fixed_step", [[], ["--fixed-step"]])
