@@ -17,7 +17,7 @@ import numpy as np
 from . import runner
 from .duffing import duffing_spectrum
 from .dynamics import IntegrationError
-from .files import atomic_write
+from .files import write_csv
 from .gates import cnot_sequence, exchange_unitary, ideal_cnot, phase_aligned_distance
 from .hamiltonians import PhysicalParams, exchange_rate
 from .runner import PAPER_VA_XG_SQ, PRESETS, ScenarioConfig
@@ -78,14 +78,9 @@ def spectrum(omega_g_hz, lambda_hz, dim, dim_trust, out):
     os.makedirs(outdir, exist_ok=True)
     spec = duffing_spectrum(2 * np.pi * omega_g_hz, 2 * np.pi * lambda_hz, dim, dim_trust)
     path = os.path.join(outdir, "spectrum.csv")
-    with atomic_write(path) as fh:
-        header = ["n", "E_rad_s", "delta_n0_rad_s"] + [f"X_n{m}" for m in range(dim_trust)]
-        fh.write(",".join(header) + "\n")
-        for n in range(dim):
-            row = [str(n), format(spec.energies[n], ".17g"),
-                   format(spec.energies[n] - spec.energies[0], ".17g")]
-            row += [format(spec.X[n, m].real, ".17g") for m in range(dim_trust)]
-            fh.write(",".join(row) + "\n")
+    write_csv(path, ["n", "E_rad_s", "delta_n0_rad_s"] + [f"X_n{m}" for m in range(dim_trust)],
+              [np.arange(dim), spec.energies, spec.energies - spec.energies[0],
+               *spec.X[:, :dim_trust].real.T])
     click.echo(f"wrote {path}")
 
 
@@ -175,10 +170,11 @@ def figure(fig_id, out, fixed_step, nb, bloch_grid):
     outdir = out or os.path.join(_default_out(), fig_id)
     summary = runner.run_figure(fig_id, outdir, n_b=int(nb), fixed_step=fixed_step,
                                 bloch_grid=(bloch_grid, bloch_grid))
-    # a figure of several runs echoes each run's peak
-    peaks = {label: run["peak_fidelity"] for label, run in summary.get("runs", {}).items()}
-    click.echo(json.dumps({"figure": fig_id, "outdir": str(outdir),
-                           "peak_fidelity": peaks or summary["peak_fidelity"]}))
+    runs = summary.get("runs")  # a figure of several runs echoes each run's peaks by label
+    peaks = ({key: {label: run[key] for label, run in runs.items()}
+              for key in ("peak_fidelity", "peak_after_initial")} if runs
+             else {"peak_fidelity": summary["peak_fidelity"]})
+    click.echo(json.dumps({"figure": fig_id, "outdir": str(outdir), **peaks}))
 
 
 @main.command()

@@ -58,11 +58,9 @@ from the sum over sectors of Q V (exp(nu t_N) * V^-1 Q^H v0).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
-from .files import atomic_write
 from .fockspace import annihilation_op, embed, parity
 
 HBAR_SI = 6.62607015e-34 / (2 * np.pi)  # J s, exact in the 2019 SI
@@ -255,28 +253,8 @@ def sector_liouvillian(H: np.ndarray, collapse, block: np.ndarray,
 EIG_TOL = 1e-10  # bound on the eigendecomposition's residual and cancellation
 TRACE_TOL = 1e-6  # bound on abs(tr rho(t) - tr rho(0)) of every column at every output
 SUBSTEP_PHASE = 3e-3  # rk4: fastest phase advanced per substep
-_CHUNK = 256  # output times per matrix product or CSV write: small next to the series
+_CHUNK = 256  # output times per matrix product: small next to the series
 EPS = np.finfo(float).eps
-
-
-@dataclass
-class Trajectory:
-    """Time grid plus named real series, one CSV column each."""
-
-    times: np.ndarray
-    columns: dict[str, np.ndarray]
-
-    def to_csv(self, path) -> None:
-        """t_s column followed by one column per series; 17 significant
-        digits, comma separator, LF line endings; written atomically."""
-        names = list(self.columns)
-        cols = [self.times] + [self.columns[n] for n in names]
-        template = ",".join(["%.17g"] * len(cols)) + "\n"
-        with atomic_write(path) as fh:
-            fh.write(",".join(["t_s"] + names) + "\n")
-            for s in range(0, len(self.times), _CHUNK):  # whole, Python floats take 32 B a value
-                rows = zip(*(c[s:s + _CHUNK].tolist() for c in cols))
-                fh.writelines(template % row for row in rows)
 
 
 def _spectral_scale(H: np.ndarray, collapse) -> float:
@@ -369,10 +347,10 @@ def propagate(
     if bad.size:  # a NaN column passes here and fails the gate below
         raise ValueError(f"column {bad[0]} is not vec of a Hermitian matrix: "
                          f"max abs(rho - rho^dagger) = {anti[bad[0]]:.3g}")
-    trace = np.zeros(d * d)
-    trace[::d + 1] = 1.0
-    rows = np.concatenate([rows, np.broadcast_to(trace, rows.shape[:-2] + (1, d * d))], axis=-2)
-    r = rows.shape[-2]
+    # the trace row vec(I), joined to the caller's rows per sector, so no
+    # (k, r + 1, d*d) copy of them is held through the sector loop
+    trace = np.broadcast_to(np.eye(d).reshape(-1), rows.shape[:-2] + (1, d * d))
+    r = rows.shape[-2] + 1
 
     blocks = [b for b in parity_blocks(H, collapse, dims) if np.any(columns[b])]
     stats: dict = {"method": method, "n_steps": len(t) - 1, "n_columns": k,
@@ -383,6 +361,7 @@ def propagate(
     if not herm <= EIG_TOL:  # the standard form of L is the master equation's only then
         raise IntegrationError(f"H is not Hermitian to {EIG_TOL:g}: the real sector "
                                "eigendecomposition of L needs it", stats)
+    first = (np.concatenate([rows, trace], axis=-2) @ columns.T[:, :, None])[..., 0].real  # (k, r)
     lam, amps, modes, residual = [], [], [], 0.0
     timings = dict.fromkeys(("generators_s", "eig_solve_s", "series_s"), 0.0)
     started = time.perf_counter()  # each sector: its basis and generator, then eig and solve
@@ -402,7 +381,8 @@ def propagate(
             # would carry that into the trace at a large enough t
             w[np.abs(w) <= w.size * EPS * scale] = 0.0
             c = np.linalg.solve(V, v0)  # (m, k)
-            rows_q = _apply_basis(rows[..., b].T, idx, coef).T.real  # Re(rows Q)
+            rows_q = _apply_basis(np.concatenate([rows[..., b], trace[..., b]], axis=-2).T,
+                                  idx, coef).T.real  # Re(rows Q)
             lam.append(w)
             amps.append((rows_q @ V) * c.T[:, None, :])  # (k, r, m)
             modes.append((b[idx], coef, V, c))
@@ -417,8 +397,7 @@ def propagate(
         raise IntegrationError(f"eigendecomposition of L beyond {EIG_TOL:g} "
                                "(defective or ill-conditioned)", stats)
     seen = np.max(magnitude, axis=(0, 1)) > 1e-12 * np.max(magnitude)
-    first = (rows @ columns.T[:, :, None])[..., 0].real  # (k, r)
-    del magnitude, rows  # not read again: released before the chunk loop
+    del magnitude  # not read again: released before the chunk loop
 
     nu = lam
     if method == "rk4":  # substeps per output interval

@@ -1,11 +1,12 @@
-"""Scenario configuration, orchestration and tabular emission.
+"""Scenario configuration, orchestration, and what each run writes.
 
 A scenario is a single JSON document: physical parameters (Hz values under
 `*_hz` keys), truncations, an initial-state family, a time grid, and the
 run mode ("analytic" closed-form curves or "master" open-system evolution).
 `ScenarioConfig` checks the whole document when it is constructed, down to
 the memory a run must hold; a run computes, then writes
-`trajectory.csv` and `summary.json` atomically into the output directory.
+`trajectory.csv` and `summary.json` into the output directory through
+`files.write_csv` and `files.write_json`, which own both formats.
 Both modes take the initial kets as one (k, 4) array from
 `InitialStateFamily.kets`: the analytic mode evaluates the closed form on it
 in one call, the master mode propagates it as one batch.
@@ -17,7 +18,6 @@ fidelity). See the README for the sensitivity discussion.
 """
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass, fields, replace
@@ -25,9 +25,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import dynamics, fidelity
-from .dynamics import Trajectory
 from .duffing import duffing_hamiltonian
-from .files import atomic_write
+from .files import write_csv, write_json
 from .fockspace import parity
 from .gates import ideal_cnot
 from .hamiltonians import PhysicalParams, exchange_rate, system_hamiltonian
@@ -456,7 +455,7 @@ def run_scenario(cfg: ScenarioConfig, outdir) -> dict:
         "config": cfg.to_mapping(),
     }
     written = time.perf_counter()
-    Trajectory(times, columns).to_csv(os.path.join(outdir, "trajectory.csv"))
+    write_csv(os.path.join(outdir, "trajectory.csv"), ["t_s", *columns], [times, *columns.values()])
     summary["runtime_s"] = (done := time.perf_counter()) - started
     summary["timings_s"]["csv_s"] = done - written
     write_json(os.path.join(outdir, "summary.json"), summary)
@@ -546,6 +545,12 @@ def figure_config(fig_id: str, n_b: int = 2, bloch_grid: tuple[int, int] = (16, 
     return cfgs if len(cfgs) > 1 else cfgs[0]
 
 
+def _peaks(summary: dict) -> dict:
+    """A run's peaks as a figure's or a sweep's index lists them: the sampled
+    maximum, and the gate peak after the initial overlap."""
+    return {key: summary[key] for key in ("peak_fidelity", "peak_time_us", "peak_after_initial")}
+
+
 def run_figure(fig_id: str, outdir, n_b: int = 2, fixed_step: bool = False,
                bloch_grid: tuple[int, int] = (16, 16)) -> dict:
     """Emit the CSV data behind one published figure."""
@@ -559,9 +564,7 @@ def run_figure(fig_id: str, outdir, n_b: int = 2, fixed_step: bool = False,
     summaries = [run_scenario(c, os.path.join(outdir, c.label)) for c in cfgs]
     combined = {
         "figure": fig_id,
-        "runs": {s["label"]: {"peak_fidelity": s["peak_fidelity"],
-                              "peak_time_us": s["peak_time_us"],
-                              "outdir": s["label"]} for s in summaries},
+        "runs": {s["label"]: {**_peaks(s), "outdir": s["label"]} for s in summaries},
     }
     write_json(os.path.join(outdir, "summary.json"), combined)
     return combined
@@ -571,11 +574,9 @@ def _run_fig2(outdir) -> dict:
     """Fidelity bars of the closed-form gate at Omega t = pi/2."""
     family = fidelity.InitialStateFamily("fixed-list", ("00", "01", "10", "11"))
     kets, _ = family.kets()
-    fids = dict(zip(family.labels, fidelity.gate_fidelity_closed(*kets.T, np.pi / 2).tolist()))
-    with atomic_write(os.path.join(outdir, "trajectory.csv")) as fh:
-        fh.write("state,fidelity\n")
-        for lbl, val in fids.items():
-            fh.write(f"{lbl},{format(val, '.17g')}\n")
+    values = fidelity.gate_fidelity_closed(*kets.T, np.pi / 2)
+    write_csv(os.path.join(outdir, "trajectory.csv"), ["state", "fidelity"], [family.labels, values])
+    fids = dict(zip(family.labels, values.tolist()))
     summary = {"label": "fig2", "mode": "analytic", "fidelities": fids,
                "peak_fidelity": max(fids.values())}
     write_json(os.path.join(outdir, "summary.json"), summary)
@@ -610,15 +611,8 @@ def run_sweep(cfg: ScenarioConfig, param: str, values, outdir) -> dict:
     manifest = {
         "param": param,
         "values": [float(v) for v in values],
-        "runs": [{"value": float(v), "outdir": os.path.relpath(sub, outdir),
-                  "peak_fidelity": s["peak_fidelity"], "peak_time_us": s["peak_time_us"]}
+        "runs": [{"value": float(v), "outdir": os.path.relpath(sub, outdir), **_peaks(s)}
                  for (_, sub), s, v in zip(tasks, summaries, values)],
     }
     write_json(os.path.join(outdir, "manifest.json"), manifest)
     return manifest
-
-
-def write_json(path, obj) -> None:
-    with atomic_write(path) as fh:
-        json.dump(obj, fh, indent=2, sort_keys=False)
-        fh.write("\n")

@@ -10,7 +10,6 @@ from phonongate.dynamics import (
     HBAR_SI,
     KB_SI,
     IntegrationError,
-    Trajectory,
     _rk4_rates,
     beam_swap,
     liouvillian,
@@ -471,16 +470,6 @@ def test_standard_channels_structure():
     assert len(cs) == 5  # cavity + 2 beams x (up, down)
     cs0 = standard_channels(dims, kappa=1.0, gamma_m=0.5, n_th=0.0)
     assert len(cs0) == 3  # thermal pumping drops out at n_th = 0
-
-
-def test_trajectory_csv_format(tmp_path):
-    traj = Trajectory(np.array([0.0, 0.5, 1.0]),
-                      {"F": np.array([1.0, 1 / 3, -0.0]), "G": np.array([np.nan, np.inf, 2e-300])})
-    path = tmp_path / "traj.csv"
-    traj.to_csv(path)
-    content = path.read_bytes().decode()
-    assert content.split("\n") == ["t_s,F,G", "0,1,nan", "0.5,0.33333333333333331,inf",
-                                   "1,-0,2.0000000000000001e-300", ""]
 
 
 def kron_liouvillian(H, collapse):

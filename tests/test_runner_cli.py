@@ -493,8 +493,11 @@ def test_sweep(tmp_path):
     manifest = run_sweep(cfg, "params.G_tilde_hz", [1e6, 2e6], tmp_path)
     assert len(manifest["runs"]) == 2
     assert (tmp_path / "manifest.json").exists()
+    assert json.loads((tmp_path / "manifest.json").read_text()) == manifest
     for entry in manifest["runs"]:
         assert (tmp_path / entry["outdir"] / "trajectory.csv").exists()
+        summary = json.loads((tmp_path / entry["outdir"] / "summary.json").read_text())
+        assert entry["peak_after_initial"] == summary["peak_after_initial"]
 
 
 def test_figure_config_presets():
@@ -726,8 +729,8 @@ def test_cli_figure_fig9_runs_every_family_in_turn(tmp_path):
     assert combined["figure"] == "fig9"
     # the echoed line carries every run's peak
     echoed = json.loads(res.output.strip().splitlines()[-1])
-    assert echoed["peak_fidelity"] == {label: run["peak_fidelity"]
-                                       for label, run in combined["runs"].items()}
+    for key in ("peak_fidelity", "peak_after_initial"):
+        assert echoed[key] == {label: run[key] for label, run in combined["runs"].items()}
     assert sorted(combined["runs"]) == labels
     for label in labels:
         run = combined["runs"][label]
@@ -736,6 +739,8 @@ def test_cli_figure_fig9_runs_every_family_in_turn(tmp_path):
         assert header.endswith(f"F_avg_{label[5:]}")
         summary = json.loads((tmp_path / label / "summary.json").read_text())
         assert summary["peak_fidelity"] == run["peak_fidelity"]
+        # the gate peak, not the t = 0 overlap the sampled maximum can be
+        assert run["peak_after_initial"] == summary["peak_after_initial"]
         assert summary["config"]["initial"]["grid"] == [8, 8]
 
 
