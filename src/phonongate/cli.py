@@ -108,18 +108,22 @@ def gatecheck(g_hz, omega_hz, delta_hz, xg2):
 
 @main.command()
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.option("--preset", type=click.Choice(sorted(PRESETS)), default="paper_va",
-              show_default=True)
+@click.option("--preset", type=click.Choice(sorted(PRESETS)), default=None,
+              help="Parameter set without a config.  [default: paper_va]")
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--t-max-us", type=float, default=None)
 def analytic(config_path, preset, out, t_max_us):
     """Closed-form gate-fidelity curves for the analytic parameter set."""
     outdir = out or os.path.join(_default_out(), "analytic")
     if config_path:
+        if preset:
+            raise ValueError("analytic takes --config or --preset, not both")
         cfg = _scenario_from_sources(config_path, None)
+        if cfg.mode != "analytic":
+            raise ValueError(f"analytic needs a config with mode 'analytic', got {cfg.mode!r}")
     else:
         cfg = ScenarioConfig(
-            params=PhysicalParams.from_config(PRESETS[preset]),
+            params=PhysicalParams.from_config(PRESETS[preset or "paper_va"]),
             initial=runner.fidelity.InitialStateFamily("fixed-list", ("00", "01", "10", "11")),
             mode="analytic",
             t_max_us=120e3,

@@ -1,5 +1,5 @@
-"""Single-qubit pulse gates, the two-qubit exchange unitary, and the CNOT
-sequence built from it.
+"""Single-qubit rotations, the two-qubit exchange unitary, and the CNOT
+sequence built from them.
 
 Every gate is a plain (2, 2) or (4, 4) complex ndarray. Two-qubit basis
 order is {|00>, |01>, |10>, |11>} with the FIRST ket the control qubit,
@@ -7,12 +7,7 @@ fixed project-wide.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .duffing import QubitSubspace
-from .dynamics import HBAR_SI
 
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -21,77 +16,11 @@ PAULI = {
 }
 
 
-class DarkTransitionError(ValueError):
-    """Vanishing X10: the force pulse cannot drive the qubit transition."""
-
-
-@dataclass(frozen=True)
-class PulseSpec:
-    """Time-integrated electrode pulse: kind "force" (area in N*s) or
-    "gradient" (area in J*s/m^2), with the beam's zero-point motion."""
-
-    kind: str
-    area: float
-    chi_zpm: float
-
-    def __post_init__(self):
-        if self.kind not in ("force", "gradient"):
-            raise ValueError(f"pulse kind must be 'force' or 'gradient', got {self.kind!r}")
-        if not np.isfinite(self.area):
-            raise ValueError("pulse area must be finite")
-        if self.chi_zpm <= 0:
-            raise ValueError("chi_zpm must be positive")
-
-
 def pauli_rotation(axis: str, angle: float) -> np.ndarray:
     """U[angle]_axis = exp(-i angle sigma_axis / 2), exactly."""
     if axis not in PAULI:
         raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
     return np.cos(angle / 2) * np.eye(2) - 1j * np.sin(angle / 2) * PAULI[axis]
-
-
-def _expi_hermitian(M: np.ndarray) -> np.ndarray:
-    """exp(-i M) for Hermitian 2x2 M via eigendecomposition."""
-    evals, vecs = np.linalg.eigh(M)
-    return (vecs * np.exp(-1j * evals)) @ vecs.conj().T
-
-
-def force_pulse_unitary(pulse: PulseSpec, qubit: QubitSubspace) -> np.ndarray:
-    """exp(-i Phi X_qubit) with Phi = -(1/hbar) * area * chi_zpm.
-
-    X_qubit is the deflection restricted to the two lowest eigenstates; its
-    diagonals vanish by parity but are kept if nonzero.
-    """
-    if pulse.kind != "force":
-        raise ValueError("force_pulse_unitary needs a force pulse")
-    phi = -pulse.area * pulse.chi_zpm / HBAR_SI
-    x_block = 0.5 * (qubit.X_block + qubit.X_block.conj().T)
-    return _expi_hermitian(phi * x_block)
-
-
-def sigma_x_area(qubit: QubitSubspace) -> float:
-    """Smallest Phi > 0 for which the force pulse is sigma_x up to global phase.
-
-    With vanishing diagonals the pulse is cos(Phi X10) I - i sin(Phi X10) sigma_x,
-    so Phi* = pi / (2 X10).
-    """
-    if qubit.X10 == 0:
-        raise DarkTransitionError("X10 = 0: the 0-1 transition is dark to the force pulse")
-    return np.pi / (2.0 * qubit.X10)
-
-
-def gradient_pulse_unitary(pulse: PulseSpec, qubit: QubitSubspace) -> np.ndarray:
-    """diag(e^{-i phi}, e^{i phi}) with phi = area * chi_zpm^2 * Z_coeff / (2 hbar).
-
-    The gradient Hamiltonian is (1/2) W00(t) chi^2, whose qubit restriction is
-    chi_zpm^2 [Z_coeff sigma_z + const]; the identity part is dropped.
-    """
-    if pulse.kind != "gradient":
-        raise ValueError("gradient_pulse_unitary needs a gradient pulse")
-    if not np.isfinite(qubit.Z_coeff):
-        raise ValueError("Z_coeff must be finite")
-    phi = 0.5 * pulse.area * pulse.chi_zpm**2 * qubit.Z_coeff / HBAR_SI
-    return np.diag([np.exp(-1j * phi), np.exp(1j * phi)])
 
 
 def exchange_unitary(Omega: float, t: float) -> np.ndarray:

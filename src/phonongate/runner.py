@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import dynamics, fidelity
-from .duffing import duffing_hamiltonian
+from .duffing import eigenbasis
 from .files import write_csv, write_json
 from .fockspace import parity
 from .gates import ideal_cnot
@@ -299,27 +299,13 @@ def envelope_maxima(times: np.ndarray, series: np.ndarray, window_us: float = 0.
 
 
 def _qubit_isometry(n_b: int, omega_G: float, lam: float) -> np.ndarray:
-    """n_b x 2 isometry onto the two lowest beam eigenstates (identity block
-    for n_b = 2, where the quartic term is inert). The Duffing Hamiltonian
-    keeps the Fock parity, so it is diagonalized on its even and its odd
-    levels apart: each eigenstate is exactly zero off its parity, and the
-    initial states stay in one parity block of the Liouvillian."""
+    """n_b x 2 isometry onto the two lowest beam eigenstates of
+    `duffing.eigenbasis`, each exactly zero off its Fock parity, so the
+    initial states stay in one parity block of the Liouvillian (identity
+    block for n_b = 2, where the quartic term is inert)."""
     if n_b == 2:
         return np.eye(2, dtype=complex)
-    h = duffing_hamiltonian(omega_G, lam, n_b)
-    energies, vecs = [], []
-    for p in (0, 1):
-        levels = np.flatnonzero(parity((n_b,)) == p)
-        e, v = np.linalg.eigh(h[np.ix_(levels, levels)])
-        full = np.zeros((n_b, levels.size), dtype=complex)
-        full[levels] = v
-        energies.append(e)
-        vecs.append(full)
-    iso = np.concatenate(vecs, axis=1)[:, np.argsort(np.concatenate(energies))[:2]]
-    for n in range(2):
-        if iso[n, n].real < 0:
-            iso[:, n] = -iso[:, n]
-    return iso
+    return eigenbasis(omega_G, lam, n_b)[1][:, :2]
 
 
 def master_fidelity_series(

@@ -5,8 +5,6 @@ from phonongate.duffing import (
     TruncationError,
     duffing_hamiltonian,
     duffing_spectrum,
-    qubit_subspace,
-    spectrum,
 )
 
 from oracles import truncation_convergence
@@ -69,37 +67,11 @@ def test_spectrum_delta_antisymmetric():
     assert np.array_equal(s.delta, -s.delta.T)
 
 
-def test_spectrum_rejects_non_hermitian():
-    # a NaN entry makes the deviation NaN, which must be refused as well
-    nan = duffing_hamiltonian(W, 0.0, 8)
-    nan[3, 3] = np.nan
-    for bad in (np.triu(np.ones((8, 8))), nan):
-        with pytest.raises(ValueError, match="Hermitian"):
-            spectrum(bad, 2)
-
-
 def test_spectrum_dim_trust_bounds():
-    h = duffing_hamiltonian(W, 0.0, 8)
-    with pytest.raises(ValueError):
-        spectrum(h, 5)  # > dim - 4
-    with pytest.raises(ValueError):
-        spectrum(h, 1)
-
-
-def test_qubit_subspace_harmonic():
-    q = qubit_subspace(duffing_spectrum(W, 0.0, 16, 4))
-    assert q.omega_q == pytest.approx(W, rel=1e-12)
-    assert q.X10 == pytest.approx(1 / np.sqrt(2), rel=1e-12)
-    # harmonic (X^2)_nn = n + 1/2 -> Z coefficient (1/2 - 3/2)/2 = -1/2
-    assert q.Z_coeff == pytest.approx(-0.5, rel=1e-10)
-
-
-def test_qubit_subspace_z_real_and_x_block():
-    q = qubit_subspace(duffing_spectrum(W, PAPER_RATIO * W, 16, 4))
-    assert np.isfinite(q.Z_coeff)
-    # parity: diagonal deflection elements vanish for the symmetric potential
-    assert abs(q.X_block[0, 0]) < 1e-12
-    assert abs(q.X_block[1, 1]) < 1e-12
+    with pytest.raises(ValueError, match="dim_trust"):
+        duffing_spectrum(W, 0.0, 8, 5)  # > dim - 4
+    with pytest.raises(ValueError, match="dim_trust"):
+        duffing_spectrum(W, 0.0, 8, 1)
 
 
 def test_completeness():
@@ -121,6 +93,19 @@ def test_parity_selection_rule():
         for m in range(4):
             if (n - m) % 2 == 0 and n != m:
                 assert abs(s.X[n, m]) < 1e-6
+
+
+@pytest.mark.parametrize("dim", [16, 24])
+def test_spectrum_is_exactly_parity_split(dim):
+    # the quartic term keeps the Fock parity, so at the paper's lam/w every
+    # eigenstate n is exactly zero on the Fock levels of the other parity, and
+    # the deflection, which flips parity, has exact zeros between levels of one
+    s = duffing_spectrum(W, PAPER_RATIO * W, dim=dim, dim_trust=4)
+    fock = np.arange(dim)
+    for n in range(dim):
+        assert not np.any(s.eigvecs[fock % 2 != n % 2, n])
+    n, m = np.indices((dim, dim))
+    assert not np.any(s.X[((n - m) % 2 == 0) & (n != m)])
 
 
 def test_truncation_convergence_levels():

@@ -699,6 +699,26 @@ def test_cli_analytic_refuses_a_nonpositive_t_max(tmp_path, t_max_us):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("mode, extra, cause", [
+    ("analytic", ["--preset", "paper_v1"], "analytic takes --config or --preset, not both"),
+    ("master", [], "analytic needs a config with mode 'analytic', got 'master'"),
+], ids=["config-and-preset", "master-config"])
+def test_cli_analytic_refuses_what_it_would_drop_or_run_as_master(tmp_path, mode, extra, cause):
+    # a preset beside a config would be ignored, and a master config would run
+    # a Lindblad evolution under the analytic command
+    doc = small_master_mapping(mode=mode)
+    if mode == "analytic":
+        doc.update(fidelity_convention="squared", Omega=30.0463)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    res = CliRunner().invoke(cli.main, ["analytic", "--config", str(config), *extra,
+                                        "--out", str(tmp_path / "run")])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert json.loads(res.stderr)["error"] == cause
+    assert not (tmp_path / "run").exists()
+
+
 def test_config_refuses_zero_q():
     # Q = 0 would otherwise read as lossless beams (gamma_m = 0), not as infinite damping
     doc = small_master_mapping()

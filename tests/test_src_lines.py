@@ -113,15 +113,11 @@ def test_unreached_rule_on_a_fixture():
         "lib.LIMIT", "lib.TABLE", "lib.used", "lib.Shape", "lib.unused", "lib.spare"}
 
 
-def test_unreached_is_only_the_pulse_gate_and_dispersive_surface():
-    # what no command reaches is kept in src/ only for the open-system CNOT
-    # process report to call: the pulse gates, the qubit subspace of a beam
-    # spectrum and the dispersive gate Hamiltonian. Code only the tests use
-    # belongs in tests/oracles.py
+def test_unreached_is_only_the_dispersive_surface():
+    # what no command reaches is kept in src/ only for the nonresonance map to
+    # call: the dispersive gate Hamiltonian with its parameters and its
+    # resonance guard. Code only the tests use belongs in tests/oracles.py
     found = src_lines.unreached(src_lines.sources(src_lines.ROOT, None))
     assert set(found) == {
-        "gates.PulseSpec", "gates.force_pulse_unitary", "gates.sigma_x_area",
-        "gates.gradient_pulse_unitary", "gates.DarkTransitionError", "gates._expi_hermitian",
-        "duffing.QubitSubspace", "duffing.qubit_subspace",
         "hamiltonians.effective_gate_hamiltonian", "hamiltonians.EffectiveGateParams",
         "hamiltonians.ResonanceProximityError"}
