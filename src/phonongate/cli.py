@@ -74,9 +74,9 @@ def main():
 @click.option("--out", type=click.Path(), default=None, help="Output directory.")
 def spectrum(omega_g_hz, lambda_hz, dim, dim_trust, out):
     """Dump beam eigenenergies, transition frequencies and X matrix elements."""
+    spec = duffing_spectrum(2 * np.pi * omega_g_hz, 2 * np.pi * lambda_hz, dim, dim_trust)
     outdir = out or os.path.join(_default_out(), "spectrum")
     os.makedirs(outdir, exist_ok=True)
-    spec = duffing_spectrum(2 * np.pi * omega_g_hz, 2 * np.pi * lambda_hz, dim, dim_trust)
     path = os.path.join(outdir, "spectrum.csv")
     write_csv(path, ["n", "E_rad_s", "delta_n0_rad_s"] + [f"X_n{m}" for m in range(dim_trust)],
               [np.arange(dim), spec.energies, spec.energies - spec.energies[0],

@@ -24,13 +24,16 @@ columns occupy splits further into real symmetry sectors (`symmetry_sectors`):
 in a basis of Hermitian matrices L is real, and when H and the collapse set
 are exactly invariant under the beam swap, its even and odd halves are
 uncoupled. Each occupied sector is eigendecomposed once, as the real matrix
-L_s = Q^H L Q read off rows of L (`sector_liouvillian`), for an H Hermitian to
-EIG_TOL (sector_imag). It is gated (Moler & Van Loan, SIAM Rev. 45, 3 (2003),
-method 14, and its caveat on an ill-conditioned V):
-||L_s V - V Lambda|| / ||L_s|| and the cancellation bound eps max_j sum_k
-|A_jk| must be at most EIG_TOL; a defective L fails only the second. An
-eigenvalue within the rounding floor m eps ||L_s|| of 0 is the steady state's,
-and is set to exactly 0.
+L_s = Q^H L Q read off rows of L (`sector_liouvillian`, _SLAB rows of L at a
+time), for an H Hermitian to EIG_TOL (sector_imag). It is gated (Moler & Van
+Loan, SIAM Rev. 45, 3 (2003), method 14, and its caveat on an ill-conditioned
+V): ||L_s V - V Lambda|| / ||L_s||, from real products over _SLAB columns at a
+time, and the cancellation bound eps max_j sum_k |A_jk| must be at most
+EIG_TOL; a defective L fails only the second. An eigenvalue within the
+rounding floor m eps ||L_s|| of 0 is the steady state's, and is set to
+exactly 0. The sectors are done one at a time: a sector's L_s, V and residual
+are freed before the next sector's generator is built, and only its modes'
+rates and amplitudes are kept, so one sector's working set is held at a time.
 
 The series are evaluated in real arithmetic. The columns are vec of Hermitian
 matrices, so each sector state Q^H vec rho(t) is real, and Re(f Q y) =
@@ -53,7 +56,8 @@ the same pass, to TRACE_TOL, so a traceless column is gated as any other. The
 trace row is a left null vector of L, so only the lambda = 0 modes reach it
 and R(0) = 1: rk4 drifts exactly as expm does at any substep count, and a
 drift is refused at once. The final output's Hermiticity and positivity come
-from the sum over sectors of Q V (exp(nu t_N) * V^-1 Q^H v0).
+from the sum over sectors of Q V (exp(nu t_N) * V^-1 Q^H v0), each sector's
+share added as soon as that sector is decomposed.
 """
 from __future__ import annotations
 
@@ -119,25 +123,40 @@ def _check_spaces(H: np.ndarray, collapse, dims: tuple[int, ...] | None = None) 
         raise ValueError("collapse operators and Hamiltonian live on different spaces")
 
 
+def _row_nonzeros(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column indices and values of each row's nonzeros of a (d, d) M, as (d, w)
+    arrays for w the most any row holds; a shorter row is padded with index d^2."""
+    nz = M != 0
+    col = np.argsort(np.where(nz, 0, 1), axis=1)[:, :max(1, int(nz.sum(axis=1).max()))]
+    return np.where(np.take_along_axis(nz, col, 1), col, M.size), np.take_along_axis(M, col, 1)
+
+
 def liouvillian(H: np.ndarray, collapse, rows: np.ndarray | None = None,
                 cols: np.ndarray | None = None) -> np.ndarray:
     """Superoperator L of rho_dot = -i[H, rho] + sum_C (C rho C† - (C†C rho +
     rho C†C)/2) on row-major vec(rho), for a Hermitian H, in the standard form
     -i K⊗1 + i 1⊗conj(K) + sum_C C⊗conj(C), K = H - (i/2) sum_C C†C: whole, or
-    the block of `rows` (vec indices i*d + j) and `cols` (default `rows`),
-    evaluated entry by entry so the full d^2 x d^2 matrix is never formed.
-    `collapse` is any sequence of (d, d) collapse operators."""
+    the block of `rows` (vec indices i*d + j) and `cols` (default `rows`).
+    A term A⊗B puts A[i, k] B[j, l] in row (i, j) at column (k, l), so only
+    the products of the nonzeros of A's row i and B's row j are written, the
+    terms added in the order above; no d^2 x d^2 matrix or gather of K and the
+    collapse operators is formed. `collapse` is any sequence of (d, d)
+    collapse operators."""
     _check_spaces(H, collapse)
     d = H.shape[0]
     rows = np.arange(d * d) if rows is None else np.asarray(rows)
     cols = rows if cols is None else np.asarray(cols)
-    (ri, rj), (ci, cj) = np.divmod(rows, d), np.divmod(cols, d)
-    left, right = np.ix_(ri, ci), np.ix_(rj, cj)
+    (ri, rj), n = np.divmod(rows, d), np.arange(rows.size)[:, None, None]
+    pos = np.full(d * d + 1, -1)  # column of each vec index; -1 off cols and past d^2
+    pos[cols] = np.arange(cols.size)
     K = H - 0.5j * sum(op.conj().T @ op for op in collapse)
-    L = (np.where(rj[:, None] == cj, -1j * K[left], 0.0)
-         + np.where(ri[:, None] == ci, 1j * K.conj()[right], 0.0))
-    for op in collapse:
-        L += op[left] * op.conj()[right]
+    eye = (np.arange(d)[:, None], np.ones((d, 1)))
+    L = np.zeros((rows.size, cols.size), dtype=complex)
+    for (kc, kv), (lc, lv) in [(_row_nonzeros(-1j * K), eye), (eye, _row_nonzeros(1j * K.conj())),
+                               *((_row_nonzeros(op), _row_nonzeros(op.conj())) for op in collapse)]:
+        at = pos[np.minimum(kc[ri][:, :, None] * d + lc[rj][:, None, :], d * d)]  # -1: not written
+        ok = at >= 0
+        L[np.broadcast_to(n, at.shape)[ok], at[ok]] += (kv[ri][:, :, None] * lv[rj][:, None, :])[ok]
     return L
 
 
@@ -244,16 +263,22 @@ def sector_liouvillian(H: np.ndarray, collapse, block: np.ndarray,
     """The real generator L_s = Q^H L Q of a sector basis (idx, coef) of `block`.
     L commutes with rho -> rho† and the beam swap, so every term of a row q of
     Q^H L Q contributes alike: row q is Re((L Q)[e_q] / coef[q, 0]), e_q the
-    first entry of basis matrix q. Only those rows of L are built."""
+    first entry of basis matrix q. Only those rows of L are built, _SLAB first
+    entries at a time, and each slab's rows of L_s written into one real array."""
     first, row = np.unique(block[idx[:, 0]], return_inverse=True)
-    LQ = _apply_basis(liouvillian(H, collapse, first, block).T, idx, coef).T
-    return (LQ[row] / coef[:, :1]).real
+    Ls = np.empty((idx.shape[0],) * 2)
+    for s in range(0, first.size, _SLAB):
+        q = np.flatnonzero((row >= s) & (row < s + _SLAB))
+        LQ = _apply_basis(liouvillian(H, collapse, first[s:s + _SLAB], block).T, idx, coef).T
+        Ls[q] = (LQ[row[q] - s] / coef[q, :1]).real
+    return Ls
 
 
 EIG_TOL = 1e-10  # bound on the eigendecomposition's residual and cancellation
 TRACE_TOL = 1e-6  # bound on abs(tr rho(t) - tr rho(0)) of every column at every output
 SUBSTEP_PHASE = 3e-3  # rk4: fastest phase advanced per substep
 _CHUNK = 256  # output times per matrix product: small next to the series
+_SLAB = 64  # rows of L, or residual columns, per product in a sector: small next to it
 EPS = np.finfo(float).eps
 
 
@@ -320,6 +345,12 @@ def propagate(
     Raises IntegrationError when the gate fails or, in the one pass over the
     outputs, a column's trace drifts from its own tr rho(0) by more than
     TRACE_TOL (NaN included) at any of them.
+
+    The sectors are decomposed one at a time, and one sector's working set
+    (its generator, eigenvectors and residual) is held at a time: each
+    sector's share of the final output is summed in as soon as the sector is
+    done, and its generator and eigenvectors are freed before the next is
+    built. The gates run after the last sector, in the order above.
     """
     if method not in ("expm", "rk4"):
         raise ValueError(f"propagate runs expm or rk4, not {method!r}")
@@ -362,7 +393,10 @@ def propagate(
         raise IntegrationError(f"H is not Hermitian to {EIG_TOL:g}: the real sector "
                                "eigendecomposition of L needs it", stats)
     first = (np.concatenate([rows, trace], axis=-2) @ columns.T[:, :, None])[..., 0].real  # (k, r)
-    lam, amps, modes, residual = [], [], [], 0.0
+    if method == "rk4":  # substeps per output interval, from H and the collapse set alone
+        substeps = max(1, int(np.ceil(h * _spectral_scale(H, collapse) / SUBSTEP_PHASE)))
+    final = np.zeros((d * d, k), dtype=complex)
+    lam, nus, amps, residual = [], [], [], 0.0
     timings = dict.fromkeys(("generators_s", "eig_solve_s", "series_s"), 0.0)
     started = time.perf_counter()  # each sector: its basis and generator, then eig and solve
     for b in blocks:
@@ -374,9 +408,18 @@ def propagate(
             built = time.perf_counter()
             scale = np.linalg.norm(Ls) or 1.0
             w, V = np.linalg.eig(Ls)
-            res = V * w  # V is real when every eigenvalue is
-            res -= Ls @ V
-            residual = max(residual, float(np.linalg.norm(res) / scale))
+            # ||V w - L_s V||, _SLAB columns at a time, from real products with
+            # V's real and imaginary parts: L_s is never cast to complex (V is
+            # real when every eigenvalue is)
+            squares = 0.0
+            for j in range(0, w.size, _SLAB):
+                res = V[:, j:j + _SLAB] * w[j:j + _SLAB]
+                res.real -= Ls @ V[:, j:j + _SLAB].real
+                if np.iscomplexobj(res):
+                    res.imag -= Ls @ V[:, j:j + _SLAB].imag
+                squares += np.vdot(res, res).real
+            residual = max(residual, float(np.sqrt(squares) / scale))
+            del Ls, res
             # the steady state's 0 comes out at the rounding floor, and exp(w t)
             # would carry that into the trace at a large enough t
             w[np.abs(w) <= w.size * EPS * scale] = 0.0
@@ -384,12 +427,17 @@ def propagate(
             rows_q = _apply_basis(np.concatenate([rows[..., b], trace[..., b]], axis=-2).T,
                                   idx, coef).T.real  # Re(rows Q)
             lam.append(w)
+            nus.append(nu := w if method == "expm" else _rk4_rates(w, h, substeps))
             amps.append((rows_q @ V) * c.T[:, None, :])  # (k, r, m)
-            modes.append((b[idx], coef, V, c))
+            # this sector's share of the final output, Q V (e^{nu t_N} c), so
+            # its V is freed before the next sector is built
+            np.add.at(final, b[idx],
+                      coef[..., None] * (V @ (np.exp(nu * t[-1])[:, None] * c))[:, None, :])
+            del V
             stats["sectors"].append(idx.shape[0])
             timings["generators_s"] += built - started
             timings["eig_solve_s"] += (started := time.perf_counter()) - built
-    lam, amps = np.concatenate(lam), np.concatenate(amps, axis=-1)
+    lam, nu, amps = np.concatenate(lam), np.concatenate(nus), np.concatenate(amps, axis=-1)
     magnitude = np.abs(amps)
     stats.update(eig_residual=residual, cancellation_bound=float(
         EPS * np.max(magnitude.sum(axis=-1))))
@@ -397,13 +445,10 @@ def propagate(
         raise IntegrationError(f"eigendecomposition of L beyond {EIG_TOL:g} "
                                "(defective or ill-conditioned)", stats)
     seen = np.max(magnitude, axis=(0, 1)) > 1e-12 * np.max(magnitude)
-    del magnitude  # not read again: released before the chunk loop
-
-    nu = lam
-    if method == "rk4":  # substeps per output interval
-        m = stats["n_substeps_per_interval"] = max(
-            1, int(np.ceil(h * _spectral_scale(H, collapse) / SUBSTEP_PHASE)))
-        nu = _rk4_rates(lam, h, m)
+    health = _health(final.T.reshape(k, d, d))
+    del magnitude, final  # not read again: released before the chunk loop
+    if method == "rk4":
+        stats["n_substeps_per_interval"] = substeps
     # real rows and real sector states give conjugate amplitudes on each
     # conjugate pair: keep the Im lam >= 0 half, a pair counted twice as
     # 2 Re(A e^{nu t}) = 2 (Re A Re e^{nu t} - Im A Im e^{nu t}); as floats, the
@@ -438,11 +483,7 @@ def propagate(
     timings["series_s"] = time.perf_counter() - started
 
     stats["max_phase_per_output"] = float(np.max(np.abs(nu[seen].imag)) * h)
-    final = np.zeros((d * d, k), dtype=complex)
-    grow = np.split(np.exp(nu * t[-1]), np.cumsum(stats["sectors"])[:-1])
-    for (where, coef, V, c), e in zip(modes, grow):  # Q V (e c), summed over the sectors
-        np.add.at(final, where, coef[..., None] * (V @ (e[:, None] * c))[:, None, :])
-    stats["final_herm_drift"], stats["final_min_eigenvalue"] = _health(final.T.reshape(k, d, d))
+    stats["final_herm_drift"], stats["final_min_eigenvalue"] = health
     stats["timings_s"] = timings
     return stats
 

@@ -74,11 +74,14 @@ def master_held_bytes(n_cav: int, n_b: int, k: int, n_steps: int) -> dict[str, i
       health check's 4 (conjugate, difference or Hermitian part, its half,
       eigvalsh's copy) and the final output's 6 (m,) sector terms; the
       (2, n_b^4) qubit blocks of the rows and the (d,) initial ket.
-    * sectors: every sector's eigenvectors, kept to the end (sum m^2 <= m D),
-      and one sector's largest working set: 4 (f, B) rows of L and their
-      products; L with 3 (m, f) basis products; (f, m) and 2 (m, m) for L_s;
-      or 5 (m, m) for L_s, V, the residual and the product L_s V with L_s
-      cast; and 32 (D,) complex vectors' worth of operators (H, the collapse
+    * sectors: one sector's largest working set, as each sector's L_s and
+      V are freed before the next is built: the float (m, m) L_s with one
+      slab, S = _SLAB rows of L, as (S, B) complex and 5 d S worth of the
+      products of a term of K (at most d nonzeros a row), and 4 (m, S) basis
+      products; 5 float (m, m) for L_s,
+      eig's copy of it and its real eigenvectors, and the complex V; or L_s
+      and V with the residual of S columns, its product and V's part; and
+      32 (D,) complex vectors' worth of operators (H, the collapse
       operators, K) and parity and sector index tables.
     * chunks: the e^{nu t} table, its first-chunk base and the product it is
       taken from, (n, D) each, and the (3, k, n) outputs, n = min(_CHUNK,
@@ -87,10 +90,7 @@ def master_held_bytes(n_cav: int, n_b: int, k: int, n_steps: int) -> dict[str, i
     A parity block holds B = e^2 + o^2 entries for e even and o odd basis
     states; a symmetry sector at most m = (B + s)/2 of them, s = F^2 + d - F
     the Hermitian basis matrices the beam swap maps to themselves (F = n_cav
-    n_b basis states it fixes); and a sector's generator reads one row of L
-    per first entry of its basis matrices, f = (m + d)/2 at most, as the real
-    and imaginary parts of an off-diagonal entry share theirs and at most d
-    basis matrices of a sector have no such partner.
+    n_b basis states it fixes).
     """
     d = n_cav * n_b**2
     D = d * d
@@ -98,13 +98,12 @@ def master_held_bytes(n_cav: int, n_b: int, k: int, n_steps: int) -> dict[str, i
     B = even**2 + (d - even) ** 2
     F = n_cav * n_b
     m = min(B, (B + F * F + d - F + 1) // 2)
-    f = (m + d + 1) // 2
-    n = min(dynamics._CHUNK, n_steps)
+    S, n = dynamics._SLAB, min(dynamics._CHUNK, n_steps)
     return {
         "kets": k * (16 * 14 * D + 8 * 3 * D + 16 * max(4 * D, 6 * m)
                      + 16 * (2 * n_b**4 + d)),
-        "sectors": 16 * (m * D + max(4 * f * B, f * B + 3 * m * f, f * m + 2 * m * m, 5 * m * m)
-                         + 32 * D),
+        "sectors": 8 * max(m * m + 2 * S * (B + 4 * m + 5 * d), 5 * m * m, 3 * m * m + 4 * S * m)
+                   + 16 * 32 * D,
         "chunks": 16 * 3 * n * D + 8 * 3 * k * n,
     }
 

@@ -681,6 +681,26 @@ def test_sector_liouvillian_is_the_real_part_of_q_dagger_l_q():
         assert np.max(np.abs(full)) <= 1e-13 * np.abs(L).max()
 
 
+@pytest.mark.parametrize("slab", [1, 4096])
+def test_sector_liouvillian_does_not_depend_on_its_slab(monkeypatch, slab):
+    # each row of L_s is built from its own rows of L alone, so the number of
+    # rows of L built at once leaves every bit of it as it is
+    cfg = ScenarioConfig.from_mapping({"params": PAPER_V1, "dims": {"n_cav": 2, "n_b": 4}})
+    p = resolved_params(cfg)
+    dims = (2, 4, 4)
+    H = system_hamiltonian(p, dims, cfg.quadrature_convention)
+    collapse = standard_channels(dims, p.kappa, p.gamma_m, p.n_th)
+    assert len(collapse) == 5  # cavity decay and both thermal channels of both beams
+    block = parity_blocks(H, collapse, dims)[0]
+    sectors = symmetry_sectors(H, collapse, dims, block)
+    built = [sector_liouvillian(H, collapse, block, idx, coef) for idx, coef in sectors]
+    assert dynamics._SLAB < max(np.unique(block[idx[:, 0]]).size for idx, _ in sectors) <= 4096
+    monkeypatch.setattr(dynamics, "_SLAB", slab)
+    for (idx, coef), Ls in zip(sectors, built):
+        assert np.array_equal(sector_liouvillian(H, collapse, block, idx, coef).view(np.uint64),
+                              Ls.view(np.uint64))
+
+
 def test_paper_v1_nb4_parity_block_splits_into_real_sectors(monkeypatch):
     # the n_b = 4 run's cost is the eigendecomposition of this block; a silent
     # fallback to one complex block would keep every output and lose the speed-up

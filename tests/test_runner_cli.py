@@ -538,14 +538,18 @@ def test_cli_gatecheck_without_a_finite_nonzero_rate_fails_cleanly(args, cause):
 @pytest.mark.parametrize("args, name", [
     (["--lambda-hz", "nan"], "lam"), (["--lambda-hz", "inf"], "lam"),
     (["--omega-g-hz", "nan"], "omega_m"), (["--omega-g-hz", "inf"], "omega_m"),
+    (["--dim-trust", "20"], "dim_trust"),
 ])
 def test_cli_spectrum_refuses_non_finite_parameters(tmp_path, args, name):
-    # refused by name before H is built, with no numerical warning on the way
-    res = CliRunner().invoke(cli.main, ["spectrum", *args, "--out", str(tmp_path)])
+    # refused by name before H is built, with no numerical warning on the way,
+    # and before the output directory is made
+    out = tmp_path / "out"
+    res = CliRunner().invoke(cli.main, ["spectrum", *args, "--out", str(out)])
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
-    assert json.loads(res.stderr)["error"].startswith(f"{name} must be finite")
-    assert not (tmp_path / "spectrum.csv").exists()
+    rule = "in [2, dim-4]" if name == "dim_trust" else "finite"
+    assert json.loads(res.stderr)["error"].startswith(f"{name} must be {rule}")
+    assert not out.exists()
 
 
 # validates, but gamma_m = omega_G / Q = 1.8e11 rad/s gives the even sector a
@@ -639,6 +643,29 @@ def test_held_bound_is_at_least_the_traced_peak_of_a_master_run(dims, initial):
     counted = runner.master_held_bytes(n_cav, n_b, len(kets), cfg.n_steps)
     series = (1 if weights is not None else len(kets)) * 2 * cfg.n_steps * 8
     assert peak <= series + sum(counted.values())
+
+
+def test_master_run_holds_one_sector_at_a_time():
+    # each sector's generator, eigenvectors and residual are freed before the
+    # next sector is built, and the generator is built a slab of rows of L at
+    # a time: the traced peak stays within twice one sector's largest set (5
+    # float (m, m): L_s, eig's copy of it, its real eigenvectors and the
+    # complex V), which leaves as much again for the rest of the run. Holding
+    # every sector's V to the end, with a complex (m, m) product for L_s,
+    # peaked 1.35 times over it
+    cfg = ScenarioConfig.from_mapping(small_master_mapping(
+        dims={"n_cav": 2, "n_b": 4}, n_steps=2001,
+        initial={"kind": "fixed-list", "labels": ["00", "01", "10", "11"]}))
+    kets, weights = cfg.initial.kets()
+    tracemalloc.start()
+    try:
+        *_, stats = runner.master_fidelity_series(cfg, kets, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    m = max(stats["sectors"])
+    assert stats["sectors"] == [272, 240]
+    assert peak <= 2 * 5 * 8 * m * m
 
 
 @pytest.mark.parametrize("labels, outputs", [
