@@ -3,8 +3,8 @@
 H and every collapse operator are plain (d, d) complex arrays, and a
 collapse set is any sequence of them (`standard_channels` builds the
 system's); the functions that read the tensor structure (`parity_blocks`,
-`beam_swap`, `symmetry_sectors`, `propagate`) take it as a tuple of factor
-dimensions, dims.
+`beam_swap`, `symmetry_sectors`, `propagate` and its memory count
+`held_bytes`) take it as a tuple of factor dimensions, dims.
 
 The generator here is always time-independent. `propagate` is the one
 propagation core, and it does not step. Every output is a linear functional
@@ -487,3 +487,52 @@ def propagate(
     stats["timings_s"] = timings
     return stats
 
+
+def sector_bound(dims: tuple[int, ...]) -> tuple[int, int]:
+    """(B, m): the vec(rho) entries B = e^2 + o^2 of the larger parity block,
+    for e even and o odd basis states, and a bound m on the size of a
+    symmetry sector of it, for dims whose last two factors (the beams) are
+    equal and an H and collapse set that keep the parity split and the beam
+    swap, as `standard_channels` does with a swap-invariant H. The swap pairs
+    the block's Hermitian basis matrices, so a sector holds at most (B + s)/2
+    of them, s = F^2 + d - F those it maps to themselves (F = d / dims[-1]
+    basis states it fixes)."""
+    d, even = int(np.prod(dims)), int(np.count_nonzero(parity(dims) == 0))
+    B, F = even**2 + (d - even) ** 2, d // dims[-1]
+    return B, min(B, (B + F * F + d - F + 1) // 2)
+
+
+def held_bytes(dims: tuple[int, ...], k: int, r: int, n_t: int) -> dict[str, int]:
+    """Upper bounds on the bytes `propagate` holds for k columns on the space
+    of factor dims `dims`, r rows per column and n_t output times, from the
+    shapes it is given and allocates (16 bytes a complex entry, 8 a float),
+    D = d^2 entries of vec(rho), and B and m from `sector_bound`:
+
+    * kets: per column, the column 1, the rows r and r + 1 with the trace,
+      the mode amplitudes r + 1 and coefficients 1 (at most D modes), the
+      real chunk coefficients r + 1 and the final output 1, complex (D,)
+      vectors, and the amplitudes' magnitudes r + 1 float ones; on top, the
+      larger of the final health check's 4 (conjugate, difference or
+      Hermitian part, its half, eigvalsh's copy) and the final output's 6
+      (m,) sector terms.
+    * sectors: one sector's largest working set, as each sector's L_s and V
+      are freed before the next is built: the float (m, m) L_s with one slab,
+      S = _SLAB rows of L, as (S, B) complex and 5 d S worth of the products
+      of a term of K (at most d nonzeros a row), and 4 (m, S) basis
+      products; 5 float (m, m) for L_s, eig's copy of it and its real
+      eigenvectors, and the complex V; or L_s and V with the residual of S
+      columns, its product and V's part; and 32 (D,) complex vectors' worth
+      of operators (H, the collapse operators, K) and parity and sector
+      index tables.
+    * chunks: the e^{nu t} table, its first-chunk base and the product it is
+      taken from, (n, D) each, and the (r + 1, k, n) outputs, n = min(_CHUNK,
+      n_t).
+    """
+    d = int(np.prod(dims))
+    D, (B, m), S, n = d * d, sector_bound(dims), _SLAB, min(_CHUNK, n_t)
+    return {
+        "kets": k * (16 * (4 * r + 6) * D + 8 * (r + 1) * D + 16 * max(4 * D, 6 * m)),
+        "sectors": 8 * max(m * m + 2 * S * (B + 4 * m + 5 * d), 5 * m * m, 3 * m * m + 4 * S * m)
+                   + 16 * 32 * D,
+        "chunks": 16 * 3 * n * D + 8 * (r + 1) * k * n,
+    }

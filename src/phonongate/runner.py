@@ -27,7 +27,6 @@ import numpy as np
 from . import dynamics, fidelity
 from .duffing import eigenbasis
 from .files import write_csv, write_json
-from .fockspace import parity
 from .gates import ideal_cnot
 from .hamiltonians import PhysicalParams, exchange_rate, system_hamiltonian
 from .schema import check_fields
@@ -56,56 +55,12 @@ PAPER_VA_XG_SQ = 0.25
 PRESETS = {"paper_v1": PAPER_V1, "paper_va": PAPER_VA}
 
 # bound on what a run holds for its k kets: the k x 2 x n_steps float64 series
-# and `master_held_bytes` or `analytic_held_bytes`, so a config that cannot be
-# held is refused, not run out of memory. A Bloch family's series is reduced
-# chunk by chunk to two n_steps columns, so for it the series term overcounts
+# and what else the run holds (`dynamics.held_bytes` with what
+# `master_fidelity_series` builds per ket, or `analytic_held_bytes`), so a
+# config that cannot be held is refused, not run out of memory. A Bloch
+# family's series is reduced chunk by chunk to two n_steps columns, so for it
+# the series term overcounts
 MAX_SERIES_BYTES = 2 * 2**30
-
-
-def master_held_bytes(n_cav: int, n_b: int, k: int, n_steps: int) -> dict[str, int]:
-    """Upper bounds on the bytes a master run of k kets holds besides its
-    series, from the shapes `master_fidelity_series` and `dynamics.propagate`
-    allocate (16 bytes a complex entry, 8 a float), D = d^2 entries of vec(rho):
-
-    * kets: per ket, the column 1, the rows 2 and 3 with the trace, the mode
-      amplitudes 3 and coefficients 1 (at most D modes), the real chunk
-      coefficients 3 and the final output 1, complex (D,) vectors, and the
-      amplitudes' magnitudes 3 float ones; on top, the larger of the final
-      health check's 4 (conjugate, difference or Hermitian part, its half,
-      eigvalsh's copy) and the final output's 6 (m,) sector terms; the
-      (2, n_b^4) qubit blocks of the rows and the (d,) initial ket.
-    * sectors: one sector's largest working set, as each sector's L_s and
-      V are freed before the next is built: the float (m, m) L_s with one
-      slab, S = _SLAB rows of L, as (S, B) complex and 5 d S worth of the
-      products of a term of K (at most d nonzeros a row), and 4 (m, S) basis
-      products; 5 float (m, m) for L_s,
-      eig's copy of it and its real eigenvectors, and the complex V; or L_s
-      and V with the residual of S columns, its product and V's part; and
-      32 (D,) complex vectors' worth of operators (H, the collapse
-      operators, K) and parity and sector index tables.
-    * chunks: the e^{nu t} table, its first-chunk base and the product it is
-      taken from, (n, D) each, and the (3, k, n) outputs, n = min(_CHUNK,
-      n_steps).
-
-    A parity block holds B = e^2 + o^2 entries for e even and o odd basis
-    states; a symmetry sector at most m = (B + s)/2 of them, s = F^2 + d - F
-    the Hermitian basis matrices the beam swap maps to themselves (F = n_cav
-    n_b basis states it fixes).
-    """
-    d = n_cav * n_b**2
-    D = d * d
-    even = int(np.count_nonzero(parity((n_cav, n_b, n_b)) == 0))
-    B = even**2 + (d - even) ** 2
-    F = n_cav * n_b
-    m = min(B, (B + F * F + d - F + 1) // 2)
-    S, n = dynamics._SLAB, min(dynamics._CHUNK, n_steps)
-    return {
-        "kets": k * (16 * 14 * D + 8 * 3 * D + 16 * max(4 * D, 6 * m)
-                     + 16 * (2 * n_b**4 + d)),
-        "sectors": 8 * max(m * m + 2 * S * (B + 4 * m + 5 * d), 5 * m * m, 3 * m * m + 4 * S * m)
-                   + 16 * 32 * D,
-        "chunks": 16 * 3 * n * D + 8 * 3 * k * n,
-    }
 
 
 def analytic_held_bytes(k: int, n_steps: int) -> dict[str, int]:
@@ -180,8 +135,11 @@ class ScenarioConfig:
                              "(the quartic term needs 4 levels)")
         k = self.initial.size
         series_bytes = k * 2 * self.n_steps * 8
-        held = (master_held_bytes(self.n_cav, self.n_b, k, self.n_steps)
-                if self.mode == "master" else analytic_held_bytes(k, self.n_steps))
+        if self.mode == "master":  # propagate's count, with each ket's qubit blocks and ket
+            held = dynamics.held_bytes((self.n_cav, self.n_b, self.n_b), k, 2, self.n_steps)
+            held["kets"] += k * 16 * (2 * self.n_b**4 + self.n_cav * self.n_b**2)
+        else:
+            held = analytic_held_bytes(k, self.n_steps)
         if series_bytes + sum(held.values()) > MAX_SERIES_BYTES:
             more = ", ".join(f"{name} {v}" for name, v in held.items())
             raise ValueError(f"{k} initial kets x 2 x {self.n_steps} steps of float64 series "
@@ -538,8 +496,8 @@ def _peaks(summary: dict) -> dict:
 
 def run_figure(fig_id: str, outdir, n_b: int = 2, fixed_step: bool = False,
                bloch_grid: tuple[int, int] = (16, 16)) -> dict:
-    """Emit the CSV data behind one published figure."""
-    os.makedirs(outdir, exist_ok=True)
+    """Emit the CSV data behind one published figure. Its configs are built,
+    and so validated, before any directory is made."""
     if fig_id == "fig2":
         return _run_fig2(outdir)
     cfgs = figure_config(fig_id, n_b=n_b, bloch_grid=bloch_grid,
@@ -557,6 +515,7 @@ def run_figure(fig_id: str, outdir, n_b: int = 2, fixed_step: bool = False,
 
 def _run_fig2(outdir) -> dict:
     """Fidelity bars of the closed-form gate at Omega t = pi/2."""
+    os.makedirs(outdir, exist_ok=True)
     family = fidelity.InitialStateFamily("fixed-list", ("00", "01", "10", "11"))
     kets, _ = family.kets()
     values = fidelity.gate_fidelity_closed(*kets.T, np.pi / 2)

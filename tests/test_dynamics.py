@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +18,7 @@ from phonongate.dynamics import (
     liouvillian,
     mech_damping,
     parity_blocks,
+    sector_bound,
     sector_liouvillian,
     standard_channels,
     symmetry_sectors,
@@ -699,6 +703,44 @@ def test_sector_liouvillian_does_not_depend_on_its_slab(monkeypatch, slab):
     for (idx, coef), Ls in zip(sectors, built):
         assert np.array_equal(sector_liouvillian(H, collapse, block, idx, coef).view(np.uint64),
                               Ls.view(np.uint64))
+
+
+@pytest.mark.parametrize("n_b", [2, 4, 5])
+@pytest.mark.parametrize("n_cav", [2, 3, 4, 5])
+def test_sector_bound_covers_the_sectors_built(n_cav, n_b):
+    # the closed form a config is refused by against the sectors `propagate`
+    # decomposes, on every truncation the config property draws: B is the
+    # larger parity block and m at least its largest symmetry sector (26
+    # against 20 at (2, 2), 666 against 616 at (3, 4), 5532 against 5328 at
+    # (4, 6))
+    cfg = ScenarioConfig.from_mapping({"params": PAPER_V1, "dims": {"n_cav": n_cav, "n_b": n_b}})
+    p = resolved_params(cfg)
+    dims = (n_cav, n_b, n_b)
+    H = system_hamiltonian(p, dims, cfg.quadrature_convention)
+    collapse = standard_channels(dims, p.kappa, p.gamma_m, p.n_th)
+    blocks = parity_blocks(H, collapse, dims)
+    B, m = sector_bound(dims)
+    assert len(blocks) == 2 and B == max(b.size for b in blocks)
+    largest = max(idx.shape[0] for b in blocks for idx, _ in symmetry_sectors(H, collapse, dims, b))
+    assert largest <= m < B
+
+
+def test_only_dynamics_reads_its_private_names():
+    # what a propagation holds is counted beside it: no other module of the
+    # package reads a `dynamics._*` name, as an attribute or an import
+    package = Path(dynamics.__file__).parent
+    found = []
+    for source in sorted(package.glob("*.py")):
+        if source.name == "dynamics.py":
+            continue
+        for node in ast.walk(ast.parse(source.read_text())):
+            if (isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "dynamics"
+                    and node.attr.startswith("_")):
+                found.append(f"{source.name}:{node.lineno} reads dynamics.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "dynamics":
+                found += [f"{source.name}:{node.lineno} imports {alias.name}"
+                          for alias in node.names if alias.name.startswith("_")]
+    assert found == []
 
 
 def test_paper_v1_nb4_parity_block_splits_into_real_sectors(monkeypatch):

@@ -182,8 +182,16 @@ def scenario_mappings(draw):
     return doc
 
 
+def master_held(n_cav, n_b, k, n_steps) -> dict[str, int]:
+    """What a master run of k kets holds besides its series: `dynamics.held_bytes`
+    of its 2 rows per ket, and the (2, n_b^4) qubit blocks and (d,) ket of each."""
+    held = dynamics.held_bytes((n_cav, n_b, n_b), k, 2, n_steps)
+    held["kets"] += k * 16 * (2 * n_b**4 + n_cav * n_b**2)
+    return held
+
+
 def held_bytes(doc) -> int:
-    """k x 2 x n_steps float64 series, plus what `runner.master_held_bytes` or
+    """k x 2 x n_steps float64 series, plus what `master_held` or
     `runner.analytic_held_bytes` counts, with k counted from the document by hand."""
     initial = doc["initial"]
     if "labels" in initial:
@@ -192,7 +200,7 @@ def held_bytes(doc) -> int:
         n_theta, n_phi = initial["grid"]
         k = ((n_theta - 2) * n_phi) ** (2 if initial["kind"] == "separable-product" else 1)
     n_steps = int(doc["n_steps"])
-    held = (runner.master_held_bytes(doc["dims"]["n_cav"], doc["dims"]["n_b"], k, n_steps)
+    held = (master_held(doc["dims"]["n_cav"], doc["dims"]["n_b"], k, n_steps)
             if doc["mode"] == "master" else runner.analytic_held_bytes(k, n_steps))
     return k * 2 * n_steps * 8 + sum(held.values())
 
@@ -552,6 +560,18 @@ def test_cli_spectrum_refuses_non_finite_parameters(tmp_path, args, name):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [["fig10", "--bloch-grid", "7"],
+                                  ["fig9", "--nb", "4", "--bloch-grid", "5"]])
+def test_cli_figure_refuses_its_configs_before_making_a_directory(tmp_path, args):
+    out = tmp_path / "out"
+    res = CliRunner().invoke(cli.main, ["figure", *args, "--out", str(out)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.stderr.count("\n") == 1
+    assert json.loads(res.stderr)["error"] == "Bloch grids need at least 8 points per angle"
+    assert not out.exists()
+
+
 # validates, but gamma_m = omega_G / Q = 1.8e11 rad/s gives the even sector a
 # generator of norm 4.1e12, so eig returns its steady-state 0 as 2.7e-4 rad/s
 STRONGLY_DAMPED = {"params": {"Delta_hz": 28e6, "g_G_hz": 9e6, "omega_G_hz": 28.6e6,
@@ -640,7 +660,7 @@ def test_held_bound_is_at_least_the_traced_peak_of_a_master_run(dims, initial):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    counted = runner.master_held_bytes(n_cav, n_b, len(kets), cfg.n_steps)
+    counted = master_held(n_cav, n_b, len(kets), cfg.n_steps)
     series = (1 if weights is not None else len(kets)) * 2 * cfg.n_steps * 8
     assert peak <= series + sum(counted.values())
 
