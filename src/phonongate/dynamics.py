@@ -47,12 +47,14 @@ table of e^{nu t_j} over the first chunk's times built once: one exp per mode
 per chunk and one complex product per entry. That is e^{nu t_{s+j}} to the
 rounding of nu t only where t_s + t_j = t_{s+j} to rounding, so `propagate`
 refuses a grid whose times lie more than 4 eps t_max off i t_max / (n - 1).
-The table, the output block and the trace row are buffers refilled per chunk,
-and each chunk is handed to the caller's reduction before the next is
-evaluated: that reduction is the only way out for the outputs, so no
-(k, r, n_t) series is held unless the caller keeps one. The trace is one more
-row, and every column's |tr rho(t) - tr rho(0)| is gated at every output, in
-the same pass, to TRACE_TOL, so a traceless column is gated as any other. The
+The rows are one set, read from every column, so the amplitudes, the chunk
+coefficients and the outputs grow as k r, for k columns and r rows. The
+table and the output block are buffers refilled per chunk, and each chunk is
+handed to the caller's reduction before the next is evaluated: that
+reduction is the only way out for the outputs, so no (k, r, n_t) series is
+held unless the caller keeps one. The trace vec(I) is one more row, and
+every column's |tr rho(t) - tr rho(0)| is gated at every output, in the same
+pass, to TRACE_TOL, so a traceless column is gated as any other. The
 trace row is a left null vector of L, so only the lambda = 0 modes reach it
 and R(0) = 1: rk4 drifts exactly as expm does at any substep count, and a
 drift is refused at once. The final output's Hermiticity and positivity come
@@ -326,15 +328,16 @@ def propagate(
     grid, integrated by `method` (expm or rk4), for a (d, d) H and a sequence
     of (d, d) collapse operators on the composite space of factor dims `dims`.
 
-    `rows` is one (r, d*d) set for every column or a (k, r, d*d) stack, one
-    set per column; they need not be Hermitian functionals. A column whose
-    anti-Hermitian part exceeds EIG_TOL of its largest entry is refused with
-    a ValueError naming it: the real series would drop that part. Each chunk
-    of the real (k, r, n_t) series, whose output 0 is exactly
-    Re(rows @ columns), goes to `reduce(s, block)` as the (k, r, c) block of
-    outputs s..s+c-1, before the next chunk is evaluated; the block is a
-    buffer the next chunk overwrites, which `reduce` may overwrite too.
-    `reduce` is the only way out for the outputs. Returns the stats: sizes,
+    `rows` is one (r, d*d) set, read from every column; they need not be
+    Hermitian functionals. A column whose anti-Hermitian part exceeds EIG_TOL
+    of its largest entry is refused with a ValueError naming it: the real
+    series would drop that part. Each chunk of the real (k, r, n_t) series,
+    whose output 0 is exactly Re(rows @ columns), goes to `reduce(s, block)`
+    as the (k, r, c) block of outputs s..s+c-1, before the next chunk is
+    evaluated; the block is a view, contiguous as (r, k, c), of a buffer the
+    next chunk overwrites, which `reduce` may overwrite too. `reduce` is the
+    only way out for the outputs. Returns the stats: sizes (n_columns k,
+    n_rows r),
     the parity blocks the columns occupy (n_blocks) and their vec(rho)
     entries (support), the sizes of the sectors eigendecomposed (sectors),
     the gate (sector_imag, the Hermiticity of H; eig_residual,
@@ -367,24 +370,20 @@ def propagate(
         raise ValueError(f"{method} needs an ascending time grid uniform to rounding (linspace)")
     h = t[1]
     d = H.shape[0]
-    if columns.ndim != 2 or columns.shape[0] != d * d:
-        raise ValueError(f"columns must be a ({d * d}, k) batch of vec(rho)")
+    if columns.ndim != 2 or columns.shape[0] != d * d or rows.ndim != 2 or rows.shape[1] != d * d:
+        raise ValueError(f"columns must be a ({d * d}, k) batch of vec(rho), rows an (r, {d * d}) set")
     k = columns.shape[1]
-    if rows.ndim not in (2, 3) or rows.shape[-1] != d * d or rows.shape[:-2] not in ((), (k,)):
-        raise ValueError(f"rows must be an (r, {d * d}) set or a ({k}, r, {d * d}) stack")
     rho = columns.T.reshape(k, d, d)
     anti = np.max(np.abs(rho - rho.conj().swapaxes(1, 2)), axis=(1, 2))
     bad = np.flatnonzero(anti > EIG_TOL * np.max(np.abs(rho), axis=(1, 2)))
     if bad.size:  # a NaN column passes here and fails the gate below
         raise ValueError(f"column {bad[0]} is not vec of a Hermitian matrix: "
                          f"max abs(rho - rho^dagger) = {anti[bad[0]]:.3g}")
-    # the trace row vec(I), joined to the caller's rows per sector, so no
-    # (k, r + 1, d*d) copy of them is held through the sector loop
-    trace = np.broadcast_to(np.eye(d).reshape(-1), rows.shape[:-2] + (1, d * d))
-    r = rows.shape[-2] + 1
+    rows = np.concatenate([rows, np.eye(d).reshape(1, -1)])  # and the trace row vec(I)
+    r = rows.shape[0]
 
     blocks = [b for b in parity_blocks(H, collapse, dims) if np.any(columns[b])]
-    stats: dict = {"method": method, "n_steps": len(t) - 1, "n_columns": k,
+    stats: dict = {"method": method, "n_steps": len(t) - 1, "n_columns": k, "n_rows": r - 1,
                    "n_blocks": len(blocks), "support": sum(b.size for b in blocks),
                    "sectors": []}
     herm = np.max(np.abs(H - H.conj().T)) / (np.max(np.abs(H)) or 1.0)
@@ -392,7 +391,7 @@ def propagate(
     if not herm <= EIG_TOL:  # the standard form of L is the master equation's only then
         raise IntegrationError(f"H is not Hermitian to {EIG_TOL:g}: the real sector "
                                "eigendecomposition of L needs it", stats)
-    first = (np.concatenate([rows, trace], axis=-2) @ columns.T[:, :, None])[..., 0].real  # (k, r)
+    first = (rows @ columns).real  # (r, k)
     if method == "rk4":  # substeps per output interval, from H and the collapse set alone
         substeps = max(1, int(np.ceil(h * _spectral_scale(H, collapse) / SUBSTEP_PHASE)))
     final = np.zeros((d * d, k), dtype=complex)
@@ -424,11 +423,10 @@ def propagate(
             # would carry that into the trace at a large enough t
             w[np.abs(w) <= w.size * EPS * scale] = 0.0
             c = np.linalg.solve(V, v0)  # (m, k)
-            rows_q = _apply_basis(np.concatenate([rows[..., b], trace[..., b]], axis=-2).T,
-                                  idx, coef).T.real  # Re(rows Q)
+            rows_q = _apply_basis(rows[:, b].T, idx, coef).T.real  # Re(rows Q)
             lam.append(w)
             nus.append(nu := w if method == "expm" else _rk4_rates(w, h, substeps))
-            amps.append((rows_q @ V) * c.T[:, None, :])  # (k, r, m)
+            amps.append((rows_q @ V)[:, None, :] * c.T)  # (r, k, m)
             # this sector's share of the final output, Q V (e^{nu t_N} c), so
             # its V is freed before the next sector is built
             np.add.at(final, b[idx],
@@ -455,9 +453,8 @@ def propagate(
     # coefficients conj(A) are Re A, -Im A side by side, as the table's Re, Im.
     # Rows ordered (r, k): a chunk's outputs are (r, k, c), each (k, c) contiguous
     kept = lam.imag >= 0.0
-    coeffs = np.conj(amps[..., kept] * np.where(lam[kept].imag > 0.0, 2.0, 1.0), dtype=complex)
-    del amps
-    coeffs = np.ascontiguousarray(coeffs.swapaxes(0, 1).reshape(r * k, -1)).view(float)
+    amps = np.conj(amps[..., kept] * (1.0 + (lam[kept].imag > 0.0)), dtype=complex, order="C")
+    coeffs = amps.reshape(r * k, -1).view(float)
     # one buffer each, refilled per chunk: the table of e^{nu t} and the
     # outputs with the trace row
     n, rates = min(_CHUNK, len(t)), nu[kept]
@@ -473,8 +470,8 @@ def propagate(
             np.multiply(base[:c], np.exp(rates * t[s]), out=table[:c])
             np.matmul(coeffs, table[:c].view(float).T, out=chunk.reshape(r * k, c))
             if s == 0:
-                block[..., 0], tr[:, 0] = first[:, :-1], first[:, -1]
-            worst = float(np.max(np.abs(np.subtract(tr, first[:, -1:], out=tr), out=tr)))
+                chunk[..., 0] = first
+            worst = float(np.max(np.abs(np.subtract(tr, first[-1, :, None], out=tr), out=tr)))
             if not worst <= stats["max_trace_drift"]:  # larger, or NaN
                 stats["max_trace_drift"] = worst
                 if not worst <= TRACE_TOL:
@@ -502,37 +499,39 @@ def sector_bound(dims: tuple[int, ...]) -> tuple[int, int]:
     return B, min(B, (B + F * F + d - F + 1) // 2)
 
 
-def held_bytes(dims: tuple[int, ...], k: int, r: int, n_t: int) -> dict[str, int]:
-    """Upper bounds on the bytes `propagate` holds for k columns on the space
-    of factor dims `dims`, r rows per column and n_t output times, from the
+def held_bytes(dims: tuple[int, ...], k: int, r: int, n_t: int, reduced: int = 0) -> dict[str, int]:
+    """Upper bounds on the bytes `propagate` holds for k columns and one set
+    of r rows on the space of factor dims `dims` over n_t output times, with
+    a `reduce` that keeps `reduced` floats per output of a chunk, from the
     shapes it is given and allocates (16 bytes a complex entry, 8 a float),
     D = d^2 entries of vec(rho), and B and m from `sector_bound`:
 
-    * kets: per column, the column 1, the rows r and r + 1 with the trace,
-      the mode amplitudes r + 1 and coefficients 1 (at most D modes), the
-      real chunk coefficients r + 1 and the final output 1, complex (D,)
-      vectors, and the amplitudes' magnitudes r + 1 float ones; on top, the
-      larger of the final health check's 4 (conjugate, difference or
-      Hermitian part, its half, eigvalsh's copy) and the final output's 6
-      (m,) sector terms.
+    * columns: per column, the column 1, its mode amplitudes r + 1 and
+      coefficients 1 (at most D modes), the real chunk coefficients r + 1
+      and the final output 1, complex (D,) vectors, and the amplitudes'
+      magnitudes r + 1 float ones; on top, the larger of the final health
+      check's 4 (conjugate, difference or Hermitian part, its half,
+      eigvalsh's copy) and the final output's 6 (m,) sector terms.
     * sectors: one sector's largest working set, as each sector's L_s and V
       are freed before the next is built: the float (m, m) L_s with one slab,
       S = _SLAB rows of L, as (S, B) complex and 5 d S worth of the products
       of a term of K (at most d nonzeros a row), and 4 (m, S) basis
       products; 5 float (m, m) for L_s, eig's copy of it and its real
       eigenvectors, and the complex V; or L_s and V with the residual of S
-      columns, its product and V's part; and 32 (D,) complex vectors' worth
-      of operators (H, the collapse operators, K) and parity and sector
+      columns, its product and V's part; and 4 r + 35 complex (D,) vectors'
+      worth of the rows (r, and r + 1 each for the rows with the trace row, a
+      sector's share of them and their products with its basis), the
+      operators (H, the collapse operators, K) and the parity and sector
       index tables.
     * chunks: the e^{nu t} table, its first-chunk base and the product it is
-      taken from, (n, D) each, and the (r + 1, k, n) outputs, n = min(_CHUNK,
-      n_t).
+      taken from, (n, D) each, the (r + 1, k, n) outputs and the reduction's
+      (reduced, n), n = min(_CHUNK, n_t).
     """
     d = int(np.prod(dims))
     D, (B, m), S, n = d * d, sector_bound(dims), _SLAB, min(_CHUNK, n_t)
     return {
-        "kets": k * (16 * (4 * r + 6) * D + 8 * (r + 1) * D + 16 * max(4 * D, 6 * m)),
+        "columns": k * (16 * (2 * r + 5) * D + 8 * (r + 1) * D + 16 * max(4 * D, 6 * m)),
         "sectors": 8 * max(m * m + 2 * S * (B + 4 * m + 5 * d), 5 * m * m, 3 * m * m + 4 * S * m)
-                   + 16 * 32 * D,
-        "chunks": 16 * 3 * n * D + 8 * (r + 1) * k * n,
+                   + 16 * (4 * r + 35) * D,
+        "chunks": 16 * 3 * n * D + 8 * ((r + 1) * k + reduced) * n,
     }

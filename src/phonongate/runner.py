@@ -9,7 +9,8 @@ the memory a run must hold; a run computes, then writes
 `files.write_csv` and `files.write_json`, which own both formats.
 Both modes take the initial kets as one (k, 4) array from
 `InitialStateFamily.kets`: the analytic mode evaluates the closed form on it
-in one call, the master mode propagates it as one batch.
+in one call, the master mode propagates the span of the kets' projectors
+once and reads every ket's fidelity off it (`master_fidelity_series`).
 
 The `figure` presets reproduce the published curves; they override three
 defaults to the conventions that were found to match the published peak
@@ -54,12 +55,12 @@ PAPER_VA_XG_SQ = 0.25
 
 PRESETS = {"paper_v1": PAPER_V1, "paper_va": PAPER_VA}
 
-# bound on what a run holds for its k kets: the k x 2 x n_steps float64 series
-# and what else the run holds (`dynamics.held_bytes` with what
-# `master_fidelity_series` builds per ket, or `analytic_held_bytes`), so a
-# config that cannot be held is refused, not run out of memory. A Bloch
-# family's series is reduced chunk by chunk to two n_steps columns, so for it
-# the series term overcounts
+# bound on what a run holds for its k kets: the float64 series, k x 2 x
+# n_steps for a label list and 2 x n_steps for a Bloch family, which is
+# averaged chunk by chunk, and what else the run holds (`dynamics.held_bytes`
+# with what `master_fidelity_series` builds per ket, or
+# `analytic_held_bytes`), so a config that cannot be held is refused, not run
+# out of memory
 MAX_SERIES_BYTES = 2 * 2**30
 
 
@@ -133,22 +134,22 @@ class ScenarioConfig:
         if self.n_cav < 2 or self.n_b < 2 or self.n_b == 3:
             raise ValueError("dims.n_cav must be >= 2, and dims.n_b 2 or >= 4 "
                              "(the quartic term needs 4 levels)")
-        k = self.initial.size
-        series_bytes = k * 2 * self.n_steps * 8
-        if self.mode == "master":  # propagate's count, with each ket's qubit blocks and ket
-            held = dynamics.held_bytes((self.n_cav, self.n_b, self.n_b), k, 2, self.n_steps)
-            held["kets"] += k * 16 * (2 * self.n_b**4 + self.n_cav * self.n_b**2)
+        k, labelled = self.initial.size, self.initial.kind in fidelity.LABEL_KINDS
+        series_bytes = (k if labelled else 1) * 2 * self.n_steps * 8
+        if self.mode == "master":  # propagate's count at the span's n <= 16 columns and
+            # n + 1 rows, with each ket's (2, chunk) reduce buffer and 2 n (n + 1) coefficients
+            n = min(k, 16)
+            held = dynamics.held_bytes((self.n_cav, self.n_b, self.n_b), n, n + 1, self.n_steps, 2 * k)
+            held["kets"] = 16 * k * n * (n + 1)
         else:
             held = analytic_held_bytes(k, self.n_steps)
         if series_bytes + sum(held.values()) > MAX_SERIES_BYTES:
             more = ", ".join(f"{name} {v}" for name, v in held.items())
-            raise ValueError(f"{k} initial kets x 2 x {self.n_steps} steps of float64 series "
-                             f"need {series_bytes} bytes, and the {self.mode} run's {more} "
-                             f"more: {series_bytes + sum(held.values())} bytes, over the "
-                             f"{MAX_SERIES_BYTES}-byte bound")
+            raise ValueError(f"{k} initial kets: {series_bytes} bytes of float64 series, and the "
+                             f"{self.mode} run's {more} more: {series_bytes + sum(held.values())} "
+                             f"bytes, over the {MAX_SERIES_BYTES}-byte bound")
         if not 0 <= self.cavity_fock < self.n_cav:
             raise ValueError("cavity Fock index outside the cavity truncation")
-        labelled = self.initial.kind in fidelity.LABEL_KINDS
         if self.average_over is not None and not (
                 labelled and self.average_over and set(self.average_over) <= set(self.initial.labels)):
             raise ValueError(f"average_over {list(self.average_over)} must name members of a "
@@ -265,6 +266,33 @@ def _qubit_isometry(n_b: int, omega_G: float, lam: float) -> np.ndarray:
     return eigenbasis(omega_G, lam, n_b)[1][:, :2]
 
 
+def qubit_vectors(ops: np.ndarray, cavity: np.ndarray, kk: np.ndarray) -> np.ndarray:
+    """vec(cavity (x) kk M kk†), row-major, of each (4, 4) qubit operator M of
+    the (n, 4, 4) `ops`, for an (n_cav, n_cav) cavity operator and the
+    (n_b^2, 4) isometry kk onto the qubit levels: (n, d^2). Its conjugate is
+    the row of tr(A rho) for A = cavity (x) kk M kk† (cavity and M Hermitian)."""
+    return np.kron(cavity[None], kk @ ops @ kk.conj().T).reshape(len(ops), -1)
+
+
+def spanning_subset(ops: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """(chosen, coef): members of the (k, 4, 4) Hermitian `ops` whose span holds
+    all of them, each picked as the member with the largest residual off the
+    span of those picked before, and the real (k, n) coefficients of every
+    member in the n chosen ones, from the Gram matrix of the chosen; each
+    chosen member's are exactly its unit vector. A residual within rounding,
+    16^2 eps times the largest member's norm (up to 16 projections of 16
+    entries each), counts as 0."""
+    x = ops.reshape(len(ops), -1)
+    rest, chosen = x.copy(), []
+    floor = x.shape[1] ** 2 * dynamics.EPS * np.max(np.linalg.norm(x, axis=1))
+    while len(chosen) < x.shape[1] and np.max(norms := np.linalg.norm(rest, axis=1)) > floor:
+        chosen.append(j := int(np.argmax(norms)))
+        rest -= np.outer(rest @ rest[j].conj() / norms[j] ** 2, rest[j])
+    coef = np.linalg.solve(x[chosen].conj() @ x[chosen].T, x[chosen].conj() @ x.T).T.real
+    coef[chosen] = np.eye(len(chosen))
+    return chosen, coef
+
+
 def master_fidelity_series(
     cfg: ScenarioConfig, kets: np.ndarray, weights: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
@@ -272,16 +300,22 @@ def master_fidelity_series(
     Lindbladian and return their fidelity series against the CNOT targets,
     in cfg's fidelity convention.
 
-    Both outputs are ratios of linear functionals of rho, handed to
-    `dynamics.propagate` as rows, with every ket in one batch: the
-    numerator <u|Tr_cav rho|u> with u = kk CNOT v, and the qubit weight
-    tr(P Tr_cav rho) with P = kk kk†. Each chunk of outputs is reduced as
-    propagate hands it over: the ratio, clipped at 0, its square root in the
-    amplitude convention, and the leakage 1 - tr(P Tr_cav rho). Returns
-    (times, fidelity, leakage, stats), both (k, n_t) per ket, or with
-    `weights` their weighted means (n_t,); stats carries the integrator's
-    health figures, the max leakage out of the qubit subspace and the
-    smallest qubit weight the fidelity was divided by.
+    Both outputs are linear in rho(0) and ratios of linear functionals of
+    rho(t): the numerator <u|Tr_cav rho|u> with u = kk CNOT v, and the qubit
+    weight tr(P Tr_cav rho) with P = kk kk†. So one `dynamics.propagate` call
+    evolves the columns of a spanning subset of the kets' projectors
+    |cavity_fock><cavity_fock| (x) kk v v† kk† (`spanning_subset`) and reads
+    one shared row set, a spanning subset of the targets' projectors u u† and
+    P. A ket's numerator is then the sum over its coefficients a in the
+    columns and f in the rows of f_l a_j times output (j, l), and its weight
+    the sum of a_j times output (j, P): one real product per chunk of
+    outputs, as propagate hands it over, then the ratio, clipped at 0, its
+    square root in the amplitude convention, and the leakage
+    1 - tr(P Tr_cav rho). Returns (times, fidelity, leakage, stats), both
+    (k, n_t) per ket, or with `weights` their weighted means (n_t,); stats
+    carries the integrator's health figures, n_kets, the max leakage out of
+    the qubit subspace and the smallest qubit weight the fidelity was
+    divided by.
     """
     p = resolved_params(cfg)
     dims = (cfg.n_cav, cfg.n_b, cfg.n_b)
@@ -292,38 +326,40 @@ def master_fidelity_series(
     # per-beam isometry onto the qubit levels (Fock states for n_b = 2)
     iso = _qubit_isometry(cfg.n_b, p.omega_G, p.lam)
     kk = np.kron(iso, iso)  # (n_b^2) x 4
-
-    # one column vec(psi psi†) per ket, psi = |cavity_fock> (x) kk v
-    k, m = len(kets), kk.shape[0]
-    cav = np.zeros((cfg.n_cav, 1, 1), dtype=complex)
-    cav[cfg.cavity_fock] = 1.0
-    psi = (cav * (kets @ kk.T).T).reshape(-1, k)  # d x k
-    columns = (psi[:, None] * psi.conj()).reshape(-1, k)
-    # the row of tr(M rho) on row-major vec(rho) is vec(M^T); both M are
-    # I_cav (x) block, with blocks conj(u) u^T and conj(kk) kk^T = P^T
-    u = kets @ _CNOT.T @ kk.T
-    blocks = np.empty((k, 2, m, m), dtype=complex)
-    blocks[:, 0] = u.conj()[:, :, None] * u[:, None, :]
-    blocks[:, 1] = kk.conj() @ kk.T
-    cav_eye = np.eye(cfg.n_cav)[:, None, :, None]
-    rows = (cav_eye * blocks[:, :, None, :, None, :]).reshape(k, 2, -1)
+    k = len(kets)
+    pairs = np.stack([kets, kets @ _CNOT.T])  # the kets v and their targets u = CNOT v
+    proj = pairs[..., :, None] * pairs.conj()[..., None, :]
+    (cols, a), (targets, f) = spanning_subset(proj[0]), spanning_subset(proj[1])
+    # the columns with the cavity in |cavity_fock><cavity_fock|, the rows traced over it
+    columns = qubit_vectors(proj[0, cols], np.diag(np.eye(cfg.n_cav)[cfg.cavity_fock]), kk).T
+    rows = qubit_vectors(np.concatenate([proj[1, targets], [np.eye(4)]]), np.eye(cfg.n_cav), kk).conj()
+    # each ket's coefficients over a chunk's (r, n) outputs: f_l a_j off the P
+    # row for its numerator, a_j on it for its weight
+    coef = np.zeros((2, k, len(rows), len(cols)))
+    coef[0, :, :-1], coef[1, :, -1] = f[:, :, None] * a[:, None, :], a
+    del pairs, proj, a, f
 
     series, lowest = np.empty((2, k, times.size) if weights is None else (2, times.size)), []
+    out = None  # (2, k, c) buffer of numerators and qubit weights, sized from the first block
 
-    def reduce(s, block):  # (k, 2, c): numerators and qubit weights, in place
-        num, weight = block[:, 0], block[:, 1]
+    def reduce(s, block):  # (n, r, c) outputs of the span
+        nonlocal out
+        c = block.shape[-1]
+        out = np.empty(2 * k * c) if out is None else out
+        both = out[:2 * k * c].reshape(2, k, c)
+        np.matmul(coef.reshape(2, k, -1), block.swapaxes(0, 1).reshape(-1, c), out=both)
+        num, weight = both
         lowest.append(np.min(weight))
         np.maximum(np.divide(num, weight, out=num), 0.0, out=num)  # the clip at 0
         if cfg.fidelity_convention == "amplitude":
             np.sqrt(num, out=num)
-        np.subtract(1.0, weight, out=weight)
-        both = block.swapaxes(0, 1)  # (2, k, c): fidelities and leakages
-        series[..., s:s + both.shape[-1]] = both if weights is None else weights @ both / weights.sum()
+        np.subtract(1.0, weight, out=weight)  # both: fidelities and leakages
+        series[..., s:s + c] = both if weights is None else weights @ both / weights.sum()
 
     stats = dynamics.propagate(H, collapse, dims, columns, rows, times, cfg.integrator, reduce)
     # 1 - w rounds monotonically in w, so the largest leakage is 1 - the smallest weight
     stats["min_qubit_weight"] = float(np.min(lowest))
-    stats.update(integrator=cfg.integrator, max_leakage=1.0 - stats["min_qubit_weight"])
+    stats.update(integrator=cfg.integrator, n_kets=k, max_leakage=1.0 - stats["min_qubit_weight"])
     return times, series[0], series[1], stats
 
 

@@ -9,9 +9,10 @@ from math import prod
 
 import numpy as np
 
-from phonongate import dynamics
+from phonongate import dynamics, runner
 from phonongate.duffing import duffing_hamiltonian
 from phonongate.gates import cnot_sequence, ideal_cnot
+from phonongate.hamiltonians import system_hamiltonian
 
 CNOT = ideal_cnot()
 
@@ -39,6 +40,48 @@ def evolve_master(H, collapse, dims, rho0, t_grid, method="expm"):
     states = (out[0, :d * d] + 1j * out[0, d * d:]).T.reshape(-1, d, d)
     stats["max_herm_drift"], stats["min_eigenvalue"] = dynamics._health(states)
     return states, stats
+
+
+def per_ket_fidelity_series(cfg, kets, weights=None, group=32):
+    """The series of `runner.master_fidelity_series` by the per-ket route:
+    one column vec(psi psi†) per ket, psi = |cavity_fock> (x) kk v, read by
+    its own 2 rows, the numerator tr((1 (x) conj(u) u^T) rho) with
+    u = kk CNOT v and the weight tr((1 (x) P^T) rho), on row-major vec(rho).
+    `propagate` reads one row set from all of its columns, so the kets go
+    through in groups of `group`, each group's columns against all of the
+    group's rows, and each ket keeps its own 2. Returns (times, fidelity,
+    leakage) as master_fidelity_series does."""
+    p = runner.resolved_params(cfg)
+    dims = (cfg.n_cav, cfg.n_b, cfg.n_b)
+    H = system_hamiltonian(p, dims, cfg.quadrature_convention)
+    collapse = dynamics.standard_channels(dims, p.kappa, p.gamma_m, p.n_th)
+    times = np.linspace(0.0, cfg.t_max_us * 1e-6, cfg.n_steps)
+    iso = runner._qubit_isometry(cfg.n_b, p.omega_G, p.lam)
+    kk = np.kron(iso, iso)
+    m = kk.shape[0]
+    cav = np.zeros((cfg.n_cav, 1, 1), dtype=complex)
+    cav[cfg.cavity_fock] = 1.0
+    cav_eye = np.eye(cfg.n_cav)[:, None, :, None]
+    num, weight = np.empty((2, len(kets), times.size))
+    for s in range(0, len(kets), group):
+        v = kets[s:s + group]
+        g = len(v)
+        psi = (cav * (v @ kk.T).T).reshape(-1, g)
+        columns = (psi[:, None] * psi.conj()).reshape(-1, g)
+        u = v @ CNOT.T @ kk.T
+        blocks = np.empty((g, 2, m, m), dtype=complex)
+        blocks[:, 0] = u.conj()[:, :, None] * u[:, None, :]
+        blocks[:, 1] = kk.conj() @ kk.T
+        rows = (cav_eye * blocks[:, :, None, :, None, :]).reshape(2 * g, -1)
+        out, _ = series(H, collapse, dims, columns, rows, times, cfg.integrator)
+        own = out.reshape(g, g, 2, -1)[np.arange(g), np.arange(g)]  # column i, rows 2i, 2i + 1
+        num[s:s + g], weight[s:s + g] = own[:, 0], own[:, 1]
+    fid = np.maximum(num / weight, 0.0)
+    if cfg.fidelity_convention == "amplitude":
+        fid = np.sqrt(fid)
+    if weights is None:
+        return times, fid, 1.0 - weight
+    return times, weights @ fid / weights.sum(), weights @ (1.0 - weight) / weights.sum()
 
 
 def ket_density(v):

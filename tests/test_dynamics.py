@@ -316,19 +316,19 @@ def test_propagate_batch_matches_per_column():
     dims, H, _, collapse = cavity_decay_setup(dim=3, kappa=0.3)
     rng = np.random.default_rng(4)
     batch = random_densities(rng, 3, 3)
-    stack = rng.normal(size=(3, 2, 9)) + 1j * rng.normal(size=(3, 2, 9))
+    rows = rng.normal(size=(2, 9)) + 1j * rng.normal(size=(2, 9))
     t = np.linspace(0.0, 2.0, 21)
     for method in ("expm", "rk4"):
-        shared, _ = series(H, collapse, dims, batch, stack[0], t, method)
-        own, _ = series(H, collapse, dims, batch, stack, t, method)
+        shared, _ = series(H, collapse, dims, batch, rows, t, method)
         # output 0 is the rows applied to the columns, not the mode sum at t = 0
-        assert np.array_equal(own[..., 0], (stack @ batch.T[:, :, None])[..., 0].real)
+        assert np.array_equal(shared[..., 0], (rows @ batch).real.T)
         for i in range(3):
             column = batch[:, i:i + 1]
-            assert np.allclose(shared[i], series(H, collapse, dims, column, stack[0], t, method)[0][0],
+            assert np.allclose(shared[i], series(H, collapse, dims, column, rows, t, method)[0][0],
                                rtol=0.0, atol=1e-14)
-            assert np.allclose(own[i], series(H, collapse, dims, column, stack[i], t, method)[0][0],
-                               rtol=0.0, atol=1e-14)
+    # one row set for every column: a per-column stack is refused
+    with pytest.raises(ValueError, match=r"rows an \(r, 9\) set"):
+        series(H, collapse, dims, batch, np.stack([rows] * 3), t)
 
 
 

@@ -36,7 +36,7 @@ from phonongate.runner import (
     run_sweep,
 )
 
-from oracles import evolve_master, partial_trace
+from oracles import evolve_master, partial_trace, per_ket_fidelity_series
 
 
 def small_master_mapping(**overrides):
@@ -184,25 +184,30 @@ def scenario_mappings(draw):
 
 def master_held(n_cav, n_b, k, n_steps) -> dict[str, int]:
     """What a master run of k kets holds besides its series: `dynamics.held_bytes`
-    of its 2 rows per ket, and the (2, n_b^4) qubit blocks and (d,) ket of each."""
-    held = dynamics.held_bytes((n_cav, n_b, n_b), k, 2, n_steps)
-    held["kets"] += k * 16 * (2 * n_b**4 + n_cav * n_b**2)
+    of the n = min(k, 16) columns and n + 1 rows that span its kets' projectors
+    and targets, with each ket's (2, chunk) reduce buffer, and each ket's 2 n
+    (n + 1) float contraction coefficients."""
+    n = min(k, 16)
+    held = dynamics.held_bytes((n_cav, n_b, n_b), n, n + 1, n_steps, reduced=2 * k)
+    held["kets"] = k * 8 * 2 * n * (n + 1)
     return held
 
 
 def held_bytes(doc) -> int:
-    """k x 2 x n_steps float64 series, plus what `master_held` or
-    `runner.analytic_held_bytes` counts, with k counted from the document by hand."""
+    """The float64 series, k x 2 x n_steps for a label list and 2 x n_steps for
+    a Bloch family, plus what `master_held` or `runner.analytic_held_bytes`
+    counts, with k counted from the document by hand."""
     initial = doc["initial"]
     if "labels" in initial:
-        k = len(initial["labels"])
+        k = series = len(initial["labels"])
     else:
         n_theta, n_phi = initial["grid"]
         k = ((n_theta - 2) * n_phi) ** (2 if initial["kind"] == "separable-product" else 1)
+        series = 1
     n_steps = int(doc["n_steps"])
     held = (master_held(doc["dims"]["n_cav"], doc["dims"]["n_b"], k, n_steps)
             if doc["mode"] == "master" else runner.analytic_held_bytes(k, n_steps))
-    return k * 2 * n_steps * 8 + sum(held.values())
+    return series * 2 * n_steps * 8 + sum(held.values())
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -415,8 +420,10 @@ def test_bloch_master_run(tmp_path):
         initial={"kind": "schmidt-entangled", "family": "Psi", "grid": [8, 8]},
         n_steps=201, t_max_us=0.2))
     summary = run_scenario(cfg, tmp_path)
-    # 8 x 8 grid without its two zero-weight pole rows
-    assert summary["integrator"]["n_columns"] == 6 * 8
+    # 8 x 8 grid without its two zero-weight pole rows, read off the 4
+    # projectors that span a (theta, phi) family's, and 4 targets' and P
+    assert summary["integrator"]["n_kets"] == 6 * 8
+    assert (summary["integrator"]["n_columns"], summary["integrator"]["n_rows"]) == (4, 5)
     # Psi superposes kets of both parities, so both blocks are eigendecomposed
     assert (summary["integrator"]["n_blocks"], summary["integrator"]["support"]) == (2, 64)
     head = (tmp_path / "trajectory.csv").read_text().splitlines()
@@ -445,6 +452,93 @@ def test_bloch_average_is_the_weighted_mean_of_per_ket_runs():
         total += w * np.sqrt(series[0])
     assert list(columns) == ["F_avg_Phi2"]
     assert np.max(np.abs(columns["F_avg_Phi2"] - total / weights.sum())) <= 1e-13
+
+
+@pytest.mark.parametrize("initial, convention, integrator, n_b", [
+    ({"kind": "fixed-list", "labels": ["00", "01", "10", "11"]}, "amplitude", "expm", 2),
+    ({"kind": "fixed-list", "labels": ["00", "01", "10", "11"]}, "squared", "rk4", 2),
+    ({"kind": "named-superposition", "labels": ["psi1", "psi2", "psi3", "psi4"]},
+     "amplitude", "rk4", 2),
+    ({"kind": "named-superposition", "labels": ["varphi1", "varphi2", "varphi3", "varphi4"]},
+     "squared", "expm", 2),
+    ({"kind": "named-superposition", "labels": ["four_equal"]}, "amplitude", "expm", 2),
+    # the 13 named kets' projectors span 10 dimensions: 3 kets are read off the others
+    ({"kind": "named-superposition", "labels": list(NAMED_STATES)}, "amplitude", "expm", 2),
+    ({"kind": "schmidt-entangled", "family": "Psi", "grid": [8, 8]}, "amplitude", "expm", 2),
+    ({"kind": "schmidt-entangled", "family": "Phi2", "grid": [8, 8]}, "squared", "rk4", 2),
+    ({"kind": "separable-product", "grid": [8, 8]}, "amplitude", "expm", 2),
+    ({"kind": "named-superposition", "labels": list(NAMED_STATES)}, "squared", "expm", 4),
+], ids=["fig3", "fig3-rk4", "fig5-rk4", "fig7", "fig8", "named", "Psi", "Phi2-rk4",
+        "separable", "named-nb4"])
+def test_span_route_matches_the_per_ket_route(initial, convention, integrator, n_b):
+    # every ket's fidelity and leakage read off one propagation of its
+    # projectors' span, against each ket's own column and 2 rows, over three
+    # chunks of outputs
+    cfg = ScenarioConfig.from_mapping(small_master_mapping(
+        initial=initial, dims={"n_cav": 2, "n_b": n_b}, fidelity_convention=convention,
+        integrator=integrator, n_steps=2 * dynamics._CHUNK + 33, t_max_us=0.5))
+    kets, weights = cfg.initial.kets()
+    _, fid, leak, stats = runner.master_fidelity_series(cfg, kets, weights)
+    _, ref_fid, ref_leak = per_ket_fidelity_series(cfg, kets, weights)
+    assert np.max(np.abs(fid - ref_fid)) <= 1e-10
+    assert np.max(np.abs(leak - ref_leak)) <= 1e-10
+    assert stats["n_kets"] == len(kets)
+    assert stats["n_columns"] <= min(len(kets), 16) and stats["n_rows"] <= stats["n_columns"] + 1
+
+
+def test_fig3_span_route_is_bit_identical_to_the_per_ket_route():
+    # fig3's kets and targets are basis kets: each is a column or a row of its
+    # own, with exactly a unit vector of coefficients, so no sum rounds
+    cfg = replace(figure_config("fig3"), n_steps=2001)
+    kets, _ = cfg.initial.kets()
+    _, fid, leak, stats = runner.master_fidelity_series(cfg, kets)
+    _, ref_fid, ref_leak = per_ket_fidelity_series(cfg, kets)
+    assert fid.tobytes() == ref_fid.tobytes() and leak.tobytes() == ref_leak.tobytes()
+    assert (stats["n_kets"], stats["n_columns"], stats["n_rows"]) == (4, 4, 5)
+    # |10> and |11> are orthogonal to their CNOT images: exactly 0 at t = 0,
+    # where a rounding residue e would read sqrt(e) in the amplitude convention
+    assert fid[2, 0] == fid[3, 0] == 0.0
+
+
+@pytest.mark.parametrize("labels, rank", [(("psi1", "psi2", "psi3", "psi4"), 4),
+                                          (tuple(NAMED_STATES), 10)])
+def test_spanning_subset_gives_each_chosen_member_its_unit_vector(labels, rank):
+    # fig5's projectors overlap, so a Gram solve alone gives a chosen member
+    # 1 - 1e-16 of itself and 1e-17 of the others; the 13 named kets span 10
+    # dimensions, so 3 of them are read off the others
+    kets = InitialStateFamily("named-superposition", labels).kets()[0]
+    ops = kets[:, :, None] * kets.conj()[:, None, :]
+    chosen, coef = runner.spanning_subset(ops)
+    assert len(chosen) == rank and coef.shape == (len(labels), rank)
+    assert np.array_equal(coef[chosen], np.eye(rank))
+    fit = np.einsum("kn,nij->kij", coef, ops[chosen])
+    assert np.max(np.abs(fit - ops)) <= 1e-15
+
+
+def test_a_bloch_family_propagates_one_span_at_any_grid():
+    # the Psi family's 48 and 960 kets both propagate 4 columns against 4
+    # targets and P: the same sectors of the same generators, eigendecomposed
+    # alike, whatever k
+    runs = {}
+    for n in (8, 32):
+        cfg = ScenarioConfig.from_mapping(small_master_mapping(
+            initial={"kind": "schmidt-entangled", "family": "Psi", "grid": [n, n]},
+            n_steps=101, t_max_us=0.2))
+        kets, weights = cfg.initial.kets()
+        runs[n] = runner.master_fidelity_series(cfg, kets, weights)[-1], kets
+    (small, few), (large, many) = runs[8], runs[32]
+    assert (small["n_kets"], large["n_kets"]) == (48, 960)
+    for key in ("n_columns", "n_rows", "n_blocks", "support", "sectors"):
+        assert small[key] == large[key]
+    assert (small["n_columns"], small["n_rows"]) == (4, 5)
+    assert small["eig_residual"] == large["eig_residual"]
+    # the columns chosen on either grid span the other grid's projectors
+    for kets, other in ((few, many), (many, few)):
+        chosen, _ = runner.spanning_subset(kets[:, :, None] * kets.conj()[:, None, :])
+        basis = (kets[chosen, :, None] * kets[chosen].conj()[:, None, :]).reshape(4, -1)
+        x = (other[:, :, None] * other.conj()[:, None, :]).reshape(len(other), -1)
+        fit = np.linalg.lstsq(basis.T, x.T, rcond=None)[0]
+        assert np.max(np.abs(basis.T @ fit - x.T)) <= 1e-14
 
 
 def test_bloch_run_holds_no_series_of_every_ket():
@@ -594,19 +688,21 @@ def test_cli_evolve_reports_a_gate_refusal_as_json(tmp_path, monkeypatch):
     assert not list((tmp_path / "run").glob("*"))  # no CSV, no summary
 
 
-def test_series_bound_refuses_the_default_separable_grid_and_keeps_the_figures(tmp_path):
-    # ((16 - 2) * 16)^2 = 50176 kets x 2 x 20001 steps x 8 bytes = 16.1 GB
-    doc = small_master_mapping(initial={"kind": "separable-product"}, n_steps=20001)
+def test_series_bound_refuses_a_label_list_series_and_keeps_the_figures(tmp_path):
+    # 13 labels x 2 x 11 million steps x 8 bytes = 2.29 GB of series
+    doc = small_master_mapping(initial={"kind": "named-superposition",
+                                        "labels": list(NAMED_STATES)}, n_steps=11_000_000)
     with pytest.raises(ValueError) as err:
         ScenarioConfig.from_mapping(doc)
-    assert str(err.value).startswith("50176 initial kets x 2 x 20001 steps")
-    assert f"need {50176 * 2 * 20001 * 8} bytes" in str(err.value)
-    # fig10 (224 kets, 72 MB) and a separable [8, 8] grid (2304 kets, 737 MB)
-    # at 20001 steps stay within the bound
+    assert str(err.value).startswith(f"13 initial kets: {13 * 2 * 11_000_000 * 8} bytes of "
+                                     "float64 series, and the master run's columns")
+    # fig10 (224 kets) and the default separable [16, 16] grid (50176 kets)
+    # at 20001 steps stay within the bound: a Bloch family's series is
+    # averaged chunk by chunk to 2 x n_steps
     assert figure_config("fig10").initial.size == 224
     sep = ScenarioConfig.from_mapping(small_master_mapping(
-        initial={"kind": "separable-product", "grid": [8, 8]}, n_steps=20001))
-    assert sep.initial.size == 2304
+        initial={"kind": "separable-product"}, n_steps=20001))
+    assert sep.initial.size == 50176
     # the CLI refuses it before any output is written
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))
@@ -619,17 +715,23 @@ def test_series_bound_refuses_the_default_separable_grid_and_keeps_the_figures(t
 
 
 def test_held_bound_counts_the_columns_and_rows_of_a_master_run():
-    # k = 50176, d^2 = 2304: the series is 1.6 GB, within the bound, but each
-    # ket holds 19.5 complex (d^2,) vectors at the run's peak (its column, its
-    # rows, its mode amplitudes, the final output and its health check),
-    # 36.5 GB in all, and its (2, n_b^4) qubit blocks and (d,) ket
-    doc = small_master_mapping(initial={"kind": "separable-product"},
+    # a Bloch family propagates at most 16 columns against 17 rows whatever
+    # its k: the separable [16, 16] grid at n_cav = 3, n_b = 4 validates. At
+    # [32, 32], k = 921600 kets each hold 2 x 16 x 17 float contraction
+    # coefficients and a (2, 256) reduce buffer, 7.8 GB in all
+    k, n = 30 * 32 * 30 * 32, 16
+    doc = small_master_mapping(initial={"kind": "separable-product", "grid": [32, 32]},
                                dims={"n_cav": 3, "n_b": 4}, n_steps=2000)
-    assert 50176 * 2 * 2000 * 8 < runner.MAX_SERIES_BYTES
     with pytest.raises(ValueError) as err:
         ScenarioConfig.from_mapping(doc)
-    assert f"need {50176 * 2 * 2000 * 8} bytes, and the master run's kets" in str(err.value)
-    assert f"kets {50176 * (39 * 2304 * 16 // 2 + 16 * (2 * 4**4 + 48))}," in str(err.value)
+    assert str(err.value).startswith(f"{k} initial kets: {2 * 2000 * 8} bytes of float64 "
+                                     "series, and the master run's columns")
+    assert f"kets {k * 8 * 2 * n * (n + 1)} more" in str(err.value)
+    counted = dynamics.held_bytes((3, 4, 4), n, n + 1, 2000)
+    chunks = f"chunks {counted['chunks'] + k * 2 * 256 * 8},"
+    assert chunks in str(err.value)
+    sep = ScenarioConfig.from_mapping({**doc, "initial": {"kind": "separable-product"}})
+    assert sep.initial.size == 50176
     # fig10, nb4's config and a separable [8, 8] grid at n_b = 2 stay within it
     assert figure_config("fig10").initial.size == 224
     nb4 = small_master_mapping(initial={"kind": "fixed-list", "labels": ["00", "01", "10", "11"]},
