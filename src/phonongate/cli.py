@@ -149,7 +149,8 @@ def analytic(config_path, preset, out, t_max_us):
 @click.option("--nb", type=click.Choice(["2", "4"]), default=None,
               help="Beam truncation override.")
 def evolve(config_path, preset, out, fixed_step, nb):
-    """Run one master-equation scenario from a JSON config and/or preset."""
+    """Run one scenario from a JSON config and/or preset, in its mode: a
+    master-equation run, or the closed-form curves of an analytic config."""
     cfg = _scenario_from_sources(config_path, preset)
     if fixed_step:
         cfg = replace(cfg, integrator="rk4")

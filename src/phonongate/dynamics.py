@@ -337,10 +337,9 @@ def propagate(
     evaluated; the block is a view, contiguous as (r, k, c), of a buffer the
     next chunk overwrites, which `reduce` may overwrite too. `reduce` is the
     only way out for the outputs. Returns the stats: sizes (n_columns k,
-    n_rows r),
-    the parity blocks the columns occupy (n_blocks) and their vec(rho)
-    entries (support), the sizes of the sectors eigendecomposed (sectors),
-    the gate (sector_imag, the Hermiticity of H; eig_residual,
+    n_rows r), the parity blocks the columns occupy (n_blocks) and their
+    vec(rho) entries (support), the sizes of the sectors eigendecomposed
+    (sectors), the gate (sector_imag, the Hermiticity of H; eig_residual,
     cancellation_bound), the largest |Im nu| dt over the modes the rows see
     (max_phase_per_output), max_trace_drift, rk4's n_substeps_per_interval,
     the Hermiticity drift and minimum eigenvalue of the final output, and

@@ -126,16 +126,14 @@ def system_hamiltonian(
         raise ValueError(f"space must have exactly 3 factors (cavity, beam, beam), got {len(dims)}")
     a = embed(annihilation_op(dims[0]), dims, 0)
     x_c = embed(cavity_quadrature(dims[0], quadrature_convention), dims, 0)
+    x1, x2 = (embed(quadrature_op(dims[slot]), dims, slot) for slot in (1, 2))
     beams = []
-    for slot in (1, 2):
+    for slot, x_j in ((1, x1), (2, x2)):
         b = embed(annihilation_op(dims[slot]), dims, slot)
-        x_j = embed(quadrature_op(dims[slot]), dims, slot)
         quartic = np.linalg.matrix_power(b + b.conj().T, 4)
         beams.append(p.g_G * (x_c @ x_j) + p.omega_G * (b.conj().T @ b) + (0.5 * p.lam) * quartic)
     # the beam terms summed first, so that H is exactly invariant under the beam swap
     h = (-p.Delta) * (a.conj().T @ a) + (beams[0] + beams[1])
-    x1 = embed(quadrature_op(dims[1]), dims, 1)
-    x2 = embed(quadrature_op(dims[2]), dims, 2)
     return h - p.G_tilde * (x1 @ x2)
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -139,7 +139,7 @@ class ScenarioConfig:
         if self.mode == "master":  # propagate's count at the span's n <= 16 columns and
             # n + 1 rows, with each ket's (2, chunk) reduce buffer and 2 n (n + 1) coefficients
             n = min(k, 16)
-            held = dynamics.held_bytes((self.n_cav, self.n_b, self.n_b), n, n + 1, self.n_steps, 2 * k)
+            held = dynamics.held_bytes(self.dims, n, n + 1, self.n_steps, 2 * k)
             held["kets"] = 16 * k * n * (n + 1)
         else:
             held = analytic_held_bytes(k, self.n_steps)
@@ -165,6 +165,15 @@ class ScenarioConfig:
                 raise ValueError("X_G_sq and Omega apply to analytic mode only")
             if self.n_b > 2 and not self.params.omega_G > 0:
                 raise ValueError("dims.n_b > 2 needs omega_G_hz > 0 for the beam spectrum")
+
+    @property
+    def dims(self) -> tuple[int, int, int]:
+        """Factor dims of the master system: (cavity, beam, beam)."""
+        return (self.n_cav, self.n_b, self.n_b)
+
+    def time_grid(self) -> np.ndarray:
+        """The n_steps output times from 0 to t_max_us, in seconds."""
+        return np.linspace(0.0, self.t_max_us * 1e-6, self.n_steps)
 
     @classmethod
     def from_mapping(cls, doc: dict) -> "ScenarioConfig":
@@ -200,18 +209,6 @@ class ScenarioConfig:
 # scalar field -> (section or "", JSON key): the table behind both directions
 _SCALARS = {f.name: _KEYS.get(f.name, f.name).rpartition(".")[::2]
             for f in fields(ScenarioConfig) if f.name not in ("params", "initial")}
-
-
-def resolved_params(cfg: ScenarioConfig) -> PhysicalParams:
-    """Fill gamma_m from Q and n_th from T where absent."""
-    p = cfg.params
-    if p.gamma_m is None:
-        gamma_m = dynamics.mech_damping(p.omega_G, p.Q) if p.Q and p.omega_G else 0.0
-        p = replace(p, gamma_m=gamma_m)
-    if p.n_th is None:
-        n_th = dynamics.thermal_occupation(p.omega_G, p.T) if p.T is not None and p.omega_G else 0.0
-        p = replace(p, n_th=n_th)
-    return p
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +263,25 @@ def _qubit_isometry(n_b: int, omega_G: float, lam: float) -> np.ndarray:
     return eigenbasis(omega_G, lam, n_b)[1][:, :2]
 
 
+def open_system(cfg: ScenarioConfig) -> tuple[np.ndarray, tuple, tuple, np.ndarray]:
+    """(H, collapse, dims, kk): the open system of a master scenario, the
+    only place its generator and qubit isometry are built. H is
+    `system_hamiltonian` in cfg's quadrature convention on dims
+    (cavity, beam, beam), collapse `dynamics.standard_channels` at kappa,
+    gamma_m and n_th, and kk = iso (x) iso the (n_b^2, 4) isometry onto the
+    beams' qubit levels (`_qubit_isometry`; Fock states for n_b = 2). Where
+    the params leave them out, gamma_m is omega_G / Q and n_th the thermal
+    occupation of omega_G at T, each 0 without Q or T (or omega_G)."""
+    p, dims = cfg.params, cfg.dims
+    gamma_m = p.gamma_m if p.gamma_m is not None else (
+        dynamics.mech_damping(p.omega_G, p.Q) if p.Q and p.omega_G else 0.0)
+    n_th = p.n_th if p.n_th is not None else (
+        dynamics.thermal_occupation(p.omega_G, p.T) if p.T is not None and p.omega_G else 0.0)
+    iso = _qubit_isometry(cfg.n_b, p.omega_G, p.lam)
+    return (system_hamiltonian(p, dims, cfg.quadrature_convention),
+            dynamics.standard_channels(dims, p.kappa, gamma_m, n_th), dims, np.kron(iso, iso))
+
+
 def qubit_vectors(ops: np.ndarray, cavity: np.ndarray, kk: np.ndarray) -> np.ndarray:
     """vec(cavity (x) kk M kk†), row-major, of each (4, 4) qubit operator M of
     the (n, 4, 4) `ops`, for an (n_cav, n_cav) cavity operator and the
@@ -317,15 +333,8 @@ def master_fidelity_series(
     the qubit subspace and the smallest qubit weight the fidelity was
     divided by.
     """
-    p = resolved_params(cfg)
-    dims = (cfg.n_cav, cfg.n_b, cfg.n_b)
-    H = system_hamiltonian(p, dims, cfg.quadrature_convention)
-    collapse = dynamics.standard_channels(dims, p.kappa, p.gamma_m, p.n_th)
-    times = np.linspace(0.0, cfg.t_max_us * 1e-6, cfg.n_steps)
-
-    # per-beam isometry onto the qubit levels (Fock states for n_b = 2)
-    iso = _qubit_isometry(cfg.n_b, p.omega_G, p.lam)
-    kk = np.kron(iso, iso)  # (n_b^2) x 4
+    H, collapse, dims, kk = open_system(cfg)
+    times = cfg.time_grid()
     k = len(kets)
     pairs = np.stack([kets, kets @ _CNOT.T])  # the kets v and their targets u = CNOT v
     proj = pairs[..., :, None] * pairs.conj()[..., None, :]
@@ -454,7 +463,7 @@ def _fidelity_columns(cfg: ScenarioConfig, fid: np.ndarray) -> dict[str, np.ndar
 
 def _run_analytic(cfg: ScenarioConfig):
     omega = _analytic_omega(cfg)
-    times = np.linspace(0.0, cfg.t_max_us * 1e-6, cfg.n_steps)
+    times = cfg.time_grid()
     kets, _ = cfg.initial.kets()
     columns = _fidelity_columns(
         cfg, fidelity.gate_fidelity_closed(*kets.T[:, :, None], omega * times))

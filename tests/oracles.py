@@ -3,7 +3,9 @@
 A ket is a (d,) vector and a density matrix a (d, d) array, as
 `dynamics.propagate` takes them. `series` and `evolve_master` read the whole
 output series of `propagate` back through its `reduce` argument, so the
-package itself never holds it.
+package itself never holds it. An oracle that evolves a scenario takes its
+H, collapse set, dims and qubit isometry from `runner.open_system`, as the
+runner does; only its columns, rows and readout are its own.
 """
 from math import prod
 
@@ -12,7 +14,6 @@ import numpy as np
 from phonongate import dynamics, runner
 from phonongate.duffing import duffing_hamiltonian
 from phonongate.gates import cnot_sequence, ideal_cnot
-from phonongate.hamiltonians import system_hamiltonian
 
 CNOT = ideal_cnot()
 
@@ -51,13 +52,8 @@ def per_ket_fidelity_series(cfg, kets, weights=None, group=32):
     through in groups of `group`, each group's columns against all of the
     group's rows, and each ket keeps its own 2. Returns (times, fidelity,
     leakage) as master_fidelity_series does."""
-    p = runner.resolved_params(cfg)
-    dims = (cfg.n_cav, cfg.n_b, cfg.n_b)
-    H = system_hamiltonian(p, dims, cfg.quadrature_convention)
-    collapse = dynamics.standard_channels(dims, p.kappa, p.gamma_m, p.n_th)
-    times = np.linspace(0.0, cfg.t_max_us * 1e-6, cfg.n_steps)
-    iso = runner._qubit_isometry(cfg.n_b, p.omega_G, p.lam)
-    kk = np.kron(iso, iso)
+    H, collapse, dims, kk = runner.open_system(cfg)
+    times = cfg.time_grid()
     m = kk.shape[0]
     cav = np.zeros((cfg.n_cav, 1, 1), dtype=complex)
     cav[cfg.cavity_fock] = 1.0

@@ -15,7 +15,7 @@ from scipy.linalg import eigh
 
 from phonongate import dynamics, runner
 from phonongate.duffing import duffing_hamiltonian, duffing_spectrum
-from phonongate.dynamics import standard_channels, thermal_occupation
+from phonongate.dynamics import thermal_occupation
 from phonongate.fidelity import (
     avg_fidelity_entangled,
     avg_fidelity_separable,
@@ -398,17 +398,10 @@ def test_invariant_fixed_step_order_check(monkeypatch):
     cfg = replace(figure_config("fig3"), integrator="rk4", n_steps=2001)
 
     def final_avg() -> float:
-        from phonongate.hamiltonians import system_hamiltonian
-        from phonongate.runner import resolved_params
-
-        p = resolved_params(cfg)
-        dims = (cfg.n_cav, cfg.n_b, cfg.n_b)
-        H = system_hamiltonian(p, dims, cfg.quadrature_convention)
-        collapse = standard_channels(dims, p.kappa, p.gamma_m, p.n_th)
-        t = np.linspace(0.0, cfg.t_max_us * 1e-6, cfg.n_steps)
+        H, collapse, dims, _ = runner.open_system(cfg)
         rho0 = fock_density(dims, [1, 0, 0])
         target = np.eye(4)[3]  # |11> = CNOT|10>
-        states, _ = evolve_master(H, collapse, dims, rho0, t, "rk4")
+        states, _ = evolve_master(H, collapse, dims, rho0, cfg.time_grid(), "rk4")
         rho_q = partial_trace(states[-1], dims, [1, 2])
         return float(np.real(target.conj() @ rho_q @ target))
 

@@ -25,8 +25,7 @@ from phonongate.dynamics import (
     thermal_occupation,
 )
 from phonongate.fockspace import annihilation_op, embed, parity
-from phonongate.hamiltonians import system_hamiltonian
-from phonongate.runner import PAPER_V1, ScenarioConfig, resolved_params
+from phonongate.runner import PAPER_V1, ScenarioConfig, open_system
 
 from oracles import evolve_master, fock_density, ket_density, series
 
@@ -690,10 +689,7 @@ def test_sector_liouvillian_does_not_depend_on_its_slab(monkeypatch, slab):
     # each row of L_s is built from its own rows of L alone, so the number of
     # rows of L built at once leaves every bit of it as it is
     cfg = ScenarioConfig.from_mapping({"params": PAPER_V1, "dims": {"n_cav": 2, "n_b": 4}})
-    p = resolved_params(cfg)
-    dims = (2, 4, 4)
-    H = system_hamiltonian(p, dims, cfg.quadrature_convention)
-    collapse = standard_channels(dims, p.kappa, p.gamma_m, p.n_th)
+    H, collapse, dims, _ = open_system(cfg)
     assert len(collapse) == 5  # cavity decay and both thermal channels of both beams
     block = parity_blocks(H, collapse, dims)[0]
     sectors = symmetry_sectors(H, collapse, dims, block)
@@ -714,10 +710,7 @@ def test_sector_bound_covers_the_sectors_built(n_cav, n_b):
     # against 20 at (2, 2), 666 against 616 at (3, 4), 5532 against 5328 at
     # (4, 6))
     cfg = ScenarioConfig.from_mapping({"params": PAPER_V1, "dims": {"n_cav": n_cav, "n_b": n_b}})
-    p = resolved_params(cfg)
-    dims = (n_cav, n_b, n_b)
-    H = system_hamiltonian(p, dims, cfg.quadrature_convention)
-    collapse = standard_channels(dims, p.kappa, p.gamma_m, p.n_th)
+    H, collapse, dims, _ = open_system(cfg)
     blocks = parity_blocks(H, collapse, dims)
     B, m = sector_bound(dims)
     assert len(blocks) == 2 and B == max(b.size for b in blocks)
@@ -747,10 +740,7 @@ def test_paper_v1_nb4_parity_block_splits_into_real_sectors(monkeypatch):
     # the n_b = 4 run's cost is the eigendecomposition of this block; a silent
     # fallback to one complex block would keep every output and lose the speed-up
     cfg = ScenarioConfig.from_mapping({"params": PAPER_V1, "dims": {"n_cav": 3, "n_b": 4}})
-    p = resolved_params(cfg)
-    dims = (3, 4, 4)
-    H = system_hamiltonian(p, dims, cfg.quadrature_convention)
-    collapse = standard_channels(dims, p.kappa, p.gamma_m, p.n_th)
+    H, collapse, dims, _ = open_system(cfg)
     block = parity_blocks(H, collapse, dims)[0]
     sectors = symmetry_sectors(H, collapse, dims, block)
     assert [idx.shape[0] for idx, _ in sectors] == [616, 536]

@@ -287,6 +287,24 @@ def test_qubit_isometry_is_exactly_parity_pure():
             assert np.max(np.abs(iso[:, n] - sign * vecs[:, n])) <= 1e-12
 
 
+@pytest.mark.parametrize("drop, given, rates", [
+    ((), {}, lambda p: (p.omega_G / p.Q, dynamics.thermal_occupation(p.omega_G, p.T))),
+    ((), {"gamma_m_hz": 5.72, "n_th": 0.25}, lambda p: (p.gamma_m, 0.25)),
+    (("Q",), {"gamma_m_hz": 10.0}, lambda p: (p.gamma_m, dynamics.thermal_occupation(p.omega_G, p.T))),
+    (("Q", "T"), {}, lambda p: (0.0, 0.0)),
+], ids=["filled", "given", "given-without-Q", "neither-Q-nor-T"])
+def test_open_system_fills_gamma_m_and_n_th(drop, given, rates):
+    # where the params leave them out, gamma_m is omega_G / Q and n_th the
+    # thermal occupation at T, each 0 without Q or T; a given value is kept
+    params = {**{k: v for k, v in PAPER_V1.items() if k not in drop}, **given}
+    cfg = ScenarioConfig.from_mapping(small_master_mapping(params=params))
+    _, collapse, dims, _ = runner.open_system(cfg)
+    gamma_m, n_th = rates(cfg.params)
+    expected = standard_channels(dims, cfg.params.kappa, gamma_m, n_th)
+    assert len(collapse) == len(expected) == (1 if gamma_m == 0 else 5)
+    assert all(np.array_equal(c, e) for c, e in zip(collapse, expected))
+
+
 def test_master_run_writes_outputs(tmp_path):
     cfg = ScenarioConfig.from_mapping(small_master_mapping())
     summary = run_scenario(cfg, tmp_path)
@@ -571,15 +589,12 @@ def test_batched_rows_match_a_per_ket_density_route_at_nb4():
     times, f_sq, leak, _ = runner.master_fidelity_series(cfg, kets)
     assert f_sq.shape == leak.shape == (4, 41)
 
-    p = runner.resolved_params(cfg)
-    _, vecs = eigh(duffing_hamiltonian(p.omega_G, p.lam, 4))
+    H, collapse, dims, _ = runner.open_system(cfg)
+    _, vecs = eigh(duffing_hamiltonian(cfg.params.omega_G, cfg.params.lam, 4))
     iso = vecs[:, :2] * (np.abs(np.diag(vecs[:2, :2])) / np.diag(vecs[:2, :2]))
     assert np.max(np.abs(iso - np.eye(4, 2))) > 1e-3
     kk = np.kron(iso, iso)
     proj = kk @ kk.conj().T
-    dims = (2, 4, 4)
-    H = hamiltonians.system_hamiltonian(p, dims, cfg.quadrature_convention)
-    collapse = standard_channels(dims, p.kappa, p.gamma_m, p.n_th)
     for i, v in enumerate(kets):
         psi = np.kron(np.eye(2)[cfg.cavity_fock], kk @ v)
         states, _ = evolve_master(H, collapse, dims, np.outer(psi, psi.conj()), times)
