@@ -145,13 +145,17 @@ def analytic(config_path, preset, out, t_max_us):
 @click.option("--preset", type=click.Choice(sorted(PRESETS)), default=None,
               help="Base parameter set; config values override per key.")
 @click.option("--out", type=click.Path(), default=None)
-@click.option("--fixed-step", is_flag=True, help="Deterministic fixed-step integrator.")
+@click.option("--fixed-step", is_flag=True,
+              help="Deterministic fixed-step integrator (master runs only).")
 @click.option("--nb", type=click.Choice(["2", "4"]), default=None,
-              help="Beam truncation override.")
+              help="Beam truncation override (master runs only).")
 def evolve(config_path, preset, out, fixed_step, nb):
     """Run one scenario from a JSON config and/or preset, in its mode: a
     master-equation run, or the closed-form curves of an analytic config."""
     cfg = _scenario_from_sources(config_path, preset)
+    if cfg.mode == "analytic" and (fixed_step or nb):
+        raise ValueError("--fixed-step and --nb apply to master runs only, "
+                         "not to an analytic config")
     if fixed_step:
         cfg = replace(cfg, integrator="rk4")
     if nb:

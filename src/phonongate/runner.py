@@ -55,12 +55,12 @@ PAPER_VA_XG_SQ = 0.25
 
 PRESETS = {"paper_v1": PAPER_V1, "paper_va": PAPER_VA}
 
-# bound on what a run holds for its k kets: the float64 series, k x 2 x
-# n_steps for a label list and 2 x n_steps for a Bloch family, which is
-# averaged chunk by chunk, and what else the run holds (`dynamics.held_bytes`
-# with what `master_fidelity_series` builds per ket, or
-# `analytic_held_bytes`), so a config that cannot be held is refused, not run
-# out of memory
+# bound on what a run holds for its k kets: the float64 series it writes, a
+# fidelity and, where `writes_leakage`, a leakage row per ket of a label list
+# or per Bloch family, which is averaged chunk by chunk, over n_steps, and
+# what else the run holds (`dynamics.held_bytes` with what
+# `master_fidelity_series` builds per ket, or `analytic_held_bytes`), so a
+# config that cannot be held is refused, not run out of memory
 MAX_SERIES_BYTES = 2 * 2**30
 
 
@@ -72,12 +72,11 @@ def analytic_held_bytes(k: int, n_steps: int) -> dict[str, int]:
     * kets: the closed form's amplitude sum, at most 3 complex (k, n_t) arrays
       at once (the running sum, the next term and their sum); after it, |amp|^2
       and its clipped copy beside the amplitudes (16 + 8 + 8 bytes and a 1-byte
-      mask), and the (m, n_t) rows F_avg is averaged from (m <= k), are less.
+      mask) are less.
     * times: 7 float (n_t,) vectors: the grid and the angles Omega t, with the
       closed form's 2 Omega t and its two cosines and two sines; or, after it,
       the three averaged columns and at most two temporaries of an average
-      formula beside the one it builds, or `run_scenario`'s masked copies of
-      the grid and the main column.
+      formula beside the one it builds.
     """
     return {"kets": 16 * 3 * k * n_steps, "times": 8 * 7 * n_steps}
 
@@ -135,7 +134,7 @@ class ScenarioConfig:
             raise ValueError("dims.n_cav must be >= 2, and dims.n_b 2 or >= 4 "
                              "(the quartic term needs 4 levels)")
         k, labelled = self.initial.size, self.initial.kind in fidelity.LABEL_KINDS
-        series_bytes = (k if labelled else 1) * 2 * self.n_steps * 8
+        series_bytes = (k if labelled else 1) * (1 + self.writes_leakage) * self.n_steps * 8
         if self.mode == "master":  # propagate's count at the span's n <= 16 columns and
             # n + 1 rows, with each ket's (2, chunk) reduce buffer and 2 n (n + 1) coefficients
             n = min(k, 16)
@@ -165,6 +164,13 @@ class ScenarioConfig:
                 raise ValueError("X_G_sq and Omega apply to analytic mode only")
             if self.n_b > 2 and not self.params.omega_G > 0:
                 raise ValueError("dims.n_b > 2 needs omega_G_hz > 0 for the beam spectrum")
+
+    @property
+    def writes_leakage(self) -> bool:
+        """Whether a run writes leakage series: a master run that lists them,
+        or any at n_b > 2. At n_b = 2 the qubit projector is the identity on
+        the beams, so the leakage would only be the trace drift."""
+        return self.mode == "master" and ("leakage" in self.outputs or self.n_b > 2)
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -328,10 +334,10 @@ def master_fidelity_series(
     outputs, as propagate hands it over, then the ratio, clipped at 0, its
     square root in the amplitude convention, and the leakage
     1 - tr(P Tr_cav rho). Returns (times, fidelity, leakage, stats), both
-    (k, n_t) per ket, or with `weights` their weighted means (n_t,); stats
-    carries the integrator's health figures, n_kets, the max leakage out of
-    the qubit subspace and the smallest qubit weight the fidelity was
-    divided by.
+    (k, n_t) per ket, or with `weights` their weighted means (n_t,); the
+    leakage is None unless cfg `writes_leakage`. stats carries the
+    integrator's health figures, n_kets, the max leakage out of the qubit
+    subspace and the smallest qubit weight the fidelity was divided by.
     """
     H, collapse, dims, kk = open_system(cfg)
     times = cfg.time_grid()
@@ -348,7 +354,8 @@ def master_fidelity_series(
     coef[0, :, :-1], coef[1, :, -1] = f[:, :, None] * a[:, None, :], a
     del pairs, proj, a, f
 
-    series, lowest = np.empty((2, k, times.size) if weights is None else (2, times.size)), []
+    shape, lowest = (k, times.size) if weights is None else times.shape, []
+    fid, leak = np.empty(shape), np.empty(shape) if cfg.writes_leakage else None
     out = None  # (2, k, c) buffer of numerators and qubit weights, sized from the first block
 
     def reduce(s, block):  # (n, r, c) outputs of the span
@@ -362,14 +369,17 @@ def master_fidelity_series(
         np.maximum(np.divide(num, weight, out=num), 0.0, out=num)  # the clip at 0
         if cfg.fidelity_convention == "amplitude":
             np.sqrt(num, out=num)
-        np.subtract(1.0, weight, out=weight)  # both: fidelities and leakages
-        series[..., s:s + c] = both if weights is None else weights @ both / weights.sum()
+        if leak is not None:
+            np.subtract(1.0, weight, out=weight)
+        for series, rows in ((fid, num), (leak, weight)):
+            if series is not None:
+                series[..., s:s + c] = rows if weights is None else weights @ rows / weights.sum()
 
     stats = dynamics.propagate(H, collapse, dims, columns, rows, times, cfg.integrator, reduce)
     # 1 - w rounds monotonically in w, so the largest leakage is 1 - the smallest weight
     stats["min_qubit_weight"] = float(np.min(lowest))
     stats.update(integrator=cfg.integrator, n_kets=k, max_leakage=1.0 - stats["min_qubit_weight"])
-    return times, series[0], series[1], stats
+    return times, fid, leak, stats
 
 
 # ---------------------------------------------------------------------------
@@ -420,10 +430,10 @@ def run_scenario(cfg: ScenarioConfig, outdir) -> dict:
             main = name
     peak_value, peak_time = refine_peak(times, columns[main])
     maxima = envelope_maxima(times, columns[main])
-    skip = times >= 0.3e-6 if cfg.mode == "master" else np.ones_like(times, bool)
-    if not np.any(skip):
-        skip = np.ones_like(times, bool)
-    peak_late_value, peak_late_time = refine_peak(times[skip], np.asarray(columns[main])[skip])
+    late = int(np.searchsorted(times, 0.3e-6)) if cfg.mode == "master" else 0
+    if late == times.size:
+        late = 0
+    peak_late_value, peak_late_time = refine_peak(times[late:], np.asarray(columns[main])[late:])
 
     summary = {
         "label": cfg.label,
@@ -456,8 +466,11 @@ def _fidelity_columns(cfg: ScenarioConfig, fid: np.ndarray) -> dict[str, np.ndar
     labels = cfg.initial.labels
     columns = {f"F_{lbl}": s for lbl, s in zip(labels, fid)}
     avg_members = cfg.average_over or (labels if len(labels) > 1 else None)
-    if avg_members:
-        columns["F_avg"] = np.mean([columns[f"F_{lbl}"] for lbl in avg_members], axis=0)
+    if avg_members:  # summed into one copy in np.mean's order, ((c0 + c1) + c2 ...) / m
+        columns["F_avg"] = avg = columns[f"F_{avg_members[0]}"].copy()
+        for lbl in avg_members[1:]:
+            avg += columns[f"F_{lbl}"]
+        avg /= len(avg_members)
     return columns
 
 
@@ -478,17 +491,18 @@ def _run_analytic(cfg: ScenarioConfig):
 def _run_master(cfg: ScenarioConfig):
     """All of the family's kets through `master_fidelity_series` as one
     batch: a label list gives F_<label> (and leakage_<label>) columns, a
-    Bloch family its weighted averages F_avg_<family> (and leakage_avg_...)."""
+    Bloch family its weighted averages F_avg_<family> (and leakage_avg_...),
+    the leakages where cfg `writes_leakage`."""
     kets, weights = cfg.initial.kets()
     times, fid, leak, stats = master_fidelity_series(cfg, kets, weights)
     if weights is None:
         columns = _fidelity_columns(cfg, fid)
-        leaks = {f"leakage_{lbl}": s for lbl, s in zip(cfg.initial.labels, leak)}
+        names = [f"leakage_{lbl}" for lbl in cfg.initial.labels]
     else:  # Bloch-sphere families: the weighted averages over the sampled sphere
         name = cfg.initial.family or "separable"
-        columns, leaks = {f"F_avg_{name}": fid}, {f"leakage_avg_{name}": leak}
-    if "leakage" in cfg.outputs or cfg.n_b > 2:
-        columns.update(leaks)
+        columns, names = {f"F_avg_{name}": fid}, [f"leakage_avg_{name}"]
+    if leak is not None:
+        columns.update(zip(names, leak.reshape(len(names), -1)))
     return times, columns, stats
 
 

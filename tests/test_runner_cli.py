@@ -194,9 +194,11 @@ def master_held(n_cav, n_b, k, n_steps) -> dict[str, int]:
 
 
 def held_bytes(doc) -> int:
-    """The float64 series, k x 2 x n_steps for a label list and 2 x n_steps for
-    a Bloch family, plus what `master_held` or `runner.analytic_held_bytes`
-    counts, with k counted from the document by hand."""
+    """The float64 series written, k x n_steps fidelities for a label list and
+    n_steps for a Bloch family, as many leakages again for a master run that
+    lists them or has n_b > 2 (`ScenarioConfig.writes_leakage`), plus what
+    `master_held` or `runner.analytic_held_bytes` counts, with k counted from
+    the document by hand."""
     initial = doc["initial"]
     if "labels" in initial:
         k = series = len(initial["labels"])
@@ -205,9 +207,12 @@ def held_bytes(doc) -> int:
         k = ((n_theta - 2) * n_phi) ** (2 if initial["kind"] == "separable-product" else 1)
         series = 1
     n_steps = int(doc["n_steps"])
-    held = (master_held(doc["dims"]["n_cav"], doc["dims"]["n_b"], k, n_steps)
-            if doc["mode"] == "master" else runner.analytic_held_bytes(k, n_steps))
-    return series * 2 * n_steps * 8 + sum(held.values())
+    if doc["mode"] == "master":
+        held = master_held(doc["dims"]["n_cav"], doc["dims"]["n_b"], k, n_steps)
+        series *= 2 if "leakage" in doc["outputs"] or doc["dims"]["n_b"] > 2 else 1
+    else:
+        held = runner.analytic_held_bytes(k, n_steps)
+    return series * n_steps * 8 + sum(held.values())
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -494,7 +499,8 @@ def test_span_route_matches_the_per_ket_route(initial, convention, integrator, n
     # chunks of outputs
     cfg = ScenarioConfig.from_mapping(small_master_mapping(
         initial=initial, dims={"n_cav": 2, "n_b": n_b}, fidelity_convention=convention,
-        integrator=integrator, n_steps=2 * dynamics._CHUNK + 33, t_max_us=0.5))
+        integrator=integrator, n_steps=2 * dynamics._CHUNK + 33, t_max_us=0.5,
+        outputs=["fidelity", "leakage"]))
     kets, weights = cfg.initial.kets()
     _, fid, leak, stats = runner.master_fidelity_series(cfg, kets, weights)
     _, ref_fid, ref_leak = per_ket_fidelity_series(cfg, kets, weights)
@@ -507,7 +513,7 @@ def test_span_route_matches_the_per_ket_route(initial, convention, integrator, n
 def test_fig3_span_route_is_bit_identical_to_the_per_ket_route():
     # fig3's kets and targets are basis kets: each is a column or a row of its
     # own, with exactly a unit vector of coefficients, so no sum rounds
-    cfg = replace(figure_config("fig3"), n_steps=2001)
+    cfg = replace(figure_config("fig3"), n_steps=2001, outputs=("fidelity", "leakage"))
     kets, _ = cfg.initial.kets()
     _, fid, leak, stats = runner.master_fidelity_series(cfg, kets)
     _, ref_fid, ref_leak = per_ket_fidelity_series(cfg, kets)
@@ -560,7 +566,7 @@ def test_a_bloch_family_propagates_one_span_at_any_grid():
 
 
 def test_bloch_run_holds_no_series_of_every_ket():
-    # a Bloch family is reduced chunk by chunk to its two averaged columns, so
+    # a Bloch family is reduced chunk by chunk to its averaged columns, so
     # the run never holds the k x 2 x n_steps series of its kets; what it does
     # hold (amplitudes, the chunk buffers) is about 1.5 MB at any n_steps,
     # so the published 20001 outputs keep the bound clear of it
@@ -575,6 +581,44 @@ def test_bloch_run_holds_no_series_of_every_ket():
     finally:
         tracemalloc.stop()
     assert peak < k * 2 * cfg.n_steps * 8 / 2
+
+
+def test_a_run_that_writes_no_leakage_holds_none():
+    # fig3's label list at n_b = 2, whose outputs do not list leakage: there
+    # the qubit projector is the identity on the beams, so the leakage would
+    # only be the trace drift, and no (k, n_t) leakage series is filled or
+    # held. The traced peak stays within what the config counts: 4 x 20001 x
+    # 8 = 0.64 MB of fidelity series and 1.19 MB besides (`master_held`),
+    # 1.83 MB. Filling the leakage rows as well (0.64 MB more) and stacking
+    # F_avg's 3 members (0.48 MB) peaked at 2.09 MB
+    cfg = figure_config("fig3")
+    assert not cfg.writes_leakage
+    kets, _ = cfg.initial.kets()
+    _, fid, leak, stats = runner.master_fidelity_series(cfg, kets)
+    assert leak is None and fid.shape == (4, cfg.n_steps)
+    assert stats["max_leakage"] == 1.0 - stats["min_qubit_weight"]
+    tracemalloc.start()
+    try:
+        _, columns, _ = runner._run_master(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert list(columns) == ["F_00", "F_01", "F_10", "F_11", "F_avg"]
+    assert peak <= 4 * cfg.n_steps * 8 + sum(master_held(2, 2, 4, cfg.n_steps).values())
+
+
+@pytest.mark.parametrize("average_over", [("00", "01", "11"), None], ids=["3", "4"])
+def test_f_avg_is_np_mean_bit_for_bit(average_over):
+    # F_avg is summed into one copy, ((c0 + c1) + c2 ...) / m, the order in
+    # which np.mean reduces the stacked members, and leaves them as they were
+    cfg = replace(figure_config("fig3"), average_over=average_over)
+    fid = np.random.default_rng(29).random((4, 20001))
+    before = fid.copy()
+    columns = runner._fidelity_columns(cfg, fid)
+    members = [cfg.initial.labels.index(lbl) for lbl in average_over or cfg.initial.labels]
+    expected = np.mean([fid[i] for i in members], axis=0)
+    assert np.array_equal(columns["F_avg"].view(np.uint64), expected.view(np.uint64))
+    assert np.array_equal(fid, before)
 
 
 def test_batched_rows_match_a_per_ket_density_route_at_nb4():
@@ -688,6 +732,23 @@ STRONGLY_DAMPED = {"params": {"Delta_hz": 28e6, "g_G_hz": 9e6, "omega_G_hz": 28.
                    "dims": {"n_cav": 2, "n_b": 2}, "t_max_us": 1e6, "n_steps": 11}
 
 
+@pytest.mark.parametrize("flag", [["--nb", "4"], ["--fixed-step"]], ids=["nb", "fixed-step"])
+def test_cli_evolve_refuses_master_flags_on_an_analytic_config(tmp_path, flag):
+    # the beam truncation and the integrator do not enter the closed form, so
+    # an analytic run would echo them in summary.json without using them
+    doc = small_master_mapping(mode="analytic", fidelity_convention="squared", Omega=30.0463)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    res = CliRunner().invoke(cli.main, ["evolve", "--config", str(config), *flag,
+                                        "--out", str(tmp_path / "run")])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    [line] = res.stderr.splitlines()
+    assert json.loads(line)["error"] == ("--fixed-step and --nb apply to master runs only, "
+                                         "not to an analytic config")
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_evolve_reports_a_gate_refusal_as_json(tmp_path, monkeypatch):
     # a validated config whose run a numerical gate refuses: here the trace
     # gate, at a bound below any rounding
@@ -704,16 +765,18 @@ def test_cli_evolve_reports_a_gate_refusal_as_json(tmp_path, monkeypatch):
 
 
 def test_series_bound_refuses_a_label_list_series_and_keeps_the_figures(tmp_path):
-    # 13 labels x 2 x 11 million steps x 8 bytes = 2.29 GB of series
+    # 13 labels x 2 (fidelity and leakage) x 11 million steps x 8 bytes =
+    # 2.29 GB of series
     doc = small_master_mapping(initial={"kind": "named-superposition",
-                                        "labels": list(NAMED_STATES)}, n_steps=11_000_000)
+                                        "labels": list(NAMED_STATES)}, n_steps=11_000_000,
+                               outputs=["fidelity", "leakage"])
     with pytest.raises(ValueError) as err:
         ScenarioConfig.from_mapping(doc)
     assert str(err.value).startswith(f"13 initial kets: {13 * 2 * 11_000_000 * 8} bytes of "
                                      "float64 series, and the master run's columns")
     # fig10 (224 kets) and the default separable [16, 16] grid (50176 kets)
     # at 20001 steps stay within the bound: a Bloch family's series is
-    # averaged chunk by chunk to 2 x n_steps
+    # averaged chunk by chunk to n_steps
     assert figure_config("fig10").initial.size == 224
     sep = ScenarioConfig.from_mapping(small_master_mapping(
         initial={"kind": "separable-product"}, n_steps=20001))
@@ -766,7 +829,7 @@ def test_held_bound_counts_the_columns_and_rows_of_a_master_run():
 def test_held_bound_is_at_least_the_traced_peak_of_a_master_run(dims, initial):
     # what master_fidelity_series allocates, traced, against the count that
     # validation refuses configs by, over three chunks of outputs; with the
-    # series the run holds, which a Bloch family averages to (2, n_steps)
+    # series the run writes, which a Bloch family averages to (n_steps,) each
     n_cav, n_b = dims
     cfg = ScenarioConfig.from_mapping(small_master_mapping(
         dims={"n_cav": n_cav, "n_b": n_b}, initial=initial, n_steps=2 * dynamics._CHUNK + 33))
@@ -778,7 +841,7 @@ def test_held_bound_is_at_least_the_traced_peak_of_a_master_run(dims, initial):
     finally:
         tracemalloc.stop()
     counted = master_held(n_cav, n_b, len(kets), cfg.n_steps)
-    series = (1 if weights is not None else len(kets)) * 2 * cfg.n_steps * 8
+    series = (1 if weights is not None else len(kets)) * (1 + cfg.writes_leakage) * cfg.n_steps * 8
     assert peak <= series + sum(counted.values())
 
 
@@ -823,14 +886,14 @@ def test_held_bound_is_at_least_the_traced_peak_of_an_analytic_run(labels, outpu
     finally:
         tracemalloc.stop()
     counted = runner.analytic_held_bytes(len(labels), cfg.n_steps)
-    assert peak <= len(labels) * 2 * cfg.n_steps * 8 + sum(counted.values())
+    assert peak <= len(labels) * cfg.n_steps * 8 + sum(counted.values())
 
 
 def test_held_bound_refuses_an_analytic_run_that_validated_on_its_series_alone():
-    # 13 labels at 5 million steps: 1.04 GB of series, but 3.2 GB with the
-    # closed form's (k, n_t) amplitudes and (n_t,) vectors
+    # 13 labels at 5 million steps: 0.52 GB of series, and 3.4 GB more for
+    # the closed form's (k, n_t) amplitudes and (n_t,) vectors
     n_steps, k = 5_000_000, len(NAMED_STATES)
-    assert k * 2 * n_steps * 8 < runner.MAX_SERIES_BYTES
+    assert k * n_steps * 8 < runner.MAX_SERIES_BYTES
     with pytest.raises(ValueError, match="and the analytic run's kets") as err:
         ScenarioConfig(params=PhysicalParams.from_config(PAPER_VA), mode="analytic",
                        initial=InitialStateFamily("fixed-list", tuple(NAMED_STATES)),
