@@ -133,12 +133,11 @@ def _row_nonzeros(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(np.take_along_axis(nz, col, 1), col, M.size), np.take_along_axis(M, col, 1)
 
 
-def liouvillian(H: np.ndarray, collapse, rows: np.ndarray | None = None,
-                cols: np.ndarray | None = None) -> np.ndarray:
+def liouvillian(H: np.ndarray, collapse, rows: np.ndarray | None = None) -> np.ndarray:
     """Superoperator L of rho_dot = -i[H, rho] + sum_C (C rho C† - (C†C rho +
     rho C†C)/2) on row-major vec(rho), for a Hermitian H, in the standard form
     -i K⊗1 + i 1⊗conj(K) + sum_C C⊗conj(C), K = H - (i/2) sum_C C†C: whole, or
-    the block of `rows` (vec indices i*d + j) and `cols` (default `rows`).
+    the full-width rows `rows` (vec indices i*d + j), a (len(rows), d^2) array.
     A term A⊗B puts A[i, k] B[j, l] in row (i, j) at column (k, l), so only
     the products of the nonzeros of A's row i and B's row j are written, the
     terms added in the order above; no d^2 x d^2 matrix or gather of K and the
@@ -147,19 +146,15 @@ def liouvillian(H: np.ndarray, collapse, rows: np.ndarray | None = None,
     _check_spaces(H, collapse)
     d = H.shape[0]
     rows = np.arange(d * d) if rows is None else np.asarray(rows)
-    cols = rows if cols is None else np.asarray(cols)
     (ri, rj), n = np.divmod(rows, d), np.arange(rows.size)[:, None, None]
-    pos = np.full(d * d + 1, -1)  # column of each vec index; -1 off cols and past d^2
-    pos[cols] = np.arange(cols.size)
     K = H - 0.5j * sum(op.conj().T @ op for op in collapse)
     eye = (np.arange(d)[:, None], np.ones((d, 1)))
-    L = np.zeros((rows.size, cols.size), dtype=complex)
+    L = np.zeros((rows.size, d * d + 1), dtype=complex)  # column d^2 takes the padding
     for (kc, kv), (lc, lv) in [(_row_nonzeros(-1j * K), eye), (eye, _row_nonzeros(1j * K.conj())),
                                *((_row_nonzeros(op), _row_nonzeros(op.conj())) for op in collapse)]:
-        at = pos[np.minimum(kc[ri][:, :, None] * d + lc[rj][:, None, :], d * d)]  # -1: not written
-        ok = at >= 0
-        L[np.broadcast_to(n, at.shape)[ok], at[ok]] += (kv[ri][:, :, None] * lv[rj][:, None, :])[ok]
-    return L
+        L[n, np.minimum(kc[ri][:, :, None] * d + lc[rj][:, None, :], d * d)] += (
+            kv[ri][:, :, None] * lv[rj][:, None, :])
+    return L[:, :-1]
 
 
 def parity_blocks(H: np.ndarray, collapse, dims: tuple[int, ...]) -> list[np.ndarray]:
@@ -211,22 +206,19 @@ def symmetry_sectors(H: np.ndarray, collapse, dims: tuple[int, ...],
     sector that L never couples (a weak symmetry, Albert & Jiang, Phys. Rev.
     A 89, 022118 (2014)); otherwise the block is one sector. A sector is
     (idx, coef), (m, 2) or (m, 4) arrays: column q of Q holds coef[q, t] at
-    block position idx[q, t], its nonzero terms share one magnitude (a zero
+    vec(rho) index idx[q, t], its nonzero terms share one magnitude (a zero
     coefficient pads a shorter column), and coef[q, 0] is never 0, which
-    `sector_liouvillian` relies on.
+    `sector_liouvillian` relies on. The swap keeps each basis state's total
+    occupation, so every basis matrix's swap image lies in the block too.
     """
     d = H.shape[0]
     block = np.asarray(block)
-    pos = np.full(d * d, -1)
-    pos[block] = np.arange(block.size)
     i, j = np.divmod(block[block // d <= block % d], d)
     off = i < j
     # Hermitian basis: kind 0 is E_ii or the real part, kind 1 the imaginary part
     hi, hj = np.concatenate([i, i[off]]), np.concatenate([j, j[off]])
     kind = np.repeat([0, 1], [i.size, np.count_nonzero(off)])
-    idx = np.stack([pos[hi * d + hj], pos[hj * d + hi]], axis=1)
-    if np.any(idx < 0):
-        raise ValueError("a sector block must hold (j, i) with every entry (i, j)")
+    idx = np.stack([hi * d + hj, hj * d + hi], axis=1)
     phase = np.where(kind[:, None] == 1, [1j, -1j], [1.0, 1.0])
     phase[hi == hj, 1] = 0.0
     sectors = [(idx, phase)]
@@ -237,18 +229,17 @@ def symmetry_sectors(H: np.ndarray, collapse, dims: tuple[int, ...],
         table = np.full((2, d * d), -1)
         table[kind, hi * d + hj] = np.arange(kind.size)
         image = table[kind, np.minimum(si, sj) * d + np.maximum(si, sj)]
-        if np.all(image >= 0):
-            n = np.arange(kind.size)
-            pair = n < image
-            twin = phase[image[pair]] * sign[pair, None]
-            sectors = []
-            for s in (1.0, -1.0):
-                own = (n == image) & (sign == s)
-                sectors.append((
-                    np.concatenate([np.hstack([idx[pair], idx[image[pair]]]),
-                                    np.hstack([idx[own], idx[own]])]),
-                    np.concatenate([np.hstack([phase[pair], s * twin]),
-                                    np.hstack([phase[own], np.zeros_like(phase[own])])])))
+        n = np.arange(kind.size)
+        pair = n < image
+        twin = phase[image[pair]] * sign[pair, None]
+        sectors = []
+        for s in (1.0, -1.0):
+            own = (n == image) & (sign == s)
+            sectors.append((
+                np.concatenate([np.hstack([idx[pair], idx[image[pair]]]),
+                                np.hstack([idx[own], idx[own]])]),
+                np.concatenate([np.hstack([phase[pair], s * twin]),
+                                np.hstack([phase[own], np.zeros_like(phase[own])])])))
     return [(ix, c / np.sqrt(np.sum(np.abs(c) ** 2, axis=1, keepdims=True)))
             for ix, c in sectors if len(ix)]
 
@@ -260,18 +251,19 @@ def _apply_basis(x: np.ndarray, idx: np.ndarray, coef: np.ndarray) -> np.ndarray
     return sum(x[idx[:, t]] * c[:, t] for t in range(idx.shape[1]))
 
 
-def sector_liouvillian(H: np.ndarray, collapse, block: np.ndarray,
-                       idx: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """The real generator L_s = Q^H L Q of a sector basis (idx, coef) of `block`.
+def sector_liouvillian(H: np.ndarray, collapse, idx: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """The real generator L_s = Q^H L Q of a sector basis (idx, coef).
     L commutes with rho -> rho† and the beam swap, so every term of a row q of
     Q^H L Q contributes alike: row q is Re((L Q)[e_q] / coef[q, 0]), e_q the
     first entry of basis matrix q. Only those rows of L are built, _SLAB first
-    entries at a time, and each slab's rows of L_s written into one real array."""
-    first, row = np.unique(block[idx[:, 0]], return_inverse=True)
+    entries at a time, and each slab's rows of L_s written into one real array.
+    L maps a parity block into itself, so a full-width row of L read at the
+    block's vec(rho) indices loses nothing."""
+    first, row = np.unique(idx[:, 0], return_inverse=True)
     Ls = np.empty((idx.shape[0],) * 2)
     for s in range(0, first.size, _SLAB):
         q = np.flatnonzero((row >= s) & (row < s + _SLAB))
-        LQ = _apply_basis(liouvillian(H, collapse, first[s:s + _SLAB], block).T, idx, coef).T
+        LQ = _apply_basis(liouvillian(H, collapse, first[s:s + _SLAB]).T, idx, coef).T
         Ls[q] = (LQ[row[q] - s] / coef[q, :1]).real
     return Ls
 
@@ -399,10 +391,10 @@ def propagate(
     started = time.perf_counter()  # each sector: its basis and generator, then eig and solve
     for b in blocks:
         for idx, coef in symmetry_sectors(H, collapse, dims, b):
-            v0 = _apply_basis(columns[b], idx, coef.conj()).real  # Q^H columns, (m, k)
+            v0 = _apply_basis(columns, idx, coef.conj()).real  # Q^H columns, (m, k)
             if not np.any(v0):
                 continue
-            Ls = sector_liouvillian(H, collapse, b, idx, coef)
+            Ls = sector_liouvillian(H, collapse, idx, coef)
             built = time.perf_counter()
             scale = np.linalg.norm(Ls) or 1.0
             w, V = np.linalg.eig(Ls)
@@ -422,13 +414,13 @@ def propagate(
             # would carry that into the trace at a large enough t
             w[np.abs(w) <= w.size * EPS * scale] = 0.0
             c = np.linalg.solve(V, v0)  # (m, k)
-            rows_q = _apply_basis(rows[:, b].T, idx, coef).T.real  # Re(rows Q)
+            rows_q = _apply_basis(rows.T, idx, coef).T.real  # Re(rows Q)
             lam.append(w)
             nus.append(nu := w if method == "expm" else _rk4_rates(w, h, substeps))
             amps.append((rows_q @ V)[:, None, :] * c.T)  # (r, k, m)
             # this sector's share of the final output, Q V (e^{nu t_N} c), so
             # its V is freed before the next sector is built
-            np.add.at(final, b[idx],
+            np.add.at(final, idx,
                       coef[..., None] * (V @ (np.exp(nu * t[-1])[:, None] * c))[:, None, :])
             del V
             stats["sectors"].append(idx.shape[0])
@@ -503,7 +495,7 @@ def held_bytes(dims: tuple[int, ...], k: int, r: int, n_t: int, reduced: int = 0
     of r rows on the space of factor dims `dims` over n_t output times, with
     a `reduce` that keeps `reduced` floats per output of a chunk, from the
     shapes it is given and allocates (16 bytes a complex entry, 8 a float),
-    D = d^2 entries of vec(rho), and B and m from `sector_bound`:
+    D = d^2 entries of vec(rho), and m from `sector_bound`:
 
     * columns: per column, the column 1, its mode amplitudes r + 1 and
       coefficients 1 (at most D modes), the real chunk coefficients r + 1
@@ -513,13 +505,14 @@ def held_bytes(dims: tuple[int, ...], k: int, r: int, n_t: int, reduced: int = 0
       eigvalsh's copy) and the final output's 6 (m,) sector terms.
     * sectors: one sector's largest working set, as each sector's L_s and V
       are freed before the next is built: the float (m, m) L_s with one slab,
-      S = _SLAB rows of L, as (S, B) complex and 5 d S worth of the products
+      S = _SLAB full-width rows of L, as (S, D + 1) complex (a last column
+      takes the padding of the rows' nonzeros) and 5 d S worth of the products
       of a term of K (at most d nonzeros a row), and 4 (m, S) basis
       products; 5 float (m, m) for L_s, eig's copy of it and its real
       eigenvectors, and the complex V; or L_s and V with the residual of S
       columns, its product and V's part; and 4 r + 35 complex (D,) vectors'
-      worth of the rows (r, and r + 1 each for the rows with the trace row, a
-      sector's share of them and their products with its basis), the
+      worth of the rows (r, and r + 1 each for the rows with the trace row,
+      their gather at a sector's indices and its products with the basis), the
       operators (H, the collapse operators, K) and the parity and sector
       index tables.
     * chunks: the e^{nu t} table, its first-chunk base and the product it is
@@ -527,10 +520,10 @@ def held_bytes(dims: tuple[int, ...], k: int, r: int, n_t: int, reduced: int = 0
       (reduced, n), n = min(_CHUNK, n_t).
     """
     d = int(np.prod(dims))
-    D, (B, m), S, n = d * d, sector_bound(dims), _SLAB, min(_CHUNK, n_t)
+    D, (_, m), S, n = d * d, sector_bound(dims), _SLAB, min(_CHUNK, n_t)
     return {
         "columns": k * (16 * (2 * r + 5) * D + 8 * (r + 1) * D + 16 * max(4 * D, 6 * m)),
-        "sectors": 8 * max(m * m + 2 * S * (B + 4 * m + 5 * d), 5 * m * m, 3 * m * m + 4 * S * m)
-                   + 16 * (4 * r + 35) * D,
+        "sectors": 8 * max(m * m + 2 * S * (D + 1 + 4 * m + 5 * d), 5 * m * m,
+                           3 * m * m + 4 * S * m) + 16 * (4 * r + 35) * D,
         "chunks": 16 * 3 * n * D + 8 * ((r + 1) * k + reduced) * n,
     }

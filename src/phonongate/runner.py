@@ -484,7 +484,9 @@ def _run_analytic(cfg: ScenarioConfig):
         columns["F_avg_entangled"] = np.asarray(fidelity.avg_fidelity_entangled(omega * times))
     if "avg_separable" in cfg.outputs:
         columns["F_avg_separable"] = np.asarray(fidelity.avg_fidelity_separable(omega * times))
-    stats = {"Omega_rad_s": omega, "integrator": "closed-form"}
+    # 4 Omega is the fastest term of |amp|^2 and of the separable average
+    stats = {"Omega_rad_s": omega, "integrator": "closed-form",
+             "max_phase_per_output": 4 * abs(omega) * times[1]}
     return times, columns, stats
 
 

@@ -199,9 +199,9 @@ def test_evolve_master_matches_unitary_without_dissipation(method):
 def test_evolve_master_grid_validation():
     dims, H, _, collapse = cavity_decay_setup()
     rho0 = fock_density(dims, [1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="time grid must start at 0"):
         evolve_master(H, collapse, dims, rho0, np.array([0.5, 1.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="uniform to rounding"):
         evolve_master(H, collapse, dims, rho0, np.array([0.0, 1.0, 0.5]))
 
 
@@ -247,15 +247,26 @@ def test_rk4_rates_keep_the_digits_of_small_steps():
 def test_propagate_needs_uniform_grid():
     dims, H, _, collapse = cavity_decay_setup()
     cols = fock_density(dims, [1]).reshape(-1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="uniform to rounding"):
         series(H, collapse, dims, cols, np.eye(4), np.array([0.0, 0.1, 0.3]))
+
+
+@pytest.mark.parametrize("method, t, cause", [
+    ("euler", np.linspace(0.0, 1.0, 3), "propagate runs expm or rk4, not 'euler'"),
+    ("expm", np.linspace(0.0, 1.0, 4).reshape(2, 2), "time grid must be 1-D"),
+], ids=["euler", "2-D grid"])
+def test_propagate_refuses_an_unknown_method_and_a_2d_grid(method, t, cause):
+    dims, H, _, collapse = cavity_decay_setup()
+    cols = fock_density(dims, [1]).reshape(-1, 1)
+    with pytest.raises(ValueError, match=cause):
+        series(H, collapse, dims, cols, np.eye(4), t, method)
 
 
 def test_propagate_rejects_bad_rows():
     dims, H, _, collapse = cavity_decay_setup()
     cols = fock_density(dims, [1]).reshape(-1, 1)
     for rows in (np.eye(3), np.ones((2, 1, 4)), np.ones(4)):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"rows an \(r, 4\) set"):
             series(H, collapse, dims, cols, rows, np.linspace(0.0, 1.0, 3))
 
 
@@ -370,8 +381,7 @@ def test_propagate_with_a_real_spectrum_matches_a_dense_oracle(method):
     dims, H, _, collapse = cavity_decay_setup(dim=3, kappa=0.7)
     for block in parity_blocks(H, collapse, dims):
         for idx, coef in symmetry_sectors(H, collapse, dims, block):
-            assert np.isrealobj(np.linalg.eigvals(sector_liouvillian(H, collapse, block,
-                                                                     idx, coef)))
+            assert np.isrealobj(np.linalg.eigvals(sector_liouvillian(H, collapse, idx, coef)))
     rng = np.random.default_rng(11)
     columns = random_densities(rng, 3, 2)
     rows = rng.normal(size=(2, 9)) + 1j * rng.normal(size=(2, 9))
@@ -527,9 +537,11 @@ def test_block_liouvillian_is_the_kron_formula_on_the_block():
     assert [b.size for b in blocks] == [18, 18]
     rng = np.random.default_rng(3)
     for block in blocks + [np.sort(rng.choice(36, size=11, replace=False))]:
-        assert np.array_equal(liouvillian(H, collapse, block), L[np.ix_(block, block)])
+        assert np.array_equal(liouvillian(H, collapse, block)[:, block], L[np.ix_(block, block)])
     rows, cols = rng.choice(36, size=7, replace=False), rng.choice(36, size=13, replace=False)
-    assert np.array_equal(liouvillian(H, collapse, rows, cols), L[np.ix_(rows, cols)])
+    assert np.array_equal(liouvillian(H, collapse, rows)[:, cols], L[np.ix_(rows, cols)])
+    # rows are full width
+    assert np.array_equal(liouvillian(H, collapse, rows), L[rows])
     # and L couples no entry of a parity block to one outside it
     even = np.isin(np.arange(36), blocks[0])
     assert not np.any(L[np.ix_(even, ~even)]) and not np.any(L[np.ix_(~even, even)])
@@ -648,17 +660,20 @@ def test_propagate_without_the_swap_keeps_one_sector_per_block(method):
     assert_density_outputs_match_expm(H, collapse, columns, t, seen, method)
 
 
-def sector_basis_matrix(n, sectors):
-    """The dense (n, n) matrix whose columns are the sectors' basis vectors."""
-    Q = np.zeros((n, n), dtype=complex)
+def sector_basis_matrix(D, block, sectors):
+    """The dense matrix whose columns are the sectors' basis vectors, built
+    on the D rows of vec(rho) and restricted to the rows of `block`."""
+    Q = np.zeros((D, block.size), dtype=complex)
     start = 0
     for idx, coef in sectors:
+        # every index a nonzero coefficient names lies in the parity block
+        assert np.all(np.isin(idx[coef != 0], block))
         cols = start + np.arange(idx.shape[0])
         for t in range(idx.shape[1]):
             np.add.at(Q, (idx[:, t], cols), coef[:, t])
         start = cols[-1] + 1
-    assert start == n
-    return Q
+    assert start == block.size
+    return Q[block]
 
 
 def test_sector_liouvillian_is_the_real_part_of_q_dagger_l_q():
@@ -669,14 +684,14 @@ def test_sector_liouvillian_is_the_real_part_of_q_dagger_l_q():
         sectors = symmetry_sectors(H, collapse, dims, block)
         assert [idx.shape[0] for idx, _ in sectors] == sizes
         L = kron_liouvillian(H, collapse)[np.ix_(block, block)]
-        Q = sector_basis_matrix(block.size, sectors)
+        Q = sector_basis_matrix(H.size, block, sectors)
         assert np.allclose(Q.conj().T @ Q, np.eye(block.size), rtol=0.0, atol=1e-15)
         # L never couples two sectors
         full = Q.conj().T @ L @ Q
         start = 0
         for idx, coef in sectors:
             inside = slice(start, start + idx.shape[0])
-            Ls = sector_liouvillian(H, collapse, block, idx, coef)
+            Ls = sector_liouvillian(H, collapse, idx, coef)
             assert Ls.dtype == np.float64
             assert np.allclose(Ls, full[inside, inside], rtol=0.0, atol=1e-13 * np.abs(L).max())
             full[inside, inside] = 0.0
@@ -693,11 +708,11 @@ def test_sector_liouvillian_does_not_depend_on_its_slab(monkeypatch, slab):
     assert len(collapse) == 5  # cavity decay and both thermal channels of both beams
     block = parity_blocks(H, collapse, dims)[0]
     sectors = symmetry_sectors(H, collapse, dims, block)
-    built = [sector_liouvillian(H, collapse, block, idx, coef) for idx, coef in sectors]
-    assert dynamics._SLAB < max(np.unique(block[idx[:, 0]]).size for idx, _ in sectors) <= 4096
+    built = [sector_liouvillian(H, collapse, idx, coef) for idx, coef in sectors]
+    assert dynamics._SLAB < max(np.unique(idx[:, 0]).size for idx, _ in sectors) <= 4096
     monkeypatch.setattr(dynamics, "_SLAB", slab)
     for (idx, coef), Ls in zip(sectors, built):
-        assert np.array_equal(sector_liouvillian(H, collapse, block, idx, coef).view(np.uint64),
+        assert np.array_equal(sector_liouvillian(H, collapse, idx, coef).view(np.uint64),
                               Ls.view(np.uint64))
 
 
@@ -744,16 +759,16 @@ def test_paper_v1_nb4_parity_block_splits_into_real_sectors(monkeypatch):
     block = parity_blocks(H, collapse, dims)[0]
     sectors = symmetry_sectors(H, collapse, dims, block)
     assert [idx.shape[0] for idx, _ in sectors] == [616, 536]
-    Q = sector_basis_matrix(block.size, sectors)
+    Q = sector_basis_matrix(H.size, block, sectors)
     assert np.allclose(Q.conj().T @ Q, np.eye(block.size), rtol=0.0, atol=1e-15)
     # the real generators are Q^H L Q only for a Hermitian H; this one is exactly so
     assert np.array_equal(H, H.conj().T)
     # and propagate builds them from rows of L, never from the complex block
     asked = []
 
-    def spy(H, collapse, rows=None, cols=None):
+    def spy(H, collapse, rows=None):
         asked.append(H.size if rows is None else len(rows))
-        return liouvillian(H, collapse, rows, cols)
+        return liouvillian(H, collapse, rows)
 
     monkeypatch.setattr(dynamics, "liouvillian", spy)
     rho0 = fock_density(dims, [1, 0, 1]).reshape(-1, 1)

@@ -79,51 +79,70 @@ def test_config_roundtrip():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"mode must be one of \['master', 'analytic'\]"):
         ScenarioConfig.from_mapping(small_master_mapping(mode="magic"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dims.n_cav must be >= 2"):
         ScenarioConfig.from_mapping(small_master_mapping(dims={"n_cav": 1, "n_b": 2}))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n_steps must be at least 2"):
         ScenarioConfig.from_mapping(small_master_mapping(n_steps=1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"unknown scenario keys \['unknown_key'\]"):
         ScenarioConfig.from_mapping(small_master_mapping(unknown_key=1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown family kind 'bell'"):
         ScenarioConfig.from_mapping(small_master_mapping(initial={"kind": "bell"}))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"integrator must be one of \['expm', 'rk4'\]"):
         ScenarioConfig.from_mapping(small_master_mapping(integrator="rk45"))
 
     # configs that used to validate and then crash at run time or be misread:
-    # each fails both as a document and when built in code
+    # each fails both as a document and when built in code, by its own rule
+    # (a pair of messages where the document is refused before the rule)
     base = ScenarioConfig.from_mapping(small_master_mapping())
     F = InitialStateFamily
     two = {"kind": "fixed-list", "labels": ["00", "01"]}
     bloch = {"kind": "schmidt-entangled", "family": "Psi"}
     analytic = {"mode": "analytic", "fidelity_convention": "squared"}
+    label_list = "must name members of a label list"
     rows = [
-        ({"dims": {"n_cav": 2, "n_b": 3}}, lambda: replace(base, n_b=3)),
+        ({"dims": {"n_cav": 2, "n_b": 3}}, "the quartic term needs 4 levels",
+         lambda: replace(base, n_b=3)),
         ({"initial": {"kind": "schmidt-entangled", "family": "Phi9"}},
-         lambda: F("schmidt-entangled", family="Phi9")),
-        ({"initial": two, "average_over": ["00", "11"]},
+         "unknown Bloch family 'Phi9'", lambda: F("schmidt-entangled", family="Phi9")),
+        ({"initial": two, "average_over": ["00", "11"]}, label_list,
          lambda: replace(base, initial=F("fixed-list", ("00", "01")), average_over=("00", "11"))),
-        ({"n_steps": 11.5}, lambda: replace(base, n_steps=11.5)),
-        ({"outputs": ["leakge"]}, lambda: replace(base, outputs=("leakge",))),
-        ({**analytic, "initial": bloch},
+        ({"n_steps": 11.5}, "n_steps must be an integer, got 11.5",
+         lambda: replace(base, n_steps=11.5)),
+        ({"outputs": ["leakge"]}, "master outputs are", lambda: replace(base, outputs=("leakge",))),
+        ({**analytic, "initial": bloch}, "analytic mode takes a label list",
          lambda: replace(base, mode="analytic", fidelity_convention="squared",
                          initial=F("schmidt-entangled", family="Psi"))),
         ({"mode": "analytic", "fidelity_convention": "amplitude"},
+         "analytic mode reports the squared fidelity convention only",
          lambda: replace(base, mode="analytic")),
         ({"initial": {"kind": "separable-product", "family": "Psi"}},
+         (r"unknown keys \['family'\] for initial kind", "separable-product takes no family"),
          lambda: F("separable-product", family="Psi")),
-        ({"initial": bloch, "average_over": ["00"]},
+        ({"initial": bloch, "average_over": ["00"]}, label_list,
          lambda: replace(base, initial=F("schmidt-entangled", family="Psi"),
                          average_over=("00",))),
-        ({"cavity_fock": 0}, None),
+        # a top-level key, refused as such before the cavity Fock rule
+        ({"cavity_fock": 0}, r"unknown scenario keys \['cavity_fock'\]", None),
+        ({"initial": {"kind": "fixed-list", "labels": ["00"], "cavity_fock": 2}},
+         "cavity Fock index outside", lambda: replace(base, cavity_fock=2)),
+        ({"X_G_sq": 0.25}, "apply to analytic mode only", lambda: replace(base, X_G_sq=0.25)),
+        ({"dims": {"n_cav": 2, "n_b": 4}, "params": {**PAPER_V1, "omega_G_hz": 0.0}},
+         "needs omega_G_hz > 0",
+         lambda: replace(base, n_b=4, params=replace(base.params, omega_G=0.0))),
+        ({"dims": [2, 2]}, "must be JSON objects", None),
+        ({**analytic, "params": {k: v for k, v in PAPER_V1.items() if k != "g_G_hz"}},
+         "analytic mode needs Omega",
+         lambda: replace(base, mode="analytic", fidelity_convention="squared",
+                         params=replace(base.params, g_G=0.0))),
     ]
-    for overrides, build in rows:
-        with pytest.raises(ValueError):
+    for overrides, cause, build in rows:
+        doc_cause, build_cause = (cause, cause) if isinstance(cause, str) else cause
+        with pytest.raises(ValueError, match=doc_cause):
             ScenarioConfig.from_mapping(small_master_mapping(**overrides))
         if build is not None:
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=build_cause):
                 build()
     # JSON numbers and sweep values arrive as floats: integral ones are ints
     assert replace(base, n_steps=11.0).n_steps == 11
@@ -588,8 +607,8 @@ def test_a_run_that_writes_no_leakage_holds_none():
     # the qubit projector is the identity on the beams, so the leakage would
     # only be the trace drift, and no (k, n_t) leakage series is filled or
     # held. The traced peak stays within what the config counts: 4 x 20001 x
-    # 8 = 0.64 MB of fidelity series and 1.19 MB besides (`master_held`),
-    # 1.83 MB. Filling the leakage rows as well (0.64 MB more) and stacking
+    # 8 = 0.64 MB of fidelity series and 1.22 MB besides (`master_held`),
+    # 1.86 MB. Filling the leakage rows as well (0.64 MB more) and stacking
     # F_avg's 3 members (0.48 MB) peaked at 2.09 MB
     cfg = figure_config("fig3")
     assert not cfg.writes_leakage
@@ -1088,3 +1107,98 @@ def test_cli_sweep_integer_key(tmp_path):
     assert steps == [11, 21]
 
 
+
+
+@pytest.mark.parametrize("args, cause", [
+    (["evolve"], "need --config and/or --preset"),
+    (["sweep", "--config", "CFG", "--param", "params.Q", "--values", ","], "no sweep values given"),
+    (["sweep", "--config", "CFG", "--param", "label.x", "--values", "1"],
+     "'label.x' is not a config key"),
+], ids=["evolve-without-a-source", "sweep-without-values", "sweep-of-a-non-key"])
+def test_cli_refuses_a_run_it_cannot_build_before_making_a_directory(tmp_path, args, cause):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(small_master_mapping(n_steps=101, t_max_us=0.1)))
+    args = [str(cfg_path) if a == "CFG" else a for a in args]
+    res = CliRunner().invoke(cli.main, [*args, "--out", str(tmp_path / "run")])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    [line] = res.stderr.splitlines()
+    assert json.loads(line)["error"] == cause
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_analytic_runs_its_defaults(tmp_path):
+    # paper_va: the README's peak of 1 at t = pi/(2 Omega), on a grid of 3.6e-3
+    # rad per output at the fastest term, 4 Omega
+    res = CliRunner().invoke(cli.main, ["analytic", "--out", str(tmp_path / "run")])
+    assert res.exit_code == 0, res.output
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    echoed = json.loads(res.output)
+    assert echoed == {"peak_fidelity": summary["peak_fidelity"],
+                      "peak_time_s": summary["peak_time_s"], "outdir": str(tmp_path / "run")}
+    header = (tmp_path / "run" / "trajectory.csv").read_text().split("\n", 1)[0]
+    assert header == "t_s,F_00,F_01,F_10,F_11,F_avg,F_avg_entangled,F_avg_separable"
+    omega = summary["integrator"]["Omega_rad_s"]
+    assert summary["peak_fidelity"] == pytest.approx(1.0, abs=1e-6)
+    assert summary["peak_time_s"] == pytest.approx(np.pi / (2 * omega), rel=1e-6)
+    assert summary["integrator"]["max_phase_per_output"] == pytest.approx(3.6e-3, rel=0.01)
+    assert summary["warnings"] == []
+    assert summary["config"]["label"] == "analytic" and summary["config"]["n_steps"] == 4001
+    res = CliRunner().invoke(cli.main, ["analytic", "--t-max-us", "60000",
+                                        "--out", str(tmp_path / "short")])
+    assert res.exit_code == 0, res.output
+    short = json.loads((tmp_path / "short" / "summary.json").read_text())
+    assert short["config"]["t_max_us"] == 60000.0
+
+
+def test_analytic_run_records_a_grid_that_aliases_the_gate(tmp_path):
+    # paper_v1's exchange rate makes a 15 ns gate: on the default 30 us grid
+    # every output turns the fastest term by 1.26e4 rad, recorded, not refused
+    res = CliRunner().invoke(cli.main, ["analytic", "--preset", "paper_v1",
+                                        "--out", str(tmp_path / "run")])
+    assert res.exit_code == 0, res.output
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    omega, dt = summary["integrator"]["Omega_rad_s"], 120e3 * 1e-6 / 4000
+    assert summary["integrator"]["max_phase_per_output"] == pytest.approx(4 * abs(omega) * dt)
+    assert summary["integrator"]["max_phase_per_output"] == pytest.approx(1.26e4, rel=0.01)
+    assert [w.split()[0] for w in summary["warnings"]] == ["max_phase_per_output"]
+
+
+def test_cli_evolve_merges_a_config_into_its_preset(tmp_path):
+    # the config's params override the preset's per key; the label, the four
+    # basis kets and the average over three of them come from the preset
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"params": {"Q": 1e6}, "n_steps": 101, "t_max_us": 0.1}))
+    res = CliRunner().invoke(cli.main, ["evolve", "--preset", "paper_v1", "--config", str(config),
+                                        "--out", str(tmp_path / "run")])
+    assert res.exit_code == 0, res.output
+    echo = json.loads((tmp_path / "run" / "summary.json").read_text())["config"]
+    assert echo["params"] == {**PAPER_V1, "Q": 1e6}
+    assert echo["label"] == "paper_v1"
+    assert echo["initial"]["labels"] == ["00", "01", "10", "11"]
+    assert echo["average_over"] == ["00", "01", "11"]
+    assert (echo["n_steps"], echo["t_max_us"]) == (101, 0.1)
+
+
+def test_cli_evolve_nb_sets_the_beam_truncation(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"n_steps": 101, "t_max_us": 0.1}))
+    res = CliRunner().invoke(cli.main, ["evolve", "--preset", "paper_v1", "--nb", "4",
+                                        "--config", str(config), "--out", str(tmp_path / "run")])
+    assert res.exit_code == 0, res.output
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert summary["config"]["dims"]["n_b"] == 4
+    header = (tmp_path / "run" / "trajectory.csv").read_text().split("\n", 1)[0].split(",")
+    assert [c for c in header if c.startswith("leakage_")] == [
+        "leakage_00", "leakage_01", "leakage_10", "leakage_11"]
+
+
+def test_cli_figure_fig3_writes_its_scenario(tmp_path):
+    # a figure of one scenario runs it in the figure's directory
+    res = CliRunner().invoke(cli.main, ["figure", "fig3", "--out", str(tmp_path / "cli")])
+    assert res.exit_code == 0, res.output
+    summary = run_scenario(figure_config("fig3"), tmp_path / "direct")
+    assert ((tmp_path / "cli" / "trajectory.csv").read_bytes()
+            == (tmp_path / "direct" / "trajectory.csv").read_bytes())
+    written = json.loads((tmp_path / "cli" / "summary.json").read_text())
+    assert json.loads(res.output)["peak_fidelity"] == written["peak_fidelity"] == summary["peak_fidelity"]
