@@ -69,9 +69,6 @@ import numpy as np
 
 from .fockspace import annihilation_op, embed, parity
 
-HBAR_SI = 6.62607015e-34 / (2 * np.pi)  # J s, exact in the 2019 SI
-KB_SI = 1.380649e-23  # J/K, exact in the 2019 SI
-
 
 class IntegrationError(RuntimeError):
     """A propagation gate failed (the Hermiticity of H, the eigendecomposition
@@ -80,24 +77,6 @@ class IntegrationError(RuntimeError):
     def __init__(self, message: str, stats: dict):
         super().__init__(f"{message} (diagnostics: {stats})")
         self.stats = stats
-
-
-def thermal_occupation(omega: float, T: float) -> float:
-    """Bose-Einstein occupation 1/(exp(hbar omega / kB T) - 1); 0 at T = 0."""
-    if omega <= 0:
-        raise ValueError("omega must be positive")
-    if T < 0:
-        raise ValueError("temperature must be nonnegative")
-    if T == 0.0:
-        return 0.0
-    return float(1.0 / np.expm1(HBAR_SI * omega / (KB_SI * T)))
-
-
-def mech_damping(omega: float, Q: float) -> float:
-    """Mechanical damping rate gamma_m = omega / Q."""
-    if Q <= 0:
-        raise ValueError("Q must be positive")
-    return omega / Q
 
 
 def standard_channels(dims: tuple[int, ...], kappa: float, gamma_m: float,

@@ -1,5 +1,5 @@
-"""System Hamiltonian assembly and the effective cavity-mediated exchange
-between gate qubits.
+"""System Hamiltonian assembly, the effective cavity-mediated exchange
+between gate qubits, and the beams' loss rates.
 
 All rates are angular frequencies (rad/s) with hbar = 1. JSON configs carry
 frequencies in Hz under mandatory `*_hz` keys and are multiplied by 2*pi on
@@ -14,6 +14,9 @@ import numpy as np
 from .duffing import DuffingSpectrum
 from .fockspace import annihilation_op, embed, quadrature_op
 from .schema import check, check_fields
+
+HBAR_SI = 6.62607015e-34 / (2 * np.pi)  # J s, exact in the 2019 SI
+KB_SI = 1.380649e-23  # J/K, exact in the 2019 SI
 
 
 class ResonanceProximityError(ValueError):
@@ -40,9 +43,9 @@ class PhysicalParams:
     """Physical constants of one scenario (angular frequencies, rad/s).
 
     Delta may carry either sign; every rate must be nonnegative, and Q
-    positive. Optional fields default to None and are filled by the scenario
-    runner (gamma_m from Q, n_th from T) when absent. eps_L, the published
-    drive amplitude, is recorded and echoed but read by nothing.
+    positive. Optional fields default to None; `beam_loss` fills gamma_m from
+    Q and n_th from T when absent. eps_L, the published drive amplitude, is
+    recorded and echoed but read by nothing.
     """
 
     Delta: float = 0.0
@@ -72,6 +75,16 @@ class PhysicalParams:
                     f"gamma_m = {self.gamma_m} inconsistent with omega_G/Q = {expected}"
                 )
 
+    def beam_loss(self) -> tuple[float, float]:
+        """(gamma_m, n_th) of each beam: the given value, or else omega_G / Q
+        and the thermal occupation of omega_G at T, each 0 without Q or T (or
+        without omega_G)."""
+        gamma_m = self.gamma_m if self.gamma_m is not None else (
+            self.omega_G / self.Q if self.Q and self.omega_G else 0.0)
+        n_th = self.n_th if self.n_th is not None else (
+            thermal_occupation(self.omega_G, self.T) if self.T is not None and self.omega_G else 0.0)
+        return gamma_m, n_th
+
     @classmethod
     def from_config(cls, mapping: dict) -> "PhysicalParams":
         """Build from a JSON-style mapping; frequencies must use `*_hz` keys."""
@@ -87,6 +100,17 @@ class PhysicalParams:
         """Inverse of `from_config`: the set fields under their JSON keys, frequencies in Hz."""
         return {key: v / (2.0 * np.pi) if f in _HZ_KEYS else v
                 for f, key in _KEYS.items() if (v := getattr(self, f)) is not None}
+
+
+def thermal_occupation(omega: float, T: float) -> float:
+    """Bose-Einstein occupation 1/(exp(hbar omega / kB T) - 1); 0, its limit,
+    at T = 0 and wherever hbar omega / kB T overflows or kB T underflows."""
+    if omega <= 0:
+        raise ValueError("omega must be positive")
+    if T < 0:
+        raise ValueError("temperature must be nonnegative")
+    with np.errstate(over="ignore", divide="ignore"):
+        return float(1.0 / np.expm1(np.float64(HBAR_SI * omega) / (KB_SI * T)))
 
 
 @dataclass(frozen=True)

@@ -273,19 +273,14 @@ def open_system(cfg: ScenarioConfig) -> tuple[np.ndarray, tuple, tuple, np.ndarr
     """(H, collapse, dims, kk): the open system of a master scenario, the
     only place its generator and qubit isometry are built. H is
     `system_hamiltonian` in cfg's quadrature convention on dims
-    (cavity, beam, beam), collapse `dynamics.standard_channels` at kappa,
-    gamma_m and n_th, and kk = iso (x) iso the (n_b^2, 4) isometry onto the
-    beams' qubit levels (`_qubit_isometry`; Fock states for n_b = 2). Where
-    the params leave them out, gamma_m is omega_G / Q and n_th the thermal
-    occupation of omega_G at T, each 0 without Q or T (or omega_G)."""
+    (cavity, beam, beam), collapse `dynamics.standard_channels` at kappa
+    and the params' `beam_loss` (gamma_m, n_th), and kk = iso (x) iso the
+    (n_b^2, 4) isometry onto the beams' qubit levels (`_qubit_isometry`;
+    Fock states for n_b = 2)."""
     p, dims = cfg.params, cfg.dims
-    gamma_m = p.gamma_m if p.gamma_m is not None else (
-        dynamics.mech_damping(p.omega_G, p.Q) if p.Q and p.omega_G else 0.0)
-    n_th = p.n_th if p.n_th is not None else (
-        dynamics.thermal_occupation(p.omega_G, p.T) if p.T is not None and p.omega_G else 0.0)
     iso = _qubit_isometry(cfg.n_b, p.omega_G, p.lam)
     return (system_hamiltonian(p, dims, cfg.quadrature_convention),
-            dynamics.standard_channels(dims, p.kappa, gamma_m, n_th), dims, np.kron(iso, iso))
+            dynamics.standard_channels(dims, p.kappa, *p.beam_loss()), dims, np.kron(iso, iso))
 
 
 def qubit_vectors(ops: np.ndarray, cavity: np.ndarray, kk: np.ndarray) -> np.ndarray:
@@ -327,12 +322,13 @@ def master_fidelity_series(
     weight tr(P Tr_cav rho) with P = kk kk†. So one `dynamics.propagate` call
     evolves the columns of a spanning subset of the kets' projectors
     |cavity_fock><cavity_fock| (x) kk v v† kk† (`spanning_subset`) and reads
-    one shared row set, a spanning subset of the targets' projectors u u† and
-    P. A ket's numerator is then the sum over its coefficients a in the
-    columns and f in the rows of f_l a_j times output (j, l), and its weight
-    the sum of a_j times output (j, P): one real product per chunk of
-    outputs, as propagate hands it over, then the ratio, clipped at 0, its
-    square root in the amplitude convention, and the leakage
+    one shared row set, the chosen kets' targets u u† and P. CNOT
+    conjugation is unitary and maps each ket's projector onto its target's,
+    so the targets span every ket's target with the ket's own coefficients
+    a. A ket's numerator is then the sum of a_l a_j times output (j, l), and
+    its weight the sum of a_j times output (j, P): one real product per
+    chunk of outputs, as propagate hands it over, then the ratio, clipped at
+    0, its square root in the amplitude convention, and the leakage
     1 - tr(P Tr_cav rho). Returns (times, fidelity, leakage, stats), both
     (k, n_t) per ket, or with `weights` their weighted means (n_t,); the
     leakage is None unless cfg `writes_leakage`. stats carries the
@@ -342,17 +338,18 @@ def master_fidelity_series(
     H, collapse, dims, kk = open_system(cfg)
     times = cfg.time_grid()
     k = len(kets)
-    pairs = np.stack([kets, kets @ _CNOT.T])  # the kets v and their targets u = CNOT v
-    proj = pairs[..., :, None] * pairs.conj()[..., None, :]
-    (cols, a), (targets, f) = spanning_subset(proj[0]), spanning_subset(proj[1])
+    proj = kets[:, :, None] * kets.conj()[:, None, :]
+    cols, a = spanning_subset(proj)
+    u = (kets @ _CNOT.T)[cols]  # the chosen kets' targets u = CNOT v
     # the columns with the cavity in |cavity_fock><cavity_fock|, the rows traced over it
-    columns = qubit_vectors(proj[0, cols], np.diag(np.eye(cfg.n_cav)[cfg.cavity_fock]), kk).T
-    rows = qubit_vectors(np.concatenate([proj[1, targets], [np.eye(4)]]), np.eye(cfg.n_cav), kk).conj()
-    # each ket's coefficients over a chunk's (r, n) outputs: f_l a_j off the P
+    columns = qubit_vectors(proj[cols], np.diag(np.eye(cfg.n_cav)[cfg.cavity_fock]), kk).T
+    rows = qubit_vectors(np.concatenate([u[:, :, None] * u.conj()[:, None, :], [np.eye(4)]]),
+                         np.eye(cfg.n_cav), kk).conj()
+    # each ket's coefficients over a chunk's (r, n) outputs: a_l a_j off the P
     # row for its numerator, a_j on it for its weight
     coef = np.zeros((2, k, len(rows), len(cols)))
-    coef[0, :, :-1], coef[1, :, -1] = f[:, :, None] * a[:, None, :], a
-    del pairs, proj, a, f
+    coef[0, :, :-1], coef[1, :, -1] = a[:, :, None] * a[:, None, :], a
+    del proj, a
 
     shape, lowest = (k, times.size) if weights is None else times.shape, []
     fid, leak = np.empty(shape), np.empty(shape) if cfg.writes_leakage else None

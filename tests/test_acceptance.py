@@ -16,7 +16,6 @@ from scipy.linalg import eigh
 
 from phonongate import dynamics, runner
 from phonongate.duffing import duffing_hamiltonian, duffing_spectrum
-from phonongate.dynamics import thermal_occupation
 from phonongate.fidelity import (
     avg_fidelity_entangled,
     avg_fidelity_separable,
@@ -25,6 +24,7 @@ from phonongate.fidelity import (
 )
 from phonongate.fockspace import annihilation_op
 from phonongate.gates import cnot_sequence, ideal_cnot, phase_aligned_distance
+from phonongate.hamiltonians import thermal_occupation
 from phonongate.runner import ScenarioConfig, figure_config, master_fidelity_series, refine_peak
 
 from oracles import evolve_master, fock_density, partial_trace

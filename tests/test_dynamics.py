@@ -4,27 +4,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.constants import hbar, k as kB
 from scipy.linalg import expm
 
 from phonongate import dynamics
 from phonongate.dynamics import (
     EIG_TOL,
-    HBAR_SI,
-    KB_SI,
     IntegrationError,
     _rk4_rates,
     beam_swap,
     liouvillian,
-    mech_damping,
     parity_blocks,
     sector_bound,
     sector_liouvillian,
     standard_channels,
     symmetry_sectors,
-    thermal_occupation,
 )
 from phonongate.fockspace import annihilation_op, embed, parity
+from phonongate.hamiltonians import PhysicalParams
 from phonongate.runner import PAPER_V1, ScenarioConfig, open_system
 
 from oracles import evolve_master, fock_density, ket_density, series
@@ -32,42 +28,14 @@ from oracles import evolve_master, fock_density, ket_density, series
 TWOPI = 2 * np.pi
 
 
-def test_thermal_occupation_zero_temperature():
-    assert thermal_occupation(TWOPI * 1e6, 0.0) == 0.0
-
-
-def test_thermal_occupation_ln2_point():
-    # hbar w = kB T ln 2  ->  n = 1/(2 - 1) = 1
-    T = 1e-3
-    w = kB * T * np.log(2) / hbar
-    assert thermal_occupation(w, T) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_si_constants_are_scipys_exact_values():
-    # the 2019 SI fixes h and kB; the rounded hbar 1.054571817e-34 differs
-    assert HBAR_SI == hbar
-    assert KB_SI == kB
-
-
-def test_thermal_occupation_published_point():
-    # Bose-Einstein at 28.6 MHz and 3 mK with CODATA constants
-    assert thermal_occupation(TWOPI * 28.6e6, 3e-3) == pytest.approx(1.7237, rel=1e-3)
-
-
-def test_thermal_occupation_errors():
-    with pytest.raises(ValueError):
-        thermal_occupation(0.0, 1.0)
-    with pytest.raises(ValueError):
-        thermal_occupation(1.0, -1.0)
-
-
 def test_mech_damping():
+    # the beam damping gamma_m = omega_G / Q that feeds the thermal channels
     w = TWOPI * 28.6e6
-    assert mech_damping(w, 5e6) == pytest.approx(35.938, rel=1e-3)
-    assert mech_damping(w, 1.0) == w
-    assert mech_damping(w, 1e30) == pytest.approx(0.0, abs=1e-20)
-    with pytest.raises(ValueError):
-        mech_damping(w, 0.0)
+    assert PhysicalParams(omega_G=w, Q=5e6).beam_loss()[0] == pytest.approx(35.938, rel=1e-3)
+    assert PhysicalParams(omega_G=w, Q=1.0).beam_loss()[0] == w
+    assert PhysicalParams(omega_G=w, Q=1e30).beam_loss()[0] == pytest.approx(0.0, abs=1e-20)
+    with pytest.raises(ValueError, match="Q must be positive"):
+        PhysicalParams(omega_G=w, Q=0.0)
 
 
 def cavity_decay_setup(dim=2, kappa=1.0):

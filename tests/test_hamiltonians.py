@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from scipy.constants import hbar, k as kB
 
 from phonongate.duffing import duffing_spectrum
 from phonongate.dynamics import beam_swap, standard_channels
 from phonongate.hamiltonians import (
+    HBAR_SI,
+    KB_SI,
     PhysicalParams,
     ResonanceProximityError,
     effective_gate_hamiltonian,
     exchange_rate,
     system_hamiltonian,
+    thermal_occupation,
 )
 from phonongate.runner import PAPER_VA, _qubit_isometry
 
@@ -27,6 +31,45 @@ def default_params(**kw):
                 omega_G=TWOPI * 28.6e6, lam=TWOPI * 209e3, kappa=TWOPI * 523.0)
     base.update(kw)
     return PhysicalParams(**base)
+
+
+def test_thermal_occupation_zero_temperature():
+    assert thermal_occupation(TWOPI * 1e6, 0.0) == 0.0
+
+
+def test_thermal_occupation_ln2_point():
+    # hbar w = kB T ln 2  ->  n = 1/(2 - 1) = 1
+    T = 1e-3
+    w = kB * T * np.log(2) / hbar
+    assert thermal_occupation(w, T) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_si_constants_are_scipys_exact_values():
+    # the 2019 SI fixes h and kB; the rounded hbar 1.054571817e-34 differs
+    assert HBAR_SI == hbar
+    assert KB_SI == kB
+
+
+def test_thermal_occupation_published_point():
+    # Bose-Einstein at 28.6 MHz and 3 mK with CODATA constants
+    assert thermal_occupation(TWOPI * 28.6e6, 3e-3) == pytest.approx(1.7237, rel=1e-3)
+    # to the bit: every paper_v1 run reads n_th here, and e^-x / (1 - e^-x)
+    # would read 1 ulp lower and move every paper_v1 CSV
+    assert thermal_occupation(TWOPI * 28.6e6, 3e-3) == 1.7236543071490367
+
+
+def test_thermal_occupation_errors():
+    with pytest.raises(ValueError):
+        thermal_occupation(0.0, 1.0)
+    with pytest.raises(ValueError):
+        thermal_occupation(1.0, -1.0)
+
+
+@pytest.mark.parametrize("T", [1e-300, 1e-310, 1e-320])
+def test_thermal_occupation_reads_its_limit_at_a_tiny_temperature(T):
+    # hbar w / kB T overflows at 1e-300 and kB T underflows to 0 below it:
+    # each reads 0, the T -> 0 limit, with no exception and no warning
+    assert thermal_occupation(TWOPI * 28.6e6, T) == 0.0
 
 
 def test_system_hamiltonian_decoupled():

@@ -312,9 +312,9 @@ def test_qubit_isometry_is_exactly_parity_pure():
 
 
 @pytest.mark.parametrize("drop, given, rates", [
-    ((), {}, lambda p: (p.omega_G / p.Q, dynamics.thermal_occupation(p.omega_G, p.T))),
+    ((), {}, lambda p: (p.omega_G / p.Q, hamiltonians.thermal_occupation(p.omega_G, p.T))),
     ((), {"gamma_m_hz": 5.72, "n_th": 0.25}, lambda p: (p.gamma_m, 0.25)),
-    (("Q",), {"gamma_m_hz": 10.0}, lambda p: (p.gamma_m, dynamics.thermal_occupation(p.omega_G, p.T))),
+    (("Q",), {"gamma_m_hz": 10.0}, lambda p: (p.gamma_m, hamiltonians.thermal_occupation(p.omega_G, p.T))),
     (("Q", "T"), {}, lambda p: (0.0, 0.0)),
 ], ids=["filled", "given", "given-without-Q", "neither-Q-nor-T"])
 def test_open_system_fills_gamma_m_and_n_th(drop, given, rates):
@@ -324,6 +324,7 @@ def test_open_system_fills_gamma_m_and_n_th(drop, given, rates):
     cfg = ScenarioConfig.from_mapping(small_master_mapping(params=params))
     _, collapse, dims, _ = runner.open_system(cfg)
     gamma_m, n_th = rates(cfg.params)
+    assert cfg.params.beam_loss() == (gamma_m, n_th)
     expected = standard_channels(dims, cfg.params.kappa, gamma_m, n_th)
     assert len(collapse) == len(expected) == (1 if gamma_m == 0 else 5)
     assert all(np.array_equal(c, e) for c, e in zip(collapse, expected))
@@ -556,6 +557,12 @@ def test_spanning_subset_gives_each_chosen_member_its_unit_vector(labels, rank):
     assert np.array_equal(coef[chosen], np.eye(rank))
     fit = np.einsum("kn,nij->kij", coef, ops[chosen])
     assert np.max(np.abs(fit - ops)) <= 1e-15
+    # CNOT conjugation maps each member onto its target's projector, so the
+    # chosen members' targets fit every target with the same coefficients
+    cnot = ideal_cnot()
+    targets = cnot @ ops @ cnot.conj().T
+    fit = np.einsum("kn,nij->kij", coef, targets[chosen])
+    assert np.max(np.abs(fit - targets)) <= 1e-15
 
 
 def test_a_bloch_family_propagates_one_span_at_any_grid():
@@ -918,6 +925,18 @@ def test_held_bound_refuses_an_analytic_run_that_validated_on_its_series_alone()
                        initial=InitialStateFamily("fixed-list", tuple(NAMED_STATES)),
                        n_steps=n_steps)
     assert f"kets {48 * k * n_steps}, times {56 * n_steps} more" in str(err.value)
+
+
+def test_cli_evolve_runs_a_config_whose_kB_T_underflows(tmp_path):
+    # kB T underflows to 0 at T = 1e-320, where n_th reads 0, its limit
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"params": {"T": 1e-320}, "n_steps": 11, "t_max_us": 0.01,
+                                  "dims": {"n_cav": 2, "n_b": 2}}))
+    res = CliRunner().invoke(cli.main, ["evolve", "--preset", "paper_v1", "--config", str(config),
+                                        "--out", str(tmp_path / "run")])
+    assert res.exit_code == 0, res.output
+    assert (tmp_path / "run" / "trajectory.csv").exists()
+    assert (tmp_path / "run" / "summary.json").exists()
 
 
 @pytest.mark.parametrize("fixed_step", [[], ["--fixed-step"]])
