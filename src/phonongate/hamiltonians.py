@@ -44,8 +44,9 @@ class PhysicalParams:
 
     Delta may carry either sign; every rate must be nonnegative, and Q
     positive. Optional fields default to None; `beam_loss` fills gamma_m from
-    Q and n_th from T when absent. eps_L, the published drive amplitude, is
-    recorded and echoed but read by nothing.
+    Q and n_th from T when absent, and a given one must agree with them.
+    eps_L, the published drive amplitude, is recorded and echoed but read by
+    nothing.
     """
 
     Delta: float = 0.0
@@ -68,12 +69,16 @@ class PhysicalParams:
                 raise ValueError(f"{name} must be nonnegative, got {v}")
         if self.Q == 0:
             raise ValueError("Q must be positive (a lossless beam is gamma_m_hz = 0), got 0")
+        # a given rate must agree with the input it follows from, to 1e-10 relative
+        derived = []
         if self.gamma_m is not None and self.Q and self.omega_G:
-            expected = self.omega_G / self.Q
-            if abs(self.gamma_m - expected) > 1e-10 * max(abs(expected), 1e-300):
-                raise ValueError(
-                    f"gamma_m = {self.gamma_m} inconsistent with omega_G/Q = {expected}"
-                )
+            derived.append(("gamma_m", self.gamma_m, "omega_G/Q", self.omega_G / self.Q))
+        if self.n_th is not None and self.T is not None and self.omega_G:
+            derived.append(("n_th", self.n_th, "thermal_occupation(omega_G, T)",
+                            thermal_occupation(self.omega_G, self.T)))
+        for name, given, source, expected in derived:
+            if abs(given - expected) > 1e-10 * max(abs(expected), 1e-300):
+                raise ValueError(f"{name} = {given} inconsistent with {source} = {expected}")
 
     def beam_loss(self) -> tuple[float, float]:
         """(gamma_m, n_th) of each beam: the given value, or else omega_G / Q

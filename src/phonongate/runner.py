@@ -136,10 +136,10 @@ class ScenarioConfig:
         k, labelled = self.initial.size, self.initial.kind in fidelity.LABEL_KINDS
         series_bytes = (k if labelled else 1) * (1 + self.writes_leakage) * self.n_steps * 8
         if self.mode == "master":  # propagate's count at the span's n <= 16 columns and
-            # n + 1 rows, with each ket's (2, chunk) reduce buffer and 2 n (n + 1) coefficients
+            # n + 1 rows, with each ket's (2, chunk) reduce buffer and n (n + 1) coefficients
             n = min(k, 16)
             held = dynamics.held_bytes(self.dims, n, n + 1, self.n_steps, 2 * k)
-            held["kets"] = 16 * k * n * (n + 1)
+            held["kets"] = 8 * k * n * (n + 1)
         else:
             held = analytic_held_bytes(k, self.n_steps)
         if series_bytes + sum(held.values()) > MAX_SERIES_BYTES:
@@ -305,7 +305,8 @@ def spanning_subset(ops: np.ndarray) -> tuple[list[int], np.ndarray]:
     while len(chosen) < x.shape[1] and np.max(norms := np.linalg.norm(rest, axis=1)) > floor:
         chosen.append(j := int(np.argmax(norms)))
         rest -= np.outer(rest @ rest[j].conj() / norms[j] ** 2, rest[j])
-    coef = np.linalg.solve(x[chosen].conj() @ x[chosen].T, x[chosen].conj() @ x.T).T.real
+    # a C-contiguous copy: matmul runs a strided view through a non-BLAS loop of its own
+    coef = np.linalg.solve(x[chosen].conj() @ x[chosen].T, x[chosen].conj() @ x.T).T.real.copy()
     coef[chosen] = np.eye(len(chosen))
     return chosen, coef
 
@@ -326,7 +327,7 @@ def master_fidelity_series(
     conjugation is unitary and maps each ket's projector onto its target's,
     so the targets span every ket's target with the ket's own coefficients
     a. A ket's numerator is then the sum of a_l a_j times output (j, l), and
-    its weight the sum of a_j times output (j, P): one real product per
+    its weight the sum of a_j times output (j, P): two real products per
     chunk of outputs, as propagate hands it over, then the ratio, clipped at
     0, its square root in the amplitude convention, and the leakage
     1 - tr(P Tr_cav rho). Returns (times, fidelity, leakage, stats), both
@@ -345,11 +346,10 @@ def master_fidelity_series(
     columns = qubit_vectors(proj[cols], np.diag(np.eye(cfg.n_cav)[cfg.cavity_fock]), kk).T
     rows = qubit_vectors(np.concatenate([u[:, :, None] * u.conj()[:, None, :], [np.eye(4)]]),
                          np.eye(cfg.n_cav), kk).conj()
-    # each ket's coefficients over a chunk's (r, n) outputs: a_l a_j off the P
-    # row for its numerator, a_j on it for its weight
-    coef = np.zeros((2, k, len(rows), len(cols)))
-    coef[0, :, :-1], coef[1, :, -1] = a[:, :, None] * a[:, None, :], a
-    del proj, a
+    # each ket's coefficients over a chunk's (r, n) outputs: a_l a_j on the n
+    # target rows for its numerator, a_j on the P row for its weight
+    pairs, n2 = (a[:, :, None] * a[:, None, :]).reshape(k, -1), len(cols) ** 2
+    del proj
 
     shape, lowest = (k, times.size) if weights is None else times.shape, []
     fid, leak = np.empty(shape), np.empty(shape) if cfg.writes_leakage else None
@@ -359,9 +359,10 @@ def master_fidelity_series(
         nonlocal out
         c = block.shape[-1]
         out = np.empty(2 * k * c) if out is None else out
-        both = out[:2 * k * c].reshape(2, k, c)
-        np.matmul(coef.reshape(2, k, -1), block.swapaxes(0, 1).reshape(-1, c), out=both)
-        num, weight = both
+        num, weight = out[:2 * k * c].reshape(2, k, c)
+        flat = block.swapaxes(0, 1).reshape(-1, c)
+        np.matmul(pairs, flat[:n2], out=num)
+        np.matmul(a, flat[n2:], out=weight)
         lowest.append(np.min(weight))
         np.maximum(np.divide(num, weight, out=num), 0.0, out=num)  # the clip at 0
         if cfg.fidelity_convention == "amplitude":

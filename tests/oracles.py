@@ -123,3 +123,13 @@ def truncation_convergence(omega_m, lam, n_levels=4, dim_lo=16, dim_hi=24):
     hi = np.linalg.eigvalsh(duffing_hamiltonian(omega_m, lam, dim_hi))[:n_levels]
     ref = np.where(np.abs(hi) > 0, np.abs(hi), 1.0)
     return float(np.max(np.abs(lo - hi) / ref))
+
+
+def csv_text(header, columns):
+    """The text `files.write_csv` writes, by the row loop it replaced: a
+    string column through '%s' and every other value through Python's
+    '%.17g', which takes an integer as the float it converts to."""
+    columns = [np.asarray(c) for c in columns]
+    template = ",".join("%s" if c.dtype.kind == "U" else "%.17g" for c in columns) + "\n"
+    rows = zip(*(c.tolist() for c in columns), strict=True)
+    return ",".join(header) + "\n" + "".join(template % row for row in rows)

@@ -204,11 +204,11 @@ def scenario_mappings(draw):
 def master_held(n_cav, n_b, k, n_steps) -> dict[str, int]:
     """What a master run of k kets holds besides its series: `dynamics.held_bytes`
     of the n = min(k, 16) columns and n + 1 rows that span its kets' projectors
-    and targets, with each ket's (2, chunk) reduce buffer, and each ket's 2 n
-    (n + 1) float contraction coefficients."""
+    and targets, with each ket's (2, chunk) reduce buffer, and each ket's
+    n (n + 1) float contraction coefficients."""
     n = min(k, 16)
     held = dynamics.held_bytes((n_cav, n_b, n_b), n, n + 1, n_steps, reduced=2 * k)
-    held["kets"] = k * 8 * 2 * n * (n + 1)
+    held["kets"] = k * 8 * n * (n + 1)
     return held
 
 
@@ -313,7 +313,7 @@ def test_qubit_isometry_is_exactly_parity_pure():
 
 @pytest.mark.parametrize("drop, given, rates", [
     ((), {}, lambda p: (p.omega_G / p.Q, hamiltonians.thermal_occupation(p.omega_G, p.T))),
-    ((), {"gamma_m_hz": 5.72, "n_th": 0.25}, lambda p: (p.gamma_m, 0.25)),
+    (("T",), {"gamma_m_hz": 5.72, "n_th": 0.25}, lambda p: (p.gamma_m, 0.25)),
     (("Q",), {"gamma_m_hz": 10.0}, lambda p: (p.gamma_m, hamiltonians.thermal_occupation(p.omega_G, p.T))),
     (("Q", "T"), {}, lambda p: (0.0, 0.0)),
 ], ids=["filled", "given", "given-without-Q", "neither-Q-nor-T"])
@@ -328,6 +328,14 @@ def test_open_system_fills_gamma_m_and_n_th(drop, given, rates):
     expected = standard_channels(dims, cfg.params.kappa, gamma_m, n_th)
     assert len(collapse) == len(expected) == (1 if gamma_m == 0 else 5)
     assert all(np.array_equal(c, e) for c, e in zip(collapse, expected))
+
+
+@pytest.mark.parametrize("given", [{"n_th": 0.25}, {"gamma_m_hz": 5.0}])
+def test_a_given_loss_rate_must_agree_with_its_source(given):
+    # PAPER_V1's T gives n_th = 1.72 and its Q gamma_m = 5.72 Hz: a given
+    # value that disagrees is refused, with a message naming both keys
+    with pytest.raises(ValueError, match="n_th = 0.25 .*T|gamma_m = .*Q"):
+        ScenarioConfig.from_mapping(small_master_mapping(params={**PAPER_V1, **given}))
 
 
 def test_master_run_writes_outputs(tmp_path):
@@ -821,8 +829,8 @@ def test_series_bound_refuses_a_label_list_series_and_keeps_the_figures(tmp_path
 def test_held_bound_counts_the_columns_and_rows_of_a_master_run():
     # a Bloch family propagates at most 16 columns against 17 rows whatever
     # its k: the separable [16, 16] grid at n_cav = 3, n_b = 4 validates. At
-    # [32, 32], k = 921600 kets each hold 2 x 16 x 17 float contraction
-    # coefficients and a (2, 256) reduce buffer, 7.8 GB in all
+    # [32, 32], k = 921600 kets each hold 16 x 17 float contraction
+    # coefficients and a (2, 256) reduce buffer, 5.9 GB in all
     k, n = 30 * 32 * 30 * 32, 16
     doc = small_master_mapping(initial={"kind": "separable-product", "grid": [32, 32]},
                                dims={"n_cav": 3, "n_b": 4}, n_steps=2000)
@@ -830,7 +838,7 @@ def test_held_bound_counts_the_columns_and_rows_of_a_master_run():
         ScenarioConfig.from_mapping(doc)
     assert str(err.value).startswith(f"{k} initial kets: {2 * 2000 * 8} bytes of float64 "
                                      "series, and the master run's columns")
-    assert f"kets {k * 8 * 2 * n * (n + 1)} more" in str(err.value)
+    assert f"kets {k * 8 * n * (n + 1)} more" in str(err.value)
     counted = dynamics.held_bytes((3, 4, 4), n, n + 1, 2000)
     chunks = f"chunks {counted['chunks'] + k * 2 * 256 * 8},"
     assert chunks in str(err.value)

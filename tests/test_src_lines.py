@@ -56,6 +56,15 @@ def test_sources_at_the_work_tree_and_at_a_revision(tmp_path):
                                                          "src/phonongate/b.py"]
 
 
+def test_by_module_counts_each_module_and_sums_to_the_total(capsys):
+    assert src_lines.by_module({"pkg/a.py": FIXTURE, "pkg/b.py": "y = 2\n"}) == {"a": 7, "b": 1}
+    assert src_lines.main(["--by-module"]) == 0
+    total, *rows = capsys.readouterr().out.splitlines()
+    sizes = {name: int(size) for size, name in map(str.split, rows)}
+    assert sizes == src_lines.by_module(src_lines.sources(src_lines.ROOT, None))
+    assert sum(sizes.values()) == int(total) and "files" in sizes
+
+
 # a command module and a library module: `main` reaches `used` by name and
 # `Shape` by attribute, `Shape` reaches `TABLE` from its body, the module-level
 # call reaches `registered`; `unused`, `LIMIT` and `spare` are left, with their

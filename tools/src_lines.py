@@ -1,11 +1,12 @@
 """Count the code lines of the package, ROADMAP aim 2's measure of its size.
 
-    python3 tools/src_lines.py [REV] [--unreached]
+    python3 tools/src_lines.py [REV] [--by-module] [--unreached]
 
 Counts the lines of `src/phonongate/*.py` that hold code: blank lines,
 comment-only lines and docstrings (the string that opens a module, class or
 function body) do not count. Without REV it reads the work tree; with a git
-revision it reads the files as committed there. With --unreached it also
+revision it reads the files as committed there. With --by-module it also
+prints each module's code lines (`by_module`). With --unreached it also
 lists, with their code lines, the top-level definitions no command reaches
 (`unreached`).
 """
@@ -60,6 +61,11 @@ def sources(root: Path, rev: str | None) -> dict[str, str]:
             for name in sorted(names) if name.endswith(".py")}
 
 
+def by_module(srcs: dict[str, str]) -> dict[str, int]:
+    """module name -> its code lines, for every module of `sources`."""
+    return {Path(path).stem: code_lines(source) for path, source in srcs.items()}
+
+
 def unreached(srcs: dict[str, str]) -> dict[str, int]:
     """module.name -> code lines of each top-level def, class or assignment
     that no command reaches. The roots are the top-level functions of cli.py
@@ -101,11 +107,16 @@ def unreached(srcs: dict[str, str]) -> dict[str, int]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", nargs="?", default=None, help="git revision (default: work tree)")
+    parser.add_argument("--by-module", action="store_true",
+                        help="also print each module's code lines")
     parser.add_argument("--unreached", action="store_true",
                         help="also list what no command reaches, with its code lines")
     args = parser.parse_args(argv)
     srcs = sources(ROOT, args.rev)
     print(sum(code_lines(src) for src in srcs.values()))
+    if args.by_module:
+        for module, size in by_module(srcs).items():
+            print(f"{size:5d}  {module}")
     if args.unreached:
         for key, size in sorted(unreached(srcs).items()):
             print(f"{size:5d}  {key}")
