@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import replace
 
 import click
 import numpy as np
@@ -19,7 +18,7 @@ from .duffing import duffing_spectrum
 from .dynamics import IntegrationError
 from .files import write_csv
 from .gates import cnot_sequence, exchange_unitary, ideal_cnot, phase_aligned_distance
-from .hamiltonians import PhysicalParams, exchange_rate
+from .hamiltonians import exchange_rate
 from .runner import PAPER_VA_XG_SQ, PRESETS, ScenarioConfig
 
 
@@ -27,12 +26,15 @@ def _default_out() -> str:
     return os.environ.get("PHONONGATE_OUTDIR", "phonongate_out")
 
 
-def _scenario_from_sources(config_path, preset) -> ScenarioConfig:
-    """Build a scenario from a JSON config, a named preset, or both
-    (config keys override the preset's parameters)."""
-    if config_path is None and preset is None:
+def _scenario_from_sources(config_path, preset, flags: dict, defaults=None) -> ScenarioConfig:
+    """Parse a command's scenario, once, from one document: its JSON config,
+    or without one the command's `defaults` document; under it a preset's
+    parameters (and, where the document has no `initial`, the four basis kets
+    averaged over 00, 01 and 11); over both the command's `flags`, dotted
+    config keys set where they are not None."""
+    if config_path is None and preset is None and defaults is None:
         raise ValueError("need --config and/or --preset")
-    doc = {}
+    doc = dict(defaults or {})
     if config_path:
         with open(config_path) as fh:
             doc = json.load(fh)
@@ -44,7 +46,7 @@ def _scenario_from_sources(config_path, preset) -> ScenarioConfig:
         if "initial" not in doc:
             doc["initial"] = {"kind": "fixed-list", "labels": ["00", "01", "10", "11"]}
             doc.setdefault("average_over", ["00", "01", "11"])
-    return ScenarioConfig.from_mapping(doc)
+    return ScenarioConfig.from_mapping(doc, {key: v for key, v in flags.items() if v is not None})
 
 
 class _Main(click.Group):
@@ -115,25 +117,12 @@ def gatecheck(g_hz, omega_hz, delta_hz, xg2):
 def analytic(config_path, preset, out, t_max_us):
     """Closed-form gate-fidelity curves for the analytic parameter set."""
     outdir = out or os.path.join(_default_out(), "analytic")
-    if config_path:
-        if preset:
-            raise ValueError("analytic takes --config or --preset, not both")
-        cfg = _scenario_from_sources(config_path, None)
-        if cfg.mode != "analytic":
-            raise ValueError(f"analytic needs a config with mode 'analytic', got {cfg.mode!r}")
-    else:
-        cfg = ScenarioConfig(
-            params=PhysicalParams.from_config(PRESETS[preset or "paper_va"]),
-            initial=runner.fidelity.InitialStateFamily("fixed-list", ("00", "01", "10", "11")),
-            mode="analytic",
-            t_max_us=120e3,
-            n_steps=4001,
-            X_G_sq=PAPER_VA_XG_SQ,
-            outputs=("fidelity", "avg_entangled", "avg_separable"),
-            label="analytic",
-        )
-    if t_max_us is not None:
-        cfg = replace(cfg, t_max_us=t_max_us)
+    if config_path and preset:
+        raise ValueError("analytic takes --config or --preset, not both")
+    cfg = _scenario_from_sources(config_path, None if config_path else preset or "paper_va",
+                                 {"t_max_us": t_max_us}, runner.ANALYTIC_DEFAULTS)
+    if cfg.mode != "analytic":
+        raise ValueError(f"analytic needs a config with mode 'analytic', got {cfg.mode!r}")
     summary = runner.run_scenario(cfg, outdir)
     click.echo(json.dumps({"peak_fidelity": summary["peak_fidelity"],
                            "peak_time_s": summary["peak_time_s"],
@@ -152,14 +141,11 @@ def analytic(config_path, preset, out, t_max_us):
 def evolve(config_path, preset, out, fixed_step, nb):
     """Run one scenario from a JSON config and/or preset, in its mode: a
     master-equation run, or the closed-form curves of an analytic config."""
-    cfg = _scenario_from_sources(config_path, preset)
+    cfg = _scenario_from_sources(config_path, preset, {"integrator": "rk4" if fixed_step else None,
+                                                       "dims.n_b": int(nb) if nb else None})
     if cfg.mode == "analytic" and (fixed_step or nb):
         raise ValueError("--fixed-step and --nb apply to master runs only, "
                          "not to an analytic config")
-    if fixed_step:
-        cfg = replace(cfg, integrator="rk4")
-    if nb:
-        cfg = replace(cfg, n_b=int(nb))
     outdir = out or os.path.join(_default_out(), cfg.label)
     summary = runner.run_scenario(cfg, outdir)
     click.echo(json.dumps({"peak_fidelity": summary["peak_fidelity"],
@@ -194,7 +180,7 @@ def figure(fig_id, out, fixed_step, nb, bloch_grid):
 @click.option("--out", type=click.Path(), default=None)
 def sweep(config_path, preset, param, values, out):
     """Re-run one scenario while varying a single named parameter."""
-    cfg = _scenario_from_sources(config_path, preset)
+    cfg = _scenario_from_sources(config_path, preset, {})
     vals = [float(v) for v in values.split(",") if v.strip()]
     if not vals:
         raise ValueError("no sweep values given")

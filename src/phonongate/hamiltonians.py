@@ -69,26 +69,25 @@ class PhysicalParams:
                 raise ValueError(f"{name} must be nonnegative, got {v}")
         if self.Q == 0:
             raise ValueError("Q must be positive (a lossless beam is gamma_m_hz = 0), got 0")
-        # a given rate must agree with the input it follows from, to 1e-10 relative
-        derived = []
-        if self.gamma_m is not None and self.Q and self.omega_G:
-            derived.append(("gamma_m", self.gamma_m, "omega_G/Q", self.omega_G / self.Q))
-        if self.n_th is not None and self.T is not None and self.omega_G:
-            derived.append(("n_th", self.n_th, "thermal_occupation(omega_G, T)",
-                            thermal_occupation(self.omega_G, self.T)))
-        for name, given, source, expected in derived:
-            if abs(given - expected) > 1e-10 * max(abs(expected), 1e-300):
-                raise ValueError(f"{name} = {given} inconsistent with {source} = {expected}")
+        # a given rate must agree with the rule it follows from, to 1e-10 relative
+        for name, given, rule, derived in self._loss_rules():
+            if None not in (given, derived) and abs(given - derived) > 1e-10 * max(derived, 1e-300):
+                raise ValueError(f"{name} = {given} inconsistent with {rule} = {derived}")
+
+    def _loss_rules(self) -> tuple[tuple[str, float | None, str, float | None], ...]:
+        """(name, given value, rule, derived value) of each beam loss rate:
+        gamma_m = omega_G/Q and n_th = thermal_occupation(omega_G, T), each
+        derived value None without omega_G and its source, Q or T."""
+        w, Q, T = self.omega_G, self.Q, self.T
+        return (("gamma_m", self.gamma_m, "omega_G/Q", w / Q if Q and w else None),
+                ("n_th", self.n_th, "thermal_occupation(omega_G, T)",
+                 thermal_occupation(w, T) if T is not None and w else None))
 
     def beam_loss(self) -> tuple[float, float]:
-        """(gamma_m, n_th) of each beam: the given value, or else omega_G / Q
-        and the thermal occupation of omega_G at T, each 0 without Q or T (or
-        without omega_G)."""
-        gamma_m = self.gamma_m if self.gamma_m is not None else (
-            self.omega_G / self.Q if self.Q and self.omega_G else 0.0)
-        n_th = self.n_th if self.n_th is not None else (
-            thermal_occupation(self.omega_G, self.T) if self.T is not None and self.omega_G else 0.0)
-        return gamma_m, n_th
+        """(gamma_m, n_th) of each beam: the given value, or else the one its
+        rule derives, each 0 without Q or T (or without omega_G)."""
+        return tuple(given if given is not None else derived or 0.0
+                     for _, given, _, derived in self._loss_rules())
 
     @classmethod
     def from_config(cls, mapping: dict) -> "PhysicalParams":
@@ -168,10 +167,14 @@ def system_hamiltonian(
 
 def exchange_rate(Delta: float, omega_G: float, g_G: float, X_G_sq: float) -> float:
     """Second-order exchange rate Omega = Delta X_G^2 g_G^2 / (Delta^2 - omega_G^2);
-    ValueError at |Delta| = omega_G, where it diverges."""
-    if Delta**2 == omega_G**2:
-        raise ValueError("the exchange rate needs |Delta| != omega_G; it diverges there")
-    return float(Delta * X_G_sq * g_G**2 / (Delta**2 - omega_G**2))
+    ValueError at |Delta| = omega_G, where it diverges, and inf where a square
+    overflows; its callers refuse a rate that is not finite."""
+    try:
+        if Delta**2 == omega_G**2:
+            raise ValueError("the exchange rate needs |Delta| != omega_G; it diverges there")
+        return float(Delta * X_G_sq * g_G**2 / (Delta**2 - omega_G**2))
+    except OverflowError:  # a square past the float range
+        return np.inf
 
 
 def effective_gate_hamiltonian(spec: DuffingSpectrum, g_G: float, Delta: float) -> EffectiveGateParams:

@@ -55,6 +55,12 @@ PAPER_VA_XG_SQ = 0.25
 
 PRESETS = {"paper_v1": PAPER_V1, "paper_va": PAPER_VA}
 
+# the scenario the `analytic` command runs without a config, under a preset's
+# params (paper_va unless one is named): the four basis kets on a 120 ms grid
+ANALYTIC_DEFAULTS = {"mode": "analytic", "label": "analytic", "t_max_us": 120e3, "n_steps": 4001,
+                     "X_G_sq": PAPER_VA_XG_SQ, "initial": {"labels": ["00", "01", "10", "11"]},
+                     "outputs": ["fidelity", "avg_entangled", "avg_separable"]}
+
 # bound on what a run holds for its k kets: the float64 series it writes, a
 # fidelity and, where `writes_leakage`, a leakage row per ket of a label list
 # or per Bloch family, which is averaged chunk by chunk, over n_steps, and
@@ -182,12 +188,20 @@ class ScenarioConfig:
         return np.linspace(0.0, self.t_max_us * 1e-6, self.n_steps)
 
     @classmethod
-    def from_mapping(cls, doc: dict) -> "ScenarioConfig":
-        """Parse a scenario document: unknown keys fail here, values in the constructor."""
+    def from_mapping(cls, doc: dict, keys: dict | None = None) -> "ScenarioConfig":
+        """Parse a scenario document with each dotted config key of `keys`
+        (e.g. params.g_G_hz, dims.n_b, or n_steps at the top level) set to its
+        value, as a sweep sets its values and a command its flags. Unknown
+        keys fail here, values in the constructor."""
         if not isinstance(doc, dict) or any(not isinstance(doc.get(k, {}), dict) for k in _SECTIONS):
             raise ValueError(f"a scenario and its {', '.join(_SECTIONS)} must be JSON objects")
         doc = dict(doc)
         sections = {key: dict(doc.pop(key, {})) for key in _SECTIONS}
+        for key, value in (keys or {}).items():
+            where, _, name = key.rpartition(".")
+            if where not in ("", *_SECTIONS) or key in _SECTIONS:
+                raise ValueError(f"{key!r} is not a config key")
+            (sections[where] if where else doc)[name] = value
         kw = {}
         for name, (where, key) in _SCALARS.items():
             source = sections[where] if where else doc
@@ -391,7 +405,10 @@ def _analytic_omega(cfg: ScenarioConfig) -> float:
     xg_sq = PAPER_VA_XG_SQ if cfg.X_G_sq is None else cfg.X_G_sq
     if not (p.Delta and p.g_G and p.omega_G):
         raise ValueError("analytic mode needs Omega, or Delta, g_G, omega_G with |Delta| != omega_G")
-    return exchange_rate(p.Delta, p.omega_G, p.g_G, xg_sq)
+    omega = exchange_rate(p.Delta, p.omega_G, p.g_G, xg_sq)
+    if not np.isfinite(omega):
+        raise ValueError(f"analytic mode needs a finite exchange rate, got Omega = {omega}")
+    return omega
 
 
 MIN_QUBIT_WEIGHT = 0.05  # below it, summary.json warns of a poorly conditioned fidelity
@@ -594,16 +611,10 @@ def run_sweep(cfg: ScenarioConfig, param: str, values, outdir) -> dict:
     """One scenario per value of a dotted config key (e.g. params.g_G_hz).
     Every value is validated, and the run directories (named by the value in
     %g format) checked to be distinct, before any run starts."""
-    where, _, key = param.rpartition(".")
     tasks = []
     for v in values:
-        doc = cfg.to_mapping()
-        node = doc.setdefault(where, {}) if where else doc
-        if not isinstance(node, dict):
-            raise ValueError(f"{param!r} is not a config key")
-        node[key] = v
-        doc["label"] = f"{cfg.label}_{param}={v:g}"
-        tasks.append((ScenarioConfig.from_mapping(doc),
+        keys = {param: v, "label": f"{cfg.label}_{param}={v:g}"}
+        tasks.append((ScenarioConfig.from_mapping(cfg.to_mapping(), keys),
                       os.path.join(outdir, f"{param.replace('.', '_')}={v:g}")))
     names = [sub for _, sub in tasks]
     if len(set(names)) < len(names):

@@ -722,6 +722,7 @@ def test_cli_gatecheck():
     (["--g-hz", "0"], "nonzero exchange rate"),
     (["--xg2", "nan"], "finite nonzero exchange rate"),
     (["--g-hz", "inf"], "finite nonzero exchange rate"),
+    (["--g-hz", "1e200"], "finite nonzero exchange rate"),  # g_G**2 overflows
 ])
 def test_cli_gatecheck_without_a_finite_nonzero_rate_fails_cleanly(args, cause):
     res = CliRunner().invoke(cli.main, ["gatecheck", *args])
@@ -1141,7 +1142,10 @@ def test_cli_sweep_integer_key(tmp_path):
     (["sweep", "--config", "CFG", "--param", "params.Q", "--values", ","], "no sweep values given"),
     (["sweep", "--config", "CFG", "--param", "label.x", "--values", "1"],
      "'label.x' is not a config key"),
-], ids=["evolve-without-a-source", "sweep-without-values", "sweep-of-a-non-key"])
+    (["sweep", "--config", "CFG", "--param", "params", "--values", "1"],
+     "'params' is not a config key"),
+], ids=["evolve-without-a-source", "sweep-without-values", "sweep-of-a-non-key",
+        "sweep-of-a-section"])
 def test_cli_refuses_a_run_it_cannot_build_before_making_a_directory(tmp_path, args, cause):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(small_master_mapping(n_steps=101, t_max_us=0.1)))
@@ -1176,6 +1180,101 @@ def test_cli_analytic_runs_its_defaults(tmp_path):
     assert res.exit_code == 0, res.output
     short = json.loads((tmp_path / "short" / "summary.json").read_text())
     assert short["config"]["t_max_us"] == 60000.0
+
+
+@pytest.fixture
+def scenarios_run(monkeypatch):
+    """The scenarios the CLI hands to `run_scenario`, which here runs none."""
+    ran = []
+
+    def run_scenario(cfg, outdir):
+        ran.append(cfg)
+        return dict.fromkeys(("peak_fidelity", "peak_time_s", "peak_time_us"), 0.0)
+
+    monkeypatch.setattr(runner, "run_scenario", run_scenario)
+    return ran
+
+
+@pytest.mark.parametrize("args, echoed", [
+    (["evolve", "--preset", "paper_v1", "--nb", "4", "--fixed-step"], {"n_b": 4, "integrator": "rk4"}),
+    (["analytic", "--t-max-us", "5"], {"t_max_us": 5.0}),
+], ids=["evolve", "analytic"])
+def test_cli_parses_its_scenario_once(tmp_path, monkeypatch, scenarios_run, args, echoed):
+    # the flags are set in the scenario's document, which is validated once
+    calls, post_init = [], ScenarioConfig.__post_init__
+    monkeypatch.setattr(ScenarioConfig, "__post_init__", lambda cfg: calls.append(post_init(cfg)))
+    res = CliRunner().invoke(cli.main, [*args, "--out", str(tmp_path / "run")])
+    assert res.exit_code == 0, res.output
+    assert len(calls) == 1
+    [cfg] = scenarios_run
+    assert {name: getattr(cfg, name) for name in echoed} == echoed
+
+
+@pytest.mark.parametrize("command, doc, flag, key", [
+    ("evolve", small_master_mapping(dims={"n_cav": 2, "n_b": 3}, n_steps=11, t_max_us=0.01),
+     ["--nb", "4"], ("dims", "n_b", 4)),
+    ("analytic", {"mode": "analytic", "params": PAPER_VA, "t_max_us": 0, "n_steps": 11},
+     ["--t-max-us", "5"], (None, "t_max_us", 5.0)),
+], ids=["nb", "t-max-us"])
+def test_a_flag_replaces_a_config_value_before_it_is_validated(tmp_path, command, doc, flag, key):
+    # the config alone is refused (n_b = 3, t_max_us = 0); with the flag it runs
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    res = CliRunner().invoke(cli.main, [command, "--config", str(config), "--out", str(tmp_path / "no")])
+    assert res.exit_code == 1
+    res = CliRunner().invoke(cli.main, [command, "--config", str(config), *flag,
+                                        "--out", str(tmp_path / "run")])
+    assert res.exit_code == 0, res.output
+    echo = json.loads((tmp_path / "run" / "summary.json").read_text())["config"]
+    where, name, value = key
+    assert (echo[where] if where else echo)[name] == value
+
+
+def test_cli_analytic_parses_its_defaults_document_under_a_preset(tmp_path, scenarios_run):
+    # the same scenario as from_mapping of the document over the preset's
+    # params, paper_va unless one is named; a run leaves the document as it was
+    for args, preset in ((["--preset", "paper_v1"], "paper_v1"), ([], "paper_va")):
+        res = CliRunner().invoke(cli.main, ["analytic", *args, "--out", str(tmp_path / "run")])
+        assert res.exit_code == 0, res.output
+        expected = ScenarioConfig.from_mapping({**runner.ANALYTIC_DEFAULTS,
+                                                "params": runner.PRESETS[preset]})
+        assert scenarios_run.pop().to_mapping() == expected.to_mapping()
+    assert expected == ScenarioConfig(
+        params=PhysicalParams.from_config(PAPER_VA), mode="analytic", label="analytic",
+        initial=InitialStateFamily("fixed-list", ("00", "01", "10", "11")), t_max_us=120e3,
+        n_steps=4001, X_G_sq=0.25, outputs=("fidelity", "avg_entangled", "avg_separable"))
+
+
+@pytest.mark.parametrize("config, args, cause", [
+    ("[1, 2]", ["--fixed-step"], "a scenario and its params, dims, initial must be JSON objects"),
+    ('{"dims": [4]}', ["--nb", "4"], "a scenario and its params, dims, initial must be JSON objects"),
+    ("[1, 2]", ["--preset", "paper_v1", "--fixed-step"],
+     "a config and its params must be JSON objects"),
+], ids=["list", "dims-list", "list-under-a-preset"])
+def test_cli_evolve_refuses_a_non_object_config_before_setting_a_flag(tmp_path, config, args, cause):
+    path = tmp_path / "config.json"
+    path.write_text(config)
+    res = CliRunner().invoke(cli.main, ["evolve", "--config", str(path), *args,
+                                        "--out", str(tmp_path / "run")])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    [line] = res.stderr.splitlines()
+    assert json.loads(line)["error"] == cause
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("g_hz", [1e153, 1e200])
+def test_cli_analytic_refuses_an_exchange_rate_that_is_not_finite(tmp_path, g_hz):
+    # Delta X_G^2 g_G^2 overflows to inf at 1e153 Hz, and g_G**2 raises at 1e200
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"mode": "analytic", "params": {**PAPER_VA, "g_G_hz": g_hz}}))
+    res = CliRunner().invoke(cli.main, ["analytic", "--config", str(config),
+                                        "--out", str(tmp_path / "run")])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    [line] = res.stderr.splitlines()
+    assert json.loads(line)["error"] == "analytic mode needs a finite exchange rate, got Omega = inf"
+    assert not (tmp_path / "run").exists()
 
 
 def test_analytic_run_records_a_grid_that_aliases_the_gate(tmp_path):
