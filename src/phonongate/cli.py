@@ -96,8 +96,9 @@ def gatecheck(g_hz, omega_hz, delta_hz, xg2):
     """Print the exchange rate, the ISWAP check, and the CNOT-sequence distance."""
     delta, omega_g, g = (2 * np.pi * v for v in (delta_hz, omega_hz, g_hz))
     rate = exchange_rate(delta, omega_g, g, xg2)
-    if not np.isfinite(rate) or rate == 0:
-        raise ValueError("gatecheck needs a finite nonzero exchange rate from Delta, g and X_G^2")
+    if not 0 < rate < np.inf:  # t_gate = pi/(2 Omega) is a time
+        raise ValueError("gatecheck needs a finite nonzero exchange rate from Delta, g and X_G^2, "
+                         f"and a positive one to time the gate by pi/(2 Omega), got Omega = {rate:g}")
     t_gate = np.pi / (2 * rate)
     iswap = np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]])
     d_iswap = phase_aligned_distance(exchange_unitary(rate, t_gate), iswap)
@@ -111,15 +112,13 @@ def gatecheck(g_hz, omega_hz, delta_hz, xg2):
 @main.command()
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--preset", type=click.Choice(sorted(PRESETS)), default=None,
-              help="Parameter set without a config.  [default: paper_va]")
+              help="Parameter set under a config's params.  [default without a config: paper_va]")
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--t-max-us", type=float, default=None)
 def analytic(config_path, preset, out, t_max_us):
     """Closed-form gate-fidelity curves for the analytic parameter set."""
     outdir = out or os.path.join(_default_out(), "analytic")
-    if config_path and preset:
-        raise ValueError("analytic takes --config or --preset, not both")
-    cfg = _scenario_from_sources(config_path, None if config_path else preset or "paper_va",
+    cfg = _scenario_from_sources(config_path, preset if config_path else preset or "paper_va",
                                  {"t_max_us": t_max_us}, runner.ANALYTIC_DEFAULTS)
     if cfg.mode != "analytic":
         raise ValueError(f"analytic needs a config with mode 'analytic', got {cfg.mode!r}")
@@ -143,9 +142,6 @@ def evolve(config_path, preset, out, fixed_step, nb):
     master-equation run, or the closed-form curves of an analytic config."""
     cfg = _scenario_from_sources(config_path, preset, {"integrator": "rk4" if fixed_step else None,
                                                        "dims.n_b": int(nb) if nb else None})
-    if cfg.mode == "analytic" and (fixed_step or nb):
-        raise ValueError("--fixed-step and --nb apply to master runs only, "
-                         "not to an analytic config")
     outdir = out or os.path.join(_default_out(), cfg.label)
     summary = runner.run_scenario(cfg, outdir)
     click.echo(json.dumps({"peak_fidelity": summary["peak_fidelity"],

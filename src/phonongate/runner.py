@@ -98,6 +98,9 @@ _CHOICES = {"mode": ("master", "analytic"), "quadrature_convention": ("symmetric
             "fidelity_convention": ("squared", "amplitude"), "integrator": ("expm", "rk4")}
 _OUTPUTS = {"master": ("fidelity", "leakage"),
             "analytic": ("fidelity", "avg_entangled", "avg_separable")}
+# the fields only one mode reads: the other mode holds each at its default
+_READ_BY = {"analytic": ("X_G_sq", "Omega"), "master": (
+    "n_cav", "n_b", "cavity_fock", "quadrature_convention", "integrator", "fidelity_convention")}
 
 
 @dataclass(frozen=True)
@@ -129,6 +132,10 @@ class ScenarioConfig:
             if getattr(self, name) not in choices:
                 raise ValueError(f"{name} must be one of {list(choices)}, "
                                  f"got {getattr(self, name)!r}")
+        other = next(mode for mode in _READ_BY if mode != self.mode)
+        for f in fields(self):
+            if f.name in _READ_BY[other] and (v := getattr(self, f.name)) != f.default:
+                raise ValueError(f"{_KEYS.get(f.name, f.name)} = {v!r} applies to {other} mode only")
         if not set(self.outputs) <= set(_OUTPUTS[self.mode]):
             raise ValueError(f"{self.mode} outputs are {list(_OUTPUTS[self.mode])}, "
                              f"got {list(self.outputs)}")
@@ -159,24 +166,21 @@ class ScenarioConfig:
                 labelled and self.average_over and set(self.average_over) <= set(self.initial.labels)):
             raise ValueError(f"average_over {list(self.average_over)} must name members of a "
                              f"label list, not of {self.initial.to_mapping()}")
+        if self.n_b > 2 and not self.params.omega_G > 0:
+            raise ValueError("dims.n_b > 2 needs omega_G_hz > 0 for the beam spectrum")
         if self.mode == "analytic":
             if not labelled:
                 raise ValueError(f"analytic mode takes a label list, not {self.initial.kind!r}")
-            if self.fidelity_convention != "squared":
-                raise ValueError("analytic mode reports the squared fidelity convention only")
+            if self.X_G_sq is not None and self.X_G_sq < 0:
+                raise ValueError(f"X_G_sq must be >= 0 (a squared matrix element), got {self.X_G_sq}")
             _analytic_omega(self)
-        else:
-            if self.X_G_sq is not None or self.Omega is not None:
-                raise ValueError("X_G_sq and Omega apply to analytic mode only")
-            if self.n_b > 2 and not self.params.omega_G > 0:
-                raise ValueError("dims.n_b > 2 needs omega_G_hz > 0 for the beam spectrum")
 
     @property
     def writes_leakage(self) -> bool:
-        """Whether a run writes leakage series: a master run that lists them,
-        or any at n_b > 2. At n_b = 2 the qubit projector is the identity on
-        the beams, so the leakage would only be the trace drift."""
-        return self.mode == "master" and ("leakage" in self.outputs or self.n_b > 2)
+        """Whether a run writes leakage series: one that lists them, or any at
+        n_b > 2 (both master runs). At n_b = 2 the qubit projector is the
+        identity on the beams, so the leakage would only be the trace drift."""
+        return "leakage" in self.outputs or self.n_b > 2
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -243,8 +247,11 @@ def refine_peak(times: np.ndarray, series: np.ndarray) -> tuple[float, float]:
         den = fm - 2.0 * f0 + fp
         if den < 0:
             delta = 0.5 * (fm - fp) / den
-            dt = times[i + 1] - times[i]
-            return float(f0 - 0.25 * (fm - fp) * delta), float(times[i] + delta * dt)
+            value = f0 - 0.25 * (fm - fp) * delta
+            # every refined series is a fidelity: a vertex above 1 is the parabola's
+            # overshoot through aliased samples, where the sampled maximum stands
+            if value <= 1.0:
+                return float(value), float(times[i] + delta * (times[i + 1] - times[i]))
     return float(series[i]), float(times[i])
 
 
@@ -613,7 +620,7 @@ def run_sweep(cfg: ScenarioConfig, param: str, values, outdir) -> dict:
     %g format) checked to be distinct, before any run starts."""
     tasks = []
     for v in values:
-        keys = {param: v, "label": f"{cfg.label}_{param}={v:g}"}
+        keys = {"label": f"{cfg.label}_{param}={v:g}", param: v}  # a swept label wins
         tasks.append((ScenarioConfig.from_mapping(cfg.to_mapping(), keys),
                       os.path.join(outdir, f"{param.replace('.', '_')}={v:g}")))
     names = [sub for _, sub in tasks]

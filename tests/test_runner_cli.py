@@ -55,6 +55,15 @@ def small_master_mapping(**overrides):
     return doc
 
 
+def small_analytic_mapping(**overrides):
+    """`small_master_mapping` as an analytic scenario: without the keys only
+    master mode reads (its cavity_fock, 1, is the default) and with Omega."""
+    doc = {key: v for key, v in small_master_mapping().items()
+           if key not in ("dims", "quadrature_convention", "fidelity_convention")}
+    doc.update({"mode": "analytic", "Omega": 30.0463, **overrides})
+    return doc
+
+
 def test_package_imports_no_scipy():
     # NumPy is the package's one numerical library; SciPy serves the tests only.
     # Every command runs in one process, so no worker-pool module is imported
@@ -96,10 +105,10 @@ def test_config_validation():
     # each fails both as a document and when built in code, by its own rule
     # (a pair of messages where the document is refused before the rule)
     base = ScenarioConfig.from_mapping(small_master_mapping())
+    ana = ScenarioConfig.from_mapping(small_analytic_mapping())
     F = InitialStateFamily
     two = {"kind": "fixed-list", "labels": ["00", "01"]}
     bloch = {"kind": "schmidt-entangled", "family": "Psi"}
-    analytic = {"mode": "analytic", "fidelity_convention": "squared"}
     label_list = "must name members of a label list"
     rows = [
         ({"dims": {"n_cav": 2, "n_b": 3}}, "the quartic term needs 4 levels",
@@ -111,12 +120,12 @@ def test_config_validation():
         ({"n_steps": 11.5}, "n_steps must be an integer, got 11.5",
          lambda: replace(base, n_steps=11.5)),
         ({"outputs": ["leakge"]}, "master outputs are", lambda: replace(base, outputs=("leakge",))),
-        ({**analytic, "initial": bloch}, "analytic mode takes a label list",
-         lambda: replace(base, mode="analytic", fidelity_convention="squared",
-                         initial=F("schmidt-entangled", family="Psi"))),
-        ({"mode": "analytic", "fidelity_convention": "amplitude"},
-         "analytic mode reports the squared fidelity convention only",
-         lambda: replace(base, mode="analytic")),
+        ({"initial": bloch}, "analytic mode takes a label list",
+         lambda: replace(ana, initial=F("schmidt-entangled", family="Psi")),
+         small_analytic_mapping),
+        ({"fidelity_convention": "amplitude"},
+         "fidelity_convention = 'amplitude' applies to master mode only",
+         lambda: replace(ana, fidelity_convention="amplitude"), small_analytic_mapping),
         ({"initial": {"kind": "separable-product", "family": "Psi"}},
          (r"unknown keys \['family'\] for initial kind", "separable-product takes no family"),
          lambda: F("separable-product", family="Psi")),
@@ -127,20 +136,24 @@ def test_config_validation():
         ({"cavity_fock": 0}, r"unknown scenario keys \['cavity_fock'\]", None),
         ({"initial": {"kind": "fixed-list", "labels": ["00"], "cavity_fock": 2}},
          "cavity Fock index outside", lambda: replace(base, cavity_fock=2)),
-        ({"X_G_sq": 0.25}, "apply to analytic mode only", lambda: replace(base, X_G_sq=0.25)),
+        ({"X_G_sq": 0.25}, "X_G_sq = 0.25 applies to analytic mode only",
+         lambda: replace(base, X_G_sq=0.25)),
         ({"dims": {"n_cav": 2, "n_b": 4}, "params": {**PAPER_V1, "omega_G_hz": 0.0}},
          "needs omega_G_hz > 0",
          lambda: replace(base, n_b=4, params=replace(base.params, omega_G=0.0))),
         ({"dims": [2, 2]}, "must be JSON objects", None),
-        ({**analytic, "params": {k: v for k, v in PAPER_V1.items() if k != "g_G_hz"}},
+        ({"params": {k: v for k, v in PAPER_V1.items() if k != "g_G_hz"}, "Omega": None},
          "analytic mode needs Omega",
-         lambda: replace(base, mode="analytic", fidelity_convention="squared",
-                         params=replace(base.params, g_G=0.0))),
+         lambda: replace(ana, Omega=None, params=replace(ana.params, g_G=0.0)),
+         small_analytic_mapping),
+        ({"X_G_sq": -1}, r"X_G_sq must be >= 0 \(a squared matrix element\), got -1.0",
+         lambda: replace(ana, X_G_sq=-1.0), small_analytic_mapping),
     ]
-    for overrides, cause, build in rows:
+    # a row's overrides apply to small_master_mapping, or to the mapping it names
+    for overrides, cause, build, *mapping in rows:
         doc_cause, build_cause = (cause, cause) if isinstance(cause, str) else cause
         with pytest.raises(ValueError, match=doc_cause):
-            ScenarioConfig.from_mapping(small_master_mapping(**overrides))
+            ScenarioConfig.from_mapping((mapping or [small_master_mapping])[0](**overrides))
         if build is not None:
             with pytest.raises(ValueError, match=build_cause):
                 build()
@@ -155,9 +168,15 @@ _RATE = st.floats(min_value=0.0, max_value=1e9, allow_nan=False)
 
 @st.composite
 def scenario_mappings(draw):
-    """Valid scenario documents of every initial-state kind and both modes."""
+    """Valid scenario documents of every initial-state kind and both modes. An
+    analytic document holds the keys only master mode reads at their defaults."""
     mode = draw(st.sampled_from(["master", "analytic"]))
-    n_cav = draw(st.integers(2, 5))
+    master = mode == "master"
+
+    def choice(values, default):  # a master document's value, or an analytic one's default
+        return draw(st.sampled_from(values if master else [default]))
+
+    n_cav = draw(st.integers(2, 5)) if master else 3
     params = draw(st.fixed_dictionaries(
         {"omega_G_hz": st.floats(min_value=1.0, max_value=1e9)},
         optional={"Delta_hz": st.floats(min_value=-1e9, max_value=1e9), "g_G_hz": _RATE,
@@ -169,17 +188,16 @@ def scenario_mappings(draw):
                                 kinds + ["schmidt-entangled", "separable-product"]))
     doc = {
         "params": params,
-        "dims": {"n_cav": n_cav, "n_b": draw(st.sampled_from([2, 4, 5]))},
+        "dims": {"n_cav": n_cav, "n_b": choice([2, 4, 5], 2)},
         "t_max_us": draw(st.floats(min_value=1e-6, max_value=1e6)),
         "n_steps": draw(st.integers(2, 10**6).flatmap(lambda n: st.sampled_from([n, float(n)]))),
         "mode": mode,
         "outputs": draw(st.lists(st.sampled_from(
             ["fidelity", "leakage"] if mode == "master" else
             ["fidelity", "avg_entangled", "avg_separable"]), unique=True)),
-        "quadrature_convention": draw(st.sampled_from(["symmetric", "bare"])),
-        "fidelity_convention": "squared" if mode == "analytic" else
-        draw(st.sampled_from(["squared", "amplitude"])),
-        "integrator": draw(st.sampled_from(["expm", "rk4"])),
+        "quadrature_convention": choice(["symmetric", "bare"], "symmetric"),
+        "fidelity_convention": choice(["squared", "amplitude"], "squared"),
+        "integrator": choice(["expm", "rk4"], "expm"),
         "label": draw(st.text(max_size=8)),
     }
     if kind in kinds:
@@ -193,7 +211,7 @@ def scenario_mappings(draw):
         if kind == "schmidt-entangled":
             doc["initial"]["family"] = draw(st.sampled_from(
                 ["schmidt", "Phi1", "Phi2", "Phi3", "Phi4", "Psi"]))
-    doc["initial"]["cavity_fock"] = draw(st.integers(0, n_cav - 1))
+    doc["initial"]["cavity_fock"] = draw(st.integers(0, n_cav - 1)) if master else 1
     if mode == "analytic":
         doc["Omega"] = draw(st.floats(min_value=-1e6, max_value=1e6))
         if draw(st.booleans()):
@@ -255,6 +273,11 @@ def test_refine_peak_parabola():
     value, t_peak = refine_peak(t, series)
     assert value == pytest.approx(true_v, abs=1e-9)
     assert t_peak == pytest.approx(true_t, abs=1e-6)
+
+
+def test_refine_peak_keeps_the_sample_where_the_vertex_exceeds_one():
+    # the parabola through (0.2, 1, 0.9) peaks at 1.068: a fidelity cannot
+    assert refine_peak(np.array([0.0, 1.0, 2.0]), np.array([0.2, 1.0, 0.9])) == (1.0, 1.0)
 
 
 def test_envelope_maxima_on_beat_pattern():
@@ -369,9 +392,7 @@ def test_master_run_writes_outputs(tmp_path):
 def test_runtime_includes_every_stage_timing(tmp_path, mode):
     # runtime_s is taken after the CSV is written, so it covers csv_s too; at
     # 20001 outputs the CSV is most of an analytic run
-    doc = small_master_mapping(n_steps=20001)
-    if mode == "analytic":
-        doc.update(mode="analytic", fidelity_convention="squared", Omega=30.0463)
+    doc = (small_master_mapping if mode == "master" else small_analytic_mapping)(n_steps=20001)
     summary = run_scenario(ScenarioConfig.from_mapping(doc), tmp_path)
     assert summary["timings_s"]["csv_s"] > 0.0
     assert summary["runtime_s"] >= sum(summary["timings_s"].values())
@@ -723,6 +744,10 @@ def test_cli_gatecheck():
     (["--xg2", "nan"], "finite nonzero exchange rate"),
     (["--g-hz", "inf"], "finite nonzero exchange rate"),
     (["--g-hz", "1e200"], "finite nonzero exchange rate"),  # g_G**2 overflows
+    # t_gate = pi/(2 Omega) would be negative
+    (["--xg2", "-1"], "a positive one to time the gate by pi/(2 Omega), got Omega = -120.185"),
+    (["--delta-hz", "-49.9e6"], "a positive one to time the gate by pi/(2 Omega), "
+                                "got Omega = -30.0463"),
 ])
 def test_cli_gatecheck_without_a_finite_nonzero_rate_fails_cleanly(args, cause):
     res = CliRunner().invoke(cli.main, ["gatecheck", *args])
@@ -767,21 +792,67 @@ STRONGLY_DAMPED = {"params": {"Delta_hz": 28e6, "g_G_hz": 9e6, "omega_G_hz": 28.
                    "dims": {"n_cav": 2, "n_b": 2}, "t_max_us": 1e6, "n_steps": 11}
 
 
-@pytest.mark.parametrize("flag", [["--nb", "4"], ["--fixed-step"]], ids=["nb", "fixed-step"])
-def test_cli_evolve_refuses_master_flags_on_an_analytic_config(tmp_path, flag):
+@pytest.mark.parametrize("flag, cause", [
+    (["--nb", "4"], "dims.n_b = 4 applies to master mode only"),
+    (["--fixed-step"], "integrator = 'rk4' applies to master mode only"),
+], ids=["nb", "fixed-step"])
+def test_cli_evolve_refuses_master_flags_on_an_analytic_config(tmp_path, flag, cause):
     # the beam truncation and the integrator do not enter the closed form, so
     # an analytic run would echo them in summary.json without using them
-    doc = small_master_mapping(mode="analytic", fidelity_convention="squared", Omega=30.0463)
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(doc))
+    config.write_text(json.dumps(small_analytic_mapping()))
     res = CliRunner().invoke(cli.main, ["evolve", "--config", str(config), *flag,
                                         "--out", str(tmp_path / "run")])
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
     [line] = res.stderr.splitlines()
-    assert json.loads(line)["error"] == ("--fixed-step and --nb apply to master runs only, "
-                                         "not to an analytic config")
+    assert json.loads(line)["error"] == cause
     assert not (tmp_path / "run").exists()
+
+
+def test_cli_evolve_takes_the_default_nb_on_an_analytic_config(tmp_path):
+    # n_b = 2 is the default an analytic scenario holds: the flag changes nothing
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(small_analytic_mapping(n_steps=101)))
+    runs = {}
+    for name, flag in (("plain", []), ("nb2", ["--nb", "2"])):
+        res = CliRunner().invoke(cli.main, ["evolve", "--config", str(config), *flag,
+                                            "--out", str(tmp_path / name)])
+        assert res.exit_code == 0, res.output
+        summary = json.loads((tmp_path / name / "summary.json").read_text())
+        del summary["runtime_s"], summary["timings_s"]
+        runs[name] = (summary, (tmp_path / name / "trajectory.csv").read_bytes())
+    assert runs["plain"] == runs["nb2"]
+
+
+# every field only one mode reads, set away from its default in a scenario
+# of the other mode: (that mode, document keys, the key and value named, fields)
+_ONE_MODE_FIELDS = [
+    ("analytic", {"dims": {"n_cav": 2}}, "dims.n_cav = 2", {"n_cav": 2}),
+    ("analytic", {"dims": {"n_b": 4}}, "dims.n_b = 4", {"n_b": 4}),
+    ("analytic", {"initial": {"labels": ["00"], "cavity_fock": 0}}, "initial.cavity_fock = 0",
+     {"cavity_fock": 0}),
+    ("analytic", {"quadrature_convention": "bare"}, "quadrature_convention = 'bare'",
+     {"quadrature_convention": "bare"}),
+    ("analytic", {"integrator": "rk4"}, "integrator = 'rk4'", {"integrator": "rk4"}),
+    ("analytic", {"fidelity_convention": "amplitude"}, "fidelity_convention = 'amplitude'",
+     {"fidelity_convention": "amplitude"}),
+    ("master", {"X_G_sq": 0.25}, "X_G_sq = 0.25", {"X_G_sq": 0.25}),
+    ("master", {"Omega": 30.0}, "Omega = 30.0", {"Omega": 30.0}),
+]
+
+
+@pytest.mark.parametrize("mode, overrides, named, fields", _ONE_MODE_FIELDS,
+                         ids=[f"{mode}-{named.split()[0]}" for mode, _, named, _ in _ONE_MODE_FIELDS])
+def test_a_field_one_mode_reads_is_refused_in_the_other(mode, overrides, named, fields):
+    # refused by its JSON key and value, in a parsed document and in one built in code
+    owner = "master" if mode == "analytic" else "analytic"
+    cause = re.escape(f"{named} applies to {owner} mode only")
+    mapping = small_analytic_mapping if mode == "analytic" else small_master_mapping
+    with pytest.raises(ValueError, match=cause):
+        ScenarioConfig.from_mapping(mapping(**overrides))
+    with pytest.raises(ValueError, match=cause):
+        replace(ScenarioConfig.from_mapping(mapping()), **fields)
 
 
 def test_cli_evolve_reports_a_gate_refusal_as_json(tmp_path, monkeypatch):
@@ -973,24 +1044,30 @@ def test_cli_analytic_refuses_a_nonpositive_t_max(tmp_path, t_max_us):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("mode, extra, cause", [
-    ("analytic", ["--preset", "paper_v1"], "analytic takes --config or --preset, not both"),
-    ("master", [], "analytic needs a config with mode 'analytic', got 'master'"),
-], ids=["config-and-preset", "master-config"])
-def test_cli_analytic_refuses_what_it_would_drop_or_run_as_master(tmp_path, mode, extra, cause):
-    # a preset beside a config would be ignored, and a master config would run
-    # a Lindblad evolution under the analytic command
-    doc = small_master_mapping(mode=mode)
-    if mode == "analytic":
-        doc.update(fidelity_convention="squared", Omega=30.0463)
+def test_cli_analytic_refuses_a_master_config(tmp_path):
+    # a master config would run a Lindblad evolution under the analytic command
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(doc))
-    res = CliRunner().invoke(cli.main, ["analytic", "--config", str(config), *extra,
+    config.write_text(json.dumps(small_master_mapping()))
+    res = CliRunner().invoke(cli.main, ["analytic", "--config", str(config),
                                         "--out", str(tmp_path / "run")])
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
-    assert json.loads(res.stderr)["error"] == cause
+    assert json.loads(res.stderr)["error"] == ("analytic needs a config with mode 'analytic', "
+                                               "got 'master'")
     assert not (tmp_path / "run").exists()
+
+
+def test_cli_analytic_merges_a_preset_under_its_config(tmp_path, scenarios_run):
+    # as evolve and sweep do: the preset's params under the config's own, per key
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"mode": "analytic", "params": {"g_G_hz": 25e3}, "X_G_sq": 0.5}))
+    res = CliRunner().invoke(cli.main, ["analytic", "--config", str(config), "--preset", "paper_va",
+                                        "--out", str(tmp_path / "run")])
+    assert res.exit_code == 0, res.output
+    [cfg] = scenarios_run
+    assert cfg.params == PhysicalParams.from_config({**PAPER_VA, "g_G_hz": 25e3})
+    assert (cfg.label, cfg.X_G_sq) == ("paper_va", 0.5)
+    assert cfg.initial.labels == ("00", "01", "10", "11")
 
 
 def test_config_refuses_zero_q():
@@ -1144,8 +1221,11 @@ def test_cli_sweep_integer_key(tmp_path):
      "'label.x' is not a config key"),
     (["sweep", "--config", "CFG", "--param", "params", "--values", "1"],
      "'params' is not a config key"),
+    # the swept value, not the run's own label, is the one validated
+    (["sweep", "--preset", "paper_v1", "--param", "label", "--values", "1"],
+     "label must be a string, got 1.0"),
 ], ids=["evolve-without-a-source", "sweep-without-values", "sweep-of-a-non-key",
-        "sweep-of-a-section"])
+        "sweep-of-a-section", "sweep-of-the-label"])
 def test_cli_refuses_a_run_it_cannot_build_before_making_a_directory(tmp_path, args, cause):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(small_master_mapping(n_steps=101, t_max_us=0.1)))
@@ -1275,6 +1355,24 @@ def test_cli_analytic_refuses_an_exchange_rate_that_is_not_finite(tmp_path, g_hz
     [line] = res.stderr.splitlines()
     assert json.loads(line)["error"] == "analytic mode needs a finite exchange rate, got Omega = inf"
     assert not (tmp_path / "run").exists()
+
+
+def test_cli_analytic_reports_no_peak_above_one_on_an_aliased_grid(tmp_path):
+    # Omega = 6.8e290 rad/s: the grid aliases the gate completely, and a
+    # parabola through three such samples of F_avg peaked at 1.07
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "mode": "analytic", "params": {**PAPER_VA, "g_G_hz": 1e149},
+        "initial": {"labels": ["00", "01", "10", "11"]},
+        "outputs": ["fidelity", "avg_entangled", "avg_separable"]}))
+    res = CliRunner().invoke(cli.main, ["analytic", "--config", str(config),
+                                        "--out", str(tmp_path / "run")])
+    assert res.exit_code == 0, res.output
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    peaks = [summary["peak_fidelity"], summary["peak_after_initial"]["value"],
+             *(m["value"] for m in summary["local_maxima"])]
+    assert max(peaks) <= 1.0
+    assert [w.split()[0] for w in summary["warnings"]] == ["max_phase_per_output"]
 
 
 def test_analytic_run_records_a_grid_that_aliases_the_gate(tmp_path):
