@@ -46,7 +46,12 @@ def _scenario_from_sources(config_path, preset, flags: dict, defaults=None) -> S
         if "initial" not in doc:
             doc["initial"] = {"kind": "fixed-list", "labels": ["00", "01", "10", "11"]}
             doc.setdefault("average_over", ["00", "01", "11"])
-    return ScenarioConfig.from_mapping(doc, {key: v for key, v in flags.items() if v is not None})
+    return ScenarioConfig.from_mapping(doc, _given(flags))
+
+
+def _given(flags: dict) -> dict:
+    """The dotted config keys of a command's flags that were given (not None)."""
+    return {key: v for key, v in flags.items() if v is not None}
 
 
 class _Main(click.Group):
@@ -135,13 +140,13 @@ def analytic(config_path, preset, out, t_max_us):
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--fixed-step", is_flag=True,
               help="Deterministic fixed-step integrator (master runs only).")
-@click.option("--nb", type=click.Choice(["2", "4"]), default=None,
-              help="Beam truncation override (master runs only).")
+@click.option("--nb", type=int, default=None,
+              help="Beam truncation dims.n_b, 2 or >= 4 (master runs only).")
 def evolve(config_path, preset, out, fixed_step, nb):
     """Run one scenario from a JSON config and/or preset, in its mode: a
     master-equation run, or the closed-form curves of an analytic config."""
     cfg = _scenario_from_sources(config_path, preset, {"integrator": "rk4" if fixed_step else None,
-                                                       "dims.n_b": int(nb) if nb else None})
+                                                       "dims.n_b": nb})
     outdir = out or os.path.join(_default_out(), cfg.label)
     summary = runner.run_scenario(cfg, outdir)
     click.echo(json.dumps({"peak_fidelity": summary["peak_fidelity"],
@@ -152,15 +157,17 @@ def evolve(config_path, preset, out, fixed_step, nb):
 @main.command()
 @click.argument("fig_id", type=click.Choice(["fig2", *runner.FIGURES]))
 @click.option("--out", type=click.Path(), default=None)
-@click.option("--fixed-step", is_flag=True)
-@click.option("--nb", type=click.Choice(["2", "4"]), default="2")
-@click.option("--bloch-grid", type=int, default=16, show_default=True,
-              help="Angular points per axis for fig9/fig10.")
+@click.option("--fixed-step", is_flag=True, help="Deterministic fixed-step integrator.")
+@click.option("--nb", type=int, default=None, help="Beam truncation dims.n_b, 2 or >= 4.")
+@click.option("--bloch-grid", type=int, default=None,
+              help="Angular points per axis of fig9's and fig10's Bloch grid.")
 def figure(fig_id, out, fixed_step, nb, bloch_grid):
-    """Emit the CSV data behind one published figure."""
+    """Emit the CSV data behind one published figure. Each flag given sets a
+    config key of the figure's scenarios, which refuse one they do not read."""
     outdir = out or os.path.join(_default_out(), fig_id)
-    summary = runner.run_figure(fig_id, outdir, n_b=int(nb), fixed_step=fixed_step,
-                                bloch_grid=(bloch_grid, bloch_grid))
+    grid = None if bloch_grid is None else [bloch_grid, bloch_grid]
+    summary = runner.run_figure(fig_id, outdir, _given(
+        {"integrator": "rk4" if fixed_step else None, "dims.n_b": nb, "initial.grid": grid}))
     runs = summary.get("runs")  # a figure of several runs echoes each run's peaks by label
     peaks = ({key: {label: run[key] for label, run in runs.items()}
               for key in ("peak_fidelity", "peak_after_initial")} if runs

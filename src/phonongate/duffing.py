@@ -40,11 +40,12 @@ class DuffingSpectrum:
 
 
 def duffing_hamiltonian(omega_m: float, lam: float, dim: int) -> np.ndarray:
-    """H = omega_m b†b + (lam/2)(b† + b)^4 on a dim-level truncation."""
-    if dim < 4:
-        raise TruncationError(f"quartic term needs dim >= 4, got {dim}")
-    if not 0 < omega_m < np.inf:
-        raise ValueError(f"omega_m must be finite and positive, got {omega_m}")
+    """H = omega_m b†b + (lam/2)(b† + b)^4 on a dim-level truncation: dim 2,
+    where the truncated quartic term is the constant lam/2, or dim >= 4."""
+    if dim == 3:
+        raise TruncationError("quartic term needs dim 2 or >= 4, got 3")
+    if not 0 <= omega_m < np.inf:
+        raise ValueError(f"omega_m must be finite and nonnegative, got {omega_m}")
     if not np.isfinite(lam):
         raise ValueError(f"lam must be finite, got {lam}")
     b = annihilation_op(dim)
@@ -64,7 +65,7 @@ def eigenbasis(omega_m: float, lam: float, dim: int) -> tuple[np.ndarray, np.nda
         levels = np.arange(p, dim, 2)
         block = np.ix_(levels, levels)
         energies[levels], vecs[block] = np.linalg.eigh(h[block])
-    order = np.argsort(energies)
+    order = np.argsort(energies, kind="stable")
     energies, vecs = energies[order], vecs[:, order]
     np.negative(vecs, out=vecs, where=np.diag(vecs).real < 0)  # `where` masks columns
     return energies, vecs

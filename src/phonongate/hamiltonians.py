@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duffing import DuffingSpectrum
+from .duffing import DuffingSpectrum, duffing_hamiltonian
 from .fockspace import annihilation_op, embed, quadrature_op
 from .schema import check, check_fields
 
@@ -149,17 +149,16 @@ def system_hamiltonian(
 
     H = -Delta a†a + sum_j g_G X_c X_j - G_tilde X_1 X_2
         + sum_j [omega_G b_j†b_j + (lam/2)(b_j† + b_j)^4]
+
+    each beam's last term `duffing.duffing_hamiltonian`, embedded at its slot.
     """
     if len(dims) != 3:
         raise ValueError(f"space must have exactly 3 factors (cavity, beam, beam), got {len(dims)}")
     a = embed(annihilation_op(dims[0]), dims, 0)
     x_c = embed(cavity_quadrature(dims[0], quadrature_convention), dims, 0)
     x1, x2 = (embed(quadrature_op(dims[slot]), dims, slot) for slot in (1, 2))
-    beams = []
-    for slot, x_j in ((1, x1), (2, x2)):
-        b = embed(annihilation_op(dims[slot]), dims, slot)
-        quartic = np.linalg.matrix_power(b + b.conj().T, 4)
-        beams.append(p.g_G * (x_c @ x_j) + p.omega_G * (b.conj().T @ b) + (0.5 * p.lam) * quartic)
+    beams = [p.g_G * (x_c @ x_j) + embed(duffing_hamiltonian(p.omega_G, p.lam, dims[slot]), dims, slot)
+             for slot, x_j in ((1, x1), (2, x2))]
     # the beam terms summed first, so that H is exactly invariant under the beam swap
     h = (-p.Delta) * (a.conj().T @ a) + (beams[0] + beams[1])
     return h - p.G_tilde * (x1 @ x2)

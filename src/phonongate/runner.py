@@ -283,10 +283,8 @@ def envelope_maxima(times: np.ndarray, series: np.ndarray, window_us: float = 0.
 def _qubit_isometry(n_b: int, omega_G: float, lam: float) -> np.ndarray:
     """n_b x 2 isometry onto the two lowest beam eigenstates of
     `duffing.eigenbasis`, each exactly zero off its Fock parity, so the
-    initial states stay in one parity block of the Liouvillian (identity
-    block for n_b = 2, where the quartic term is inert)."""
-    if n_b == 2:
-        return np.eye(2, dtype=complex)
+    initial states stay in one parity block of the Liouvillian (exactly the
+    identity for n_b = 2, where the quartic term is a constant)."""
     return eigenbasis(omega_G, lam, n_b)[1][:, :2]
 
 
@@ -406,16 +404,23 @@ def master_fidelity_series(
 
 
 def _analytic_omega(cfg: ScenarioConfig) -> float:
-    if cfg.Omega is not None:
-        return float(cfg.Omega)
+    """The closed form's exchange rate: Omega as given, or `exchange_rate` of
+    the params at X_G_sq (PAPER_VA_XG_SQ unless given). A given Omega reads
+    no X_G_sq, so both are refused, and so is a rate that is not finite and
+    nonzero, as `gatecheck` refuses it."""
     p = cfg.params
-    xg_sq = PAPER_VA_XG_SQ if cfg.X_G_sq is None else cfg.X_G_sq
-    if not (p.Delta and p.g_G and p.omega_G):
+    if cfg.Omega is not None:
+        if cfg.X_G_sq is not None:
+            raise ValueError("analytic mode takes Omega or X_G_sq, not both: Omega reads no X_G_sq")
+        omega = cfg.Omega
+    elif not (p.Delta and p.g_G and p.omega_G):
         raise ValueError("analytic mode needs Omega, or Delta, g_G, omega_G with |Delta| != omega_G")
-    omega = exchange_rate(p.Delta, p.omega_G, p.g_G, xg_sq)
-    if not np.isfinite(omega):
-        raise ValueError(f"analytic mode needs a finite exchange rate, got Omega = {omega}")
-    return omega
+    else:
+        omega = exchange_rate(p.Delta, p.omega_G, p.g_G,
+                              PAPER_VA_XG_SQ if cfg.X_G_sq is None else cfg.X_G_sq)
+    if not (np.isfinite(omega) and omega != 0):
+        raise ValueError(f"analytic mode needs a finite nonzero exchange rate, got Omega = {omega}")
+    return float(omega)
 
 
 MIN_QUBIT_WEIGHT = 0.05  # below it, summary.json warns of a poorly conditioned fidelity
@@ -551,23 +556,21 @@ FIGURES = {
 }
 
 
-def figure_config(fig_id: str, n_b: int = 2, bloch_grid: tuple[int, int] = (16, 16),
-                  integrator: str = "expm") -> ScenarioConfig | list[ScenarioConfig]:
-    """Scenario(s) behind one published figure: paper_v1 parameters with the
-    conventions that reproduce the published peaks (bare X_c, n_cav = 2,
-    amplitude fidelity)."""
+def figure_config(fig_id: str, keys: dict | None = None) -> ScenarioConfig | list[ScenarioConfig]:
+    """Scenario(s) behind one published figure, each parsed once from its
+    document with the dotted config `keys` set (e.g. dims.n_b, integrator,
+    initial.grid): paper_v1 parameters with the conventions that reproduce
+    the published peaks (bare X_c, n_cav = 2, amplitude fidelity)."""
     if fig_id not in FIGURES:
         raise ValueError(f"unknown figure id {fig_id!r}")
     kind, members, average_over = FIGURES[fig_id]
-    base = dict(params=PhysicalParams.from_config(PAPER_V1), n_cav=2, n_b=n_b,
-                quadrature_convention="bare", fidelity_convention="amplitude",
-                integrator=integrator)
-    if kind in fidelity.LABEL_KINDS:
-        return ScenarioConfig(initial=fidelity.InitialStateFamily(kind, members),
-                              average_over=average_over, label=fig_id, **base)
-    cfgs = [ScenarioConfig(initial=fidelity.InitialStateFamily(kind, family=name, grid=bloch_grid),
-                           label=f"{fig_id}_{name}" if len(members) > 1 else fig_id, **base)
-            for name in members]
+    initials = ([{"kind": kind, "labels": members}] if kind in fidelity.LABEL_KINDS
+                else [{"kind": kind, "family": name} for name in members])
+    cfgs = [ScenarioConfig.from_mapping(
+        {"params": PAPER_V1, "dims": {"n_cav": 2}, "quadrature_convention": "bare",
+         "fidelity_convention": "amplitude", "initial": initial, "average_over": average_over,
+         "label": f"{fig_id}_{initial['family']}" if len(initials) > 1 else fig_id}, keys)
+        for initial in initials]
     return cfgs if len(cfgs) > 1 else cfgs[0]
 
 
@@ -577,21 +580,20 @@ def _peaks(summary: dict) -> dict:
     return {key: summary[key] for key in ("peak_fidelity", "peak_time_us", "peak_after_initial")}
 
 
-def run_figure(fig_id: str, outdir, n_b: int = 2, fixed_step: bool = False,
-               bloch_grid: tuple[int, int] = (16, 16)) -> dict:
-    """Emit the CSV data behind one published figure. Its configs are built,
-    and so validated, before any directory is made."""
+def run_figure(fig_id: str, outdir, keys: dict | None = None) -> dict:
+    """Emit the CSV data behind one published figure, its scenarios with the
+    dotted config `keys` set. Its configs are built, and so validated, before
+    any directory is made; fig2 reads no scenario, so it takes no keys."""
     if fig_id == "fig2":
+        if keys:
+            raise ValueError(f"fig2 reads no scenario, so it takes no config keys, got {sorted(keys)}")
         return _run_fig2(outdir)
-    cfgs = figure_config(fig_id, n_b=n_b, bloch_grid=bloch_grid,
-                         integrator="rk4" if fixed_step else "expm")
+    cfgs = figure_config(fig_id, keys)
     if isinstance(cfgs, ScenarioConfig):
         return run_scenario(cfgs, outdir)
     summaries = [run_scenario(c, os.path.join(outdir, c.label)) for c in cfgs]
-    combined = {
-        "figure": fig_id,
-        "runs": {s["label"]: {**_peaks(s), "outdir": s["label"]} for s in summaries},
-    }
+    combined = {"figure": fig_id,
+                "runs": {s["label"]: {**_peaks(s), "outdir": s["label"]} for s in summaries}}
     write_json(os.path.join(outdir, "summary.json"), combined)
     return combined
 

@@ -269,7 +269,7 @@ def _figure_series(n_b: int, n_cav: int, convention: str, n_steps: int) -> tuple
     figure on one generator (n_b, n_cav, quadrature convention, n_steps),
     read off one `master_fidelity_series` call of all of their kets: 13
     kets, whose projectors span 10 dimensions."""
-    cfgs = {fig: figure_config(fig, n_b=n_b) for fig in PEAK_SPECS}
+    cfgs = {fig: figure_config(fig, {"dims.n_b": n_b}) for fig in PEAK_SPECS}
     kets = [cfg.initial.kets()[0] for cfg in cfgs.values()]
     base = replace(cfgs["fig3"], n_cav=n_cav, quadrature_convention=convention,
                    n_steps=n_steps, fidelity_convention="squared")

@@ -39,6 +39,13 @@ def test_truncation_too_small():
         duffing_hamiltonian(W, 0.0, 3)
 
 
+def test_two_levels_hold_a_constant_quartic_term():
+    # the truncated (b + b†)^4 is the identity on two levels; omega_m may be 0
+    lam = 0.03 * W
+    for omega in (W, 0.0):
+        assert np.array_equal(duffing_hamiltonian(omega, lam, 2), np.diag([0.5 * lam, omega + 0.5 * lam]))
+
+
 def test_spectrum_harmonic_x10():
     s = duffing_spectrum(W, 0.0, dim=16, dim_trust=4)
     assert abs(s.X[1, 0]) == pytest.approx(1 / np.sqrt(2), rel=1e-12)

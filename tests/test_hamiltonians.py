@@ -3,8 +3,9 @@ import pytest
 from dataclasses import replace
 from scipy.constants import hbar, k as kB
 
-from phonongate.duffing import duffing_spectrum
+from phonongate.duffing import duffing_hamiltonian, duffing_spectrum
 from phonongate.dynamics import beam_swap, standard_channels
+from phonongate.fockspace import embed
 from phonongate.hamiltonians import (
     HBAR_SI,
     KB_SI,
@@ -81,6 +82,25 @@ def test_system_hamiltonian_decoupled():
         for nc in range(3) for n1 in range(2) for n2 in range(2)
     )
     assert np.allclose(sorted(np.linalg.eigvalsh(h)), expected, atol=1e-6)
+
+
+@pytest.mark.parametrize("omega_G", [TWOPI * 28.6e6, 0.0])
+@pytest.mark.parametrize("n_b", [2, 4, 5])
+def test_system_hamiltonian_beams_are_the_embedded_duffing_hamiltonian(n_b, omega_G):
+    # bit for bit: each beam's term is duffing_hamiltonian at its slot, the one
+    # formula the qubit levels are also diagonalized from
+    p = default_params(Delta=0.0, g_G=0.0, G_tilde=0.0, omega_G=omega_G)
+    dims = (3, n_b, n_b)
+    beam = duffing_hamiltonian(p.omega_G, p.lam, n_b)
+    assert np.array_equal(system_hamiltonian(p, dims), embed(beam, dims, 1) + embed(beam, dims, 2))
+
+
+def test_qubit_isometry_is_exactly_the_identity_at_two_levels():
+    # at n_b = 2 the truncated quartic term is the constant lam/2, so the
+    # eigenbasis is the Fock basis, in Fock order even where omega_G = 0
+    for omega, lam in ((TWOPI * 28.6e6, TWOPI * 209e3), (0.0, TWOPI * 209e3), (0.0, 0.0)):
+        iso = _qubit_isometry(2, omega, lam)
+        assert iso.dtype == complex and np.array_equal(iso, np.eye(2))
 
 
 def test_system_hamiltonian_hermitian():

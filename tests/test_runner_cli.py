@@ -7,6 +7,7 @@ import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -212,10 +213,8 @@ def scenario_mappings(draw):
             doc["initial"]["family"] = draw(st.sampled_from(
                 ["schmidt", "Phi1", "Phi2", "Phi3", "Phi4", "Psi"]))
     doc["initial"]["cavity_fock"] = draw(st.integers(0, n_cav - 1)) if master else 1
-    if mode == "analytic":
-        doc["Omega"] = draw(st.floats(min_value=-1e6, max_value=1e6))
-        if draw(st.booleans()):
-            doc["X_G_sq"] = draw(st.floats(min_value=0.0, max_value=1.0))
+    if mode == "analytic":  # a given Omega is nonzero and reads no X_G_sq
+        doc["Omega"] = draw(st.floats(min_value=-1e6, max_value=1e6).filter(bool))
     return doc
 
 
@@ -730,6 +729,17 @@ def test_figure_config_presets():
     assert [c.label for c in fig9] == ["fig9_Phi1", "fig9_Phi2", "fig9_Phi3", "fig9_Phi4"]
 
 
+def test_figure_config_sets_its_keys_in_every_scenario():
+    # a figure's scenarios are documents, each parsed once with the keys set
+    fig9 = figure_config("fig9", {"dims.n_b": 4, "integrator": "rk4", "initial.grid": [8, 8]})
+    assert [(c.n_b, c.integrator, c.initial.grid) for c in fig9] == [(4, "rk4", (8, 8))] * 4
+    assert [c.label for c in fig9] == [c.label for c in figure_config("fig9")]
+    assert figure_config("fig3", {"dims.n_b": 5}) == replace(figure_config("fig3"), n_b=5)
+    assert figure_config("fig10").label == "fig10"
+    with pytest.raises(ValueError, match=r"unknown keys \['grid'\] for initial kind 'fixed-list'"):
+        figure_config("fig3", {"initial.grid": [8, 8]})
+
+
 def test_cli_gatecheck():
     res = CliRunner().invoke(cli.main, ["gatecheck"])
     assert res.exit_code == 0
@@ -782,6 +792,43 @@ def test_cli_figure_refuses_its_configs_before_making_a_directory(tmp_path, args
     assert isinstance(res.exception, SystemExit)
     assert res.stderr.count("\n") == 1
     assert json.loads(res.stderr)["error"] == "Bloch grids need at least 8 points per angle"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, n_b", [(["figure", "fig3", "--nb", "5"], 5),
+                                       (["evolve", "--preset", "paper_v1", "--nb", "6"], 6)],
+                         ids=["figure", "evolve"])
+def test_cli_nb_takes_every_truncation_the_config_validates(tmp_path, scenarios_run, args, n_b):
+    # an integer that only ScenarioConfig's rule, 2 or >= 4, judges
+    for command in (cli.figure, cli.evolve):
+        [nb] = [param for param in command.params if param.name == "nb"]
+        assert nb.type is click.INT and nb.default is None
+    res = CliRunner().invoke(cli.main, [*args, "--out", str(tmp_path / "run")])
+    assert res.exit_code == 0, res.output
+    [cfg] = scenarios_run
+    assert cfg.dims[1:] == (n_b, n_b)
+
+
+_N_B_RULE = "dims.n_cav must be >= 2, and dims.n_b 2 or >= 4 (the quartic term needs 4 levels)"
+
+
+@pytest.mark.parametrize("args, cause", [
+    (["figure", "fig3", "--nb", "3"], _N_B_RULE),
+    (["evolve", "--preset", "paper_v1", "--nb", "3"], _N_B_RULE),
+    (["figure", "fig2", "--nb", "4"], "fig2 reads no scenario, so it takes no config keys, "
+                                      "got ['dims.n_b']"),
+    (["figure", "fig2", "--fixed-step", "--bloch-grid", "9"],
+     "fig2 reads no scenario, so it takes no config keys, got ['initial.grid', 'integrator']"),
+    (["figure", "fig3", "--bloch-grid", "8"], "unknown keys ['grid'] for initial kind 'fixed-list'"),
+], ids=["figure-nb3", "evolve-nb3", "fig2-nb", "fig2-grid", "fig3-grid"])
+def test_cli_refuses_a_flag_its_scenarios_refuse_before_making_a_directory(tmp_path, args, cause):
+    # the config is the one judge of every flag, and a flag no scenario reads is refused
+    out = tmp_path / "out"
+    res = CliRunner().invoke(cli.main, [*args, "--out", str(out)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    [line] = res.stderr.splitlines()
+    assert json.loads(line)["error"] == cause
     assert not out.exists()
 
 
@@ -1142,6 +1189,15 @@ def test_cli_spectrum(tmp_path):
     assert len(rows) == 17
 
 
+def test_cli_spectrum_runs_a_beam_at_zero_frequency(tmp_path):
+    # omega_G = 0 leaves (lam/2) x^4, a function of x alone: its levels come in
+    # parity pairs, degenerate up to rounding, and are listed ascending
+    res = CliRunner().invoke(cli.main, ["spectrum", "--omega-g-hz", "0", "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    energies = np.loadtxt(tmp_path / "spectrum.csv", delimiter=",", skiprows=1)[:, 1]
+    assert np.all(np.diff(energies) >= 0)
+
+
 def test_cli_spectrum_rerun_leaves_only_the_csv(tmp_path):
     for _ in range(2):
         res = CliRunner().invoke(cli.main, ["spectrum", "--out", str(tmp_path)])
@@ -1353,7 +1409,26 @@ def test_cli_analytic_refuses_an_exchange_rate_that_is_not_finite(tmp_path, g_hz
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
     [line] = res.stderr.splitlines()
-    assert json.loads(line)["error"] == "analytic mode needs a finite exchange rate, got Omega = inf"
+    assert json.loads(line)["error"] == "analytic mode needs a finite nonzero exchange rate, got Omega = inf"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("doc, cause", [
+    ({"X_G_sq": 0}, "analytic mode needs a finite nonzero exchange rate, got Omega = 0.0"),
+    ({"Omega": 0}, "analytic mode needs a finite nonzero exchange rate, got Omega = 0.0"),
+    ({"Omega": 30.0, "X_G_sq": 0.7},
+     "analytic mode takes Omega or X_G_sq, not both: Omega reads no X_G_sq"),
+], ids=["zero-X_G_sq", "zero-Omega", "both"])
+def test_cli_analytic_refuses_a_zero_rate_and_an_unread_x_g_sq(tmp_path, doc, cause):
+    # at Omega = 0 the gate never acts, as gatecheck refuses it; a given Omega reads no X_G_sq
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"mode": "analytic", "params": PAPER_VA, "n_steps": 101, **doc}))
+    res = CliRunner().invoke(cli.main, ["analytic", "--config", str(config),
+                                        "--out", str(tmp_path / "run")])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    [line] = res.stderr.splitlines()
+    assert json.loads(line)["error"] == cause
     assert not (tmp_path / "run").exists()
 
 
