@@ -46,12 +46,7 @@ def _scenario_from_sources(config_path, preset, flags: dict, defaults=None) -> S
         if "initial" not in doc:
             doc["initial"] = {"kind": "fixed-list", "labels": ["00", "01", "10", "11"]}
             doc.setdefault("average_over", ["00", "01", "11"])
-    return ScenarioConfig.from_mapping(doc, _given(flags))
-
-
-def _given(flags: dict) -> dict:
-    """The dotted config keys of a command's flags that were given (not None)."""
-    return {key: v for key, v in flags.items() if v is not None}
+    return ScenarioConfig.from_mapping(doc, {key: v for key, v in flags.items() if v is not None})
 
 
 class _Main(click.Group):
@@ -165,9 +160,9 @@ def figure(fig_id, out, fixed_step, nb, bloch_grid):
     """Emit the CSV data behind one published figure. Each flag given sets a
     config key of the figure's scenarios, which refuse one they do not read."""
     outdir = out or os.path.join(_default_out(), fig_id)
-    grid = None if bloch_grid is None else [bloch_grid, bloch_grid]
-    summary = runner.run_figure(fig_id, outdir, _given(
-        {"integrator": "rk4" if fixed_step else None, "dims.n_b": nb, "initial.grid": grid}))
+    flags = {"integrator": "rk4" if fixed_step else None, "dims.n_b": nb,
+             "initial.grid": None if bloch_grid is None else [bloch_grid, bloch_grid]}
+    summary = runner.run_figure(fig_id, outdir, {key: v for key, v in flags.items() if v is not None})
     runs = summary.get("runs")  # a figure of several runs echoes each run's peaks by label
     peaks = ({key: {label: run[key] for label, run in runs.items()}
               for key in ("peak_fidelity", "peak_after_initial")} if runs

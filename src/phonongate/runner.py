@@ -592,8 +592,10 @@ def run_figure(fig_id: str, outdir, keys: dict | None = None) -> dict:
     if isinstance(cfgs, ScenarioConfig):
         return run_scenario(cfgs, outdir)
     summaries = [run_scenario(c, os.path.join(outdir, c.label)) for c in cfgs]
-    combined = {"figure": fig_id,
-                "runs": {s["label"]: {**_peaks(s), "outdir": s["label"]} for s in summaries}}
+    combined = {
+        "figure": fig_id,
+        "runs": {s["label"]: {**_peaks(s), "outdir": s["label"]} for s in summaries},
+    }
     write_json(os.path.join(outdir, "summary.json"), combined)
     return combined
 

@@ -13,7 +13,9 @@ import numpy as np
 
 from phonongate import dynamics, runner
 from phonongate.duffing import duffing_hamiltonian
+from phonongate.fockspace import annihilation_op, embed, quadrature_op
 from phonongate.gates import cnot_sequence, ideal_cnot
+from phonongate.hamiltonians import cavity_quadrature
 
 CNOT = ideal_cnot()
 
@@ -114,6 +116,23 @@ def gate_fidelity_matrix(psi_in, Omega_t):
     sequence; the matrix-path partner of `fidelity.gate_fidelity_closed`."""
     v = np.asarray(psi_in, dtype=complex)
     return float(abs(v.conj() @ CNOT.conj().T @ cnot_sequence(Omega_t, 1.0) @ v) ** 2)
+
+
+def full_space_system_hamiltonian(p, dims, quadrature_convention="symmetric"):
+    """`hamiltonians.system_hamiltonian` with each beam's omega_G b†b +
+    (lam/2)(b† + b)^4 built from b embedded in the whole space, in the
+    package's order of operations, as it was built before the beams embedded
+    `duffing_hamiltonian`."""
+    a = embed(annihilation_op(dims[0]), dims, 0)
+    x_c = embed(cavity_quadrature(dims[0], quadrature_convention), dims, 0)
+    x1, x2 = (embed(quadrature_op(dims[slot]), dims, slot) for slot in (1, 2))
+    beams = []
+    for slot, x_j in ((1, x1), (2, x2)):
+        b = embed(annihilation_op(dims[slot]), dims, slot)
+        quartic = np.linalg.matrix_power(b + b.conj().T, 4)
+        beams.append(p.g_G * (x_c @ x_j) + p.omega_G * (b.conj().T @ b) + (0.5 * p.lam) * quartic)
+    h = (-p.Delta) * (a.conj().T @ a) + (beams[0] + beams[1])
+    return h - p.G_tilde * (x1 @ x2)
 
 
 def truncation_convergence(omega_m, lam, n_levels=4, dim_lo=16, dim_hi=24):

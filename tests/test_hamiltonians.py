@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -16,7 +18,9 @@ from phonongate.hamiltonians import (
     system_hamiltonian,
     thermal_occupation,
 )
-from phonongate.runner import PAPER_VA, _qubit_isometry
+from phonongate.runner import PAPER_V1, PAPER_VA, _qubit_isometry
+
+from oracles import full_space_system_hamiltonian
 
 TWOPI = 2 * np.pi
 
@@ -93,6 +97,18 @@ def test_system_hamiltonian_beams_are_the_embedded_duffing_hamiltonian(n_b, omeg
     dims = (3, n_b, n_b)
     beam = duffing_hamiltonian(p.omega_G, p.lam, n_b)
     assert np.array_equal(system_hamiltonian(p, dims), embed(beam, dims, 1) + embed(beam, dims, 2))
+
+
+@pytest.mark.parametrize("convention", ["symmetric", "bare"])
+def test_system_hamiltonian_is_bit_identical_to_the_full_space_beam_formula(convention):
+    # embedding duffing_hamiltonian at each beam's slot changes no bit of H
+    # against the formula built from full-space operators, at every truncation
+    # a scenario validates and at omega_G = 0
+    for p in (default_params(), PhysicalParams.from_config(PAPER_V1), default_params(omega_G=0.0)):
+        for dims in itertools.product((2, 3, 4), (2, 4, 5, 6)):
+            dims = (dims[0], dims[1], dims[1])
+            expected = full_space_system_hamiltonian(p, dims, convention)
+            assert system_hamiltonian(p, dims, convention).tobytes() == expected.tobytes(), dims
 
 
 def test_qubit_isometry_is_exactly_the_identity_at_two_levels():

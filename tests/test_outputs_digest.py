@@ -1,6 +1,9 @@
 import importlib.util
 import json
+import sys
 from pathlib import Path
+
+import pytest
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "outputs_digest.py"
 _SPEC = importlib.util.spec_from_file_location("outputs_digest", _PATH)
@@ -40,3 +43,13 @@ def test_two_runs_agree_and_a_changed_byte_changes_the_digest(tmp_path):
     changed = {path for path, line, old in zip(paths, outputs_digest.tree_digest(
         tmp_path / "b" / "out"), first) if line != old}
     assert changed == {"nb4/trajectory.csv", "analytic/summary.json"}
+
+
+def test_a_package_from_outside_src_is_refused(tmp_path, monkeypatch, capsys):
+    # the tree's own phonongate, already imported, is not under tmp_path: the
+    # tool would digest the wrong tree, so it exits before running a command
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    with pytest.raises(SystemExit) as exit_:
+        outputs_digest.main(["--src", str(tmp_path)])
+    assert exit_.value.code == 2
+    assert f"not from under {tmp_path.resolve()}" in capsys.readouterr().err

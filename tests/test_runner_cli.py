@@ -213,8 +213,15 @@ def scenario_mappings(draw):
             doc["initial"]["family"] = draw(st.sampled_from(
                 ["schmidt", "Phi1", "Phi2", "Phi3", "Phi4", "Psi"]))
     doc["initial"]["cavity_fock"] = draw(st.integers(0, n_cav - 1)) if master else 1
-    if mode == "analytic":  # a given Omega is nonzero and reads no X_G_sq
+    # an analytic rate is a nonzero Omega, or the exchange rate at an X_G_sq
+    # with Delta and g_G finite and nonzero and |Delta| away from omega_G
+    if mode == "analytic" and draw(st.booleans()):
         doc["Omega"] = draw(st.floats(min_value=-1e6, max_value=1e6).filter(bool))
+    elif mode == "analytic":
+        doc["X_G_sq"] = draw(st.floats(min_value=1e-6, max_value=1.0))
+        params["g_G_hz"] = draw(st.floats(min_value=1.0, max_value=1e9))
+        params["Delta_hz"] = draw(st.floats(min_value=-1e9, max_value=1e9).filter(
+            lambda d: abs(d) >= 1.0 and abs(abs(d) - params["omega_G_hz"]) > 1e-6 * abs(d)))
     return doc
 
 

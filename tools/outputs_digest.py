@@ -1,6 +1,6 @@
 """Digest what a fixed list of `phonongate` commands writes, to compare two trees.
 
-    python3 tools/outputs_digest.py [--src DIR] [--only NAME ...]
+    python3 tools/outputs_digest.py [--src DIR]
 
 Runs each command of `COMMANDS` in process, through the command line, into a
 temporary directory, and prints one line per output file: its path under
@@ -12,8 +12,9 @@ for byte and every `summary.json` and `manifest.json` key for key:
     python3 tools/outputs_digest.py --src OLD/src > old.txt
     python3 tools/outputs_digest.py > new.txt && diff old.txt new.txt
 
-`--src` names the package source to import (default: this tree's `src`), and
-`--only` runs the named commands alone. The whole list takes a few seconds.
+`--src` names the package source to import (default: this tree's `src`); the
+tool refuses to run a `phonongate` imported from anywhere else. The whole
+list takes a few seconds.
 """
 from __future__ import annotations
 
@@ -84,12 +85,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(ROOT / "src"),
                         help="directory holding the phonongate package to run")
-    parser.add_argument("--only", nargs="+", choices=sorted(COMMANDS), default=list(COMMANDS),
-                        help="run these commands alone")
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
+    import phonongate
+
+    src = Path(args.src).resolve()
+    if src not in Path(phonongate.__file__).resolve().parents:
+        parser.error(f"phonongate was imported from {phonongate.__file__}, not from under {src}")
     with tempfile.TemporaryDirectory() as tmp:
-        run(args.only, Path(tmp))
+        run(COMMANDS, Path(tmp))
         print("\n".join(tree_digest(Path(tmp) / "out")))
     return 0
 
