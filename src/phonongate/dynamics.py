@@ -3,13 +3,15 @@
 H and every collapse operator are plain (d, d) complex arrays, and a
 collapse set is any sequence of them (`standard_channels` builds the
 system's); the functions that read the tensor structure (`parity_blocks`,
-`beam_swap`, `symmetry_sectors`, `propagate` and its memory count
-`held_bytes`) take it as a tuple of factor dimensions, dims.
+`beam_swap`, `symmetry_sectors`, `modes` and the memory count `held_bytes`)
+take it as a tuple of factor dimensions, dims.
 
-The generator here is always time-independent. `propagate` is the one
-propagation core, and it does not step. Every output is a linear functional
-f of vec(rho) (a row); with L = V diag(lambda) V^-1 on a parity block, the
-series from a column v0 is f(t) = sum_k A_k exp(nu_k t), A = (f V) * (V^-1 v0).
+The generator here is always time-independent. The one propagation core has
+two phases, and it does not step: `modes` builds a table of modes, and
+`evaluate` reads the outputs off it chunk by chunk. Every output is a linear
+functional f of vec(rho) (a row); with L = V diag(lambda) V^-1 on a parity
+block, the series from a column v0 is f(t) = sum_k A_k exp(nu_k t),
+A = (f V) * (V^-1 v0).
 The rates nu set the integrator:
 
 * ``expm`` (default): nu = lambda, the exact propagator, or
@@ -45,14 +47,13 @@ t_s is one real product of those coefficients with the real and imaginary
 parts of a complex table e^{nu (t_s + t_j)}, filled as e^{nu t_s} times a
 table of e^{nu t_j} over the first chunk's times built once: one exp per mode
 per chunk and one complex product per entry. That is e^{nu t_{s+j}} to the
-rounding of nu t only where t_s + t_j = t_{s+j} to rounding, so `propagate`
+rounding of nu t only where t_s + t_j = t_{s+j} to rounding, so `modes`
 refuses a grid whose times lie more than 4 eps t_max off i t_max / (n - 1).
 The rows are one set, read from every column, so the amplitudes, the chunk
 coefficients and the outputs grow as k r, for k columns and r rows. The
 table and the output block are buffers refilled per chunk, and each chunk is
-handed to the caller's reduction before the next is evaluated: that
-reduction is the only way out for the outputs, so no (k, r, n_t) series is
-held unless the caller keeps one. The trace vec(I) is one more row, and
+yielded to the caller before the next is evaluated, so no (r, k, n_t) series
+is held unless the caller keeps one. The trace vec(I) is one more row, and
 every column's |tr rho(t) - tr rho(0)| is gated at every output, in the same
 pass, to TRACE_TOL, so a traceless column is gated as any other. The
 trace row is a left null vector of L, so only the lambda = 0 modes reach it
@@ -284,7 +285,7 @@ def _health(rho: np.ndarray) -> tuple[float, float]:
     return herm_drift, float(np.min(np.linalg.eigvalsh(0.5 * (rho + adj))))
 
 
-def propagate(
+def modes(
     H: np.ndarray,
     collapse,
     dims: tuple[int, ...],
@@ -292,32 +293,30 @@ def propagate(
     rows: np.ndarray,
     t_grid: np.ndarray,
     method: str,
-    reduce,
 ) -> dict:
-    """Real parts of the linear functionals `rows` of vec(rho) from a
-    (d*d, k) batch of columns, vec of Hermitian matrices, over a uniform time
-    grid, integrated by `method` (expm or rk4), for a (d, d) H and a sequence
-    of (d, d) collapse operators on the composite space of factor dims `dims`.
+    """The table of modes behind the real parts of the linear functionals
+    `rows` of vec(rho) from a (d*d, k) batch of columns, vec of Hermitian
+    matrices, over a uniform time grid, integrated by `method` (expm or rk4),
+    for a (d, d) H and a sequence of (d, d) collapse operators on the
+    composite space of factor dims `dims`. `evaluate` reads the outputs off it.
 
     `rows` is one (r, d*d) set, read from every column; they need not be
     Hermitian functionals. A column whose anti-Hermitian part exceeds EIG_TOL
     of its largest entry is refused with a ValueError naming it: the real
-    series would drop that part. Each chunk of the real (k, r, n_t) series,
-    whose output 0 is exactly Re(rows @ columns), goes to `reduce(s, block)`
-    as the (k, r, c) block of outputs s..s+c-1, before the next chunk is
-    evaluated; the block is a view, contiguous as (r, k, c), of a buffer the
-    next chunk overwrites, which `reduce` may overwrite too. `reduce` is the
-    only way out for the outputs. Returns the stats: sizes (n_columns k,
-    n_rows r), the parity blocks the columns occupy (n_blocks) and their
-    vec(rho) entries (support), the sizes of the sectors eigendecomposed
-    (sectors), the gate (sector_imag, the Hermiticity of H; eig_residual,
-    cancellation_bound), the largest |Im nu| dt over the modes the rows see
-    (max_phase_per_output), max_trace_drift, rk4's n_substeps_per_interval,
-    the Hermiticity drift and minimum eigenvalue of the final output, and
-    timings_s of the sector generators, eig and solve, and the series loop.
-    Raises IntegrationError when the gate fails or, in the one pass over the
-    outputs, a column's trace drifts from its own tr rho(0) by more than
-    TRACE_TOL (NaN included) at any of them.
+    series would drop that part. Returns a dict: the real chunk coefficients
+    (coeffs, ((r + 1) k, 2 M) for the M modes kept, ordered (r, k) with the
+    trace row last), their rates nu (rates, (M,)), output 0 exactly as
+    Re(rows @ columns) with the trace row (first, (r + 1, k)), the grid (t)
+    and the stats: sizes (n_columns k, n_rows r), the parity blocks the
+    columns occupy (n_blocks) and their vec(rho) entries (support), the sizes
+    of the sectors eigendecomposed (sectors), the gate (sector_imag, the
+    Hermiticity of H; eig_residual, cancellation_bound), rk4's
+    n_substeps_per_interval, max_trace_drift (0 until `evaluate` gates the
+    outputs), the largest |Im nu| dt over the modes the rows see
+    (max_phase_per_output), the Hermiticity drift and minimum eigenvalue of
+    the final output, and timings_s of the sector generators, eig and solve,
+    and the series loop (`evaluate`'s). Raises IntegrationError when the gate
+    fails.
 
     The sectors are decomposed one at a time, and one sector's working set
     (its generator, eigenvectors and residual) is held at a time: each
@@ -326,7 +325,7 @@ def propagate(
     built. The gates run after the last sector, in the order above.
     """
     if method not in ("expm", "rk4"):
-        raise ValueError(f"propagate runs expm or rk4, not {method!r}")
+        raise ValueError(f"modes runs expm or rk4, not {method!r}")
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 2:
         raise ValueError("time grid must be 1-D with at least two points")
@@ -412,11 +411,14 @@ def propagate(
     if not (residual <= EIG_TOL and stats["cancellation_bound"] <= EIG_TOL):
         raise IntegrationError(f"eigendecomposition of L beyond {EIG_TOL:g} "
                                "(defective or ill-conditioned)", stats)
-    seen = np.max(magnitude, axis=(0, 1)) > 1e-12 * np.max(magnitude)
-    health = _health(final.T.reshape(k, d, d))
-    del magnitude, final  # not read again: released before the chunk loop
     if method == "rk4":
         stats["n_substeps_per_interval"] = substeps
+    seen = np.max(magnitude, axis=(0, 1)) > 1e-12 * np.max(magnitude)
+    stats["max_trace_drift"] = 0.0  # raised by `evaluate`'s gate
+    stats["max_phase_per_output"] = float(np.max(np.abs(nu[seen].imag)) * h)
+    stats["final_herm_drift"], stats["final_min_eigenvalue"] = _health(final.T.reshape(k, d, d))
+    stats["timings_s"] = timings
+    del magnitude, final  # not read again: released before the coefficients are packed
     # real rows and real sector states give conjugate amplitudes on each
     # conjugate pair: keep the Im lam >= 0 half, a pair counted twice as
     # 2 Re(A e^{nu t}) = 2 (Re A Re e^{nu t} - Im A Im e^{nu t}); as floats, the
@@ -424,35 +426,46 @@ def propagate(
     # Rows ordered (r, k): a chunk's outputs are (r, k, c), each (k, c) contiguous
     kept = lam.imag >= 0.0
     amps = np.conj(amps[..., kept] * (1.0 + (lam[kept].imag > 0.0)), dtype=complex, order="C")
-    coeffs = amps.reshape(r * k, -1).view(float)
+    return {"coeffs": amps.reshape(r * k, -1).view(float), "rates": nu[kept], "first": first,
+            "t": t, "stats": stats}
+
+
+def evaluate(table: dict):
+    """Yield (s, block) for each chunk of c <= _CHUNK outputs s..s+c-1 of a
+    `modes` table: block is the real (r, k, c) series of the table's rows
+    read from its columns, output 0 exactly Re(rows @ columns), as a view of
+    a buffer that the next chunk overwrites and that the caller may overwrite
+    too. Before each yield, every column's |tr rho(t) - tr rho(0)| is gated
+    at every output of the chunk: above TRACE_TOL (NaN included) it raises
+    IntegrationError with the table's stats. A pass writes only the stats'
+    max_trace_drift (the largest drift yet) and timings_s' series_s, so a
+    table can be evaluated again. The caller's work on a block runs under
+    the pass's floating-point error state, which ignores overflow and
+    invalid operations."""
+    coeffs, rates, first, t, stats = (table[key] for key in ("coeffs", "rates", "first", "t", "stats"))
+    r, k = first.shape
     # one buffer each, refilled per chunk: the table of e^{nu t} and the
     # outputs with the trace row
-    n, rates = min(_CHUNK, len(t)), nu[kept]
-    table, outputs = np.empty((n, rates.size), dtype=complex), np.empty(r * k * n)
-    stats["max_trace_drift"] = 0.0
+    n = min(_CHUNK, len(t))
+    exps, outputs = np.empty((n, rates.size), dtype=complex), np.empty(r * k * n)
     started = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):  # an unstable rk4 mode
         base = np.exp(np.multiply.outer(t[:n], rates))  # e^{nu t_j}, j < _CHUNK
         for s in range(0, len(t), _CHUNK):
             c = min(_CHUNK, len(t) - s)  # flat buffers: a short last chunk stays contiguous
             chunk = outputs[:r * k * c].reshape(r, k, c)
-            block, tr = chunk[:-1].swapaxes(0, 1), chunk[-1]
-            np.multiply(base[:c], np.exp(rates * t[s]), out=table[:c])
-            np.matmul(coeffs, table[:c].view(float).T, out=chunk.reshape(r * k, c))
+            np.multiply(base[:c], np.exp(rates * t[s]), out=exps[:c])
+            np.matmul(coeffs, exps[:c].view(float).T, out=chunk.reshape(r * k, c))
             if s == 0:
                 chunk[..., 0] = first
+            tr = chunk[-1]
             worst = float(np.max(np.abs(np.subtract(tr, first[-1, :, None], out=tr), out=tr)))
             if not worst <= stats["max_trace_drift"]:  # larger, or NaN
                 stats["max_trace_drift"] = worst
                 if not worst <= TRACE_TOL:
                     raise IntegrationError(f"trace drift above {TRACE_TOL:g}", stats)
-            reduce(s, block)
-    timings["series_s"] = time.perf_counter() - started
-
-    stats["max_phase_per_output"] = float(np.max(np.abs(nu[seen].imag)) * h)
-    stats["final_herm_drift"], stats["final_min_eigenvalue"] = health
-    stats["timings_s"] = timings
-    return stats
+            yield s, chunk[:-1]
+    stats["timings_s"]["series_s"] = time.perf_counter() - started
 
 
 def sector_bound(dims: tuple[int, ...]) -> tuple[int, int]:
@@ -470,11 +483,11 @@ def sector_bound(dims: tuple[int, ...]) -> tuple[int, int]:
 
 
 def held_bytes(dims: tuple[int, ...], k: int, r: int, n_t: int, reduced: int = 0) -> dict[str, int]:
-    """Upper bounds on the bytes `propagate` holds for k columns and one set
-    of r rows on the space of factor dims `dims` over n_t output times, with
-    a `reduce` that keeps `reduced` floats per output of a chunk, from the
-    shapes it is given and allocates (16 bytes a complex entry, 8 a float),
-    D = d^2 entries of vec(rho), and m from `sector_bound`:
+    """Upper bounds on the bytes `modes` and `evaluate` hold for k columns and
+    one set of r rows on the space of factor dims `dims` over n_t output
+    times, with a caller that keeps `reduced` floats per output of a chunk,
+    from the shapes they are given and allocate (16 bytes a complex entry, 8
+    a float), D = d^2 entries of vec(rho), and m from `sector_bound`:
 
     * columns: per column, the column 1, its mode amplitudes r + 1 and
       coefficients 1 (at most D modes), the real chunk coefficients r + 1
@@ -495,7 +508,7 @@ def held_bytes(dims: tuple[int, ...], k: int, r: int, n_t: int, reduced: int = 0
       operators (H, the collapse operators, K) and the parity and sector
       index tables.
     * chunks: the e^{nu t} table, its first-chunk base and the product it is
-      taken from, (n, D) each, the (r + 1, k, n) outputs and the reduction's
+      taken from, (n, D) each, the (r + 1, k, n) outputs and the caller's
       (reduced, n), n = min(_CHUNK, n_t).
     """
     d = int(np.prod(dims))

@@ -205,7 +205,9 @@ def write_csv(path, header, columns) -> None:
 
 
 def write_json(path, obj) -> None:
-    """`obj` as JSON, indented by 2, with a trailing newline; written atomically."""
+    """`obj` as JSON, indented by 2, with a trailing newline; written atomically.
+    A NaN or infinite float, which JSON cannot hold, raises ValueError and
+    leaves no file."""
     with atomic_write(path) as fh:
-        json.dump(obj, fh, indent=2, sort_keys=False)
+        json.dump(obj, fh, indent=2, sort_keys=False, allow_nan=False)
         fh.write("\n")

@@ -7,7 +7,7 @@ ordering is fixed left-to-right over the factor dimensions: a composite space
 :func:`embed`. All other modules build their composite operators through
 ``embed`` so the ordering lives here only. States are plain arrays too: a ket
 is a (d,) vector, a density matrix a (d, d) matrix or its row-major vec, as
-`dynamics.propagate` takes them.
+`dynamics.modes` takes them.
 """
 from __future__ import annotations
 

@@ -148,8 +148,8 @@ class ScenarioConfig:
                              "(the quartic term needs 4 levels)")
         k, labelled = self.initial.size, self.initial.kind in fidelity.LABEL_KINDS
         series_bytes = (k if labelled else 1) * (1 + self.writes_leakage) * self.n_steps * 8
-        if self.mode == "master":  # propagate's count at the span's n <= 16 columns and
-            # n + 1 rows, with each ket's (2, chunk) reduce buffer and n (n + 1) coefficients
+        if self.mode == "master":  # the propagation's count at the span's n <= 16 columns
+            # and n + 1 rows, with each ket's (2, chunk) readout buffer and n (n + 1) coefficients
             n = min(k, 16)
             held = dynamics.held_bytes(self.dims, n, n + 1, self.n_steps, 2 * k)
             held["kets"] = 8 * k * n * (n + 1)
@@ -255,11 +255,11 @@ def refine_peak(times: np.ndarray, series: np.ndarray) -> tuple[float, float]:
     return float(series[i]), float(times[i])
 
 
-def envelope_maxima(times: np.ndarray, series: np.ndarray, window_us: float = 0.2,
-                    keep: int = 8) -> list[dict]:
-    """Local maxima of the oscillation envelope, each parabola-refined."""
+def envelope_maxima(times: np.ndarray, series: np.ndarray) -> list[dict]:
+    """The 8 highest local maxima of the oscillation envelope, its maximum
+    over windows of 0.2 us, each parabola-refined."""
     dt = times[1] - times[0]
-    w = max(1, int(round(window_us * 1e-6 / dt)))
+    w = max(1, int(round(0.2e-6 / dt)))
     n_win = len(series) // w
     if n_win < 3:
         value, t = refine_peak(times, series)
@@ -273,7 +273,7 @@ def envelope_maxima(times: np.ndarray, series: np.ndarray, window_us: float = 0.
             value, t = refine_peak(times[lo:hi], series[lo:hi])
             out.append({"t_us": t * 1e6, "value": value})
     out.sort(key=lambda m: -m["value"])
-    return out[:keep]
+    return out[:8]
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +339,7 @@ def master_fidelity_series(
 
     Both outputs are linear in rho(0) and ratios of linear functionals of
     rho(t): the numerator <u|Tr_cav rho|u> with u = kk CNOT v, and the qubit
-    weight tr(P Tr_cav rho) with P = kk kk†. So one `dynamics.propagate` call
+    weight tr(P Tr_cav rho) with P = kk kk†. So one `dynamics.modes` table
     evolves the columns of a spanning subset of the kets' projectors
     |cavity_fock><cavity_fock| (x) kk v v† kk† (`spanning_subset`) and reads
     one shared row set, the chosen kets' targets u u† and P. CNOT
@@ -347,10 +347,10 @@ def master_fidelity_series(
     so the targets span every ket's target with the ket's own coefficients
     a. A ket's numerator is then the sum of a_l a_j times output (j, l), and
     its weight the sum of a_j times output (j, P): two real products per
-    chunk of outputs, as propagate hands it over, then the ratio, clipped at
-    0, its square root in the amplitude convention, and the leakage
-    1 - tr(P Tr_cav rho). Returns (times, fidelity, leakage, stats), both
-    (k, n_t) per ket, or with `weights` their weighted means (n_t,); the
+    chunk of outputs, as `dynamics.evaluate` yields it, then the ratio,
+    clipped at 0, its square root in the amplitude convention, and the
+    leakage 1 - tr(P Tr_cav rho). Returns (times, fidelity, leakage, stats),
+    both (k, n_t) per ket, or with `weights` their weighted means (n_t,); the
     leakage is None unless cfg `writes_leakage`. stats carries the
     integrator's health figures, n_kets, the max leakage out of the qubit
     subspace and the smallest qubit weight the fidelity was divided by.
@@ -367,32 +367,30 @@ def master_fidelity_series(
                          np.eye(cfg.n_cav), kk).conj()
     # each ket's coefficients over a chunk's (r, n) outputs: a_l a_j on the n
     # target rows for its numerator, a_j on the P row for its weight
-    pairs, n2 = (a[:, :, None] * a[:, None, :]).reshape(k, -1), len(cols) ** 2
+    pairs = (a[:, :, None] * a[:, None, :]).reshape(k, -1)
     del proj
 
     shape, lowest = (k, times.size) if weights is None else times.shape, []
     fid, leak = np.empty(shape), np.empty(shape) if cfg.writes_leakage else None
     out = None  # (2, k, c) buffer of numerators and qubit weights, sized from the first block
-
-    def reduce(s, block):  # (n, r, c) outputs of the span
-        nonlocal out
+    table = dynamics.modes(H, collapse, dims, columns, rows, times, cfg.integrator)
+    for s, block in dynamics.evaluate(table):  # (r, n, c) outputs of the span
         c = block.shape[-1]
         out = np.empty(2 * k * c) if out is None else out
         num, weight = out[:2 * k * c].reshape(2, k, c)
-        flat = block.swapaxes(0, 1).reshape(-1, c)
-        np.matmul(pairs, flat[:n2], out=num)
-        np.matmul(a, flat[n2:], out=weight)
+        np.matmul(pairs, block[:-1].reshape(-1, c), out=num)
+        np.matmul(a, block[-1], out=weight)
         lowest.append(np.min(weight))
         np.maximum(np.divide(num, weight, out=num), 0.0, out=num)  # the clip at 0
         if cfg.fidelity_convention == "amplitude":
             np.sqrt(num, out=num)
         if leak is not None:
             np.subtract(1.0, weight, out=weight)
-        for series, rows in ((fid, num), (leak, weight)):
+        for series, values in ((fid, num), (leak, weight)):
             if series is not None:
-                series[..., s:s + c] = rows if weights is None else weights @ rows / weights.sum()
+                series[..., s:s + c] = values if weights is None else weights @ values / weights.sum()
 
-    stats = dynamics.propagate(H, collapse, dims, columns, rows, times, cfg.integrator, reduce)
+    stats = table["stats"]
     # 1 - w rounds monotonically in w, so the largest leakage is 1 - the smallest weight
     stats["min_qubit_weight"] = float(np.min(lowest))
     stats.update(integrator=cfg.integrator, n_kets=k, max_leakage=1.0 - stats["min_qubit_weight"])
@@ -407,7 +405,8 @@ def _analytic_omega(cfg: ScenarioConfig) -> float:
     """The closed form's exchange rate: Omega as given, or `exchange_rate` of
     the params at X_G_sq (PAPER_VA_XG_SQ unless given). A given Omega reads
     no X_G_sq, so both are refused, and so is a rate that is not finite and
-    nonzero, as `gatecheck` refuses it."""
+    nonzero, as `gatecheck` refuses it, or whose fastest phase over the grid,
+    4 |Omega| t_max, is not finite: the curves and their peaks would be NaN."""
     p = cfg.params
     if cfg.Omega is not None:
         if cfg.X_G_sq is not None:
@@ -420,6 +419,9 @@ def _analytic_omega(cfg: ScenarioConfig) -> float:
                               PAPER_VA_XG_SQ if cfg.X_G_sq is None else cfg.X_G_sq)
     if not (np.isfinite(omega) and omega != 0):
         raise ValueError(f"analytic mode needs a finite nonzero exchange rate, got Omega = {omega}")
+    if not np.isfinite(4 * abs(omega) * cfg.t_max_us * 1e-6):
+        raise ValueError(f"analytic mode needs a finite phase 4 |Omega| t_max, got Omega = {omega} "
+                         f"over t_max_us = {cfg.t_max_us}")
     return float(omega)
 
 

@@ -1,9 +1,9 @@
 """Reference computations that only the tests use, on plain NumPy arrays.
 
 A ket is a (d,) vector and a density matrix a (d, d) array, as
-`dynamics.propagate` takes them. `series` and `evolve_master` read the whole
-output series of `propagate` back through its `reduce` argument, so the
-package itself never holds it. An oracle that evolves a scenario takes its
+`dynamics.modes` takes them. `series` and `evolve_master` keep the whole
+output series that `dynamics.evaluate` yields chunk by chunk, which the
+package itself never holds. An oracle that evolves a scenario takes its
 H, collapse set, dims and qubit isometry from `runner.open_system`, as the
 runner does; only its columns, rows and readout are its own.
 """
@@ -21,15 +21,15 @@ CNOT = ideal_cnot()
 
 
 def series(H, collapse, dims, columns, rows, t_grid, method="expm"):
-    """The whole real (k, r, n_t) series of `propagate`, and its stats."""
-    chunks = []
-    stats = dynamics.propagate(H, collapse, dims, columns, rows, t_grid, method,
-                               lambda s, block: chunks.append(block.copy()))
-    return np.concatenate(chunks, axis=-1), stats
+    """The whole real (k, r, n_t) series of one `dynamics.modes` table, and
+    its stats."""
+    table = dynamics.modes(H, collapse, dims, columns, rows, t_grid, method)
+    out = np.concatenate([block.copy() for _, block in dynamics.evaluate(table)], axis=-1)
+    return out.swapaxes(0, 1), table["stats"]
 
 
 def evolve_master(H, collapse, dims, rho0, t_grid, method="expm"):
-    """The (n_t, d, d) states of `propagate` from the (d, d) rho0 at every
+    """The (n_t, d, d) states of `series` from the (d, d) rho0 at every
     time of the grid, and its stats, which also carry the Hermiticity drift
     (max_herm_drift) and minimum eigenvalue (min_eigenvalue) over all outputs."""
     d = len(H)
@@ -50,7 +50,7 @@ def per_ket_fidelity_series(cfg, kets, weights=None, group=32):
     one column vec(psi psi†) per ket, psi = |cavity_fock> (x) kk v, read by
     its own 2 rows, the numerator tr((1 (x) conj(u) u^T) rho) with
     u = kk CNOT v and the weight tr((1 (x) P^T) rho), on row-major vec(rho).
-    `propagate` reads one row set from all of its columns, so the kets go
+    `dynamics.modes` reads one row set from all of its columns, so the kets go
     through in groups of `group`, each group's columns against all of the
     group's rows, and each ket keeps its own 2. Returns (times, fidelity,
     leakage) as master_fidelity_series does."""

@@ -181,7 +181,9 @@ def test_trace_gate_fails_at_once(monkeypatch, method):
     monkeypatch.setattr(dynamics, "TRACE_TOL", 1e-17)
     with pytest.raises(IntegrationError, match="trace drift") as err:
         evolve_master(H, collapse, dims, rho0, np.linspace(0.0, 1.0, 11), method)
+    # the gate runs on a whole mode table, so its error carries the table's full stats
     assert err.value.stats["max_trace_drift"] > 1e-17
+    assert {"max_phase_per_output", "final_min_eigenvalue", "timings_s"} <= set(err.value.stats)
 
 
 def test_rk4_trace_drift_does_not_depend_on_substeps(monkeypatch):
@@ -220,7 +222,7 @@ def test_propagate_needs_uniform_grid():
 
 
 @pytest.mark.parametrize("method, t, cause", [
-    ("euler", np.linspace(0.0, 1.0, 3), "propagate runs expm or rk4, not 'euler'"),
+    ("euler", np.linspace(0.0, 1.0, 3), "modes runs expm or rk4, not 'euler'"),
     ("expm", np.linspace(0.0, 1.0, 4).reshape(2, 2), "time grid must be 1-D"),
 ], ids=["euler", "2-D grid"])
 def test_propagate_refuses_an_unknown_method_and_a_2d_grid(method, t, cause):
@@ -387,6 +389,26 @@ def test_propagate_across_chunk_boundaries_matches_a_dense_oracle(method):
     out, stats = series(H, collapse, dims, columns, rows, t, method)
     oracle = dense_series(H, collapse, columns, rows, t, stats.get("n_substeps_per_interval"))
     assert np.max(np.abs(out - oracle)) <= 1e-12
+
+
+@pytest.mark.parametrize("method", ["expm", "rk4"])
+def test_one_mode_table_evaluates_twice_to_the_same_blocks(method):
+    # evaluate only reads its table: a second pass over the same modes gives
+    # every block bit for bit, and leaves the coefficients, rates and output 0
+    # as the first pass found them
+    dims, H, collapse = parity_model()
+    rng = np.random.default_rng(15)
+    columns = random_densities(rng, 6, 2)
+    rows = rng.normal(size=(3, 36)) + 1j * rng.normal(size=(3, 36))
+    table = dynamics.modes(H, collapse, dims, columns, rows,
+                           np.linspace(0.0, 3.0, dynamics._CHUNK + 17), method)
+    kept = {key: table[key].copy() for key in ("coeffs", "rates", "first")}
+    passes = [[(s, block.copy()) for s, block in dynamics.evaluate(table)] for _ in range(2)]
+    assert [s for s, _ in passes[0]] == [s for s, _ in passes[1]] == [0, dynamics._CHUNK]
+    for (_, one), (_, two) in zip(*passes):
+        assert one.shape[:2] == (3, 2) and np.array_equal(one, two)
+    for key, value in kept.items():
+        assert np.array_equal(table[key], value)
 
 
 def test_propagate_gates_each_column_against_its_own_initial_trace():

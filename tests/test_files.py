@@ -46,6 +46,14 @@ def test_atomic_write_failure_leaves_target_absent(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_write_json_refuses_what_json_cannot_hold(tmp_path, value):
+    # json.dump would write NaN or Infinity, which no JSON parser has to accept
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        files.write_json(tmp_path / "summary.json", {"peak": 0.5, "stats": {"phase": value}})
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
 def test_atomic_write_gives_the_umask_mode(tmp_path, umask, mode):
     path = tmp_path / "out.csv"

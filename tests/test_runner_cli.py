@@ -289,7 +289,7 @@ def test_refine_peak_keeps_the_sample_where_the_vertex_exceeds_one():
 def test_envelope_maxima_on_beat_pattern():
     t = np.linspace(0.0, 10e-6, 20001)
     series = np.abs(np.cos(2 * np.pi * 0.4e6 * t)) * (1 + 0.01 * np.sin(2 * np.pi * 30e6 * t))
-    maxima = envelope_maxima(t, series, window_us=0.3)
+    maxima = envelope_maxima(t, series)
     times = sorted(m["t_us"] for m in maxima)
     # lobes of |cos| repeat every 1.25 us
     assert any(abs(tt - 2.5) < 0.15 for tt in times)
@@ -1436,6 +1436,22 @@ def test_cli_analytic_refuses_a_zero_rate_and_an_unread_x_g_sq(tmp_path, doc, ca
     assert isinstance(res.exception, SystemExit)
     [line] = res.stderr.splitlines()
     assert json.loads(line)["error"] == cause
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_evolve_refuses_an_analytic_phase_that_overflows(tmp_path):
+    # Omega and t_max are each finite, but 4 |Omega| t_max is not: the curves
+    # would read NaN and summary.json an infinite max_phase_per_output
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"mode": "analytic", "Omega": 1e300, "t_max_us": 1e20,
+                                  "n_steps": 11, "initial": {"labels": ["00", "01"]}}))
+    res = CliRunner().invoke(cli.main, ["evolve", "--config", str(config),
+                                        "--out", str(tmp_path / "run")])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    [line] = res.stderr.splitlines()
+    assert json.loads(line)["error"] == ("analytic mode needs a finite phase 4 |Omega| t_max, "
+                                         "got Omega = 1e+300 over t_max_us = 1e+20")
     assert not (tmp_path / "run").exists()
 
 

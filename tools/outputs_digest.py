@@ -36,8 +36,13 @@ COMMANDS = {
        ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10")},
     "fig3_fixed_step": (["figure", "fig3", "--fixed-step"], None),
     "fig3_nb4": (["figure", "fig3", "--nb", "4"], None),
+    # rk4's rates past n_b = 2
+    "fig3_nb4_fixed_step": (["figure", "fig3", "--nb", "4", "--fixed-step"], None),
     "fig9_grid8": (["figure", "fig9", "--bloch-grid", "8"], None),
     "nb4": (["evolve", "--preset", "paper_v1", "--nb", "4"], SHORT_RUN),
+    # the one family whose span reaches 16 columns and 17 rows
+    "separable_grid8": (["evolve", "--preset", "paper_v1"],
+                        {**SHORT_RUN, "initial": {"kind": "separable-product", "grid": [8, 8]}}),
     "analytic": (["analytic"], None),
     "analytic_paper_v1": (["analytic", "--preset", "paper_v1"], None),
     "sweep": (["sweep", "--preset", "paper_v1", "--param", "params.g_G_hz",
